@@ -130,28 +130,24 @@ def _run_exact(spec: ExperimentSpec) -> list[ReportRow]:
 
 
 def _run_approximate(spec: ExperimentSpec) -> list[ReportRow]:
-    rows = []
+    # The embedding depends on the trial seed only, so each trial embeds once
+    # and runs every threshold on it.
     base_seed = _stable_seed(spec.seed, spec.dataset, spec.algorithm)
-    for lam in spec.thresholds:
-        exact = _oracle_codes(spec.data, lam) if spec.use_oracle else None
-        trial_times = []
-        for trial in range(spec.trials):
-            trial_seed = derive_seed(base_seed, trial)
-            prep = preprocess(spec.data, spec.sig_len, spec.sketch_words, trial_seed)
+    exacts = [_oracle_codes(spec.data, lam) if spec.use_oracle else None
+              for lam in spec.thresholds]
+    trial_times = [[] for _ in spec.thresholds]
+    rows = [None] * len(spec.thresholds)  # each reports its last trial's counters
+    for trial in range(spec.trials):
+        trial_seed = derive_seed(base_seed, trial)
+        prep = preprocess(spec.data, spec.sig_len, spec.sketch_words, trial_seed)
+        for t, lam in enumerate(spec.thresholds):
             stats = JoinStats(preprocess_s=prep.elapsed_s)
+            cfg = _approximate_config(spec, lam, trial_seed)
             if spec.algorithm == "cpsjoin":
-                cfg = cps.CpsConfig(
-                    threshold=lam, sig_len=spec.sig_len, sketch_words=spec.sketch_words,
-                    delta=spec.delta, eps=spec.eps, limit=spec.limit,
-                    reps=spec.max_reps or 10, seed=trial_seed)
                 max_reps = cfg.reps
                 rep_codes = lambda r: cps.repetition_codes(prep, cfg, r, stats)
                 extra = {"limit": spec.limit, "eps": spec.eps, "reps": max_reps}
             else:
-                cfg = mlsh.LshConfig(
-                    threshold=lam, recall_target=spec.recall_target, k=spec.k,
-                    reps=spec.max_reps, sig_len=spec.sig_len,
-                    sketch_words=spec.sketch_words, delta=spec.delta, seed=trial_seed)
                 k, max_reps = mlsh.resolve_params(prep, cfg)
                 rep_codes = lambda r: mlsh.repetition_codes(prep, cfg, k, r, stats)
                 extra = {"k": k, "reps": max_reps}
@@ -167,22 +163,34 @@ def _run_approximate(spec: ExperimentSpec) -> list[ReportRow]:
                 reps_used += 1
                 if codes.size:
                     found = np.union1d(found, codes)
-                if exact is not None:
-                    recall = _recall(found, exact)
+                if exacts[t] is not None:
+                    recall = _recall(found, exacts[t])
                     if recall >= spec.recall_target:
                         break
-            trial_times.append(join_t)
-        stats.results = found.size
-        rows.append(ReportRow(
-            dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
-            join_time_s=float(np.mean(trial_times)),
-            preprocess_time_s=prep.elapsed_s,
-            recall=recall, reps_used=reps_used,
-            pre_candidates=stats.pre_candidates, candidates=stats.candidates,
-            results=stats.results,
-            params=_params_echo(spec, extra),
-        ))
+            trial_times[t].append(join_t)
+            rows[t] = ReportRow(
+                dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
+                join_time_s=float(np.mean(trial_times[t])),
+                preprocess_time_s=prep.elapsed_s,
+                recall=recall, reps_used=reps_used,
+                pre_candidates=stats.pre_candidates, candidates=stats.candidates,
+                results=found.size,
+                params=_params_echo(spec, extra),
+            )
     return rows
+
+
+def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
+    """The join config an approximate run of `spec` uses at one threshold."""
+    if spec.algorithm == "cpsjoin":
+        return cps.CpsConfig(
+            threshold=threshold, sig_len=spec.sig_len, sketch_words=spec.sketch_words,
+            delta=spec.delta, eps=spec.eps, limit=spec.limit,
+            reps=spec.max_reps or 10, seed=seed)
+    return mlsh.LshConfig(
+        threshold=threshold, recall_target=spec.recall_target, k=spec.k,
+        reps=spec.max_reps, sig_len=spec.sig_len,
+        sketch_words=spec.sketch_words, delta=spec.delta, seed=seed)
 
 
 def _recall(found: np.ndarray, exact: np.ndarray) -> float:
@@ -197,19 +205,11 @@ def join_pairs(spec: ExperimentSpec, threshold: float):
     one = replace(spec, thresholds=(threshold,), use_oracle=False, trials=1)
     base_seed = _stable_seed(one.seed, one.dataset, one.algorithm)
     trial_seed = derive_seed(base_seed, 0)
-    prep = preprocess(one.data, one.sig_len, one.sketch_words, trial_seed)
-    if one.algorithm == "cpsjoin":
-        cfg = cps.CpsConfig(threshold=threshold, sig_len=one.sig_len,
-                            sketch_words=one.sketch_words, delta=one.delta,
-                            eps=one.eps, limit=one.limit, reps=one.max_reps or 10,
-                            seed=trial_seed)
-        return cps.cps_join_prepared(prep, cfg)
-    if one.algorithm == "lsh":
-        cfg = mlsh.LshConfig(threshold=threshold, recall_target=one.recall_target,
-                             k=one.k, reps=one.max_reps, sig_len=one.sig_len,
-                             sketch_words=one.sketch_words, delta=one.delta,
-                             seed=trial_seed)
-        return mlsh.lsh_join_prepared(prep, cfg)
+    if one.algorithm in ("cpsjoin", "lsh"):
+        prep = preprocess(one.data, one.sig_len, one.sketch_words, trial_seed)
+        cfg = _approximate_config(one, threshold, trial_seed)
+        join = cps.cps_join_prepared if one.algorithm == "cpsjoin" else mlsh.lsh_join_prepared
+        return join(prep, cfg)
     join = allpairs_join if one.algorithm == "allpairs" else brute_force_join
     return join(one.data, threshold)
 

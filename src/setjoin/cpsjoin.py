@@ -12,8 +12,11 @@ Before splitting, a node removes records that look similar to the whole
 bucket: a pooled sketch summarizes the bucket, every record whose estimated
 average similarity exceeds (1 - eps) * threshold is compared against the full
 bucket directly, and buckets at or below `limit` are compared pairwise and not
-split at all. Comparisons are filtered by record sizes and by 1-bit sketches
-at a cutoff that keeps threshold-similar pairs except with probability delta.
+split at all. Every comparison goes through `CandidateKernel`, which the LSH
+join shares: it filters pairs by record sizes and by 1-bit sketches at a
+cutoff that keeps threshold-similar pairs except with probability delta, then
+verifies the survivors exactly. The children of one split that are small
+enough to be compared pairwise go through the kernel in one batch.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .exact import verify_pairs
-from .prep import Prepared, preprocess
+from .prep import Prepared, check_join_params, preprocess
 from .sketch import estimate_rows, filter_threshold, pooled_sketch
 from .stats import JoinStats, decode_pairs, encode_pairs, unique_pairs
 from .tabulation import derive_seed, splitmix64, splitmix64_array
@@ -36,7 +39,8 @@ _REP_TAG = 0x726570
 _POOL_TAG = 1
 _MASK_TAG = 2
 _CHILD_TAG_BASE = 3
-_PAIR_BLOCK = 2 ** 20  # pair-estimate cells per block in the all-pairs step
+_PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel
+_VERIFY_BLOCK = 4096  # pairs per verify_pairs call, so gathered bitset rows stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,7 @@ class CpsConfig:
     seed: int = 0x5E770
 
     def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if self.sig_len < 1:
-            raise ValueError("sig_len must be >= 1")
-        if self.sketch_words < 1:
-            raise ValueError("sketch_words must be >= 1")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
+        check_join_params(self.threshold, self.sig_len, self.sketch_words, self.delta)
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must be in [0, 1]")
         if self.limit < 2:
@@ -67,22 +64,88 @@ class CpsConfig:
             raise ValueError("reps must be >= 1")
 
 
+class CandidateKernel:
+    """The step both approximate joins end in: candidate pairs in, verified codes out.
+
+    `run(a_ids, b_ids)` counts every pair as a pre-candidate, keeps the pairs
+    whose sizes allow the threshold and whose sketch estimate reaches the
+    cutoff that loses a threshold-similar pair with probability at most
+    delta, counts those as candidates, verifies them exactly and keeps the
+    codes of the pairs that pass. `codes()` returns everything kept so far.
+    """
+
+    __slots__ = ("data", "sketches", "sizes", "threshold", "filter_cut", "stats", "_codes")
+
+    def __init__(self, prep: Prepared, threshold: float, delta: float, stats: JoinStats):
+        self.data = prep.data
+        self.sketches = prep.sketches
+        self.sizes = prep.data.sizes.astype(np.int64)
+        self.threshold = threshold
+        self.filter_cut = filter_threshold(threshold, prep.sketch_bits, delta)
+        self.stats = stats
+        self._codes = []
+
+    def run(self, a_ids: np.ndarray, b_ids: np.ndarray):
+        self.stats.pre_candidates += a_ids.size
+        sa, sb = self.sizes[a_ids], self.sizes[b_ids]
+        keep = self.threshold * np.maximum(sa, sb) <= np.minimum(sa, sb) + _EPS
+        a_ids, b_ids = a_ids[keep], b_ids[keep]
+        keep = estimate_rows(self.sketches[a_ids], self.sketches[b_ids]) >= self.filter_cut
+        a_ids, b_ids = a_ids[keep], b_ids[keep]
+        self.stats.candidates += a_ids.size
+        for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
+            a = a_ids[v0:v0 + _VERIFY_BLOCK]
+            b = b_ids[v0:v0 + _VERIFY_BLOCK]
+            ok = verify_pairs(self.data, a, b, self.threshold)
+            if ok.any():
+                self._codes.append(encode_pairs(a[ok], b[ok]))
+
+    def run_segments(self, ids: np.ndarray, bounds):
+        """Run every i < j pair inside each segment ids[bounds[k]:bounds[k + 1]]."""
+        for a, b in segment_pairs(ids, bounds):
+            self.run(a, b)
+
+    def codes(self) -> np.ndarray:
+        """Codes of every verified pair, duplicates included."""
+        return np.concatenate(self._codes) if self._codes else np.zeros(0, dtype=np.uint64)
+
+
+def segment_pairs(ids: np.ndarray, bounds):
+    """Every i < j pair inside each segment ids[bounds[k]:bounds[k + 1]].
+
+    Yields (a, b) id arrays of at most _PAIR_BLOCK pairs each; `a` holds the
+    member that comes first in `ids`.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    pos = np.arange(bounds[0], bounds[-1])
+    later = np.repeat(bounds[1:], np.diff(bounds)) - pos - 1  # partners after each position
+    ends = np.cumsum(later)  # pair index one past each position's last pair
+    total = int(ends[-1]) if ends.size else 0
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p1 = min(total, p0 + _PAIR_BLOCK)
+        # positions whose pairs overlap [p0, p1)
+        r0 = int(np.searchsorted(ends, p0, side="right"))
+        r1 = int(np.searchsorted(ends, p1, side="left")) + 1
+        counts = later[r0:r1]
+        first = ends[r0:r1] - counts
+        a = np.repeat(pos[r0:r1], counts)
+        b = a + 1 + np.arange(first[0], first[0] + a.size) - np.repeat(first, counts)
+        lo = p0 - int(first[0])
+        hi = lo + p1 - p0
+        yield ids[a[lo:hi]], ids[b[lo:hi]]
+
+
 class _Ctx:
-    __slots__ = ("data", "sig", "sk", "sizes", "threshold", "eps", "limit",
-                 "filter_cut", "sig_len", "stats", "codes", "depth_cap")
+    __slots__ = ("kernel", "sig", "threshold", "eps", "limit", "sig_len", "stats", "depth_cap")
 
     def __init__(self, prep: Prepared, cfg: CpsConfig, stats: JoinStats):
-        self.data = prep.data
+        self.kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
         self.sig = prep.sig
-        self.sk = prep.sketches
-        self.sizes = prep.data.sizes.astype(np.int64)
         self.threshold = cfg.threshold
         self.eps = cfg.eps
         self.limit = cfg.limit
-        self.filter_cut = filter_threshold(cfg.threshold, prep.sketch_bits, cfg.delta)
         self.sig_len = cfg.sig_len
         self.stats = stats
-        self.codes = []
         # Engineering guard far above the expected O(log n / eps) depth; a
         # stuck bucket gets brute-forced instead of recursing forever.
         self.depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
@@ -100,50 +163,6 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     return (vals >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def _size_ok(sizes_a, size_or_sizes_b, threshold: float) -> np.ndarray:
-    smin = np.minimum(sizes_a, size_or_sizes_b)
-    smax = np.maximum(sizes_a, size_or_sizes_b)
-    return threshold * smax <= smin + _EPS
-
-
-def _verify_and_emit(ctx: _Ctx, a_ids: np.ndarray, b_ids: np.ndarray):
-    ok = verify_pairs(ctx.data, a_ids, b_ids, ctx.threshold)
-    if ok.any():
-        ctx.codes.append(encode_pairs(a_ids[ok], b_ids[ok]))
-
-
-def _brute_force_pairs(ids: np.ndarray, ctx: _Ctx):
-    m = ids.size
-    if m < 2:
-        return
-    ctx.stats.pre_candidates += m * (m - 1) // 2
-    sk = ctx.sk[ids]
-    sizes = ctx.sizes[ids]
-    block = max(1, _PAIR_BLOCK // m)
-    for i0 in range(0, m, block):
-        i1 = min(m, i0 + block)
-        est = estimate_rows(sk[i0:i1, None, :], sk[None, :, :])
-        upper = np.arange(m)[None, :] > np.arange(i0, i1)[:, None]
-        mask = upper & _size_ok(sizes[i0:i1, None], sizes[None, :], ctx.threshold) \
-            & (est >= ctx.filter_cut)
-        ri, ci = np.nonzero(mask)
-        ctx.stats.candidates += ri.size
-        if ri.size:
-            _verify_and_emit(ctx, ids[ri + i0], ids[ci])
-
-
-def _brute_force_point(bucket: np.ndarray, x: int, ctx: _Ctx):
-    others = bucket[bucket != x]
-    ctx.stats.pre_candidates += others.size
-    est = estimate_rows(ctx.sk[others], ctx.sk[x])
-    mask = _size_ok(ctx.sizes[others], ctx.sizes[x], ctx.threshold) \
-        & (est >= ctx.filter_cut)
-    ctx.stats.candidates += int(np.count_nonzero(mask))
-    cand = others[mask]
-    if cand.size:
-        _verify_and_emit(ctx, np.full(cand.size, x, dtype=np.int64), cand)
-
-
 def brute_force_step(ids: np.ndarray, node_seed: int, ctx: _Ctx) -> np.ndarray:
     """Handle a bucket's brute-force work; return the records that recurse on.
 
@@ -155,15 +174,23 @@ def brute_force_step(ids: np.ndarray, node_seed: int, ctx: _Ctx) -> np.ndarray:
     if ids.size == 0:
         return ids
     if ids.size <= ctx.limit:
-        _brute_force_pairs(ids, ctx)
+        ctx.kernel.run_segments(ids, [0, ids.size])
         return ids[:0]
-    sk_rows = ctx.sk[ids]
+    sk_rows = ctx.kernel.sketches[ids]
     pooled = pooled_sketch(sk_rows, derive_seed(node_seed, _POOL_TAG))
     est = estimate_rows(sk_rows, pooled)
     removed = est > (1.0 - ctx.eps) * ctx.threshold
     if removed.any():
-        for x in ids[removed]:
-            _brute_force_point(ids, int(x), ctx)
+        # each removed record against every other member, so a pair of two
+        # removed records is compared (and counted) once from each side
+        points = ids[removed]
+        step = max(1, _PAIR_BLOCK // ids.size)
+        for r0 in range(0, points.size, step):
+            x = points[r0:r0 + step]
+            a = np.repeat(x, ids.size)
+            b = np.tile(ids, x.size)
+            other = a != b
+            ctx.kernel.run(a[other], b[other])
         ids = ids[~removed]
     return ids
 
@@ -175,7 +202,7 @@ def _recurse(ids: np.ndarray, node_seed: int, depth: int, ctx: _Ctx):
     if ids.size < 2:
         return
     if depth >= ctx.depth_cap:
-        _brute_force_pairs(ids, ctx)
+        ctx.kernel.run_segments(ids, [0, ids.size])
         return
     mask = coordinate_mask(derive_seed(node_seed, _MASK_TAG), ctx.sig_len, ctx.threshold)
     for coord in np.flatnonzero(mask):
@@ -184,11 +211,19 @@ def _recurse(ids: np.ndarray, node_seed: int, depth: int, ctx: _Ctx):
         sv = vals[order]
         cuts = np.flatnonzero(sv[1:] != sv[:-1]) + 1
         bounds = np.concatenate([[0], cuts, [sv.size]])
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b - a >= 2:
-                child_seed = splitmix64(
-                    splitmix64(node_seed, _CHILD_TAG_BASE + int(coord)), int(sv[a]))
-                _recurse(ids[order[a:b]], child_seed, depth + 1, ctx)
+        sizes = np.diff(bounds)
+        # Children at or below the limit would only be compared pairwise at
+        # depth + 1, so all of them go through the kernel together.
+        small = (sizes >= 2) & (sizes <= ctx.limit)
+        if small.any():
+            ctx.stats.max_depth = max(ctx.stats.max_depth, depth + 1)
+            ctx.kernel.run_segments(ids[order[np.repeat(small, sizes)]],
+                                    np.concatenate([[0], np.cumsum(sizes[small])]))
+        for k in np.flatnonzero(sizes > ctx.limit):
+            a, b = bounds[k], bounds[k + 1]
+            child_seed = splitmix64(
+                splitmix64(node_seed, _CHILD_TAG_BASE + int(coord)), int(sv[a]))
+            _recurse(ids[order[a:b]], child_seed, depth + 1, ctx)
 
 
 def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int, stats: JoinStats) -> np.ndarray:
@@ -197,12 +232,12 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int, stats: JoinStats)
     rep_seed = splitmix64(derive_seed(cfg.seed, _REP_TAG), rep)
     ids = np.arange(prep.data.n, dtype=np.int64)
     _recurse(ids, rep_seed, 0, ctx)
-    return np.concatenate(ctx.codes) if ctx.codes else np.zeros(0, dtype=np.uint64)
+    return ctx.kernel.codes()
 
 
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
-    _check_compatible(prep, cfg)
+    prep.check_dimensions(cfg.sig_len, cfg.sketch_words)
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
     chunks = [repetition_codes(prep, cfg, rep, stats) for rep in range(cfg.reps)]
@@ -216,11 +251,6 @@ def cps_join(data: Dataset, cfg: CpsConfig):
     """Embed, sketch, and join a dataset; returns ((m, 2) pairs, JoinStats)."""
     prep = preprocess(data, cfg.sig_len, cfg.sketch_words, cfg.seed)
     return cps_join_prepared(prep, cfg)
-
-
-def _check_compatible(prep: Prepared, cfg: CpsConfig):
-    if prep.sig_len != cfg.sig_len or prep.sketch_words != cfg.sketch_words:
-        raise ValueError("prepared embedding does not match the config dimensions")
 
 
 def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,

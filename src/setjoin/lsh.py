@@ -1,8 +1,8 @@
 """MinHash LSH self-join: bucket by k signature positions, L repetitions.
 
 A repetition samples k fresh signature positions (without replacement),
-buckets records by the tuple of values at those positions, and runs the shared
-sketch-filtered brute-force comparison inside each non-singleton bucket. Two
+buckets records by the tuple of values at those positions, and runs every pair
+inside each bucket through the candidate kernel it shares with CPSJoin. Two
 records with signature agreement fraction s collide in a repetition with
 probability close to s^k, so L = ceil(ln(1/(1-recall)) / threshold^k)
 repetitions give the target per-pair recall at the threshold. The number of
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpsjoin import CpsConfig, _brute_force_pairs, _Ctx
+from .cpsjoin import CandidateKernel
 from .datasets import Dataset
-from .prep import Prepared, preprocess
+from .prep import Prepared, check_join_params, preprocess
 from .stats import JoinStats, decode_pairs, unique_pairs
 from .tabulation import derive_seed, splitmix64_array
 
@@ -43,8 +43,7 @@ class LshConfig:
     seed: int = 0x15ABE7
 
     def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
+        check_join_params(self.threshold, self.sig_len, self.sketch_words, self.delta)
         if not 0.0 < self.recall_target < 1.0:
             raise ValueError("recall_target must be in (0, 1)")
         if self.k is not None and self.k < 1:
@@ -53,12 +52,6 @@ class LshConfig:
             raise ValueError("k cannot exceed the signature length")
         if self.reps is not None and self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.sig_len < 1:
-            raise ValueError("sig_len must be >= 1")
-        if self.sketch_words < 1:
-            raise ValueError("sketch_words must be >= 1")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
 
 
 def repetitions_for_recall(threshold: float, k: int, recall_target: float) -> int:
@@ -120,24 +113,20 @@ def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
 def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
                      stats: JoinStats) -> np.ndarray:
     """One bucketing repetition; returns raw (possibly duplicated) pair codes."""
-    ctx = _Ctx(prep, _ctx_config(cfg), stats)
+    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
     positions = sample_positions(
         splitmix64_array(derive_seed(cfg.seed, _POS_TAG), np.uint64(rep)).item(), k, prep.sig_len)
     keys = bucket_keys(prep.sig, positions)
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
     cuts = np.flatnonzero(sk[1:] != sk[:-1]) + 1
-    bounds = np.concatenate([[0], cuts, [sk.size]])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a >= 2:
-            _brute_force_pairs(order[a:b].astype(np.int64), ctx)
-    return np.concatenate(ctx.codes) if ctx.codes else np.zeros(0, dtype=np.uint64)
+    kernel.run_segments(order, np.concatenate([[0], cuts, [sk.size]]))
+    return kernel.codes()
 
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
-    if prep.sig_len != cfg.sig_len or prep.sketch_words != cfg.sketch_words:
-        raise ValueError("prepared embedding does not match the config dimensions")
+    prep.check_dimensions(cfg.sig_len, cfg.sketch_words)
     k, reps = resolve_params(prep, cfg)
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
@@ -152,9 +141,3 @@ def lsh_join(data: Dataset, cfg: LshConfig):
     """Embed, sketch, and join a dataset; returns ((m, 2) pairs, JoinStats)."""
     prep = preprocess(data, cfg.sig_len, cfg.sketch_words, cfg.seed)
     return lsh_join_prepared(prep, cfg)
-
-
-def _ctx_config(cfg: LshConfig) -> CpsConfig:
-    # Only threshold, dimensions, and delta matter to the shared bucket step.
-    return CpsConfig(threshold=cfg.threshold, sig_len=cfg.sig_len,
-                     sketch_words=cfg.sketch_words, delta=cfg.delta, seed=cfg.seed)

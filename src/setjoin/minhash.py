@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError, SignatureMismatchError
-from .tabulation import derive_seed, table_tensor
+from .tabulation import derive_seed, splitmix64_array, table_tensor
 
 DEFAULT_SIG_LEN = 128
 
@@ -22,8 +22,6 @@ _FN_TAG = 0x6D696E68  # "minh"
 
 def function_seeds(family_seed: int, count: int) -> np.ndarray:
     """Seeds of the `count` independent functions of a family."""
-    from .tabulation import splitmix64_array
-
     base = derive_seed(family_seed, _FN_TAG)
     return splitmix64_array(base, np.arange(count, dtype=np.uint64))
 
@@ -63,18 +61,19 @@ class MinHashFamily:
         """Value of function `index` on a token set: the member whose hash rank
         is smallest. Ties (vanishing probability) go to the smallest member,
         which argmin delivers for free on ascending token order."""
-        tokens = _checked_tokens(tokens)
+        tokens = checked_tokens(tokens)
         ranks = self._ranks(tokens)[index]
         return int(tokens[np.argmin(ranks)])
 
     def embed(self, tokens) -> np.ndarray:
         """Full signature of a token set, shape (sig_len,) uint32."""
-        tokens = _checked_tokens(tokens)
+        tokens = checked_tokens(tokens)
         ranks = self._ranks(tokens)
         return tokens[np.argmin(ranks, axis=1)].astype(np.uint32)
 
 
-def _checked_tokens(tokens) -> np.ndarray:
+def checked_tokens(tokens) -> np.ndarray:
+    """A non-empty token set as a sorted unique uint32 array."""
     arr = np.asarray(tokens, dtype=np.uint32)
     if arr.ndim != 1:
         raise ValueError("token set must be one-dimensional")

@@ -39,6 +39,23 @@ class Prepared:
     def sketch_bits(self) -> int:
         return 64 * self.sketch_words
 
+    def check_dimensions(self, sig_len: int, sketch_words: int):
+        """Reject a join config whose dimensions this embedding was not built with."""
+        if self.sig_len != sig_len or self.sketch_words != sketch_words:
+            raise ValueError("prepared embedding does not match the config dimensions")
+
+
+def check_join_params(threshold: float, sig_len: int, sketch_words: int, delta: float):
+    """Validate the config fields every approximate join shares."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must be in (0, 1]")
+    if sig_len < 1:
+        raise ValueError("sig_len must be >= 1")
+    if sketch_words < 1:
+        raise ValueError("sketch_words must be >= 1")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must be in (0, 1]")
+
 
 def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
                sketch_words: int = DEFAULT_SKETCH_WORDS, seed: int = 0) -> Prepared:
@@ -47,7 +64,7 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
     sk_fam = SketchFamily(sketch_words, derive_seed(seed, _SK_TAG))
     bits = sk_fam.bits
 
-    tables = np.concatenate([sig_fam.tables, sk_fam._mh.tables], axis=0)
+    tables = np.concatenate([sig_fam.tables, sk_fam.minhashes.tables], axis=0)
     n = data.n
     sig = np.empty((n, sig_len), dtype=np.uint32)
     sketches = np.empty((n, sketch_words), dtype=np.uint64)

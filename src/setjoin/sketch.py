@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import EmptyBucketError, SketchMismatchError
-from .minhash import MinHashFamily, _checked_tokens
+from .minhash import MinHashFamily, checked_tokens, function_seeds
 from .tabulation import derive_seed, splitmix64_array, table_tensor
 
 DEFAULT_SKETCH_WORDS = 8
@@ -25,9 +25,12 @@ _BIT_TAG = 0x736B6274  # sketch bit family
 
 
 class SketchFamily:
-    """Builder for b = 64*words 1-bit minwise sketch bits."""
+    """Hash family for b = 64*words 1-bit minwise sketch bits.
 
-    __slots__ = ("words", "bits", "seed", "_mh", "bit_tables")
+    `minhashes` is the MinHash family whose i-th value bit function i hashes.
+    """
+
+    __slots__ = ("words", "bits", "seed", "minhashes", "bit_tables")
 
     def __init__(self, words: int = DEFAULT_SKETCH_WORDS, seed: int = 0):
         if words < 1:
@@ -35,9 +38,7 @@ class SketchFamily:
         self.words = words
         self.bits = 64 * words
         self.seed = seed
-        self._mh = MinHashFamily(self.bits, derive_seed(seed, _MH_TAG))
-        from .minhash import function_seeds
-
+        self.minhashes = MinHashFamily(self.bits, derive_seed(seed, _MH_TAG))
         bit_seeds = function_seeds(derive_seed(seed, _BIT_TAG), self.bits)
         self.bit_tables = table_tensor(bit_seeds)
 
@@ -54,8 +55,8 @@ class SketchFamily:
 
     def sketch(self, tokens) -> np.ndarray:
         """Sketch of a token set: (words,) uint64, bit i at word i//64, position i%64."""
-        tokens = _checked_tokens(tokens)
-        values = self._mh.embed(tokens)
+        tokens = checked_tokens(tokens)
+        values = self.minhashes.embed(tokens)
         return pack_bits(self.bit_values(values))
 
 

@@ -9,16 +9,22 @@ splitting scatters its neighbors.
 import numpy as np
 import pytest
 
+from setjoin import cpsjoin
 from setjoin.cpsjoin import (
+    CandidateKernel,
     CpsConfig,
+    brute_force_step,
     co_bucket_frequency,
     coordinate_mask,
     cps_join,
     cps_join_prepared,
+    segment_pairs,
 )
 from setjoin.datasets import Dataset, gen_uniform
-from setjoin.exact import brute_force_join, jaccard
+from setjoin.exact import brute_force_join, jaccard, verify
 from setjoin.prep import preprocess
+from setjoin.sketch import estimate_similarity, filter_threshold
+from setjoin.stats import JoinStats, encode_pairs
 
 
 def _pair_codes(pairs):
@@ -190,3 +196,87 @@ def test_co_bucket_frequency_respects_survival_floor():
 def test_co_bucket_frequency_shape_mismatch():
     with pytest.raises(ValueError):
         co_bucket_frequency(np.arange(4), np.arange(5), 0.5, 1, 10)
+
+
+def _reference_kernel(prep, threshold, delta, pairs):
+    """Per-pair loop the candidate kernel must reproduce: size predicate,
+    sketch estimate against the filter cutoff, then exact verification."""
+    cut = filter_threshold(threshold, prep.sketch_bits, delta)
+    sizes = prep.data.sizes
+    stats, codes = JoinStats(), []
+    for a, b in pairs:
+        stats.pre_candidates += 1
+        small, big = sorted((int(sizes[a]), int(sizes[b])))
+        if threshold * big > small + 1e-9:
+            continue
+        if estimate_similarity(prep.sketches[a], prep.sketches[b]) < cut:
+            continue
+        stats.candidates += 1
+        if verify(prep.data.record(a), prep.data.record(b), threshold):
+            codes.append(encode_pairs(a, b))
+    return np.sort(np.array(codes, dtype=np.uint64)), stats
+
+
+def _assert_kernel_matches(kernel, prep, threshold, delta, pairs):
+    want_codes, want = _reference_kernel(prep, threshold, delta, pairs)
+    assert np.array_equal(np.sort(kernel.codes()), want_codes)
+    assert (kernel.stats.pre_candidates, kernel.stats.candidates) == \
+        (want.pre_candidates, want.candidates)
+
+
+def _segment_reference_pairs(ids, bounds):
+    return [(int(ids[i]), int(ids[j])) for lo, hi in zip(bounds[:-1], bounds[1:])
+            for i in range(lo, hi) for j in range(i + 1, hi)]
+
+
+@pytest.mark.parametrize("sizes, small_blocks", [
+    ([0], False),
+    ([1], False),
+    ([2], False),
+    ([0, 1, 2, 0, 5, 1, 7, 3, 2], False),
+    ([40], True),  # one segment spread over many pair and verify blocks
+    ([3, 40, 1, 12], True),
+])
+def test_candidate_kernel_matches_per_pair_loop(monkeypatch, sizes, small_blocks):
+    if small_blocks:
+        monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(cpsjoin, "_VERIFY_BLOCK", 5)
+    ds = gen_uniform(120, 8, 30, seed=8)
+    prep = preprocess(ds, sig_len=32, sketch_words=2, seed=4)
+    ids = np.random.default_rng(1).permutation(ds.n)[:sum(sizes)].astype(np.int64)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    blocks = list(segment_pairs(ids, bounds))
+    got = [(int(a), int(b)) for ab in blocks for a, b in zip(*ab)]
+    want = _segment_reference_pairs(ids, bounds)
+    assert sorted(got) == sorted(want)
+    assert all(a.size <= cpsjoin._PAIR_BLOCK for a, _ in blocks)
+    if small_blocks:
+        assert len(blocks) > 1
+    kernel = CandidateKernel(prep, 0.3, 0.05, JoinStats())
+    kernel.run_segments(ids, bounds)
+    if len(want) > 100:  # the filters and verification each drop some pairs
+        assert len(want) > kernel.stats.candidates > kernel.codes().size > 0
+    _assert_kernel_matches(kernel, prep, 0.3, 0.05, want)
+
+
+@pytest.mark.parametrize("pair_block", [None, 50])
+def test_point_rule_matches_per_pair_loop(monkeypatch, pair_block):
+    # a cluster of near-duplicates inside a bucket of unrelated records: every
+    # cluster member looks similar to the whole bucket and is removed, so the
+    # point rule compares several removed records against the same bucket
+    if pair_block is not None:
+        monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(9)
+    recs = [np.concatenate([np.arange(60), [1000 + i]]) for i in range(12)]
+    recs += [rng.choice(np.arange(100, 900), size=40, replace=False) for _ in range(20)]
+    ds = Dataset.from_records(recs)
+    prep = preprocess(ds, sig_len=32, sketch_words=4, seed=2)
+    cfg = CpsConfig(threshold=0.5, eps=0.5, limit=5, sig_len=32, sketch_words=4)
+    ctx = cpsjoin._Ctx(prep, cfg, JoinStats())
+    ids = np.arange(ds.n, dtype=np.int64)
+    kept = brute_force_step(ids, 123, ctx)
+    removed = np.setdiff1d(ids, kept)
+    assert removed.size >= 2 and kept.size >= 2
+    pairs = [(int(x), int(y)) for x in removed for y in ids if y != x]
+    assert ctx.stats.pre_candidates == removed.size * (ds.n - 1)
+    _assert_kernel_matches(ctx.kernel, prep, cfg.threshold, cfg.delta, pairs)

@@ -1,0 +1,49 @@
+"""Seeded runs pinned across versions of the library.
+
+Each digest is the sha256 of the sorted pair codes followed by the counters
+(pre_candidates, candidates, results, max_depth). A change to how candidate
+pairs are generated, filtered, verified or counted that alters what a seeded
+join finds or the work it reports changes the digest. The `tokens` case runs
+CPSJoin with a small `limit`, so its large buckets go through the pooled-sketch
+point rule as well as the recursive split.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from setjoin import CpsConfig, LshConfig, TokensSpec, cps_join, gen_tokens, gen_uniform, lsh_join
+from setjoin.stats import encode_pairs
+
+
+def _digest(pairs, stats) -> str:
+    h = hashlib.sha256(np.sort(encode_pairs(pairs[:, 0], pairs[:, 1])).tobytes())
+    h.update(repr((stats.pre_candidates, stats.candidates, stats.results,
+                   stats.max_depth)).encode())
+    return h.hexdigest()
+
+
+def _tokens():
+    return gen_tokens(TokensSpec(d=400, max_freq=200, planted=((0.6, 5), (0.8, 5)),
+                                 background_similarity=0.1, seed=3)), 0.5
+
+
+def _uniform():
+    return gen_uniform(1500, 8, 120, seed=11), 0.4
+
+
+@pytest.mark.parametrize("dataset, join, config, want", [
+    (_tokens, cps_join, lambda lam: CpsConfig(threshold=lam, limit=20, seed=5),
+     "232e23b71f4c0221db0323366625c665dba5b9e151b4aa125e707c9ad23dd48a"),
+    (_tokens, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
+     "177d841f8153c9ee46ccb3a142ecf5f7cfbf7f2d5f26a273a632aceab9309912"),
+    (_uniform, cps_join, lambda lam: CpsConfig(threshold=lam, limit=20, seed=5),
+     "933ffaa9b9e4cb1048432d90fc13f548171a9d7df21a0d991bdef2b31717d107"),
+    (_uniform, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
+     "7dec08c4533318a46f18a4eebe6fcbb9927458d0709a77a3d23d9ac428d3db72"),
+], ids=["tokens-cpsjoin", "tokens-lsh", "uniform-cpsjoin", "uniform-lsh"])
+def test_seeded_join_digest(dataset, join, config, want):
+    data, lam = dataset()
+    pairs, stats = join(data, config(lam))
+    assert _digest(pairs, stats) == want
