@@ -1,9 +1,21 @@
 """Shared preprocessing: embed and sketch every record of a dataset once.
 
-The signature and sketch MinHash families are stacked into one table tensor so
-each record costs a single gather plus argmin. Signatures and sketches can be
-reused across joins at different thresholds; only the filter cutoffs depend on
-the threshold.
+The signature and sketch MinHash families are stacked into one table tensor of
+F = sig_len + sketch bits functions, and each record's F MinHash values (the
+member of least hash rank under each function) fill one column of an (F, n)
+matrix.
+
+When the universe is small enough, every function's ranks over the whole
+universe are sorted once into rank tables: `order[f, r]` is the token at rank
+position r under function f and `pos[t, f]` the rank position of token t.
+Records of equal size are then taken in blocks: the least position over each
+record's tokens, per function, is a minimum over a gathered (k, s, F) block,
+and `order` turns it back into the token. Above `_UNIVERSE_CELL_CAP` the ranks
+are hashed record by record instead. Both fill the same matrix, from which one
+step cuts the signatures and packs the sketch bits.
+
+Signatures and sketches can be reused across joins at different thresholds;
+only the filter cutoffs depend on the threshold.
 """
 
 from __future__ import annotations
@@ -15,12 +27,14 @@ import numpy as np
 
 from .datasets import Dataset
 from .minhash import DEFAULT_SIG_LEN, MinHashFamily
-from .sketch import DEFAULT_SKETCH_WORDS, SketchFamily, pack_bits
+from .sketch import DEFAULT_SKETCH_WORDS, SketchFamily
 from .tabulation import derive_seed
 
 _SIG_TAG = 0x707369  # signature family seed
 _SK_TAG = 0x70736B  # sketch family seed
-_UNIVERSE_CELL_CAP = 2 ** 24  # full-universe rank matrix above this is not worth it
+_UNIVERSE_CELL_CAP = 2 ** 24  # rank tables over the universe above this are not worth it
+_RANK_CHUNK_CELLS = 2 ** 20  # 64-bit ranks hashed and sorted at a time
+_BLOCK_CELLS = 2 ** 19  # rank positions gathered per block of equal-size records
 
 
 @dataclass
@@ -62,34 +76,91 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
     t0 = time.perf_counter()
     sig_fam = MinHashFamily(sig_len, derive_seed(seed, _SIG_TAG))
     sk_fam = SketchFamily(sketch_words, derive_seed(seed, _SK_TAG))
-    bits = sk_fam.bits
 
     tables = np.concatenate([sig_fam.tables, sk_fam.minhashes.tables], axis=0)
-    n = data.n
-    sig = np.empty((n, sig_len), dtype=np.uint32)
-    sketches = np.empty((n, sketch_words), dtype=np.uint64)
+    if len(tables) * data.d <= _UNIVERSE_CELL_CAP:
+        values = _universe_minhashes(tables, data)
+    else:
+        values = _record_minhashes(tables, data)
 
-    total_fns = sig_len + bits
-    universe = _universe_ranks(tables, data.d) if total_fns * data.d <= _UNIVERSE_CELL_CAP else None
-
-    for i in range(n):
-        rec = data.record(i)
-        idx = rec.astype(np.intp)
-        if universe is not None:
-            ranks = universe[:, idx]
-        else:
-            ranks = _record_ranks(tables, idx)
-        values = rec[np.argmin(ranks, axis=1)]
-        sig[i] = values[:sig_len]
-        sketches[i] = pack_bits(sk_fam.bit_values(values[sig_len:]))
-
+    sig = np.ascontiguousarray(values[:sig_len].T)
+    sketches = _sketches(sk_fam, values[sig_len:])
     return Prepared(data, sig, sketches, sig_len, sketch_words, seed,
                     time.perf_counter() - t0)
 
 
+def _universe_minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
+    """MinHash values (F, n) of every record, from rank tables over [0, d)."""
+    order, pos = _rank_tables(tables, data.d)
+    fns = np.arange(len(tables))[:, None]
+    values = np.empty((len(tables), data.n), dtype=np.uint32)
+    # Group records by size, keeping index order within a size (canonical data
+    # is already stored this way), so each block is a dense (k, s) token matrix.
+    by_size = np.argsort(data.sizes, kind="stable")
+    sizes = data.sizes[by_size]
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for start, end in zip(starts, np.append(starts[1:], data.n)):
+        s = int(sizes[start])
+        step = max(1, _BLOCK_CELLS // (s * len(tables)))
+        for b in range(start, end, step):
+            ids = by_size[b:min(b + step, end)]
+            tokens = data.tokens[data.indptr[ids][:, None] + np.arange(s)]
+            least = pos[tokens].min(axis=1)
+            values[:, ids] = order[fns, least.T]
+    return values
+
+
+def _rank_tables(tables: np.ndarray, d: int):
+    """Rank tables of the stacked functions over the universe [0, d).
+
+    Returns `order` (F, d), the tokens in ascending rank under each function,
+    and its inverse `pos` (d, F). Tokens of equal 64-bit rank sit in ascending
+    token order, the tie-break `argmin` gives on an ascending record.
+    """
+    dtype = np.uint16 if d <= 2 ** 16 else np.uint32
+    fns = len(tables)
+    order = np.empty((fns, d), dtype=dtype)
+    pos = np.empty((d, fns), dtype=dtype)
+    universe = np.arange(d, dtype=np.uint64)
+    positions = np.arange(d, dtype=dtype)[None, :]
+    token_mask = np.uint64((1 << max(d - 1, 1).bit_length()) - 1)
+    step = max(1, min(64, _RANK_CHUNK_CELLS // max(d, 1)))
+    for f in range(0, fns, step):
+        chunk = slice(f, min(f + step, fns))
+        ranks = _universe_ranks(tables[chunk], d)
+        # A rank with its low bits replaced by the token sorts by rank, and by
+        # token where the high bits tie. A row where two neighbours share their
+        # high bits is sorted again on the full rank, stably.
+        keys = (ranks & ~token_mask) | universe
+        keys.sort(axis=1)
+        perm = (keys & token_mask).astype(dtype)
+        near = np.flatnonzero(((keys[:, 1:] ^ keys[:, :-1]) <= token_mask).any(axis=1))
+        if near.size:
+            perm[near] = np.argsort(ranks[near], axis=1, kind="stable")
+        order[chunk] = perm
+        inverse = np.empty_like(perm)
+        np.put_along_axis(inverse, perm, positions, axis=1)
+        pos[:, chunk] = inverse.T
+    return order, pos
+
+
 def _universe_ranks(tables: np.ndarray, d: int) -> np.ndarray:
-    """Hash ranks of every token in [0, d) under every stacked function."""
-    return _record_ranks(tables, np.arange(d, dtype=np.intp))
+    """Hash ranks (F, d) of the tokens [0, d), built a key byte at a time: each
+    entry of byte j's table XORed with the ranks of every lower-byte key."""
+    h = tables[:, 0, :]
+    for j in (1, 2, 3):
+        count = min(256, -(-d // 256 ** j))
+        h = (tables[:, j, :count, None] ^ h[:, None, :]).reshape(len(tables), -1)
+    return h[:, :d]
+
+
+def _record_minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
+    """MinHash values (F, n) of every record, hashing its tokens on the spot."""
+    values = np.empty((len(tables), data.n), dtype=np.uint32)
+    for i in range(data.n):
+        rec = data.record(i)
+        values[:, i] = rec[np.argmin(_record_ranks(tables, rec.astype(np.intp)), axis=1)]
+    return values
 
 
 def _record_ranks(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -100,8 +171,19 @@ def _record_ranks(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return h
 
 
-def families(prep: Prepared):
-    """The signature and sketch families a Prepared was built with."""
-    sig_fam = MinHashFamily(prep.sig_len, derive_seed(prep.seed, _SIG_TAG))
-    sk_fam = SketchFamily(prep.sketch_words, derive_seed(prep.seed, _SK_TAG))
-    return sig_fam, sk_fam
+def _sketches(sk_fam: SketchFamily, values: np.ndarray) -> np.ndarray:
+    """Packed sketches (n, words): bit f applies bit function f to row f of the
+    sketch family's MinHash values (bits, n)."""
+    # A bit function's value is the low bit of its tabulation hash, so the XOR
+    # of the low bits of its four byte-table entries.
+    low = (sk_fam.bit_tables & np.uint64(1)).astype(np.uint8)
+    bits = np.empty(values.shape, dtype=np.uint8)
+    for f, v in enumerate(values):
+        t0, t1, t2, t3 = low[f]
+        b = t0.take(v & 0xFF)
+        b ^= t1.take((v >> 8) & 0xFF)
+        b ^= t2.take((v >> 16) & 0xFF)
+        b ^= t3.take(v >> 24)
+        bits[f] = b
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return np.ascontiguousarray(packed.T).view("<u8")

@@ -14,6 +14,7 @@ from setjoin import bench
 from setjoin.bench import ExperimentSpec, ReportRow, csv_text, join_pairs, run, sweep, write_csv
 from setjoin.cli import _generate, _parse_planted, main
 from setjoin.datasets import gen_uniform
+from setjoin.prep import preprocess
 
 _TIMING_IDX = tuple(bench.COLUMNS.index(c) for c in
                     ("join_time_s", "preprocess_time_s", "relative_join_time"))
@@ -101,6 +102,24 @@ def test_report_deterministic_apart_from_timing(dense):
     b = _strip_timing(csv_text(run(spec)))
     assert a == b
     assert a[0] == list(bench.COLUMNS)
+
+
+def test_preprocess_time_is_mean_over_trials(dense, monkeypatch):
+    elapsed = []
+
+    def recording(*args):
+        prep = preprocess(*args)
+        elapsed.append(prep.elapsed_s)
+        return prep
+
+    monkeypatch.setattr(bench, "preprocess", recording)
+    rows = run(_spec(dense, "lsh", thresholds=(0.5, 0.7), trials=3))
+    assert len(elapsed) == 3
+    want = float(np.mean(elapsed))
+    column = bench.COLUMNS.index("preprocess_time_s")
+    for row, cells in zip(rows, list(csv.reader(io.StringIO(csv_text(rows))))[1:]):
+        assert row.preprocess_time_s == want
+        assert cells[column] == f"{want:.6f}"
 
 
 def test_sweep_relative_times(dense):

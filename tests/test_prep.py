@@ -1,9 +1,23 @@
-"""The stacked-table fast path must agree with the per-family reference."""
+"""The rank-table and per-record paths must agree with the per-family reference."""
+
+import hashlib
 
 import numpy as np
+import pytest
 
-from setjoin.datasets import gen_uniform
-from setjoin.prep import _UNIVERSE_CELL_CAP, families, preprocess
+from setjoin import prep as prep_module
+from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
+from setjoin.minhash import MinHashFamily
+from setjoin.prep import _SIG_TAG, _SK_TAG, _UNIVERSE_CELL_CAP, preprocess
+from setjoin.sketch import SketchFamily
+from setjoin.tabulation import derive_seed
+
+
+def families(prep):
+    """The signature and sketch families a Prepared was built with."""
+    sig_fam = MinHashFamily(prep.sig_len, derive_seed(prep.seed, _SIG_TAG))
+    sk_fam = SketchFamily(prep.sketch_words, derive_seed(prep.seed, _SK_TAG))
+    return sig_fam, sk_fam
 
 
 def _check_against_families(prep):
@@ -37,3 +51,105 @@ def test_prepared_shapes_and_metadata():
     assert prep.sketch_bits == 256
     assert prep.elapsed_s >= 0.0
     assert prep.data is ds
+
+
+def _tokens():
+    return gen_tokens(TokensSpec(d=300, max_freq=60, planted=((0.7, 3),),
+                                 background_similarity=0.15, seed=4))
+
+
+def _mixed():
+    """Non-canonical: record sizes 2..39 in no order, tokens not frequency-ranked."""
+    rng = np.random.default_rng(8)
+    sizes = rng.integers(2, 40, size=150)
+    return Dataset.from_records([rng.choice(500, size=int(s), replace=False) for s in sizes],
+                                canonical=False)
+
+
+def _wide():
+    """A universe past 2^16 tokens, so the rank tables hold uint32."""
+    rng = np.random.default_rng(6)
+    records = [rng.choice(100_000, size=int(s), replace=False)
+               for s in rng.integers(2, 12, size=120)]
+    records.append(np.array([3, 99_999]))
+    return Dataset.from_records(records, canonical=False)
+
+
+_PER_RECORD = {"_UNIVERSE_CELL_CAP": 0}
+# Blocks of 1 to 7 records, and rank tables built 3 functions at a time.
+_SMALL_BLOCKS = {"_BLOCK_CELLS": 5000, "_RANK_CHUNK_CELLS": 3 * 500}
+
+# sha256 of sig.tobytes() + sketches.tobytes(), computed with the per-record
+# argmin embedding before the rank-table path existed.
+_TOKENS_DIGEST = "9b510f74ca7f902dd0f97568b072e94fe99df3de7759bfac2490e04bd45d0e32"
+_MIXED_DIGEST = "e7cf890c4b389fdda9e4ba78767fcffe9c51280020f050d596c13dd8dbba9068"
+_WIDE_DIGEST = "86c90700c73c8b7ec70ba005e7bbc11babe2d2713c38cd3d05d31048a6c467a0"
+
+
+@pytest.mark.parametrize("dataset, dims, patch, want", [
+    (_tokens, (128, 8, 7), {}, _TOKENS_DIGEST),
+    (_tokens, (128, 8, 7), _PER_RECORD, _TOKENS_DIGEST),
+    (_mixed, (64, 4, 2), {}, _MIXED_DIGEST),
+    (_mixed, (64, 4, 2), _PER_RECORD, _MIXED_DIGEST),
+    (_mixed, (64, 4, 2), _SMALL_BLOCKS, _MIXED_DIGEST),
+    (_wide, (16, 1, 5), {}, _WIDE_DIGEST),
+], ids=["tokens", "tokens-per-record", "mixed", "mixed-per-record", "mixed-small-blocks",
+        "wide-uint32"])
+def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
+    for name, value in patch.items():
+        monkeypatch.setattr(prep_module, name, value)
+    data = dataset()
+    sig_len, words, seed = dims
+    if not patch:
+        assert (sig_len + 64 * words) * data.d <= _UNIVERSE_CELL_CAP
+    p = preprocess(data, sig_len=sig_len, sketch_words=words, seed=seed)
+    assert p.sig.shape == (data.n, sig_len) and p.sig.dtype == np.uint32
+    assert p.sketches.shape == (data.n, words) and p.sketches.dtype == np.uint64
+    assert hashlib.sha256(p.sig.tobytes() + p.sketches.tobytes()).hexdigest() == want
+
+
+def test_digest_cases_cover_their_regimes():
+    assert _wide().d > 2 ** 16
+    sizes = _mixed().sizes
+    assert not np.all(sizes[:-1] <= sizes[1:])
+
+
+def test_out_of_order_sizes_match_reference_families():
+    p = preprocess(_mixed(), sig_len=16, sketch_words=1, seed=4)
+    _check_against_families(p)
+
+
+@pytest.mark.parametrize("cap", [_UNIVERSE_CELL_CAP, -1], ids=["rank-tables", "per-record"])
+@pytest.mark.parametrize("records", [[], [[3, 7, 9]]], ids=["empty", "one"])
+@pytest.mark.parametrize("canonical", [True, False])
+def test_empty_and_single_record(cap, records, canonical, monkeypatch):
+    monkeypatch.setattr(prep_module, "_UNIVERSE_CELL_CAP", cap)
+    ds = Dataset.from_records(records, canonical=canonical)
+    p = preprocess(ds, sig_len=32, sketch_words=2, seed=1)
+    assert p.sig.shape == (len(records), 32) and p.sig.dtype == np.uint32
+    assert p.sketches.shape == (len(records), 2) and p.sketches.dtype == np.uint64
+    _check_against_families(p)
+
+
+def test_rank_ties_go_to_the_smaller_token():
+    rng = np.random.default_rng(0)
+    tables = np.zeros((3, 4, 256), dtype=np.uint64)
+    tables[:2, 0] = rng.integers(2 ** 62, 2 ** 63, size=(2, 256), dtype=np.uint64)
+    # Function 0: tokens 3 and 5 share the least rank.
+    tables[0, 0, [3, 5]] = 7
+    # Function 1: 5 ranks below 3, and the two differ only in their lowest bits.
+    tables[1, 0, 3] = 2 ** 40 + 9
+    tables[1, 0, 5] = 2 ** 40 + 1
+    # Function 2: every token has rank 0.
+    records = [[1, 3, 5, 7], [3, 5], [3, 5, 9, 200], [2, 4]]
+    ds = Dataset.from_records(records, canonical=False)
+
+    values = prep_module._universe_minhashes(tables, ds)
+
+    ref = MinHashFamily(3)
+    ref.tables = tables
+    for i in range(ds.n):
+        assert np.array_equal(values[:, i], ref.embed(ds.record(i)))
+    assert values[:, 0].tolist() == [3, 5, 1]
+    assert values[:, 2].tolist() == [3, 5, 3]
+    assert np.array_equal(values, prep_module._record_minhashes(tables, ds))
