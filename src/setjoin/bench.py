@@ -5,7 +5,8 @@ reported: the exact result is computed once per (dataset, threshold) with the
 inverted-index join, repetitions run cumulatively, and the run stops once the
 union of reported pairs reaches the recall target (or the repetition budget).
 Reported join time covers the repetitions only; embedding/sketching time is
-its own column and the oracle is never timed into either.
+its own column and the oracle is never timed into either. A row summarizes
+all trials: times are means, recall and counters the lower median.
 """
 
 from __future__ import annotations
@@ -135,9 +136,8 @@ def _run_approximate(spec: ExperimentSpec) -> list[ReportRow]:
     base_seed = _stable_seed(spec.seed, spec.dataset, spec.algorithm)
     exacts = [_oracle_codes(spec.data, lam) if spec.use_oracle else None
               for lam in spec.thresholds]
-    trial_times = [[] for _ in spec.thresholds]
+    trial_rows = [[] for _ in spec.thresholds]
     prep_times = []
-    rows = [None] * len(spec.thresholds)  # each reports its last trial's counters
     for trial in range(spec.trials):
         trial_seed = derive_seed(base_seed, trial)
         prep = preprocess(spec.data, spec.sig_len, spec.sketch_words, trial_seed)
@@ -169,17 +169,31 @@ def _run_approximate(spec: ExperimentSpec) -> list[ReportRow]:
                     recall = _recall(found, exacts[t])
                     if recall >= spec.recall_target:
                         break
-            trial_times[t].append(join_t)
-            rows[t] = ReportRow(
+            trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
-                join_time_s=float(np.mean(trial_times[t])),
-                preprocess_time_s=float(np.mean(prep_times)),
+                join_time_s=join_t, preprocess_time_s=prep.elapsed_s,
                 recall=recall, reps_used=reps_used,
                 pre_candidates=stats.pre_candidates, candidates=stats.candidates,
                 results=found.size,
                 params=_params_echo(spec, extra),
-            )
+            ))
+    # Times are means over trials; recall and counters the lower median, so
+    # integer columns stay integers. The parameter echo is the last trial's.
+    rows = []
+    for trials in trial_rows:
+        row = replace(trials[-1],
+                      join_time_s=float(np.mean([r.join_time_s for r in trials])),
+                      preprocess_time_s=float(np.mean(prep_times)))
+        for name in ("recall", "reps_used", "pre_candidates", "candidates", "results"):
+            if getattr(row, name) is not None:
+                setattr(row, name, _lower_median([getattr(r, name) for r in trials]))
+        rows.append(row)
     return rows
+
+
+def _lower_median(values):
+    """The middle value; of the two middle ones for an even count, the lower."""
+    return sorted(values)[(len(values) - 1) // 2]
 
 
 def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):

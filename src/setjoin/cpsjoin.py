@@ -30,7 +30,7 @@ import numpy as np
 from .datasets import Dataset
 from .exact import verify_pairs
 from .prep import Prepared, check_join_params, preprocess
-from .sketch import estimate_rows, filter_threshold, pooled_sketch
+from .sketch import estimate_rows, filter_threshold, max_hamming, pooled_sketch
 from .stats import JoinStats, decode_pairs, encode_pairs, unique_pairs
 from .tabulation import derive_seed, splitmix64, splitmix64_array
 
@@ -72,25 +72,39 @@ class CandidateKernel:
     cutoff that loses a threshold-similar pair with probability at most
     delta, counts those as candidates, verifies them exactly and keeps the
     codes of the pairs that pass. `codes()` returns everything kept so far.
+
+    The sketch cutoff is applied as an integer one: the largest Hamming
+    distance whose estimate reaches it (`max_h`). Distances are summed a word
+    at a time over `columns`, a word-major (words, n) copy of the sketches,
+    so each pair reads one small contiguous array per word.
     """
 
-    __slots__ = ("data", "sketches", "sizes", "threshold", "filter_cut", "stats", "_codes")
+    __slots__ = ("data", "sketches", "columns", "sizes", "threshold", "max_h", "stats",
+                 "_hamming_dtype", "_codes")
 
     def __init__(self, prep: Prepared, threshold: float, delta: float, stats: JoinStats):
         self.data = prep.data
         self.sketches = prep.sketches
-        self.sizes = prep.data.sizes.astype(np.int64)
+        self.columns = np.ascontiguousarray(prep.sketches.T)
+        self.sizes = prep.data.sizes.astype(np.float64)  # exact, and no casts in run()
         self.threshold = threshold
-        self.filter_cut = filter_threshold(threshold, prep.sketch_bits, delta)
+        bits = prep.sketch_bits
+        self.max_h = max_hamming(filter_threshold(threshold, bits, delta), bits)
+        self._hamming_dtype = np.min_scalar_type(bits)  # holds any distance up to bits
         self.stats = stats
         self._codes = []
 
     def run(self, a_ids: np.ndarray, b_ids: np.ndarray):
         self.stats.pre_candidates += a_ids.size
-        sa, sb = self.sizes[a_ids], self.sizes[b_ids]
+        sa, sb = self.sizes.take(a_ids), self.sizes.take(b_ids)
         keep = self.threshold * np.maximum(sa, sb) <= np.minimum(sa, sb) + _EPS
         a_ids, b_ids = a_ids[keep], b_ids[keep]
-        keep = estimate_rows(self.sketches[a_ids], self.sketches[b_ids]) >= self.filter_cut
+        h = np.zeros(a_ids.size, dtype=self._hamming_dtype)
+        for col in self.columns:
+            x = col.take(a_ids)
+            x ^= col.take(b_ids)
+            h += np.bitwise_count(x)
+        keep = h <= self.max_h
         a_ids, b_ids = a_ids[keep], b_ids[keep]
         self.stats.candidates += a_ids.size
         for v0 in range(0, a_ids.size, _VERIFY_BLOCK):

@@ -57,16 +57,11 @@ class MinHashFamily:
         h ^= t[:, 3, :][:, b3]
         return h
 
-    def minhash(self, index: int, tokens) -> int:
-        """Value of function `index` on a token set: the member whose hash rank
-        is smallest. Ties (vanishing probability) go to the smallest member,
-        which argmin delivers for free on ascending token order."""
-        tokens = checked_tokens(tokens)
-        ranks = self._ranks(tokens)[index]
-        return int(tokens[np.argmin(ranks)])
-
     def embed(self, tokens) -> np.ndarray:
-        """Full signature of a token set, shape (sig_len,) uint32."""
+        """Full signature of a token set, shape (sig_len,) uint32: per
+        function, the member whose hash rank is smallest. Ties (vanishing
+        probability) go to the smallest member, which argmin delivers for free
+        on ascending token order."""
         tokens = checked_tokens(tokens)
         ranks = self._ranks(tokens)
         return tokens[np.argmin(ranks, axis=1)].astype(np.uint32)

@@ -10,9 +10,11 @@ universe are sorted once into rank tables: `order[f, r]` is the token at rank
 position r under function f and `pos[t, f]` the rank position of token t.
 Records of equal size are then taken in blocks: the least position over each
 record's tokens, per function, is a minimum over a gathered (k, s, F) block,
-and `order` turns it back into the token. Above `_UNIVERSE_CELL_CAP` the ranks
-are hashed record by record instead. Both fill the same matrix, from which one
-step cuts the signatures and packs the sketch bits.
+and `order` turns it back into the token. Above `_UNIVERSE_CELL_CAP`, or when
+the universe is wide against the record tokens so that building the tables
+would cost more than the records' own hashes, the ranks are hashed record by
+record instead. Both fill the same matrix, from which one step cuts the
+signatures and packs the sketch bits.
 
 Signatures and sketches can be reused across joins at different thresholds;
 only the filter cutoffs depend on the threshold.
@@ -33,6 +35,13 @@ from .tabulation import derive_seed
 _SIG_TAG = 0x707369  # signature family seed
 _SK_TAG = 0x70736B  # sketch family seed
 _UNIVERSE_CELL_CAP = 2 ** 24  # rank tables over the universe above this are not worth it
+# Cost per function of each path, in ns per universe or record token (2-core
+# x86-64, numpy 2.4): rank tables cost about 28 ns per universe token to build
+# and 0.5 ns per record token to read; hashing record by record costs about
+# 25 ns per record token (7-54 ns, lower for large records and few functions).
+_RANK_TABLE_NS = 28.0
+_RANK_READ_NS = 0.5
+_RECORD_HASH_NS = 25.0
 _RANK_CHUNK_CELLS = 2 ** 20  # 64-bit ranks hashed and sorted at a time
 _BLOCK_CELLS = 2 ** 19  # rank positions gathered per block of equal-size records
 
@@ -78,7 +87,7 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
     sk_fam = SketchFamily(sketch_words, derive_seed(seed, _SK_TAG))
 
     tables = np.concatenate([sig_fam.tables, sk_fam.minhashes.tables], axis=0)
-    if len(tables) * data.d <= _UNIVERSE_CELL_CAP:
+    if _use_rank_tables(len(tables), data.d, data.tokens.size):
         values = _universe_minhashes(tables, data)
     else:
         values = _record_minhashes(tables, data)
@@ -87,6 +96,14 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
     sketches = _sketches(sk_fam, values[sig_len:])
     return Prepared(data, sig, sketches, sig_len, sketch_words, seed,
                     time.perf_counter() - t0)
+
+
+def _use_rank_tables(fns: int, d: int, tokens: int) -> bool:
+    """Whether rank tables over [0, d) fit under the cap and cost less than
+    hashing `tokens` record tokens one record at a time. Both paths do work in
+    proportion to the number of functions, so it cancels from the comparison."""
+    return (fns * d <= _UNIVERSE_CELL_CAP
+            and _RANK_TABLE_NS * d + _RANK_READ_NS * tokens <= _RECORD_HASH_NS * tokens)
 
 
 def _universe_minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:

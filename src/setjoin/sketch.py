@@ -5,6 +5,13 @@ sets match on each bit with probability (1 + J)/2. The similarity estimate
 inverts that: J_hat = 1 - 2*H/b for Hamming distance H over b bits. A
 Hoeffding bound turns a target false-negative rate delta at threshold
 `threshold` into the filter line `threshold - sqrt(2*ln(1/delta)/b)`.
+
+The candidate kernel never forms the float estimate: it compares integer
+Hamming distances against `max_hamming`, the largest distance whose estimate
+reaches the filter line, and sums those distances a word at a time on a
+word-major (words, n) copy of the sketches. `estimate_rows` remains for the
+pooled-sketch rule, which compares one bucket's records against its pooled
+sketch.
 """
 
 from __future__ import annotations
@@ -94,6 +101,18 @@ def filter_threshold(threshold: float, bits: int, delta: float = DEFAULT_DELTA) 
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
     return threshold - math.sqrt(2.0 * math.log(1.0 / delta) / bits)
+
+
+def max_hamming(cut: float, bits: int) -> int:
+    """Largest Hamming distance h over `bits` bits whose estimate 1 - 2*h/b
+    reaches `cut`, or -1 if none does.
+
+    The estimate is evaluated exactly as `estimate_rows` computes it, for
+    every h, and falls as h grows, so `h <= max_hamming(cut, bits)` keeps the
+    same sketch pairs as `estimate >= cut`.
+    """
+    h = np.arange(bits + 1, dtype=np.int64)
+    return int(np.count_nonzero(1.0 - 2.0 * h / bits >= cut)) - 1
 
 
 def pooled_sketch(member_sketches: np.ndarray, seed: int) -> np.ndarray:

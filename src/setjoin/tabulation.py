@@ -43,77 +43,12 @@ def derive_seed(seed: int, tag: int) -> int:
     return splitmix64(seed, tag)
 
 
-def _key_bytes(keys: np.ndarray):
-    keys = np.asarray(keys, dtype=np.uint32)
-    return [(keys >> np.uint32(8 * j)).astype(np.intp) & 0xFF for j in range(4)]
-
-
 def table_tensor(seeds) -> np.ndarray:
     """Tabulation tables for one or more seeds, shape (..., 4, 256) uint64.
 
-    Entry [s, j, c] is splitmix64(seeds[s], j*256 + c), which is also exactly
-    what `hash_batch` recomputes on the fly.
+    Entry [s, j, c] is splitmix64(seeds[s], j*256 + c).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.arange(1024, dtype=np.uint64)
     tables = splitmix64_array(seeds[..., None], counters)
     return tables.reshape(seeds.shape + (4, 256))
-
-
-class Tabulation64:
-    """One tabulation hash function: 32-bit keys to 64-bit values."""
-
-    __slots__ = ("seed", "tables")
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.tables = table_tensor(seed)
-
-    def hash(self, key: int) -> int:
-        if not 0 <= key <= 0xFFFFFFFF:
-            raise ValueError(f"key {key} outside 32-bit range")
-        t = self.tables
-        h = 0
-        for j in range(4):
-            h ^= int(t[j, (key >> (8 * j)) & 0xFF])
-        return h
-
-    def hash_array(self, keys) -> np.ndarray:
-        """Hash many keys at once; returns uint64 of the same shape."""
-        b0, b1, b2, b3 = _key_bytes(keys)
-        t = self.tables
-        return t[0, b0] ^ t[1, b1] ^ t[2, b2] ^ t[3, b3]
-
-
-class BitHash:
-    """1-bit hash: low bit of an underlying 64-bit tabulation hash."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, seed: int):
-        self.base = Tabulation64(seed)
-
-    def bit(self, key: int) -> int:
-        return self.base.hash(key) & 1
-
-    def bit_array(self, keys) -> np.ndarray:
-        return (self.base.hash_array(keys) & np.uint64(1)).astype(np.uint8)
-
-
-def hash_batch(seeds, keys) -> np.ndarray:
-    """Tabulation-hash `keys` under per-element function seeds, without
-    materializing tables.
-
-    `seeds` and `keys` broadcast against each other; element i of the result is
-    Tabulation64(seeds[i]).hash(keys[i]). Useful when the number of functions
-    is large relative to the number of keys per function (Monte-Carlo tests
-    over many independent functions).
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    keys = np.asarray(keys, dtype=np.uint32)
-    out = None
-    for j in range(4):
-        byte = (keys >> np.uint32(8 * j)).astype(np.uint64) & np.uint64(0xFF)
-        word = splitmix64_array(seeds, np.uint64(256 * j) + byte)
-        out = word if out is None else out ^ word
-    return out

@@ -122,6 +122,24 @@ def test_preprocess_time_is_mean_over_trials(dense, monkeypatch):
         assert cells[column] == f"{want:.6f}"
 
 
+def test_counters_are_lower_median_over_trials(dense, monkeypatch):
+    trial_stats = []
+    original = bench.cps.repetition_codes
+
+    def recording(prep, cfg, rep, stats):
+        if not any(s is stats for s in trial_stats):
+            trial_stats.append(stats)
+        return original(prep, cfg, rep, stats)
+
+    monkeypatch.setattr(bench.cps, "repetition_codes", recording)
+    row, = run(_spec(dense, "cpsjoin", trials=3))
+    per_trial = [s.pre_candidates for s in trial_stats]
+    assert len(per_trial) == 3 and len(set(per_trial)) == 3
+    assert row.pre_candidates == sorted(per_trial)[1]
+    assert row.candidates == sorted(s.candidates for s in trial_stats)[1]
+    assert isinstance(row.reps_used, int) and isinstance(row.results, int)
+
+
 def test_sweep_relative_times(dense):
     spec = _spec(dense, "cpsjoin")
     rows = sweep(spec, "limit", [250, 50])

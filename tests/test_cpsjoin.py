@@ -22,7 +22,7 @@ from setjoin.cpsjoin import (
 )
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.exact import brute_force_join, jaccard, verify
-from setjoin.prep import preprocess
+from setjoin.prep import Prepared, preprocess
 from setjoin.sketch import estimate_similarity, filter_threshold
 from setjoin.stats import JoinStats, encode_pairs
 
@@ -280,3 +280,56 @@ def test_point_rule_matches_per_pair_loop(monkeypatch, pair_block):
     pairs = [(int(x), int(y)) for x in removed for y in ids if y != x]
     assert ctx.stats.pre_candidates == removed.size * (ds.n - 1)
     _assert_kernel_matches(ctx.kernel, prep, cfg.threshold, cfg.delta, pairs)
+
+
+@pytest.mark.parametrize("words", [1, 2, 8])
+def test_max_h_is_the_largest_distance_the_float_cutoff_passes(words):
+    bits = 64 * words
+    ds = Dataset.from_records([[0, 1], [0, 2]])
+    sketches = np.zeros((ds.n, words), dtype=np.uint64)
+    prep = Prepared(ds, np.zeros((ds.n, 1), dtype=np.uint32), sketches, 1, words, 0, 0.0)
+    for threshold in (0.05, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for delta in (0.01, 0.05, 0.5, 1.0):
+            cut = filter_threshold(threshold, bits, delta)
+            want = max((h for h in range(bits + 1) if 1 - 2 * h / bits >= cut), default=-1)
+            kernel = CandidateKernel(prep, threshold, delta, JoinStats())
+            assert kernel.max_h == want
+            assert all(1 - 2 * h / bits >= cut for h in range(kernel.max_h + 1))
+
+
+def test_kernel_keeps_pairs_whose_estimate_lands_on_the_cutoff():
+    # delta=1 makes the cutoff the threshold itself, 0.5, which a 64-bit
+    # sketch pair at Hamming distance 16 reaches exactly
+    ds = gen_uniform(120, 8, 30, seed=8)
+    prep = preprocess(ds, sig_len=16, sketch_words=1, seed=4)
+    assert filter_threshold(0.5, prep.sketch_bits, 1.0) == 0.5
+    ids = np.arange(ds.n, dtype=np.int64)
+    pairs = _segment_reference_pairs(ids, [0, ds.n])
+    on_cut = [(a, b) for a, b in pairs
+              if estimate_similarity(prep.sketches[a], prep.sketches[b]) == 0.5
+              and ds.sizes[a] == ds.sizes[b]]
+    assert len(on_cut) > 0
+    kernel = CandidateKernel(prep, 0.5, 1.0, JoinStats())
+    assert kernel.max_h == 16
+    kernel.run_segments(ids, [0, ds.n])
+    _assert_kernel_matches(kernel, prep, 0.5, 1.0, pairs)
+
+
+def test_hamming_sum_does_not_wrap_on_wide_sketches():
+    # 1100 words hold 70,400 bits, past what a uint16 distance can count:
+    # complementary sketches would wrap to 4,864 and pass the cutoff
+    words = 1100
+    ds = Dataset.from_records([np.arange(10), np.append(np.arange(9), 10)])
+    sketches = np.zeros((ds.n, words), dtype=np.uint64)
+    sketches[1] = ~sketches[0]
+    prep = Prepared(ds, np.zeros((ds.n, 1), dtype=np.uint32), sketches, 1, words, 0, 0.0)
+    kernel = CandidateKernel(prep, 0.5, 0.05, JoinStats())
+    assert (64 * words) % 2 ** 16 <= kernel.max_h < 64 * words
+    kernel.run(np.array([0]), np.array([1]))
+    assert (kernel.stats.pre_candidates, kernel.stats.candidates) == (1, 0)
+    assert kernel.codes().size == 0
+    # the same pair with equal sketches passes and verifies
+    prep.sketches[1] = sketches[0]
+    kernel = CandidateKernel(prep, 0.5, 0.05, JoinStats())
+    kernel.run(np.array([0]), np.array([1]))
+    assert kernel.stats.candidates == 1 and kernel.codes().size == 1

@@ -78,6 +78,8 @@ def _wide():
 _PER_RECORD = {"_UNIVERSE_CELL_CAP": 0}
 # Blocks of 1 to 7 records, and rank tables built 3 functions at a time.
 _SMALL_BLOCKS = {"_BLOCK_CELLS": 5000, "_RANK_CHUNK_CELLS": 3 * 500}
+# The wide case costs less per record, so only a patch sends it to the tables.
+_RANK_TABLES = {"_use_rank_tables": lambda fns, d, tokens: True}
 
 # sha256 of sig.tobytes() + sketches.tobytes(), computed with the per-record
 # argmin embedding before the rank-table path existed.
@@ -93,8 +95,9 @@ _WIDE_DIGEST = "86c90700c73c8b7ec70ba005e7bbc11babe2d2713c38cd3d05d31048a6c467a0
     (_mixed, (64, 4, 2), _PER_RECORD, _MIXED_DIGEST),
     (_mixed, (64, 4, 2), _SMALL_BLOCKS, _MIXED_DIGEST),
     (_wide, (16, 1, 5), {}, _WIDE_DIGEST),
+    (_wide, (16, 1, 5), _RANK_TABLES, _WIDE_DIGEST),
 ], ids=["tokens", "tokens-per-record", "mixed", "mixed-per-record", "mixed-small-blocks",
-        "wide-uint32"])
+        "wide-uint32", "wide-uint32-rank-tables"])
 def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     for name, value in patch.items():
         monkeypatch.setattr(prep_module, name, value)
@@ -108,6 +111,18 @@ def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     assert hashlib.sha256(p.sig.tobytes() + p.sketches.tobytes()).hexdigest() == want
 
 
+def test_path_choice_follows_the_cost_of_each_path():
+    # the benchmark's tokens and clusters shapes, F = 128 + 512
+    assert prep_module._use_rank_tables(640, 800, 557_875)
+    assert prep_module._use_rank_tables(640, 10_000, 205_065)
+    # a few records over a universe of 10^5 tokens, F = 16 + 64
+    wide = _wide()
+    assert wide.n == 121 and wide.d > 99_000 and wide.tokens.size < 2_000
+    assert not prep_module._use_rank_tables(80, wide.d, wide.tokens.size)
+    # cheap tables past the cap are still not built
+    assert not prep_module._use_rank_tables(640, 10 ** 5, 10 ** 8)
+
+
 def test_digest_cases_cover_their_regimes():
     assert _wide().d > 2 ** 16
     sizes = _mixed().sizes
@@ -119,11 +134,11 @@ def test_out_of_order_sizes_match_reference_families():
     _check_against_families(p)
 
 
-@pytest.mark.parametrize("cap", [_UNIVERSE_CELL_CAP, -1], ids=["rank-tables", "per-record"])
+@pytest.mark.parametrize("rank_tables", [True, False], ids=["rank-tables", "per-record"])
 @pytest.mark.parametrize("records", [[], [[3, 7, 9]]], ids=["empty", "one"])
 @pytest.mark.parametrize("canonical", [True, False])
-def test_empty_and_single_record(cap, records, canonical, monkeypatch):
-    monkeypatch.setattr(prep_module, "_UNIVERSE_CELL_CAP", cap)
+def test_empty_and_single_record(rank_tables, records, canonical, monkeypatch):
+    monkeypatch.setattr(prep_module, "_use_rank_tables", lambda fns, d, tokens: rank_tables)
     ds = Dataset.from_records(records, canonical=canonical)
     p = preprocess(ds, sig_len=32, sketch_words=2, seed=1)
     assert p.sig.shape == (len(records), 32) and p.sig.dtype == np.uint32
