@@ -1,12 +1,13 @@
 """Experiment runner: joins with recall accounting and CSV reports.
 
 The protocol for approximate algorithms mirrors how the join quality is
-reported: the exact result is computed once per (dataset, threshold) with the
-inverted-index join, repetitions run cumulatively, and the run stops once the
-union of reported pairs reaches the recall target (or the repetition budget).
-Reported join time covers the repetitions only; embedding/sketching time is
-its own column and the oracle is never timed into either. A row summarizes
-all trials: times are means, recall and counters the lower median.
+reported: the exact result is computed once per threshold of a `run` or
+`sweep` call with the inverted-index join, repetitions run cumulatively, and
+the run stops once the union of reported pairs reaches the recall target (or
+the repetition budget). Reported join time covers the repetitions only;
+embedding/sketching time is its own column and the oracle is never timed into
+either. A row summarizes all trials: times are means; recall, counters and
+echoed parameters the lower median.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import cpsjoin as cps
 from . import lsh as mlsh
 from .datasets import Dataset
 from .exact import allpairs_join, brute_force_join
-from .stats import JoinStats, decode_pairs, encode_pairs
+from .stats import JoinStats, encode_pairs
 from .prep import preprocess
 from .tabulation import derive_seed
 
@@ -86,15 +87,16 @@ def _stable_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _oracle_codes(data: Dataset, threshold: float) -> np.ndarray:
-    cache = getattr(data, "_oracle_cache", None)
-    if cache is None:
-        cache = {}
-        data._oracle_cache = cache
-    if threshold not in cache:
-        pairs, _ = allpairs_join(data, threshold)
-        cache[threshold] = encode_pairs(pairs[:, 0], pairs[:, 1])
-    return cache[threshold]
+def _oracle_codes(spec: ExperimentSpec) -> list:
+    """Codes of the exact result at each of the spec's thresholds, or one
+    None per threshold when the spec runs without the oracle."""
+    if not spec.use_oracle:
+        return [None] * len(spec.thresholds)
+    codes = []
+    for lam in spec.thresholds:
+        pairs, _ = allpairs_join(spec.data, lam)
+        codes.append(encode_pairs(pairs[:, 0], pairs[:, 1]))
+    return codes
 
 
 def _params_echo(spec: ExperimentSpec, extra: dict) -> str:
@@ -108,7 +110,7 @@ def run(spec: ExperimentSpec) -> list[ReportRow]:
     """One report row per threshold for the spec's algorithm."""
     if spec.algorithm in ("allpairs", "bruteforce"):
         return _run_exact(spec)
-    return _run_approximate(spec)
+    return _run_approximate(spec, _oracle_codes(spec))
 
 
 def _run_exact(spec: ExperimentSpec) -> list[ReportRow]:
@@ -130,13 +132,14 @@ def _run_exact(spec: ExperimentSpec) -> list[ReportRow]:
     return rows
 
 
-def _run_approximate(spec: ExperimentSpec) -> list[ReportRow]:
+def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
+    """Rows of an approximate run, with `exacts` the oracle codes (or None)
+    at each of the spec's thresholds."""
     # The embedding depends on the trial seed only, so each trial embeds once
     # and runs every threshold on it.
     base_seed = _stable_seed(spec.seed, spec.dataset, spec.algorithm)
-    exacts = [_oracle_codes(spec.data, lam) if spec.use_oracle else None
-              for lam in spec.thresholds]
     trial_rows = [[] for _ in spec.thresholds]
+    trial_params = [[] for _ in spec.thresholds]
     prep_times = []
     for trial in range(spec.trials):
         trial_seed = derive_seed(base_seed, trial)
@@ -175,15 +178,18 @@ def _run_approximate(spec: ExperimentSpec) -> list[ReportRow]:
                 recall=recall, reps_used=reps_used,
                 pre_candidates=stats.pre_candidates, candidates=stats.candidates,
                 results=found.size,
-                params=_params_echo(spec, extra),
             ))
-    # Times are means over trials; recall and counters the lower median, so
-    # integer columns stay integers. The parameter echo is the last trial's.
+            trial_params[t].append(extra)
+    # Times are means over trials; recall, counters and the echoed parameters
+    # the lower median, so integer columns stay integers. LSH's repetitions
+    # rise with its tuned k, so both medians come from the same trials.
     rows = []
-    for trials in trial_rows:
+    for trials, params in zip(trial_rows, trial_params):
+        echo = {name: _lower_median([p[name] for p in params]) for name in params[0]}
         row = replace(trials[-1],
                       join_time_s=float(np.mean([r.join_time_s for r in trials])),
-                      preprocess_time_s=float(np.mean(prep_times)))
+                      preprocess_time_s=float(np.mean(prep_times)),
+                      params=_params_echo(spec, echo))
         for name in ("recall", "reps_used", "pre_candidates", "candidates", "results"):
             if getattr(row, name) is not None:
                 setattr(row, name, _lower_median([getattr(r, name) for r in trials]))
@@ -200,34 +206,17 @@ def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
     """The join config an approximate run of `spec` uses at one threshold."""
     if spec.algorithm == "cpsjoin":
         return cps.CpsConfig(
-            threshold=threshold, sig_len=spec.sig_len, sketch_words=spec.sketch_words,
-            delta=spec.delta, eps=spec.eps, limit=spec.limit,
+            threshold=threshold, delta=spec.delta, eps=spec.eps, limit=spec.limit,
             reps=spec.max_reps or 10, seed=seed)
     return mlsh.LshConfig(
         threshold=threshold, recall_target=spec.recall_target, k=spec.k,
-        reps=spec.max_reps, sig_len=spec.sig_len,
-        sketch_words=spec.sketch_words, delta=spec.delta, seed=seed)
+        reps=spec.max_reps, delta=spec.delta, seed=seed)
 
 
 def _recall(found: np.ndarray, exact: np.ndarray) -> float:
     if exact.size == 0:
         return 1.0
     return np.intersect1d(found, exact).size / exact.size
-
-
-def join_pairs(spec: ExperimentSpec, threshold: float):
-    """The pair array an approximate run reports (all repetitions, no early
-    stop); convenience for tests and the CLI's pair dump."""
-    one = replace(spec, thresholds=(threshold,), use_oracle=False, trials=1)
-    base_seed = _stable_seed(one.seed, one.dataset, one.algorithm)
-    trial_seed = derive_seed(base_seed, 0)
-    if one.algorithm in ("cpsjoin", "lsh"):
-        prep = preprocess(one.data, one.sig_len, one.sketch_words, trial_seed)
-        cfg = _approximate_config(one, threshold, trial_seed)
-        join = cps.cps_join_prepared if one.algorithm == "cpsjoin" else mlsh.lsh_join_prepared
-        return join(prep, cfg)
-    join = allpairs_join if one.algorithm == "allpairs" else brute_force_join
-    return join(one.data, threshold)
 
 
 def sweep(spec: ExperimentSpec, param: str, values) -> list[ReportRow]:
@@ -246,14 +235,15 @@ def sweep(spec: ExperimentSpec, param: str, values) -> list[ReportRow]:
     lam = spec.thresholds[0]
     base = replace(spec, thresholds=(lam,),
                    recall_target=max(spec.recall_target, _SWEEP_RECALL_FLOOR))
+    exacts = _oracle_codes(base)
     defaults = {"limit": 250, "eps": 0.1, "sketch_words": 8}
-    default_row = run(replace(base, **{param: defaults[param]}))[0]
+    default_row = _run_approximate(replace(base, **{param: defaults[param]}), exacts)[0]
     rows = []
     for value in values:
         if value == defaults[param]:
             row = ReportRow(**vars(default_row))
         else:
-            row = run(replace(base, **{param: value}))[0]
+            row = _run_approximate(replace(base, **{param: value}), exacts)[0]
         row.relative_join_time = (row.join_time_s / default_row.join_time_s
                                   if default_row.join_time_s > 0 else 1.0)
         row.params += f";sweep={param}:{value}"

@@ -46,8 +46,6 @@ _VERIFY_BLOCK = 4096  # pairs per verify_pairs call, so gathered bitset rows sta
 @dataclass(frozen=True)
 class CpsConfig:
     threshold: float
-    sig_len: int = 128
-    sketch_words: int = 8
     delta: float = 0.05
     eps: float = 0.1
     limit: int = 250
@@ -55,7 +53,7 @@ class CpsConfig:
     seed: int = 0x5E770
 
     def __post_init__(self):
-        check_join_params(self.threshold, self.sig_len, self.sketch_words, self.delta)
+        check_join_params(self.threshold, self.delta)
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must be in [0, 1]")
         if self.limit < 2:
@@ -158,7 +156,7 @@ class _Ctx:
         self.threshold = cfg.threshold
         self.eps = cfg.eps
         self.limit = cfg.limit
-        self.sig_len = cfg.sig_len
+        self.sig_len = prep.sig_len
         self.stats = stats
         # Engineering guard far above the expected O(log n / eps) depth; a
         # stuck bucket gets brute-forced instead of recursing forever.
@@ -251,7 +249,6 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int, stats: JoinStats)
 
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
-    prep.check_dimensions(cfg.sig_len, cfg.sketch_words)
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
     chunks = [repetition_codes(prep, cfg, rep, stats) for rep in range(cfg.reps)]
@@ -262,9 +259,9 @@ def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):
-    """Embed, sketch, and join a dataset; returns ((m, 2) pairs, JoinStats)."""
-    prep = preprocess(data, cfg.sig_len, cfg.sketch_words, cfg.seed)
-    return cps_join_prepared(prep, cfg)
+    """Embed and sketch a dataset at `preprocess`'s default sizes, then join
+    it; returns ((m, 2) pairs, JoinStats)."""
+    return cps_join_prepared(preprocess(data, seed=cfg.seed), cfg)
 
 
 def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,

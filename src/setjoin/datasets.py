@@ -25,7 +25,7 @@ class Dataset:
     """Immutable collection of token sets in CSR-like layout."""
 
     __slots__ = ("tokens", "indptr", "n", "d", "token_freq", "canonical",
-                 "provenance", "_bitset", "_oracle_cache")
+                 "provenance", "_bitset")
 
     def __init__(self, tokens: np.ndarray, indptr: np.ndarray, d: int,
                  token_freq: np.ndarray, canonical: bool, provenance: dict | None = None):
@@ -37,7 +37,6 @@ class Dataset:
         self.canonical = canonical
         self.provenance = provenance or {}
         self._bitset = None
-        self._oracle_cache = None
 
     def record(self, i: int) -> np.ndarray:
         return self.tokens[self.indptr[i]:self.indptr[i + 1]]

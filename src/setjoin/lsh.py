@@ -37,19 +37,15 @@ class LshConfig:
     recall_target: float = 0.9
     k: int | None = None  # None: tune with choose_k
     reps: int | None = None  # None: repetitions_for_recall
-    sig_len: int = 128
-    sketch_words: int = 8
     delta: float = 0.05
     seed: int = 0x15ABE7
 
     def __post_init__(self):
-        check_join_params(self.threshold, self.sig_len, self.sketch_words, self.delta)
+        check_join_params(self.threshold, self.delta)
         if not 0.0 < self.recall_target < 1.0:
             raise ValueError("recall_target must be in (0, 1)")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.k is not None and self.k > self.sig_len:
-            raise ValueError("k cannot exceed the signature length")
         if self.reps is not None and self.reps < 1:
             raise ValueError("reps must be >= 1")
 
@@ -103,6 +99,8 @@ def choose_k(prep: Prepared, threshold: float, recall_target: float,
 
 def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
     """The (k, repetitions) a join with this config will actually run."""
+    if cfg.k is not None and cfg.k > prep.sig_len:
+        raise ValueError("k cannot exceed the signature length")
     k = cfg.k if cfg.k is not None else choose_k(
         prep, cfg.threshold, cfg.recall_target, cfg.seed)
     reps = cfg.reps if cfg.reps is not None else repetitions_for_recall(
@@ -126,7 +124,6 @@ def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
-    prep.check_dimensions(cfg.sig_len, cfg.sketch_words)
     k, reps = resolve_params(prep, cfg)
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
@@ -138,6 +135,6 @@ def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
 
 
 def lsh_join(data: Dataset, cfg: LshConfig):
-    """Embed, sketch, and join a dataset; returns ((m, 2) pairs, JoinStats)."""
-    prep = preprocess(data, cfg.sig_len, cfg.sketch_words, cfg.seed)
-    return lsh_join_prepared(prep, cfg)
+    """Embed and sketch a dataset at `preprocess`'s default sizes, then join
+    it; returns ((m, 2) pairs, JoinStats)."""
+    return lsh_join_prepared(preprocess(data, seed=cfg.seed), cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError, SignatureMismatchError
-from .tabulation import derive_seed, splitmix64_array, table_tensor
+from .tabulation import derive_seed, hash_keys, splitmix64_array, table_tensor
 
 DEFAULT_SIG_LEN = 128
 
@@ -43,27 +43,13 @@ class MinHashFamily:
         self.fn_seeds = function_seeds(seed, sig_len)
         self.tables = table_tensor(self.fn_seeds)
 
-    def _ranks(self, tokens: np.ndarray) -> np.ndarray:
-        """Hash ranks of `tokens` under every function, shape (sig_len, len)."""
-        t = self.tables
-        idx = np.asarray(tokens, dtype=np.intp)
-        b0 = idx & 0xFF
-        b1 = (idx >> 8) & 0xFF
-        b2 = (idx >> 16) & 0xFF
-        b3 = (idx >> 24) & 0xFF
-        h = t[:, 0, :][:, b0]
-        h ^= t[:, 1, :][:, b1]
-        h ^= t[:, 2, :][:, b2]
-        h ^= t[:, 3, :][:, b3]
-        return h
-
     def embed(self, tokens) -> np.ndarray:
         """Full signature of a token set, shape (sig_len,) uint32: per
         function, the member whose hash rank is smallest. Ties (vanishing
         probability) go to the smallest member, which argmin delivers for free
         on ascending token order."""
         tokens = checked_tokens(tokens)
-        ranks = self._ranks(tokens)
+        ranks = hash_keys(self.tables, tokens)
         return tokens[np.argmin(ranks, axis=1)].astype(np.uint32)
 
 

@@ -11,11 +11,12 @@ position r under function f and `pos[t, f]` the rank position of token t.
 Records of equal size are then taken in blocks: the least position over each
 record's tokens, per function, is a minimum over a gathered (k, s, F) block,
 and `order` turns it back into the token. Above `_UNIVERSE_CELL_CAP`, or when
-the universe is wide against the record tokens so that building the tables
-would cost more than the records' own hashes, the ranks are hashed record by
-record instead. Both fill the same matrix, from which one step cuts the
-signatures and packs the sketch bits.
+the universe has more tokens than the records hold together, the ranks are
+hashed record by record instead. Both fill the same matrix, from which one
+step cuts the signatures and packs the sketch bits.
 
+The embedding's dimensions are chosen here and nowhere else: a `Prepared`
+reads them off its arrays, and the joins read them off the `Prepared`.
 Signatures and sketches can be reused across joins at different thresholds;
 only the filter cutoffs depend on the threshold.
 """
@@ -30,18 +31,11 @@ import numpy as np
 from .datasets import Dataset
 from .minhash import DEFAULT_SIG_LEN, MinHashFamily
 from .sketch import DEFAULT_SKETCH_WORDS, SketchFamily
-from .tabulation import derive_seed
+from .tabulation import derive_seed, hash_keys
 
 _SIG_TAG = 0x707369  # signature family seed
 _SK_TAG = 0x70736B  # sketch family seed
 _UNIVERSE_CELL_CAP = 2 ** 24  # rank tables over the universe above this are not worth it
-# Cost per function of each path, in ns per universe or record token (2-core
-# x86-64, numpy 2.4): rank tables cost about 28 ns per universe token to build
-# and 0.5 ns per record token to read; hashing record by record costs about
-# 25 ns per record token (7-54 ns, lower for large records and few functions).
-_RANK_TABLE_NS = 28.0
-_RANK_READ_NS = 0.5
-_RECORD_HASH_NS = 25.0
 _RANK_CHUNK_CELLS = 2 ** 20  # 64-bit ranks hashed and sorted at a time
 _BLOCK_CELLS = 2 ** 19  # rank positions gathered per block of equal-size records
 
@@ -53,29 +47,26 @@ class Prepared:
     data: Dataset
     sig: np.ndarray
     sketches: np.ndarray
-    sig_len: int
-    sketch_words: int
     seed: int
     elapsed_s: float
+
+    @property
+    def sig_len(self) -> int:
+        return self.sig.shape[1]
+
+    @property
+    def sketch_words(self) -> int:
+        return self.sketches.shape[1]
 
     @property
     def sketch_bits(self) -> int:
         return 64 * self.sketch_words
 
-    def check_dimensions(self, sig_len: int, sketch_words: int):
-        """Reject a join config whose dimensions this embedding was not built with."""
-        if self.sig_len != sig_len or self.sketch_words != sketch_words:
-            raise ValueError("prepared embedding does not match the config dimensions")
 
-
-def check_join_params(threshold: float, sig_len: int, sketch_words: int, delta: float):
+def check_join_params(threshold: float, delta: float):
     """Validate the config fields every approximate join shares."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    if sig_len < 1:
-        raise ValueError("sig_len must be >= 1")
-    if sketch_words < 1:
-        raise ValueError("sketch_words must be >= 1")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
 
@@ -94,16 +85,17 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
 
     sig = np.ascontiguousarray(values[:sig_len].T)
     sketches = _sketches(sk_fam, values[sig_len:])
-    return Prepared(data, sig, sketches, sig_len, sketch_words, seed,
-                    time.perf_counter() - t0)
+    return Prepared(data, sig, sketches, seed, time.perf_counter() - t0)
 
 
 def _use_rank_tables(fns: int, d: int, tokens: int) -> bool:
-    """Whether rank tables over [0, d) fit under the cap and cost less than
-    hashing `tokens` record tokens one record at a time. Both paths do work in
-    proportion to the number of functions, so it cancels from the comparison."""
-    return (fns * d <= _UNIVERSE_CELL_CAP
-            and _RANK_TABLE_NS * d + _RANK_READ_NS * tokens <= _RECORD_HASH_NS * tokens)
+    """Whether to build rank tables over [0, d) rather than hash `tokens`
+    record tokens one record at a time: only under the cap, and only when the
+    universe is no wider than the record tokens. Per function, building the
+    tables costs about as much per universe token as hashing does per record
+    token (28-48 ns against 10-70 ns, with record size and F, on a 2-core
+    x86-64 host with numpy 2.4), so the two counts decide."""
+    return fns * d <= _UNIVERSE_CELL_CAP and d <= tokens
 
 
 def _universe_minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
@@ -176,16 +168,8 @@ def _record_minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
     values = np.empty((len(tables), data.n), dtype=np.uint32)
     for i in range(data.n):
         rec = data.record(i)
-        values[:, i] = rec[np.argmin(_record_ranks(tables, rec.astype(np.intp)), axis=1)]
+        values[:, i] = rec[np.argmin(hash_keys(tables, rec), axis=1)]
     return values
-
-
-def _record_ranks(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    h = tables[:, 0, :][:, idx & 0xFF]
-    h ^= tables[:, 1, :][:, (idx >> 8) & 0xFF]
-    h ^= tables[:, 2, :][:, (idx >> 16) & 0xFF]
-    h ^= tables[:, 3, :][:, (idx >> 24) & 0xFF]
-    return h
 
 
 def _sketches(sk_fam: SketchFamily, values: np.ndarray) -> np.ndarray:

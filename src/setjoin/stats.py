@@ -24,15 +24,6 @@ class JoinStats:
     preprocess_s: float = 0.0
     join_s: float = 0.0
 
-    def add(self, other: "JoinStats") -> "JoinStats":
-        self.pre_candidates += other.pre_candidates
-        self.candidates += other.candidates
-        self.results += other.results
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.preprocess_s += other.preprocess_s
-        self.join_s += other.join_s
-        return self
-
     def counters_ok(self) -> bool:
         return self.pre_candidates >= self.candidates >= self.results >= 0
 

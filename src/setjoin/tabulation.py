@@ -52,3 +52,14 @@ def table_tensor(seeds) -> np.ndarray:
     counters = np.arange(1024, dtype=np.uint64)
     tables = splitmix64_array(seeds[..., None], counters)
     return tables.reshape(seeds.shape + (4, 256))
+
+
+def hash_keys(tables: np.ndarray, keys) -> np.ndarray:
+    """Hashes (F, m) uint64 of 32-bit `keys` under each of the F functions of a
+    (F, 4, 256) table tensor: the XOR of one table entry per key byte."""
+    idx = np.asarray(keys, dtype=np.intp)
+    h = tables[:, 0, :][:, idx & 0xFF]
+    h ^= tables[:, 1, :][:, (idx >> 8) & 0xFF]
+    h ^= tables[:, 2, :][:, (idx >> 16) & 0xFF]
+    h ^= tables[:, 3, :][:, (idx >> 24) & 0xFF]
+    return h

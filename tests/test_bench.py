@@ -6,15 +6,20 @@ checks compare everything except them.
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from setjoin import bench
-from setjoin.bench import ExperimentSpec, ReportRow, csv_text, join_pairs, run, sweep, write_csv
+from setjoin.bench import ExperimentSpec, ReportRow, csv_text, run, sweep, write_csv
 from setjoin.cli import _generate, _parse_planted, main
+from setjoin.cpsjoin import cps_join_prepared
 from setjoin.datasets import gen_uniform
+from setjoin.exact import allpairs_join, brute_force_join
+from setjoin.lsh import lsh_join_prepared
 from setjoin.prep import preprocess
+from setjoin.tabulation import derive_seed
 
 _TIMING_IDX = tuple(bench.COLUMNS.index(c) for c in
                     ("join_time_s", "preprocess_time_s", "relative_join_time"))
@@ -24,6 +29,20 @@ def _spec(data, algorithm, **kw):
     kw.setdefault("thresholds", (0.5,))
     kw.setdefault("trials", 1)
     return ExperimentSpec(dataset="t", data=data, algorithm=algorithm, **kw)
+
+
+def join_pairs(spec, threshold):
+    """The pair array an approximate run reports at its first trial's seed
+    (all repetitions, no early stop); the exact joins' pairs otherwise."""
+    one = replace(spec, thresholds=(threshold,), use_oracle=False, trials=1)
+    trial_seed = derive_seed(bench._stable_seed(one.seed, one.dataset, one.algorithm), 0)
+    if one.algorithm in ("cpsjoin", "lsh"):
+        prep = preprocess(one.data, one.sig_len, one.sketch_words, trial_seed)
+        cfg = bench._approximate_config(one, threshold, trial_seed)
+        join = cps_join_prepared if one.algorithm == "cpsjoin" else lsh_join_prepared
+        return join(prep, cfg)
+    join = allpairs_join if one.algorithm == "allpairs" else brute_force_join
+    return join(one.data, threshold)
 
 
 def _strip_timing(text):
@@ -75,6 +94,21 @@ def test_lsh_row_echoes_tuned_parameters(dense):
     row = rows[0]
     assert 0.9 <= row.recall <= 1.0
     assert "k=" in row.params and "reps=" in row.params
+
+
+def test_lsh_echo_is_the_lower_median_over_trials(dense, monkeypatch):
+    tuned = []
+    original = bench.mlsh.resolve_params
+
+    def recording(prep, cfg):
+        tuned.append(original(prep, cfg))
+        return tuned[-1]
+
+    monkeypatch.setattr(bench.mlsh, "resolve_params", recording)
+    row, = run(_spec(dense, "lsh", trials=5, seed=3))
+    # the last trial's (4, 37) is not the median
+    assert tuned == [(3, 19), (4, 37), (3, 19), (3, 19), (4, 37)]
+    assert row.params.endswith(";k=3;reps=19")
 
 
 def test_no_oracle_runs_full_budget(dense):
@@ -149,6 +183,18 @@ def test_sweep_relative_times(dense):
     assert rows[1].params.endswith("sweep=limit:50")
     for row in rows:
         assert row.recall >= 0.8
+
+
+def test_sweep_computes_each_oracle_once(dense, monkeypatch):
+    calls = []
+
+    def counting(data, threshold):
+        calls.append(threshold)
+        return allpairs_join(data, threshold)
+
+    monkeypatch.setattr(bench, "allpairs_join", counting)
+    rows = sweep(_spec(dense, "cpsjoin"), "limit", [50, 250, 1000])
+    assert len(rows) == 3 and calls == [0.5]
 
 
 def test_sweep_rejects_bad_requests(dense):

@@ -57,9 +57,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LshConfig(threshold=0.5, k=0)
     with pytest.raises(ValueError):
-        LshConfig(threshold=0.5, k=200, sig_len=128)
-    with pytest.raises(ValueError):
         LshConfig(threshold=0.5, reps=0)
+    # k is checked against the embedding's signature length at join time
+    prep = preprocess(gen_uniform(30, 6, 40, seed=10), sig_len=64, sketch_words=1, seed=1)
+    assert resolve_params(prep, LshConfig(threshold=0.5, k=64, reps=1)) == (64, 1)
+    with pytest.raises(ValueError):
+        lsh_join_prepared(prep, LshConfig(threshold=0.5, k=65))
 
 
 def test_sample_positions_distinct_and_in_range():
@@ -183,10 +186,3 @@ def test_determinism():
     assert np.array_equal(p1, p2)
     assert (s1.pre_candidates, s1.candidates, s1.results) == \
         (s2.pre_candidates, s2.candidates, s2.results)
-
-
-def test_prepared_dimension_mismatch_rejected():
-    ds = gen_uniform(30, 6, 40, seed=10)
-    prep = preprocess(ds, sig_len=64, sketch_words=4, seed=1)
-    with pytest.raises(ValueError):
-        lsh_join_prepared(prep, LshConfig(threshold=0.5))

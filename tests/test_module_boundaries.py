@@ -1,0 +1,41 @@
+"""Module boundaries: no setjoin module reaches into another's private names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "setjoin"
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_name_uses(path):
+    """(line, source) of every private name a module takes from outside itself:
+    a `_name` imported from a setjoin module, or `x._name` on any x other than
+    `self` or `cls`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "setjoin":
+                uses += [(node.lineno, f"import {a.name}") for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                uses.append((node.lineno, ast.unparse(node)))
+    return uses
+
+
+def test_private_name_uses_finds_both_kinds(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .prep import _SIG_TAG, preprocess\n"
+                    "from numpy import _core\n"
+                    "def f(self, data):\n"
+                    "    self._x = data._cache\n"
+                    "    return data.__class__\n")
+    assert private_name_uses(path) == [(1, "import _SIG_TAG"), (4, "data._cache")]
+
+
+def test_no_module_touches_another_modules_private_names():
+    uses = {p.name: private_name_uses(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
