@@ -3,8 +3,10 @@
 Both report exactly the pairs with Jaccard similarity >= threshold. The
 brute-force join computes intersection counts for every pair through a dense
 or sparse matrix product; AllPairs probes an inverted index over prefix
-tokens. One float predicate (float64 intersection/union >= threshold) decides
-membership everywhere, so the two routes agree bit-for-bit.
+tokens, built and probed as whole-array passes (sort, searchsorted, blocked
+pair dedup) rather than record by record. One float predicate (float64
+intersection/union >= threshold) decides membership everywhere, so the two
+routes agree bit-for-bit.
 
 All cheap pruning bounds carry a 1e-9 slack in the keep direction: float
 rounding can only add candidates, never drop a true pair.
@@ -19,11 +21,13 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CanonicalOrderError
-from .stats import JoinStats, decode_pairs, encode_pairs
+from .stats import JoinStats, decode_pairs, encode_pairs, unique_pairs
 
 _EPS = 1e-9
 _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
 _BLOCK_CELLS = 2 ** 23  # target cells per intersection-count block
+_PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one record has more
+_VERIFY_BLOCK = 4096  # pairs per verify_pairs call; 65,536 ran slower on gathered bitset rows
 
 
 def jaccard(x, y) -> float:
@@ -169,54 +173,76 @@ def brute_force_join(data: Dataset, threshold: float):
 
 
 def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
-    """Inverted-index self-join over ascending-frequency prefixes.
+    """Inverted-index self-join over ascending-frequency prefixes (AllPairs).
 
-    Records are scanned in canonical order; each probes the postings of its
-    prefix tokens among earlier records (size-filtered), gets verified against
-    the unique candidates, then indexes its own prefix. `prefix_filter=False`
-    indexes and probes full records; results must not change (used to test
-    that the filter is lossless).
+    Record i, in canonical order, is compared with every earlier record j
+    that shares one of its prefix tokens and whose size passes the size
+    filter (s_j >= threshold * s_i). The join runs as array passes, with no
+    per-record loop: the (record, token) prefix entries, stably sorted by
+    token, are every token's postings in record order, so an entry's own
+    position ends the postings of the earlier records, and one searchsorted
+    on (token, size) keys starts them past the records the size filter
+    drops. Pre-candidates are the lengths of those ranges; candidates are
+    the distinct (j, i) pairs in them, built and deduplicated in blocks cut
+    at record boundaries, then verified exactly. `prefix_filter=False` uses
+    whole records as prefixes; results must not change (used to test that
+    the filter is lossless).
     """
     _check_threshold(threshold)
     if not data.canonical:
         raise CanonicalOrderError("allpairs_join needs frequency-remapped canonical data")
     n = data.n
-    sizes = data.sizes.astype(np.int64)
     stats = JoinStats()
     t0 = time.perf_counter()
+    sizes = data.sizes.astype(np.int64)
+    # Smallest size that passes the size filter: for an integer size,
+    # size >= threshold * s - eps exactly when size >= ceil(threshold * s - eps).
+    min_size = np.ceil(threshold * sizes - _EPS).astype(np.int64)
+    # prefix_length(threshold, s), clipped to the record: below threshold
+    # 5e-10, min_size is 0 and the formula gives s + 1
+    plen = np.minimum(sizes - min_size + 1, sizes) if prefix_filter else sizes
 
-    starts = np.zeros(data.d + 1, dtype=np.int64)
-    np.cumsum(data.token_freq, out=starts[1:])
-    post_ids = np.empty(data.tokens.size, dtype=np.int64)
-    fill = np.zeros(data.d, dtype=np.int64)
+    # Prefix entries (record, token) in record order; record r owns entries
+    # entry_bounds[r] to entry_bounds[r + 1].
+    entry_bounds = np.concatenate(([0], np.cumsum(plen)))
+    entry_rec = np.repeat(np.arange(n), plen)
+    at = np.arange(entry_rec.size) + np.repeat(data.indptr[:-1] - entry_bounds[:-1], plen)
+    entry_tok = data.tokens[at].astype(np.int64)
+    # Postings: entries stably sorted by token, so records (and, in canonical
+    # order, sizes) ascend along each token's list.
+    order = np.argsort(entry_tok, kind="stable")
+    post_rec = entry_rec[order]
+    hi = np.empty(order.size, dtype=np.int64)
+    hi[order] = np.arange(order.size)
+    base = int(sizes.max(initial=0)) + 1
+    keys = entry_tok[order] * base + sizes[post_rec]
+    lo = np.searchsorted(keys, entry_tok * base + min_size[entry_rec], side="left")
+    counts = hi - lo  # >= 0: min_size <= size, so lo never passes the entry itself
+    stats.pre_candidates = int(counts.sum())
 
-    codes = []
-    for i in range(n):
-        rec = data.record(i)
-        s = int(sizes[i])
-        plen = prefix_length(threshold, s) if prefix_filter else s
-        size_cut = threshold * s - _EPS
-        slices = []
-        for tok in rec[:plen].astype(np.intp):
-            sl = post_ids[starts[tok]:starts[tok] + fill[tok]]
-            if sl.size:
-                # postings are appended in processing order, so sizes ascend
-                lo = int(np.searchsorted(sizes[sl], size_cut, side="left"))
-                sl = sl[lo:]
-                stats.pre_candidates += sl.size
-                if sl.size:
-                    slices.append(sl)
-        if slices:
-            cand = np.unique(np.concatenate(slices))
-            stats.candidates += cand.size
-            ok = verify_pairs(data, cand, np.full(cand.size, i), threshold)
+    # Pairs before each record boundary; blocks end only on those boundaries,
+    # so every duplicate of a pair is built in the same block.
+    pairs_before = np.concatenate(([0], np.cumsum(counts)))[entry_bounds]
+    kept = []
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(pairs_before, pairs_before[r0] + _PAIR_BLOCK, side="right")) - 1
+        r1 = max(r1, r0 + 1)  # a record with more pairs than a block gets one of its own
+        e0, e1 = entry_bounds[r0], entry_bounds[r1]
+        c = counts[e0:e1]
+        first = np.cumsum(c) - c
+        idx = np.repeat(lo[e0:e1] - first, c) + np.arange(pairs_before[r1] - pairs_before[r0])
+        cand = unique_pairs([encode_pairs(post_rec[idx], np.repeat(entry_rec[e0:e1], c))])
+        stats.candidates += cand.size
+        for v0 in range(0, cand.size, _VERIFY_BLOCK):
+            block = cand[v0:v0 + _VERIFY_BLOCK]
+            pairs = decode_pairs(block)
+            ok = verify_pairs(data, pairs[:, 0], pairs[:, 1], threshold)
             if ok.any():
-                codes.append(encode_pairs(cand[ok], np.full(int(ok.sum()), i)))
-        for tok in rec[:plen].astype(np.intp):
-            post_ids[starts[tok] + fill[tok]] = i
-            fill[tok] += 1
+                kept.append(block[ok])
+        r0 = r1
 
-    merged = np.sort(np.concatenate(codes)) if codes else np.zeros(0, dtype=np.uint64)
+    merged = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.uint64)
     stats.results = merged.size
     stats.join_s = time.perf_counter() - t0
     return decode_pairs(merged), stats

@@ -3,17 +3,23 @@
 The two exact algorithms are each other's oracle: the quadratic matrix join
 and the inverted-index prefix join must agree on every dataset. Individual
 predicates (verify, min_overlap, prefix_length) are pinned by hand-computable
-cases and by property tests against the direct Jaccard formula.
+cases and by property tests against the direct Jaccard formula. The array-pass
+AllPairs is also checked against a per-record loop reference, pairs and
+counters alike.
 """
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setjoin import exact
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.errors import CanonicalOrderError
 from setjoin.exact import (
+    _EPS,
     allpairs_join,
     brute_force_join,
     brute_force_join_multi,
@@ -23,6 +29,7 @@ from setjoin.exact import (
     verify,
     verify_pairs,
 )
+from setjoin.stats import JoinStats, decode_pairs, encode_pairs
 
 
 def test_jaccard_known_values():
@@ -183,3 +190,86 @@ def test_brute_force_uses_sparse_route_on_large_universe():
             if jaccard(ds.record(i), ds.record(j)) >= 0.5:
                 want.append((i, j))
     assert [tuple(p) for p in pairs] == want
+
+
+def _allpairs_loop(data: Dataset, threshold: float, prefix_filter: bool = True):
+    """Reference AllPairs: one record and one prefix token at a time.
+
+    Records are scanned in canonical order; each probes the postings of its
+    prefix tokens among earlier records (size-filtered), gets verified against
+    the unique candidates, then indexes its own prefix.
+    """
+    n = data.n
+    sizes = data.sizes.astype(np.int64)
+    stats = JoinStats()
+    t0 = time.perf_counter()
+
+    starts = np.zeros(data.d + 1, dtype=np.int64)
+    np.cumsum(data.token_freq, out=starts[1:])
+    post_ids = np.empty(data.tokens.size, dtype=np.int64)
+    fill = np.zeros(data.d, dtype=np.int64)
+
+    codes = []
+    for i in range(n):
+        rec = data.record(i)
+        s = int(sizes[i])
+        plen = prefix_length(threshold, s) if prefix_filter else s
+        size_cut = threshold * s - _EPS
+        slices = []
+        for tok in rec[:plen].astype(np.intp):
+            sl = post_ids[starts[tok]:starts[tok] + fill[tok]]
+            if sl.size:
+                # postings are appended in processing order, so sizes ascend
+                lo = int(np.searchsorted(sizes[sl], size_cut, side="left"))
+                sl = sl[lo:]
+                stats.pre_candidates += sl.size
+                if sl.size:
+                    slices.append(sl)
+        if slices:
+            cand = np.unique(np.concatenate(slices))
+            stats.candidates += cand.size
+            ok = verify_pairs(data, cand, np.full(cand.size, i), threshold)
+            if ok.any():
+                codes.append(encode_pairs(cand[ok], np.full(int(ok.sum()), i)))
+        for tok in rec[:plen].astype(np.intp):
+            post_ids[starts[tok] + fill[tok]] = i
+            fill[tok] += 1
+
+    merged = np.sort(np.concatenate(codes)) if codes else np.zeros(0, dtype=np.uint64)
+    stats.results = merged.size
+    stats.join_s = time.perf_counter() - t0
+    return decode_pairs(merged), stats
+
+
+def _assert_same_join(got, want):
+    (pairs, stats), (want_pairs, want_stats) = got, want
+    assert pairs.dtype == want_pairs.dtype == np.int64
+    assert np.array_equal(pairs, want_pairs)
+    assert (stats.pre_candidates, stats.candidates, stats.results) == \
+        (want_stats.pre_candidates, want_stats.candidates, want_stats.results)
+
+
+@pytest.mark.parametrize("prefix_filter", [True, False])
+@pytest.mark.parametrize("lam", [1 / 3, 0.5, 0.9, 1.0])
+def test_allpairs_matches_per_record_loop(lam, prefix_filter):
+    rng = np.random.default_rng(10)
+    for _ in range(6):
+        ds = _random_dataset(rng)
+        _assert_same_join(allpairs_join(ds, lam, prefix_filter),
+                          _allpairs_loop(ds, lam, prefix_filter))
+
+
+@pytest.mark.parametrize("prefix_filter", [True, False])
+def test_allpairs_matches_loop_when_one_record_overflows_a_block(monkeypatch, prefix_filter):
+    # near-duplicates share most tokens, so later records repeat candidates
+    # across their prefix tokens and each has more pairs than a block holds
+    base = np.arange(12)
+    recs = [np.concatenate([np.delete(base, k), [100 + k]]) for k in range(12)]
+    ds = Dataset.from_records(recs + [np.arange(200, 215), np.arange(205, 220)])
+    monkeypatch.setattr(exact, "_PAIR_BLOCK", 3)
+    monkeypatch.setattr(exact, "_VERIFY_BLOCK", 2)
+    for lam in (1 / 3, 0.7):
+        got = allpairs_join(ds, lam, prefix_filter)
+        want = _allpairs_loop(ds, lam, prefix_filter)
+        assert np.bincount(want[0][:, 1]).max() > exact._PAIR_BLOCK
+        _assert_same_join(got, want)
