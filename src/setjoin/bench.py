@@ -148,28 +148,26 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
         for t, lam in enumerate(spec.thresholds):
             stats = JoinStats(preprocess_s=prep.elapsed_s)
             cfg = _approximate_config(spec, lam, trial_seed)
+            kernel = cps.CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
             if spec.algorithm == "cpsjoin":
                 max_reps = cfg.reps
-                rep_codes = lambda r: cps.repetition_codes(prep, cfg, r, stats)
+                run_rep = lambda r: cps.repetition_codes(prep, cfg, r, kernel)
                 extra = {"limit": spec.limit, "eps": spec.eps, "reps": max_reps}
             else:
                 k, max_reps = mlsh.resolve_params(prep, cfg)
-                rep_codes = lambda r: mlsh.repetition_codes(prep, cfg, k, r, stats)
+                run_rep = lambda r: mlsh.repetition_codes(prep, cfg, k, r, kernel)
                 extra = {"k": k, "reps": max_reps}
 
-            found = np.zeros(0, dtype=np.uint64)
             recall = None
             reps_used = 0
             join_t = 0.0
             for rep in range(max_reps):
                 t0 = time.perf_counter()
-                codes = rep_codes(rep)
+                run_rep(rep)
                 join_t += time.perf_counter() - t0
                 reps_used += 1
-                if codes.size:
-                    found = np.union1d(found, codes)
                 if exacts[t] is not None:
-                    recall = _recall(found, exacts[t])
+                    recall = _recall(kernel.codes(), exacts[t])
                     if recall >= spec.recall_target:
                         break
             trial_rows[t].append(ReportRow(
@@ -177,7 +175,7 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
                 join_time_s=join_t, preprocess_time_s=prep.elapsed_s,
                 recall=recall, reps_used=reps_used,
                 pre_candidates=stats.pre_candidates, candidates=stats.candidates,
-                results=found.size,
+                results=kernel.codes().size,
             ))
             trial_params[t].append(extra)
     # Times are means over trials; recall, counters and the echoed parameters

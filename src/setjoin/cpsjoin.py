@@ -12,11 +12,13 @@ Before splitting, a node removes records that look similar to the whole
 bucket: a pooled sketch summarizes the bucket, every record whose estimated
 average similarity exceeds (1 - eps) * threshold is compared against the full
 bucket directly, and buckets at or below `limit` are compared pairwise and not
-split at all. Every comparison goes through `CandidateKernel`, which the LSH
-join shares: it filters pairs by record sizes and by 1-bit sketches at a
-cutoff that keeps threshold-similar pairs except with probability delta, then
-verifies the survivors exactly. The children of one split that are small
-enough to be compared pairwise go through the kernel in one batch.
+split at all. Every comparison goes through the join's one `CandidateKernel`,
+which the LSH join shares: it filters pairs by record sizes and by 1-bit
+sketches at a cutoff that keeps threshold-similar pairs except with
+probability delta, then verifies the survivors exactly. Repetitions re-find
+most pairs the earlier ones found, so the kernel verifies each distinct pair
+once per join and remembers the outcome. The children of one split that are
+small enough to be compared pairwise go through the kernel in one batch.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _REP_TAG = 0x726570
 _POOL_TAG = 1
 _MASK_TAG = 2
 _CHILD_TAG_BASE = 3
-_PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel
+_PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel, and per flush
 _VERIFY_BLOCK = 4096  # pairs per verify_pairs call, so gathered bitset rows stay cache-sized
 
 
@@ -63,13 +65,24 @@ class CpsConfig:
 
 
 class CandidateKernel:
-    """The step both approximate joins end in: candidate pairs in, verified codes out.
+    """The step both approximate joins end in, one per join: candidate pairs
+    in, verified codes out, each distinct pair verified at most once.
 
     `run(a_ids, b_ids)` counts every pair as a pre-candidate, keeps the pairs
     whose sizes allow the threshold and whose sketch estimate reaches the
     cutoff that loses a threshold-similar pair with probability at most
-    delta, counts those as candidates, verifies them exactly and keeps the
-    codes of the pairs that pass. `codes()` returns everything kept so far.
+    delta, and counts those as candidates, duplicates included. It buffers
+    their codes. A flush, whenever the buffer reaches _PAIR_BLOCK codes and
+    at the end of each repetition, deduplicates the buffer, drops the codes
+    this join has already verified (passed or failed), verifies the rest
+    exactly and merges the outcomes into two sorted arrays, one of passed and
+    one of failed codes.
+
+    `end_repetition()` flushes, appends the repetition's first-time passes to
+    `stats.new_results_per_rep` and returns the sorted codes of every pair
+    the repetition found that passes, whether new or found before.
+    `codes()` flushes and returns the sorted codes of every pair passed so
+    far in the join.
 
     The sketch cutoff is applied as an integer one: the largest Hamming
     distance whose estimate reaches it (`max_h`). Distances are summed a word
@@ -78,7 +91,8 @@ class CandidateKernel:
     """
 
     __slots__ = ("data", "sketches", "columns", "sizes", "threshold", "max_h", "stats",
-                 "_hamming_dtype", "_codes")
+                 "_hamming_dtype", "_buffer", "_buffered", "_passed", "_failed",
+                 "_rep_passed", "_rep_new")
 
     def __init__(self, prep: Prepared, threshold: float, delta: float, stats: JoinStats):
         self.data = prep.data
@@ -90,7 +104,12 @@ class CandidateKernel:
         self.max_h = max_hamming(filter_threshold(threshold, bits, delta), bits)
         self._hamming_dtype = np.min_scalar_type(bits)  # holds any distance up to bits
         self.stats = stats
-        self._codes = []
+        self._buffer = []  # code arrays of candidates not yet flushed
+        self._buffered = 0
+        self._passed = np.zeros(0, dtype=np.uint64)  # sorted, verified similar
+        self._failed = np.zeros(0, dtype=np.uint64)  # sorted, verified not similar
+        self._rep_passed = []  # per flush of this repetition, its candidates that pass
+        self._rep_new = 0
 
     def run(self, a_ids: np.ndarray, b_ids: np.ndarray):
         self.stats.pre_candidates += a_ids.size
@@ -105,21 +124,65 @@ class CandidateKernel:
         keep = h <= self.max_h
         a_ids, b_ids = a_ids[keep], b_ids[keep]
         self.stats.candidates += a_ids.size
-        for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
-            a = a_ids[v0:v0 + _VERIFY_BLOCK]
-            b = b_ids[v0:v0 + _VERIFY_BLOCK]
-            ok = verify_pairs(self.data, a, b, self.threshold)
-            if ok.any():
-                self._codes.append(encode_pairs(a[ok], b[ok]))
+        if a_ids.size:
+            self._buffer.append(encode_pairs(a_ids, b_ids))
+            self._buffered += a_ids.size
+            if self._buffered >= _PAIR_BLOCK:
+                self._flush()
 
     def run_segments(self, ids: np.ndarray, bounds):
         """Run every i < j pair inside each segment ids[bounds[k]:bounds[k + 1]]."""
         for a, b in segment_pairs(ids, bounds):
             self.run(a, b)
 
+    def _flush(self):
+        if not self._buffer:
+            return
+        codes = unique_pairs(self._buffer)
+        self._buffer, self._buffered = [], 0
+        passed = _members(self._passed, codes)
+        fresh = ~(passed | _members(self._failed, codes))
+        new = codes[fresh]
+        a, b = decode_pairs(new).T
+        ok = np.empty(new.size, dtype=bool)
+        for v0 in range(0, new.size, _VERIFY_BLOCK):
+            v1 = v0 + _VERIFY_BLOCK
+            ok[v0:v1] = verify_pairs(self.data, a[v0:v1], b[v0:v1], self.threshold)
+        passed[fresh] = ok
+        self._passed = _insert_sorted(self._passed, new[ok])
+        self._failed = _insert_sorted(self._failed, new[~ok])
+        self._rep_passed.append(codes[passed])
+        self._rep_new += int(np.count_nonzero(ok))
+
+    def end_repetition(self) -> np.ndarray:
+        """Close a repetition; returns the sorted codes of the distinct pairs
+        it found that pass, whether first found in it or earlier."""
+        self._flush()
+        parts, self._rep_passed = self._rep_passed, []
+        self.stats.new_results_per_rep.append(self._rep_new)
+        self._rep_new = 0
+        return parts[0] if len(parts) == 1 else unique_pairs(parts)
+
     def codes(self) -> np.ndarray:
-        """Codes of every verified pair, duplicates included."""
-        return np.concatenate(self._codes) if self._codes else np.zeros(0, dtype=np.uint64)
+        """Sorted codes of every distinct pair passed so far in the join."""
+        self._flush()
+        return self._passed
+
+
+def _members(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which of `codes` occur in the sorted array `sorted_codes`."""
+    if sorted_codes.size == 0:
+        return np.zeros(codes.size, dtype=bool)
+    idx = np.searchsorted(sorted_codes, codes)
+    np.minimum(idx, sorted_codes.size - 1, out=idx)
+    return sorted_codes[idx] == codes
+
+
+def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Merge sorted codes absent from `sorted_codes` into it, keeping it sorted."""
+    if new.size == 0:
+        return sorted_codes
+    return np.insert(sorted_codes, np.searchsorted(sorted_codes, new), new)
 
 
 def segment_pairs(ids: np.ndarray, bounds):
@@ -150,14 +213,14 @@ def segment_pairs(ids: np.ndarray, bounds):
 class _Ctx:
     __slots__ = ("kernel", "sig", "threshold", "eps", "limit", "sig_len", "stats", "depth_cap")
 
-    def __init__(self, prep: Prepared, cfg: CpsConfig, stats: JoinStats):
-        self.kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+    def __init__(self, prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel):
+        self.kernel = kernel
         self.sig = prep.sig
         self.threshold = cfg.threshold
         self.eps = cfg.eps
         self.limit = cfg.limit
         self.sig_len = prep.sig_len
-        self.stats = stats
+        self.stats = kernel.stats
         # Engineering guard far above the expected O(log n / eps) depth; a
         # stuck bucket gets brute-forced instead of recursing forever.
         self.depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
@@ -238,24 +301,28 @@ def _recurse(ids: np.ndarray, node_seed: int, depth: int, ctx: _Ctx):
             _recurse(ids[order[a:b]], child_seed, depth + 1, ctx)
 
 
-def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int, stats: JoinStats) -> np.ndarray:
-    """Run one repetition; returns raw (possibly duplicated) pair codes."""
-    ctx = _Ctx(prep, cfg, stats)
+def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
+                     kernel: CandidateKernel) -> np.ndarray:
+    """Run one repetition through the join's kernel; returns the sorted codes
+    of the distinct similar pairs it found, new or found before."""
+    ctx = _Ctx(prep, cfg, kernel)
     rep_seed = splitmix64(derive_seed(cfg.seed, _REP_TAG), rep)
     ids = np.arange(prep.data.n, dtype=np.int64)
     _recurse(ids, rep_seed, 0, ctx)
-    return ctx.kernel.codes()
+    return kernel.end_repetition()
 
 
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
-    chunks = [repetition_codes(prep, cfg, rep, stats) for rep in range(cfg.reps)]
-    merged = unique_pairs(chunks)
-    stats.results = merged.size
+    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+    for rep in range(cfg.reps):
+        repetition_codes(prep, cfg, rep, kernel)
+    codes = kernel.codes()
+    stats.results = codes.size
     stats.join_s = time.perf_counter() - t0
-    return decode_pairs(merged), stats
+    return decode_pairs(codes), stats
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):

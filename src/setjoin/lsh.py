@@ -21,7 +21,8 @@ import numpy as np
 from .cpsjoin import CandidateKernel
 from .datasets import Dataset
 from .prep import Prepared, check_join_params, preprocess
-from .stats import JoinStats, decode_pairs, unique_pairs
+from .stats import JoinStats, decode_pairs
+from .stats import unique_pairs  # noqa: F401  joinbench's tracer wraps lsh.unique_pairs
 from .tabulation import derive_seed, splitmix64_array
 
 _POS_TAG = 0x706F73
@@ -109,9 +110,9 @@ def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
 
 
 def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
-                     stats: JoinStats) -> np.ndarray:
-    """One bucketing repetition; returns raw (possibly duplicated) pair codes."""
-    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+                     kernel: CandidateKernel) -> np.ndarray:
+    """One bucketing repetition through the join's kernel; returns the sorted
+    codes of the distinct similar pairs it found, new or found before."""
     positions = sample_positions(
         splitmix64_array(derive_seed(cfg.seed, _POS_TAG), np.uint64(rep)).item(), k, prep.sig_len)
     keys = bucket_keys(prep.sig, positions)
@@ -119,7 +120,7 @@ def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
     sk = keys[order]
     cuts = np.flatnonzero(sk[1:] != sk[:-1]) + 1
     kernel.run_segments(order, np.concatenate([[0], cuts, [sk.size]]))
-    return kernel.codes()
+    return kernel.end_repetition()
 
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
@@ -127,11 +128,13 @@ def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     k, reps = resolve_params(prep, cfg)
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
-    chunks = [repetition_codes(prep, cfg, k, rep, stats) for rep in range(reps)]
-    merged = unique_pairs(chunks)
-    stats.results = merged.size
+    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+    for rep in range(reps):
+        repetition_codes(prep, cfg, k, rep, kernel)
+    codes = kernel.codes()
+    stats.results = codes.size
     stats.join_s = time.perf_counter() - t0
-    return decode_pairs(merged), stats
+    return decode_pairs(codes), stats
 
 
 def lsh_join(data: Dataset, cfg: LshConfig):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,7 +14,10 @@ class JoinStats:
     pre_candidates counts every pair an algorithm looked at, candidates the
     pairs surviving its cheap filters (and therefore exactly verified), and
     results the unique reported pairs. The chain
-    pre_candidates >= candidates >= results holds on every run.
+    pre_candidates >= candidates >= results holds on every run. The
+    approximate joins also fill new_results_per_rep: per repetition, the
+    pairs that passed verification for the first time in the join, so that
+    they sum to results.
     """
 
     pre_candidates: int = 0
@@ -23,6 +26,7 @@ class JoinStats:
     max_depth: int = 0
     preprocess_s: float = 0.0
     join_s: float = 0.0
+    new_results_per_rep: list[int] = field(default_factory=list)
 
     def counters_ok(self) -> bool:
         return self.pre_candidates >= self.candidates >= self.results >= 0

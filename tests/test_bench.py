@@ -160,10 +160,11 @@ def test_counters_are_lower_median_over_trials(dense, monkeypatch):
     trial_stats = []
     original = bench.cps.repetition_codes
 
-    def recording(prep, cfg, rep, stats):
+    def recording(prep, cfg, rep, kernel):
+        stats = kernel.stats
         if not any(s is stats for s in trial_stats):
             trial_stats.append(stats)
-        return original(prep, cfg, rep, stats)
+        return original(prep, cfg, rep, kernel)
 
     monkeypatch.setattr(bench.cps, "repetition_codes", recording)
     row, = run(_spec(dense, "cpsjoin", trials=3))

@@ -210,10 +210,13 @@ def _reference_kernel(prep, threshold, delta, pairs):
 
 
 def _assert_kernel_matches(kernel, prep, threshold, delta, pairs):
+    """The kernel keeps each distinct pair the reference passes, once;
+    returns the reference's codes, duplicates included."""
     want_codes, want = _reference_kernel(prep, threshold, delta, pairs)
-    assert np.array_equal(np.sort(kernel.codes()), want_codes)
+    assert np.array_equal(kernel.codes(), np.unique(want_codes))
     assert (kernel.stats.pre_candidates, kernel.stats.candidates) == \
         (want.pre_candidates, want.candidates)
+    return want_codes
 
 
 def _segment_reference_pairs(ids, bounds):
@@ -264,14 +267,15 @@ def test_point_rule_matches_per_pair_loop(monkeypatch, pair_block):
     ds = Dataset.from_records(recs)
     prep = preprocess(ds, sig_len=32, sketch_words=4, seed=2)
     cfg = CpsConfig(threshold=0.5, eps=0.5, limit=5)
-    ctx = cpsjoin._Ctx(prep, cfg, JoinStats())
+    ctx = cpsjoin._Ctx(prep, cfg, CandidateKernel(prep, cfg.threshold, cfg.delta, JoinStats()))
     ids = np.arange(ds.n, dtype=np.int64)
     kept = brute_force_step(ids, 123, ctx)
     removed = np.setdiff1d(ids, kept)
     assert removed.size >= 2 and kept.size >= 2
     pairs = [(int(x), int(y)) for x in removed for y in ids if y != x]
     assert ctx.stats.pre_candidates == removed.size * (ds.n - 1)
-    _assert_kernel_matches(ctx.kernel, prep, cfg.threshold, cfg.delta, pairs)
+    want_codes = _assert_kernel_matches(ctx.kernel, prep, cfg.threshold, cfg.delta, pairs)
+    assert np.unique(want_codes).size < want_codes.size  # the kernel dropped duplicates
 
 
 @pytest.mark.parametrize("words", [1, 2, 8])

@@ -5,8 +5,11 @@ Each digest is the sha256 of the sorted pair codes followed by the counters
 pairs are generated, filtered, verified or counted that alters what a seeded
 join finds or the work it reports changes the digest. The `tokens` case runs
 CPSJoin with a small `limit`, so its large buckets go through the pooled-sketch
-point rule as well as the recursive split. The exact joins are pinned on the
-same sets, AllPairs with and without its prefix filter.
+point rule as well as the recursive split. The `clusters` case holds clusters
+of near-duplicates, which every repetition re-finds, so most of its
+candidates are pairs the join has verified before. The exact joins are pinned
+on the `tokens` and `uniform` sets, AllPairs with and without its prefix
+filter.
 """
 
 import hashlib
@@ -15,8 +18,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from setjoin import (CpsConfig, LshConfig, TokensSpec, allpairs_join, brute_force_join, cps_join,
-                     gen_tokens, gen_uniform, lsh_join)
+from setjoin import (CpsConfig, Dataset, LshConfig, TokensSpec, allpairs_join, brute_force_join,
+                     cps_join, gen_tokens, gen_uniform, lsh_join)
 from setjoin.stats import encode_pairs
 
 
@@ -36,6 +39,20 @@ def _uniform():
     return gen_uniform(1500, 8, 120, seed=11), 0.4
 
 
+def _clusters():
+    """400 uniform background sets plus 3 clusters of 40 near-duplicates, each
+    member its cluster's 30-token center with 2 tokens replaced."""
+    rng = np.random.default_rng(13)
+    recs = [rng.choice(3000, size=int(s), replace=False) for s in rng.integers(8, 30, size=400)]
+    for _ in range(3):
+        center = rng.choice(3000, size=30, replace=False)
+        for _ in range(40):
+            rec = center.copy()
+            rec[rng.choice(30, size=2, replace=False)] = rng.integers(0, 3000, size=2)
+            recs.append(rec)
+    return Dataset.from_records(recs), 0.7
+
+
 @pytest.mark.parametrize("dataset, join, config, want", [
     (_tokens, cps_join, lambda lam: CpsConfig(threshold=lam, limit=20, seed=5),
      "232e23b71f4c0221db0323366625c665dba5b9e151b4aa125e707c9ad23dd48a"),
@@ -45,6 +62,10 @@ def _uniform():
      "933ffaa9b9e4cb1048432d90fc13f548171a9d7df21a0d991bdef2b31717d107"),
     (_uniform, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
      "7dec08c4533318a46f18a4eebe6fcbb9927458d0709a77a3d23d9ac428d3db72"),
+    (_clusters, cps_join, lambda lam: CpsConfig(threshold=lam, limit=20, seed=5),
+     "5d8df98e1558f582f27648cd16df0dcab33ae2531c94fba2712ae79bd4dc4e40"),
+    (_clusters, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
+     "e6d2832ebee3ba06f36e8652597e7645532a9cf142c5f8b9825ed9f37bcefc8f"),
     (_tokens, allpairs_join, lambda lam: lam,
      "4721ecacfb5776cb951b4df49527400f3925da792bfce84040ce61531d79041e"),
     (_tokens, partial(allpairs_join, prefix_filter=False), lambda lam: lam,
@@ -58,6 +79,7 @@ def _uniform():
     (_uniform, brute_force_join, lambda lam: lam,
      "f9b4035f13112729d5499584fd09f5ababe28c53eaa28e61b672891d141d6ed7"),
 ], ids=["tokens-cpsjoin", "tokens-lsh", "uniform-cpsjoin", "uniform-lsh",
+        "clusters-cpsjoin", "clusters-lsh",
         "tokens-allpairs", "tokens-allpairs-noprefix", "tokens-bruteforce",
         "uniform-allpairs", "uniform-allpairs-noprefix", "uniform-bruteforce"])
 def test_seeded_join_digest(dataset, join, config, want):
