@@ -33,7 +33,6 @@ ALGORITHMS = ("cpsjoin", "lsh", "allpairs", "bruteforce")
 SWEEP_PARAMS = ("limit", "eps", "sketch_words")
 _SWEEP_RECALL_FLOOR = 0.8
 
-_TIMING_COLUMNS = ("join_time_s", "preprocess_time_s", "relative_join_time")
 COLUMNS = ("dataset", "algorithm", "threshold", "join_time_s", "preprocess_time_s",
            "recall", "reps_used", "pre_candidates", "candidates", "results",
            "relative_join_time", "params")

@@ -42,7 +42,6 @@ _POOL_TAG = 1
 _MASK_TAG = 2
 _CHILD_TAG_BASE = 3
 _PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel, and per flush
-_VERIFY_BLOCK = 4096  # pairs per verify_pairs call, so gathered bitset rows stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,7 @@ class CandidateKernel:
         fresh = ~(passed | _members(self._failed, codes))
         new = codes[fresh]
         a, b = decode_pairs(new).T
-        ok = np.empty(new.size, dtype=bool)
-        for v0 in range(0, new.size, _VERIFY_BLOCK):
-            v1 = v0 + _VERIFY_BLOCK
-            ok[v0:v1] = verify_pairs(self.data, a[v0:v1], b[v0:v1], self.threshold)
+        ok = verify_pairs(self.data, a, b, self.threshold)
         passed[fresh] = ok
         self._passed = _insert_sorted(self._passed, new[ok])
         self._failed = _insert_sorted(self._failed, new[~ok])

@@ -27,7 +27,7 @@ _EPS = 1e-9
 _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
 _BLOCK_CELLS = 2 ** 23  # target cells per intersection-count block
 _PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one record has more
-_VERIFY_BLOCK = 4096  # pairs per verify_pairs call; 65,536 ran slower on gathered bitset rows
+_VERIFY_BLOCK = 4096  # pairs per popcount block, so gathered bitset rows stay cache-sized
 
 
 def jaccard(x, y) -> float:
@@ -83,20 +83,23 @@ def verify(x, y, threshold: float) -> bool:
 def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
     """Vectorized exact check for batches of candidate pairs.
 
-    Uses packed-bitset popcounts when the universe is small enough, otherwise
-    falls back to the per-pair merge. Same predicate either way.
+    Uses packed-bitset popcounts, `_VERIFY_BLOCK` pairs at a time, when the
+    universe is small enough, otherwise falls back to the per-pair merge. Same
+    predicate either way.
     """
     a_ids = np.asarray(a_ids, dtype=np.int64)
     b_ids = np.asarray(b_ids, dtype=np.int64)
     bits = data.bitset()
     sizes = data.sizes
-    if bits is not None:
-        c = np.bitwise_count(bits[a_ids] & bits[b_ids]).sum(axis=1, dtype=np.int64)
-        union = sizes[a_ids] + sizes[b_ids] - c
-        return (c / union) >= threshold
     out = np.empty(a_ids.size, dtype=bool)
-    for k in range(a_ids.size):
-        out[k] = verify(data.record(int(a_ids[k])), data.record(int(b_ids[k])), threshold)
+    if bits is None:
+        for k in range(a_ids.size):
+            out[k] = verify(data.record(int(a_ids[k])), data.record(int(b_ids[k])), threshold)
+        return out
+    for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
+        a, b = a_ids[v0:v0 + _VERIFY_BLOCK], b_ids[v0:v0 + _VERIFY_BLOCK]
+        c = np.bitwise_count(bits[a] & bits[b]).sum(axis=1, dtype=np.int64)
+        out[v0:v0 + _VERIFY_BLOCK] = c / (sizes[a] + sizes[b] - c) >= threshold
     return out
 
 
@@ -234,12 +237,10 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
         idx = np.repeat(lo[e0:e1] - first, c) + np.arange(pairs_before[r1] - pairs_before[r0])
         cand = unique_pairs([encode_pairs(post_rec[idx], np.repeat(entry_rec[e0:e1], c))])
         stats.candidates += cand.size
-        for v0 in range(0, cand.size, _VERIFY_BLOCK):
-            block = cand[v0:v0 + _VERIFY_BLOCK]
-            pairs = decode_pairs(block)
-            ok = verify_pairs(data, pairs[:, 0], pairs[:, 1], threshold)
-            if ok.any():
-                kept.append(block[ok])
+        pairs = decode_pairs(cand)
+        ok = verify_pairs(data, pairs[:, 0], pairs[:, 1], threshold)
+        if ok.any():
+            kept.append(cand[ok])
         r0 = r1
 
     merged = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.uint64)

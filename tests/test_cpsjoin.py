@@ -9,7 +9,7 @@ splitting scatters its neighbors.
 import numpy as np
 import pytest
 
-from setjoin import cpsjoin
+from setjoin import cpsjoin, exact
 from setjoin.cpsjoin import (
     CandidateKernel,
     CpsConfig,
@@ -235,7 +235,7 @@ def _segment_reference_pairs(ids, bounds):
 def test_candidate_kernel_matches_per_pair_loop(monkeypatch, sizes, small_blocks):
     if small_blocks:
         monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", 7)
-        monkeypatch.setattr(cpsjoin, "_VERIFY_BLOCK", 5)
+        monkeypatch.setattr(exact, "_VERIFY_BLOCK", 5)
     ds = gen_uniform(120, 8, 30, seed=8)
     prep = preprocess(ds, sig_len=32, sketch_words=2, seed=4)
     ids = np.random.default_rng(1).permutation(ds.n)[:sum(sizes)].astype(np.int64)

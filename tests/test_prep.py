@@ -1,4 +1,5 @@
-"""The rank-table and per-record paths must agree with the per-family reference."""
+"""The rank-table embedding must agree with the per-family reference, however
+its tables are chunked and whichever universe they rank."""
 
 import hashlib
 
@@ -10,7 +11,7 @@ from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
 from setjoin.minhash import MinHashFamily
 from setjoin.prep import _SIG_TAG, _SK_TAG, _UNIVERSE_CELL_CAP, preprocess
 from setjoin.sketch import SketchFamily
-from setjoin.tabulation import derive_seed
+from setjoin.tabulation import derive_seed, hash_keys
 
 
 def families(prep):
@@ -67,7 +68,8 @@ def _mixed():
 
 
 def _wide():
-    """A universe past 2^16 tokens, so the rank tables hold uint32."""
+    """Token ids past 2^16 over a few records, so the tables rank only the
+    tokens that occur and map their positions back to uint32 ids."""
     rng = np.random.default_rng(6)
     records = [rng.choice(100_000, size=int(s), replace=False)
                for s in rng.integers(2, 12, size=120)]
@@ -75,11 +77,10 @@ def _wide():
     return Dataset.from_records(records, canonical=False)
 
 
-_PER_RECORD = {"_UNIVERSE_CELL_CAP": 0}
-# Blocks of 1 to 7 records, and rank tables built 3 functions at a time.
+# Blocks of 1 to 7 records, and ranks hashed and sorted 3 functions at a time.
 _SMALL_BLOCKS = {"_BLOCK_CELLS": 5000, "_RANK_CHUNK_CELLS": 3 * 500}
-# The wide case costs less per record, so only a patch sends it to the tables.
-_RANK_TABLES = {"_use_rank_tables": lambda fns, d, tokens: True}
+# Rank tables built and used 2 to 6 functions at a time.
+_CHUNKED = {"_UNIVERSE_CELL_CAP": 2000}
 
 # sha256 of sig.tobytes() + sketches.tobytes(), computed with the per-record
 # argmin embedding before the rank-table path existed.
@@ -90,14 +91,14 @@ _WIDE_DIGEST = "86c90700c73c8b7ec70ba005e7bbc11babe2d2713c38cd3d05d31048a6c467a0
 
 @pytest.mark.parametrize("dataset, dims, patch, want", [
     (_tokens, (128, 8, 7), {}, _TOKENS_DIGEST),
-    (_tokens, (128, 8, 7), _PER_RECORD, _TOKENS_DIGEST),
+    (_tokens, (128, 8, 7), _CHUNKED, _TOKENS_DIGEST),
     (_mixed, (64, 4, 2), {}, _MIXED_DIGEST),
-    (_mixed, (64, 4, 2), _PER_RECORD, _MIXED_DIGEST),
     (_mixed, (64, 4, 2), _SMALL_BLOCKS, _MIXED_DIGEST),
+    (_mixed, (64, 4, 2), _CHUNKED, _MIXED_DIGEST),
     (_wide, (16, 1, 5), {}, _WIDE_DIGEST),
-    (_wide, (16, 1, 5), _RANK_TABLES, _WIDE_DIGEST),
-], ids=["tokens", "tokens-per-record", "mixed", "mixed-per-record", "mixed-small-blocks",
-        "wide-uint32", "wide-uint32-rank-tables"])
+    (_wide, (16, 1, 5), _CHUNKED, _WIDE_DIGEST),
+], ids=["tokens", "tokens-chunked", "mixed", "mixed-small-blocks", "mixed-chunked",
+        "wide-uint32", "wide-uint32-chunked"])
 def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     for name, value in patch.items():
         monkeypatch.setattr(prep_module, name, value)
@@ -111,20 +112,9 @@ def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     assert hashlib.sha256(p.sig.tobytes() + p.sketches.tobytes()).hexdigest() == want
 
 
-def test_path_choice_follows_the_cost_of_each_path():
-    # the benchmark's tokens and clusters shapes, F = 128 + 512
-    assert prep_module._use_rank_tables(640, 800, 557_875)
-    assert prep_module._use_rank_tables(640, 10_000, 205_065)
-    # a few records over a universe of 10^5 tokens, F = 16 + 64
-    wide = _wide()
-    assert wide.n == 121 and wide.d > 99_000 and wide.tokens.size < 2_000
-    assert not prep_module._use_rank_tables(80, wide.d, wide.tokens.size)
-    # cheap tables past the cap are still not built
-    assert not prep_module._use_rank_tables(640, 10 ** 5, 10 ** 8)
-
-
 def test_digest_cases_cover_their_regimes():
-    assert _wide().d > 2 ** 16
+    wide = _wide()
+    assert wide.d > 2 ** 16 and wide.d > wide.tokens.size
     sizes = _mixed().sizes
     assert not np.all(sizes[:-1] <= sizes[1:])
 
@@ -134,11 +124,9 @@ def test_out_of_order_sizes_match_reference_families():
     _check_against_families(p)
 
 
-@pytest.mark.parametrize("rank_tables", [True, False], ids=["rank-tables", "per-record"])
 @pytest.mark.parametrize("records", [[], [[3, 7, 9]]], ids=["empty", "one"])
 @pytest.mark.parametrize("canonical", [True, False])
-def test_empty_and_single_record(rank_tables, records, canonical, monkeypatch):
-    monkeypatch.setattr(prep_module, "_use_rank_tables", lambda fns, d, tokens: rank_tables)
+def test_empty_and_single_record(records, canonical):
     ds = Dataset.from_records(records, canonical=canonical)
     p = preprocess(ds, sig_len=32, sketch_words=2, seed=1)
     assert p.sig.shape == (len(records), 32) and p.sig.dtype == np.uint32
@@ -153,13 +141,13 @@ def test_rank_ties_go_to_the_smaller_token():
     # Function 0: tokens 3 and 5 share the least rank.
     tables[0, 0, [3, 5]] = 7
     # Function 1: 5 ranks below 3, and the two differ only in their lowest bits.
-    tables[1, 0, 3] = 2 ** 40 + 9
+    tables[1, 0, 3] = 2 ** 40 + 6
     tables[1, 0, 5] = 2 ** 40 + 1
     # Function 2: every token has rank 0.
     records = [[1, 3, 5, 7], [3, 5], [3, 5, 9, 200], [2, 4]]
     ds = Dataset.from_records(records, canonical=False)
 
-    values = prep_module._universe_minhashes(tables, ds)
+    values = prep_module._minhashes(tables, ds)
 
     ref = MinHashFamily(3)
     ref.tables = tables
@@ -167,4 +155,30 @@ def test_rank_ties_go_to_the_smaller_token():
         assert np.array_equal(values[:, i], ref.embed(ds.record(i)))
     assert values[:, 0].tolist() == [3, 5, 1]
     assert values[:, 2].tolist() == [3, 5, 3]
-    assert np.array_equal(values, prep_module._record_minhashes(tables, ds))
+
+
+def test_canonical_universe_past_2_16_matches_reference_families():
+    ds = gen_uniform(150, 600, 10 ** 6, seed=5)
+    assert ds.canonical and ds.d > 2 ** 16
+    p = preprocess(ds, sig_len=16, sketch_words=1, seed=6)
+    _check_against_families(p)
+
+
+def test_ranks_are_hashed_per_chunk_of_functions_not_per_record(monkeypatch):
+    calls = []
+
+    def counting_hash_keys(tables, keys):
+        calls.append(len(tables))
+        return hash_keys(tables, keys)
+
+    monkeypatch.setattr(prep_module, "hash_keys", counting_hash_keys)
+    # canonical, and F * d past the cap: [0, d) is ranked byte table by byte table
+    dense = gen_uniform(80, 600, 200000, seed=1)
+    assert (128 + 512) * dense.d > _UNIVERSE_CELL_CAP
+    preprocess(dense)
+    assert calls == []
+    # sparse ids: only the tokens that occur are hashed, a chunk of functions at a time
+    sparse = _wide()
+    preprocess(sparse)
+    assert sum(calls) == 128 + 512
+    assert 0 < len(calls) < sparse.n
