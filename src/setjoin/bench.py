@@ -25,7 +25,7 @@ from . import lsh as mlsh
 from .datasets import Dataset
 from .exact import allpairs_join, brute_force_join
 from .stats import JoinStats, encode_pairs
-from .prep import preprocess
+from .prep import DEFAULT_SIG_LEN, DEFAULT_SKETCH_WORDS, preprocess
 from .tabulation import derive_seed
 
 ALGORITHMS = ("cpsjoin", "lsh", "allpairs", "bruteforce")
@@ -44,13 +44,13 @@ class ExperimentSpec:
     data: Dataset
     algorithm: str
     thresholds: tuple
-    recall_target: float = 0.9
-    max_reps: int | None = None  # None: 10 for cpsjoin, formula for lsh
-    limit: int = 250
-    eps: float = 0.1
-    sig_len: int = 128
-    sketch_words: int = 8
-    delta: float = 0.05
+    recall_target: float = mlsh.LshConfig.recall_target
+    max_reps: int | None = None  # None: CpsConfig.reps for cpsjoin, formula for lsh
+    limit: int = cps.CpsConfig.limit
+    eps: float = cps.CpsConfig.eps
+    sig_len: int = DEFAULT_SIG_LEN
+    sketch_words: int = DEFAULT_SKETCH_WORDS
+    delta: float = cps.CpsConfig.delta
     k: int | None = None
     use_oracle: bool = True
     trials: int = 5
@@ -204,7 +204,7 @@ def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
     if spec.algorithm == "cpsjoin":
         return cps.CpsConfig(
             threshold=threshold, delta=spec.delta, eps=spec.eps, limit=spec.limit,
-            reps=spec.max_reps or 10, seed=seed)
+            reps=spec.max_reps or cps.CpsConfig.reps, seed=seed)
     return mlsh.LshConfig(
         threshold=threshold, recall_target=spec.recall_target, k=spec.k,
         reps=spec.max_reps, delta=spec.delta, seed=seed)
@@ -233,11 +233,11 @@ def sweep(spec: ExperimentSpec, param: str, values) -> list[ReportRow]:
     base = replace(spec, thresholds=(lam,),
                    recall_target=max(spec.recall_target, _SWEEP_RECALL_FLOOR))
     exacts = _oracle_codes(base)
-    defaults = {"limit": 250, "eps": 0.1, "sketch_words": 8}
-    default_row = _run_approximate(replace(base, **{param: defaults[param]}), exacts)[0]
+    default = getattr(ExperimentSpec, param)
+    default_row = _run_approximate(replace(base, **{param: default}), exacts)[0]
     rows = []
     for value in values:
-        if value == defaults[param]:
+        if value == default:
             row = ReportRow(**vars(default_row))
         else:
             row = _run_approximate(replace(base, **{param: value}), exacts)[0]

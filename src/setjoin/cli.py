@@ -107,33 +107,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algo", choices=bench.ALGORITHMS, default="cpsjoin")
     parser.add_argument("--threshold", default="0.5",
                         help="comma separated similarity thresholds (default 0.5)")
-    parser.add_argument("--recall", type=float, default=0.9,
-                        help="stop repetitions at this recall (default 0.9)")
+    defaults = bench.ExperimentSpec
+    parser.add_argument("--recall", type=float, default=defaults.recall_target,
+                        help="stop repetitions at this recall (default %(default)s)")
     parser.add_argument("--reps", type=int, default=None,
                         help="repetition budget override")
-    parser.add_argument("--limit", type=int, default=250,
-                        help="bucket size that is compared directly (default 250)")
-    parser.add_argument("--eps", type=float, default=0.1,
-                        help="local similarity slack for early removal (default 0.1)")
-    parser.add_argument("--sketch-words", type=int, default=8,
-                        help="64-bit words per similarity sketch (default 8)")
-    parser.add_argument("--minhash-t", type=int, default=128,
-                        help="signature length (default 128)")
-    parser.add_argument("--delta", type=float, default=0.05,
-                        help="sketch filter false negative budget (default 0.05)")
+    parser.add_argument("--limit", type=int, default=defaults.limit,
+                        help="bucket size that is compared directly (default %(default)s)")
+    parser.add_argument("--eps", type=float, default=defaults.eps,
+                        help="local similarity slack for early removal (default %(default)s)")
+    parser.add_argument("--sketch-words", type=int, default=defaults.sketch_words,
+                        help="64-bit words per similarity sketch (default %(default)s)")
+    parser.add_argument("--minhash-t", type=int, default=defaults.sig_len,
+                        help="signature length (default %(default)s)")
+    parser.add_argument("--delta", type=float, default=defaults.delta,
+                        help="sketch filter false negative budget (default %(default)s)")
     parser.add_argument("--k", type=int, default=None,
                         help="concatenation length for the bucketing join (default: tuned)")
     parser.add_argument("--L", type=int, default=None, dest="big_l",
                         help="repetition count for the bucketing join (alias of --reps)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="CSV destination (default stdout)")
     parser.add_argument("--sweep", metavar="PARAM=V1,V2", default=None,
                         help=f"sweep one of {', '.join(bench.SWEEP_PARAMS)}")
     parser.add_argument("--no-oracle", action="store_true",
                         help="skip the exact join; run the full budget, no recall column")
-    parser.add_argument("--trials", type=int, default=5,
-                        help="timing repetitions per row (default 5)")
+    parser.add_argument("--trials", type=int, default=defaults.trials,
+                        help="timing repetitions per row (default %(default)s)")
     return parser
 
 

@@ -222,16 +222,12 @@ class _Ctx:
         self.depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
 
 
-def coordinate_mask(seed: int, sig_len: int, threshold: float) -> np.ndarray:
-    """Per-node coordinate sample: Bernoulli(min(1, 1/(threshold*sig_len)))."""
+def coordinate_mask(seed, sig_len: int, threshold: float) -> np.ndarray:
+    """Per-node coordinate sample: Bernoulli(min(1, 1/(threshold*sig_len))).
+    A (k, 1) array of seeds gives one mask row per seed."""
     p = min(1.0, 1.0 / (threshold * sig_len))
-    u = _uniforms(seed, sig_len)
-    return u < p
-
-
-def _uniforms(seed: int, count: int) -> np.ndarray:
-    vals = splitmix64_array(seed, np.arange(count, dtype=np.uint64))
-    return (vals >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    vals = splitmix64_array(seed, np.arange(sig_len, dtype=np.uint64))
+    return (vals >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) < p
 
 
 def brute_force_step(ids: np.ndarray, node_seed: int, ctx: _Ctx) -> np.ndarray:
@@ -344,7 +340,6 @@ def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,
         raise ValueError("signature shapes differ")
     sig_len = sig_a.size
     agree_idx = np.flatnonzero(sig_a == sig_b)
-    p = min(1.0, 1.0 / (threshold * sig_len))
     cap = 64  # survival is near certain long before a frontier this wide dies
     chunk = 2 ** 16
     alive = np.ones(trials, dtype=np.int64)
@@ -360,10 +355,8 @@ def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,
         for c0 in range(0, total, chunk):
             c1 = min(total, c0 + chunk)
             node_seeds = splitmix64_array(level_seed, np.arange(c0, c1, dtype=np.uint64))
-            u = (splitmix64_array(node_seeds[:, None],
-                                  np.arange(sig_len, dtype=np.uint64)[None, :])
-                 >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-            offspring[c0:c1] = (u[:, agree_idx] < p).sum(axis=1)
+            mask = coordinate_mask(node_seeds[:, None], sig_len, threshold)
+            offspring[c0:c1] = mask[:, agree_idx].sum(axis=1)
         trial_of_node = np.repeat(np.arange(trials), alive)
         sums = np.bincount(trial_of_node, weights=offspring, minlength=trials)
         alive = np.minimum(sums.astype(np.int64), cap)

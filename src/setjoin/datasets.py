@@ -24,18 +24,18 @@ _BITSET_BYTE_CAP = 512 * 1024 * 1024
 class Dataset:
     """Immutable collection of token sets in CSR-like layout."""
 
-    __slots__ = ("tokens", "indptr", "n", "d", "token_freq", "canonical",
-                 "provenance", "_bitset")
+    __slots__ = ("tokens", "indptr", "n", "d", "canonical", "provenance",
+                 "_token_freq", "_bitset")
 
     def __init__(self, tokens: np.ndarray, indptr: np.ndarray, d: int,
-                 token_freq: np.ndarray, canonical: bool, provenance: dict | None = None):
+                 canonical: bool, provenance: dict | None = None):
         self.tokens = tokens
         self.indptr = indptr
         self.n = len(indptr) - 1
         self.d = d
-        self.token_freq = token_freq
         self.canonical = canonical
         self.provenance = provenance or {}
+        self._token_freq = None
         self._bitset = None
 
     def record(self, i: int) -> np.ndarray:
@@ -44,6 +44,13 @@ class Dataset:
     def records(self):
         for i in range(self.n):
             yield self.record(i)
+
+    @property
+    def token_freq(self) -> np.ndarray:
+        """Records holding each id in [0, d), counted on first read."""
+        if self._token_freq is None:
+            self._token_freq = np.bincount(self.tokens, minlength=self.d)
+        return self._token_freq
 
     @property
     def sizes(self) -> np.ndarray:
@@ -122,11 +129,7 @@ def _build(records, canonical: bool, provenance: dict | None):
 
     if not canonical:
         d = int(max((int(r[-1]) for r in cleaned), default=-1)) + 1
-        freq = np.zeros(d, dtype=np.int64)
-        if cleaned:
-            np.add.at(freq, np.concatenate(cleaned).astype(np.intp), 1)
-        ds = _assemble(cleaned, d, freq, canonical=False, provenance=provenance)
-        return ds, index_map
+        return _assemble(cleaned, d, canonical=False, provenance=provenance), index_map
 
     if cleaned:
         flat = np.concatenate(cleaned)
@@ -136,10 +139,9 @@ def _build(records, canonical: bool, provenance: dict | None):
         new_id = np.empty(orig_ids.size, dtype=np.uint32)
         new_id[rank_order] = np.arange(orig_ids.size, dtype=np.uint32)
         remapped = [np.sort(new_id[np.searchsorted(orig_ids, rec)]) for rec in cleaned]
-        freq = counts[rank_order]
         d = orig_ids.size
     else:
-        remapped, freq, d = [], np.zeros(0, dtype=np.int64), 0
+        remapped, d = [], 0
 
     order = sorted(range(len(remapped)),
                    key=lambda s: (remapped[s].size, remapped[s].astype(">u4").tobytes()))
@@ -149,19 +151,18 @@ def _build(records, canonical: bool, provenance: dict | None):
     keep = index_map >= 0
     index_map[keep] = final_of_slot[index_map[keep]]
 
-    ds = _assemble([remapped[s] for s in order], d, freq.astype(np.int64),
-                   canonical=True, provenance=provenance)
-    return ds, index_map
+    return _assemble([remapped[s] for s in order], d, canonical=True,
+                     provenance=provenance), index_map
 
 
-def _assemble(records, d, freq, canonical, provenance) -> Dataset:
+def _assemble(records, d, canonical, provenance) -> Dataset:
     indptr = np.zeros(len(records) + 1, dtype=np.int64)
     if records:
         np.cumsum([r.size for r in records], out=indptr[1:])
         tokens = np.concatenate(records).astype(np.uint32)
     else:
         tokens = np.zeros(0, dtype=np.uint32)
-    return Dataset(tokens, indptr, d, freq, canonical, provenance)
+    return Dataset(tokens, indptr, d, canonical, provenance)
 
 
 def load(path) -> Dataset:

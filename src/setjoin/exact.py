@@ -1,12 +1,13 @@
-"""Exact joins: the all-pairs brute-force oracle and prefix-filtered AllPairs.
+"""Exact joins and exact verification.
 
-Both report exactly the pairs with Jaccard similarity >= threshold. The
-brute-force join computes intersection counts for every pair through a dense
-or sparse matrix product; AllPairs probes an inverted index over prefix
-tokens, built and probed as whole-array passes (sort, searchsorted, blocked
-pair dedup) rather than record by record. One float predicate (float64
-intersection/union >= threshold) decides membership everywhere, so the two
-routes agree bit-for-bit.
+Both joins report exactly the pairs with Jaccard similarity >= threshold: the
+brute-force oracle counts every pair's intersection through a dense or sparse
+matrix product; AllPairs probes an inverted index over prefix tokens as
+whole-array passes (sort, searchsorted, blocked pair dedup). `verify_pairs`,
+which AllPairs and both approximate joins end in, counts intersections by
+bitset popcount or, past the bitset's memory cap, by searchsorted over the
+sorted (record, token) keys. One float predicate (float64 intersection/union
+>= threshold) decides membership everywhere, so every route agrees bit-for-bit.
 
 All cheap pruning bounds carry a 1e-9 slack in the keep direction: float
 rounding can only add candidates, never drop a true pair.
@@ -28,6 +29,7 @@ _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
 _BLOCK_CELLS = 2 ** 23  # target cells per intersection-count block
 _PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one record has more
 _VERIFY_BLOCK = 4096  # pairs per popcount block, so gathered bitset rows stay cache-sized
+_PROBE_BLOCK = 2 ** 18  # probed tokens per block of the bitset-free intersection count
 
 
 def jaccard(x, y) -> float:
@@ -52,55 +54,56 @@ def prefix_length(threshold: float, size: int) -> int:
 
 
 def verify(x, y, threshold: float) -> bool:
-    """Merge-based exact check of J(x, y) >= threshold.
-
-    Walks both sorted arrays, bailing out as soon as the remaining possible
-    overlap cannot reach the minimum required overlap.
-    """
-    xs = np.asarray(x).tolist()
-    ys = np.asarray(y).tolist()
-    sa, sb = len(xs), len(ys)
-    need = min_overlap(threshold, sa, sb)
-    if need > min(sa, sb):
-        return False
-    i = j = c = 0
-    while i < sa and j < sb:
-        if c + min(sa - i, sb - j) < need:
-            return False
-        xi, yj = xs[i], ys[j]
-        if xi == yj:
-            c += 1
-            i += 1
-            j += 1
-        elif xi < yj:
-            i += 1
-        else:
-            j += 1
-    union = sa + sb - c
-    return c / union >= threshold
+    """Exact check of J(x, y) >= threshold for two sorted unique token
+    arrays, on `verify_pairs`' predicate; two empty sets fail."""
+    return np.size(x) + np.size(y) > 0 and jaccard(x, y) >= threshold
 
 
 def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
     """Vectorized exact check for batches of candidate pairs.
 
-    Uses packed-bitset popcounts, `_VERIFY_BLOCK` pairs at a time, when the
-    universe is small enough, otherwise falls back to the per-pair merge. Same
-    predicate either way.
+    Counts each pair's intersection c with packed-bitset popcounts,
+    `_VERIFY_BLOCK` pairs at a time, when the dataset has a bitset, and with
+    the token probe otherwise; then keeps c / (|a| + |b| - c) >= threshold.
     """
     a_ids = np.asarray(a_ids, dtype=np.int64)
     b_ids = np.asarray(b_ids, dtype=np.int64)
     bits = data.bitset()
-    sizes = data.sizes
-    out = np.empty(a_ids.size, dtype=bool)
     if bits is None:
-        for k in range(a_ids.size):
-            out[k] = verify(data.record(int(a_ids[k])), data.record(int(b_ids[k])), threshold)
-        return out
-    for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
-        a, b = a_ids[v0:v0 + _VERIFY_BLOCK], b_ids[v0:v0 + _VERIFY_BLOCK]
-        c = np.bitwise_count(bits[a] & bits[b]).sum(axis=1, dtype=np.int64)
-        out[v0:v0 + _VERIFY_BLOCK] = c / (sizes[a] + sizes[b] - c) >= threshold
-    return out
+        c = _probe_intersections(data, a_ids, b_ids)
+    else:
+        c = np.empty(a_ids.size, dtype=np.int64)
+        for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
+            v = slice(v0, v0 + _VERIFY_BLOCK)
+            c[v] = np.bitwise_count(bits[a_ids[v]] & bits[b_ids[v]]).sum(axis=1, dtype=np.int64)
+    sizes = data.sizes
+    return c / (sizes[a_ids] + sizes[b_ids] - c) >= threshold
+
+
+def _probe_intersections(data: Dataset, a_ids, b_ids) -> np.ndarray:
+    """|x_a & x_b| per pair: the smaller record's tokens are looked up under
+    the other record's id among the (record << 32) | token keys, sorted as
+    tokens ascend in each record, in blocks of about `_PROBE_BLOCK` probed
+    tokens and at least one pair."""
+    sizes = data.sizes
+    swap = sizes[a_ids] > sizes[b_ids]
+    small, other = np.where(swap, b_ids, a_ids), np.where(swap, a_ids, b_ids)
+    plen = sizes[small]
+    ends = np.cumsum(plen)
+    keys = (np.repeat(np.arange(data.n, dtype=np.int64), sizes) << 32) | data.tokens
+    c = np.empty(a_ids.size, dtype=np.int64)
+    p0 = 0
+    while p0 < a_ids.size:
+        start = ends[p0] - plen[p0]
+        p1 = max(p0 + 1, int(np.searchsorted(ends, start + _PROBE_BLOCK, side="right")))
+        counts, first = plen[p0:p1], ends[p0:p1] - plen[p0:p1] - start
+        at = np.repeat(data.indptr[small[p0:p1]] - first, counts) + np.arange(ends[p1 - 1] - start)
+        probe = (np.repeat(other[p0:p1], counts) << 32) | data.tokens[at]
+        pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+        hits = np.concatenate(([0], np.cumsum(keys[pos] == probe)))
+        c[p0:p1] = hits[first + counts] - hits[first]
+        p0 = p1
+    return c
 
 
 def _intersection_blocks(data: Dataset):

@@ -4,9 +4,11 @@ similarity-preserving remap, and both synthetic generators."""
 import numpy as np
 import pytest
 
+from setjoin.cpsjoin import CpsConfig, cps_join
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform, load, save
 from setjoin.errors import CapacityExceededError, ParseError, TokenOverflowError
 from setjoin.exact import jaccard
+from setjoin.lsh import LshConfig, lsh_join
 
 
 def _assert_canonical(ds: Dataset):
@@ -95,6 +97,36 @@ def test_non_canonical_build_keeps_original_ids():
     assert ds.d == 901
     got = sorted(tuple(r.tolist()) for r in ds.records())
     assert got == [(3, 7), (7, 900)]
+
+
+def test_raw_32_bit_ids_join_without_a_table_over_the_universe():
+    # d = 2^32: no bitset, so the joins verify with the token probe, and
+    # preprocess builds rank tables over the tokens that occur. Nothing here
+    # may allocate per id in [0, d), so the test never reads `token_freq`.
+    rng = np.random.default_rng(21)
+    top = 0xFFFFFFFF
+    recs = [rng.choice(2 ** 20, size=20, replace=False) + (top - 2 ** 20) for _ in range(30)]
+    recs[0][0] = top
+    recs[1][0] = 0
+    planted = []
+    for k in range(10):
+        base = rng.choice(2 ** 20, size=20, replace=False) + (top - 2 ** 20)
+        twin = base.copy()
+        twin[:2] = rng.choice(2 ** 20, size=2, replace=False) + 2 ** 20
+        planted.append((len(recs), len(recs) + 1))
+        recs += [base, twin]
+    ds = Dataset.from_records(recs, canonical=False)
+    assert ds.n == 50 and ds.d == 2 ** 32
+    assert ds.bitset() is None
+    want = {(i, j) for i in range(ds.n) for j in range(i + 1, ds.n)
+            if jaccard(ds.record(i), ds.record(j)) >= 0.5}
+    assert set(planted) <= want
+    for pairs, stats in (cps_join(ds, CpsConfig(threshold=0.5, seed=1)),
+                         lsh_join(ds, LshConfig(threshold=0.5, seed=1))):
+        got = {tuple(p) for p in pairs.tolist()}
+        assert got <= want
+        assert set(planted) <= got
+        assert stats.counters_ok()
 
 
 def test_bitset_matches_records():

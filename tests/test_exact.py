@@ -3,7 +3,9 @@
 The two exact algorithms are each other's oracle: the quadratic matrix join
 and the inverted-index prefix join must agree on every dataset. Individual
 predicates (verify, min_overlap, prefix_length) are pinned by hand-computable
-cases and by property tests against the direct Jaccard formula. The array-pass
+cases and by property tests against the direct Jaccard formula. Batch
+verification must give the same intersection counts on the bitset and the
+bitset-free probe route. The array-pass
 AllPairs is also checked against a per-record loop reference, pairs and
 counters alike.
 """
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setjoin import exact
+from setjoin import datasets, exact
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.errors import CanonicalOrderError
 from setjoin.exact import (
@@ -47,9 +49,9 @@ def test_verify_at_exact_boundary():
 
 
 def test_verify_early_exit_cases():
-    # required overlap exceeds the smaller set: no merge needed
+    # required overlap exceeds the smaller set
     assert not verify(np.arange(2), np.arange(100), 0.5)
-    # bail mid-merge once the remaining tail cannot reach the overlap bound
+    # disjoint sets of equal size
     x = np.array([0, 1, 2, 3], dtype=np.uint32)
     y = np.array([10, 11, 12, 13], dtype=np.uint32)
     assert not verify(x, y, 0.5)
@@ -86,16 +88,41 @@ def test_prefix_length_known_values():
     assert prefix_length(0.9, 10) == 2
 
 
-def test_verify_pairs_bitset_and_merge_routes_agree():
+def test_verify_pairs_bitset_and_probe_routes_agree(monkeypatch):
     ds = gen_uniform(120, 8, 50, seed=1)
     rng = np.random.default_rng(2)
     a = rng.integers(0, ds.n, size=300)
     b = rng.integers(0, ds.n, size=300)
     got = verify_pairs(ds, a, b, 0.4)
-    assert ds.bitset() is not None  # the vectorized route was exercised
+    assert ds.bitset() is not None  # the bitset route was exercised
     want = np.array([verify(ds.record(int(i)), ds.record(int(j)), 0.4)
                      for i, j in zip(a, b)])
     assert np.array_equal(got, want)
+    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    bare = gen_uniform(120, 8, 50, seed=1)
+    assert bare.bitset() is None  # the probe route is exercised
+    assert np.array_equal(verify_pairs(bare, a, b, 0.4), want)
+
+
+def test_probe_matches_bitset_over_several_blocks(monkeypatch):
+    ds = gen_uniform(200, 12, 60, seed=12)
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, ds.n, size=500)
+    b = rng.integers(0, ds.n, size=500)
+    a[:25] = b[:25]  # a record against itself
+    monkeypatch.setattr(exact, "_PROBE_BLOCK", 7)
+    probed = np.minimum(ds.sizes[a], ds.sizes[b])
+    assert probed.sum() > 10 * exact._PROBE_BLOCK  # several blocks
+    assert probed.max() > exact._PROBE_BLOCK  # a pair larger than a whole block
+    want = [np.intersect1d(ds.record(int(i)), ds.record(int(j))).size for i, j in zip(a, b)]
+    assert np.array_equal(exact._probe_intersections(ds, a, b), want)
+    assert ds.bitset() is not None
+    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    bare = gen_uniform(200, 12, 60, seed=12)
+    assert bare.bitset() is None
+    for lam in (1 / 3, 0.5, 1.0):
+        assert np.array_equal(verify_pairs(bare, a, b, lam), verify_pairs(ds, a, b, lam))
+    assert verify_pairs(bare, a[:25], b[:25], 1.0).all()
 
 
 def _random_dataset(rng):

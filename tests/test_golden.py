@@ -10,6 +10,10 @@ of near-duplicates, which every repetition re-finds, so most of its
 candidates are pairs the join has verified before. The exact joins are pinned
 on the `tokens` and `uniform` sets, AllPairs with and without its prefix
 filter.
+
+Every join that verifies pairs is pinned on both verification routes: the
+bitset popcount these small universes take by default, and the token probe
+that datasets too wide for a bitset take. The digests are the same.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ import numpy as np
 import pytest
 
 from setjoin import (CpsConfig, Dataset, LshConfig, TokensSpec, allpairs_join, brute_force_join,
-                     cps_join, gen_tokens, gen_uniform, lsh_join)
+                     cps_join, datasets, gen_tokens, gen_uniform, lsh_join)
 from setjoin.stats import encode_pairs
 
 
@@ -53,7 +57,7 @@ def _clusters():
     return Dataset.from_records(recs), 0.7
 
 
-@pytest.mark.parametrize("dataset, join, config, want", [
+_CASES = [
     (_tokens, cps_join, lambda lam: CpsConfig(threshold=lam, limit=20, seed=5),
      "232e23b71f4c0221db0323366625c665dba5b9e151b4aa125e707c9ad23dd48a"),
     (_tokens, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
@@ -78,11 +82,28 @@ def _clusters():
      "63bc3210b26e2128563f87f40c19f9dcbbfd3371924e2aeb365ff72834ef1f14"),
     (_uniform, brute_force_join, lambda lam: lam,
      "f9b4035f13112729d5499584fd09f5ababe28c53eaa28e61b672891d141d6ed7"),
-], ids=["tokens-cpsjoin", "tokens-lsh", "uniform-cpsjoin", "uniform-lsh",
+]
+_IDS = ["tokens-cpsjoin", "tokens-lsh", "uniform-cpsjoin", "uniform-lsh",
         "clusters-cpsjoin", "clusters-lsh",
         "tokens-allpairs", "tokens-allpairs-noprefix", "tokens-bruteforce",
-        "uniform-allpairs", "uniform-allpairs-noprefix", "uniform-bruteforce"])
+        "uniform-allpairs", "uniform-allpairs-noprefix", "uniform-bruteforce"]
+# Brute force counts every intersection itself and never verifies a pair.
+_VERIFYING = [(case, name) for case, name in zip(_CASES, _IDS) if case[1] is not brute_force_join]
+
+
+@pytest.mark.parametrize("dataset, join, config, want", _CASES, ids=_IDS)
 def test_seeded_join_digest(dataset, join, config, want):
     data, lam = dataset()
     pairs, stats = join(data, config(lam))
+    assert data.bitset() is not None
+    assert _digest(pairs, stats) == want
+
+
+@pytest.mark.parametrize("dataset, join, config, want", [c for c, _ in _VERIFYING],
+                         ids=[name for _, name in _VERIFYING])
+def test_seeded_join_digest_on_the_probe_route(monkeypatch, dataset, join, config, want):
+    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    data, lam = dataset()
+    pairs, stats = join(data, config(lam))
+    assert data.bitset() is None
     assert _digest(pairs, stats) == want
