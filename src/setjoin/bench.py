@@ -4,7 +4,9 @@ The protocol for approximate algorithms mirrors how the join quality is
 reported: the exact result is computed once per threshold of a `run` or
 `sweep` call with the inverted-index join, repetitions run cumulatively, and
 the run stops once the union of reported pairs reaches the recall target (or
-the repetition budget). Reported join time covers the repetitions only;
+the repetition budget). Without the oracle, CPSJoin stops where its own
+capture-recapture estimate (`cpsjoin.estimated_recall`) reaches the target,
+and LSH runs its full budget. Reported join time covers the repetitions only;
 embedding/sketching time is its own column and the oracle is never timed into
 either. A row summarizes all trials: times are means; recall, counters and
 echoed parameters the lower median.
@@ -160,15 +162,19 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
             recall = None
             reps_used = 0
             join_t = 0.0
+            self_tuned = exacts[t] is None and spec.algorithm == "cpsjoin"
+            incidence = cps.Incidence()
             for rep in range(max_reps):
                 t0 = time.perf_counter()
-                run_rep(rep)
+                codes = run_rep(rep)
+                done = self_tuned and incidence.add(codes) >= spec.recall_target
                 join_t += time.perf_counter() - t0
                 reps_used += 1
                 if exacts[t] is not None:
                     recall = _recall(kernel.codes(), exacts[t])
-                    if recall >= spec.recall_target:
-                        break
+                    done = recall >= spec.recall_target
+                if done:
+                    break
             trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
                 join_time_s=join_t, preprocess_time_s=prep.elapsed_s,
@@ -202,9 +208,10 @@ def _lower_median(values):
 def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
     """The join config an approximate run of `spec` uses at one threshold."""
     if spec.algorithm == "cpsjoin":
+        # the runner stops the repetitions itself, so the config never does
         return cps.CpsConfig(
             threshold=threshold, delta=spec.delta, eps=spec.eps, limit=spec.limit,
-            reps=spec.max_reps or cps.CpsConfig.reps, seed=seed)
+            reps=spec.max_reps or cps.CpsConfig.reps, seed=seed, recall_target=None)
     return mlsh.LshConfig(
         threshold=threshold, recall_target=spec.recall_target, k=spec.k,
         reps=spec.max_reps, delta=spec.delta, seed=seed)

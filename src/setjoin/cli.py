@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sweep", metavar="PARAM=V1,V2", default=None,
                         help=f"sweep one of {', '.join(bench.SWEEP_PARAMS)}")
     parser.add_argument("--no-oracle", action="store_true",
-                        help="skip the exact join; run the full budget, no recall column")
+                        help="skip the exact join: cpsjoin stops at its own recall "
+                             "estimate, lsh runs its full budget; no recall column")
     parser.add_argument("--trials", type=int, default=defaults.trials,
                         help="timing repetitions per row (default %(default)s)")
     return parser

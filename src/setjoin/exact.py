@@ -107,13 +107,21 @@ def _probe_intersections(data: Dataset, a_ids, b_ids) -> np.ndarray:
 
 
 def _intersection_blocks(data: Dataset):
-    """Yield (row_start, counts_block) with counts_block[r, j] = |x_{row_start+r} & x_j|."""
+    """Yield (row_start, counts_block) with counts_block[r, j] = |x_{row_start+r} & x_j|.
+
+    The matrix columns are the token ids, or, where the universe is wider than
+    the record tokens, the ids that occur, so no array spans an unused universe.
+    """
     n, d = data.n, data.d
+    cols = data.tokens
+    if d > cols.size:
+        universe, cols = np.unique(cols, return_inverse=True)
+        d = universe.size
     block = max(1, _BLOCK_CELLS // max(n, 1))
     if n * d <= _DENSE_CELL_CAP:
         dense = np.zeros((n, d), dtype=np.float32)
         rows = np.repeat(np.arange(n), np.diff(data.indptr))
-        dense[rows, data.tokens.astype(np.intp)] = 1.0
+        dense[rows, cols.astype(np.intp)] = 1.0
         for i0 in range(0, n, block):
             counts = dense[i0:i0 + block] @ dense.T
             yield i0, counts.astype(np.int64)
@@ -122,7 +130,7 @@ def _intersection_blocks(data: Dataset):
 
         x = csr_matrix(
             (np.ones(data.tokens.size, dtype=np.int32),
-             data.tokens.astype(np.int64), data.indptr),
+             cols.astype(np.int64), data.indptr),
             shape=(n, d),
         )
         xt = x.T.tocsr()

@@ -17,7 +17,9 @@ class JoinStats:
     pre_candidates >= candidates >= results holds on every run. The
     approximate joins also fill new_results_per_rep: per repetition, the
     pairs that passed verification for the first time in the join, so that
-    they sum to results.
+    they sum to results. CPSJoin also fills recall_estimate_per_rep: per
+    repetition, `cpsjoin.estimated_recall` of the pairs found so far (NaN
+    after the first), which its stop rule compares with the recall target.
     """
 
     pre_candidates: int = 0
@@ -27,6 +29,7 @@ class JoinStats:
     preprocess_s: float = 0.0
     join_s: float = 0.0
     new_results_per_rep: list[int] = field(default_factory=list)
+    recall_estimate_per_rep: list[float] = field(default_factory=list)
 
     def counters_ok(self) -> bool:
         return self.pre_candidates >= self.candidates >= self.results >= 0

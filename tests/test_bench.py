@@ -14,7 +14,7 @@ import pytest
 from setjoin import bench
 from setjoin.bench import ExperimentSpec, ReportRow, csv_text, run, sweep, write_csv
 from setjoin.cli import _generate, _parse_planted, main
-from setjoin.cpsjoin import cps_join_prepared
+from setjoin.cpsjoin import CpsConfig, cps_join_prepared
 from setjoin.datasets import gen_uniform
 from setjoin.exact import allpairs_join, brute_force_join
 from setjoin.lsh import lsh_join_prepared
@@ -112,9 +112,35 @@ def test_lsh_echo_is_the_lower_median_over_trials(dense, monkeypatch):
 
 
 def test_no_oracle_runs_full_budget(dense):
-    row = run(_spec(dense, "cpsjoin", use_oracle=False, max_reps=4))[0]
+    # LSH has no estimate of its own recall (CPSJoin's is tested below)
+    row = run(_spec(dense, "lsh", use_oracle=False, k=3, max_reps=4))[0]
     assert row.recall is None
     assert row.reps_used == 4
+
+
+def test_no_oracle_stops_cpsjoin_at_its_recall_estimate(dense):
+    spec = _spec(dense, "cpsjoin", use_oracle=False)
+    row = run(spec)[0]
+    assert row.recall is None
+    _, full = join_pairs(spec, 0.5)  # every repetition of the same trial
+    assert len(full.new_results_per_rep) == CpsConfig.reps
+    stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
+                if e >= spec.recall_target)
+    assert row.reps_used == stop < len(full.new_results_per_rep)
+    assert row.results == sum(full.new_results_per_rep[:stop])
+    assert f"reps={CpsConfig.reps}" in row.params  # the echo is the budget
+
+
+def test_oracle_run_stops_cpsjoin_at_the_oracle_recall(dense, monkeypatch):
+    def no_estimate(self, codes):
+        raise AssertionError("a run with the oracle must not consult the estimate")
+
+    monkeypatch.setattr(bench.cps.Incidence, "add", no_estimate)
+    spec = _spec(dense, "cpsjoin", recall_target=0.99)
+    row = run(spec)[0]
+    assert row.recall >= 0.99
+    assert row.reps_used > 1
+    assert run(replace(spec, max_reps=row.reps_used - 1))[0].recall < 0.99
 
 
 def test_join_pairs_consistency(dense):

@@ -6,6 +6,8 @@ similar to a whole dissimilar bucket must be caught by the point rule before
 splitting scatters its neighbors.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from setjoin import cpsjoin, exact
 from setjoin.cpsjoin import (
     CandidateKernel,
     CpsConfig,
+    Incidence,
     brute_force_step,
     co_bucket_frequency,
     coordinate_mask,
     cps_join,
+    estimated_recall,
     segment_pairs,
 )
 from setjoin.datasets import Dataset, gen_uniform
@@ -41,6 +45,90 @@ def test_config_validation():
         CpsConfig(threshold=0.5, reps=0)
     with pytest.raises(ValueError):
         CpsConfig(threshold=0.5, delta=0.0)
+    for target in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            CpsConfig(threshold=0.5, recall_target=target)
+    assert CpsConfig(threshold=0.5, recall_target=None).recall_target is None
+
+
+def _hits(*counts):
+    return np.array(counts, dtype=np.int64)
+
+
+@pytest.mark.parametrize("hits, reps, want", [
+    # S = 5, Q1 = 2, Q2 = 1: f0 = (3/4) * 2^2 / (2 * 1) = 1.5
+    (_hits(1, 1, 2, 3, 4), 4, 5 / 6.5),
+    # Q2 = 0: f0 = ((r - 1) / r) * Q1 (Q1 - 1) / 2 = (2/3) * 3 * 2 / 2 = 2
+    (_hits(1, 1, 1, 3), 3, 4 / 6),
+    (_hits(1, 4), 4, 1.0),  # Q2 = 0 and Q1 = 1: f0 = 0
+    (_hits(3, 5, 5), 5, 1.0),  # no pair found only once or twice
+    (_hits(), 2, 1.0),  # S = 0: the 0/0 estimate reads as 1
+    (_hits(), 10, 1.0),
+])
+def test_estimated_recall_on_hand_made_incidence_counts(hits, reps, want):
+    assert estimated_recall(hits, reps) == pytest.approx(want)
+
+
+def test_estimated_recall_never_stops_after_one_repetition():
+    for hits in (_hits(), _hits(1), _hits(1, 1, 1)):
+        assert math.isnan(estimated_recall(hits, 1))  # NaN reaches no target
+    # so even a target that any estimate reaches runs a second repetition
+    ds = gen_uniform(200, 8, 40, seed=3)
+    _, stats = cps_join(ds, CpsConfig(threshold=0.5, recall_target=1e-9))
+    assert len(stats.new_results_per_rep) == 2
+    assert math.isnan(stats.recall_estimate_per_rep[0])
+
+
+def test_incidence_counts_the_repetitions_that_found_each_pair():
+    inc = Incidence()
+
+    def codes(*c):
+        return np.array(c, dtype=np.uint64)
+
+    assert math.isnan(inc.add(codes()))
+    inc.add(codes(5, 9))
+    inc.add(codes(2, 9))
+    inc.add(codes(9))
+    inc.add(codes())
+    assert inc.codes.tolist() == [2, 5, 9] and inc.hits.tolist() == [1, 1, 3]
+    assert inc.reps == 5
+    assert inc.add(codes(2, 5, 7)) == estimated_recall(_hits(2, 2, 1, 3), 6)
+    assert inc.codes.tolist() == [2, 5, 7, 9] and inc.hits.tolist() == [2, 2, 1, 3]
+
+
+def _clustered():
+    """200 uniform background sets plus 4 clusters of 25 near-duplicates."""
+    rng = np.random.default_rng(17)
+    recs = [rng.choice(1500, size=int(s), replace=False) for s in rng.integers(8, 25, size=200)]
+    for _ in range(4):
+        center = rng.choice(1500, size=25, replace=False)
+        for _ in range(25):
+            rec = center.copy()
+            rec[rng.choice(25, size=3, replace=False)] = rng.integers(0, 1500, size=3)
+            recs.append(rec)
+    return Dataset.from_records(recs)
+
+
+@pytest.mark.parametrize("limit", [20, 250])
+def test_a_stopped_run_is_the_fixed_run_cut_at_its_repetitions(limit):
+    ds = _clustered()
+    pairs, stats = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9))
+    reps = len(stats.new_results_per_rep)
+    assert 2 <= reps < CpsConfig.reps  # the rule stopped the run early
+    estimates = stats.recall_estimate_per_rep
+    assert len(estimates) == reps
+    assert estimates[-1] >= CpsConfig.recall_target
+    assert not any(e >= CpsConfig.recall_target for e in estimates[:-1])
+    fixed_pairs, fixed = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, reps=reps,
+                                                recall_target=None))
+    assert np.array_equal(pairs, fixed_pairs)
+    assert (stats.pre_candidates, stats.candidates, stats.results, stats.max_depth) == \
+        (fixed.pre_candidates, fixed.candidates, fixed.results, fixed.max_depth)
+    assert stats.new_results_per_rep == fixed.new_results_per_rep
+    assert np.array_equal(estimates, fixed.recall_estimate_per_rep, equal_nan=True)
+    _, full = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, recall_target=None))
+    assert len(full.new_results_per_rep) == CpsConfig.reps
+    assert full.new_results_per_rep[:reps] == stats.new_results_per_rep
 
 
 def test_coordinate_mask_sampling_rate():
@@ -125,7 +213,7 @@ def test_indistinguishable_signatures_terminate():
 def test_bucket_at_limit_is_compared_without_splitting():
     ds = gen_uniform(250, 8, 60, seed=3)
     assert ds.n == 250
-    cfg = CpsConfig(threshold=0.5, limit=250, reps=10)
+    cfg = CpsConfig(threshold=0.5, limit=250, reps=10, recall_target=None)
     pairs, stats = cps_join(ds, cfg)
     assert stats.max_depth == 0
     assert stats.pre_candidates == 10 * (250 * 249 // 2)

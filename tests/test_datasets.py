@@ -4,10 +4,11 @@ similarity-preserving remap, and both synthetic generators."""
 import numpy as np
 import pytest
 
+from setjoin import exact
 from setjoin.cpsjoin import CpsConfig, cps_join
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform, load, save
 from setjoin.errors import CapacityExceededError, ParseError, TokenOverflowError
-from setjoin.exact import jaccard
+from setjoin.exact import brute_force_join, jaccard
 from setjoin.lsh import LshConfig, lsh_join
 
 
@@ -99,10 +100,11 @@ def test_non_canonical_build_keeps_original_ids():
     assert got == [(3, 7), (7, 900)]
 
 
-def test_raw_32_bit_ids_join_without_a_table_over_the_universe():
+def test_raw_32_bit_ids_join_without_a_table_over_the_universe(monkeypatch):
     # d = 2^32: no bitset, so the joins verify with the token probe, and
-    # preprocess builds rank tables over the tokens that occur. Nothing here
-    # may allocate per id in [0, d), so the test never reads `token_freq`.
+    # preprocess builds rank tables over the tokens that occur, as brute
+    # force builds its matrix columns. Nothing here may allocate per id in
+    # [0, d), so the test never reads `token_freq`.
     rng = np.random.default_rng(21)
     top = 0xFFFFFFFF
     recs = [rng.choice(2 ** 20, size=20, replace=False) + (top - 2 ** 20) for _ in range(30)]
@@ -127,6 +129,11 @@ def test_raw_32_bit_ids_join_without_a_table_over_the_universe():
         assert got <= want
         assert set(planted) <= got
         assert stats.counters_ok()
+    for dense_cap in (exact._DENSE_CELL_CAP, 0):  # dense, then sparse intersection blocks
+        monkeypatch.setattr(exact, "_DENSE_CELL_CAP", dense_cap)
+        pairs, stats = brute_force_join(ds, 0.5)
+        assert {tuple(p) for p in pairs.tolist()} == want
+        assert stats.results == len(want) and stats.counters_ok()
 
 
 def test_bitset_matches_records():
