@@ -6,12 +6,35 @@ dense in [0, d) and ordered by ascending global frequency (ties by original
 id), records sorted by size then lexicographically, tokens sorted within each
 record.
 
+Records are validated one dtype at a time and laid end to end as uint32
+tokens with per-record lengths; `from_records`, `load` and the generators all
+build from that flat form in whole-array passes, with no per-record loop:
+
+1. One sort of `(record << 32) | token` keys sorts each record and drops
+   repeated tokens; records left with fewer than two tokens are dropped.
+2. Duplicate records are found per size, as the rows of a `(k, size)` block
+   viewed as one big-endian void value each; the first occurrence keeps the
+   record, so slots follow input order. This must come before the frequency
+   count, which counts each distinct record once.
+3. A token-major key sort counts every token's records and ranks the tokens
+   by ascending count, ties by original id; a record-major key sort then lays
+   the records out by size, each sorted on its new ids.
+4. Each size's records, a contiguous block, are put in lexicographic order
+   by an argsort of their big-endian void values.
+
+A raw (non-canonical) build stops after pass 2 and keeps the original ids,
+`d = max id + 1` and input order.
+
 Wire format: UTF-8 text, one record per line, space-separated decimal tokens.
+`load` parses a chunk of lines at a time with one conversion of all its tokens;
+only when that fails does it scan the chunk token by token, to name the line
+of the first bad token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,6 +42,7 @@ from .errors import CapacityExceededError, ParseError, TokenOverflowError
 
 _MAX_TOKEN = 0xFFFFFFFF
 _BITSET_BYTE_CAP = 512 * 1024 * 1024
+_LOAD_LINES = 2 ** 16  # lines parsed at a time, bounding the token strings held
 
 
 class Dataset:
@@ -90,101 +114,195 @@ class Dataset:
 
     @staticmethod
     def from_records(records, canonical: bool = True, provenance: dict | None = None) -> "Dataset":
-        ds, _ = _build(records, canonical=canonical, provenance=provenance)
+        ds, _ = _build(*_flatten(records), canonical=canonical, provenance=provenance)
         return ds
 
 
-def _clean_record(raw, where: str) -> np.ndarray:
-    arr = np.asarray(raw)
-    if arr.size and arr.dtype.kind not in "ui":
+def _check_record(arr: np.ndarray, where: str) -> None:
+    """Raise on a non-empty record's bad token: non-integer, then negative,
+    then too wide."""
+    if arr.dtype.kind not in "ui":
         raise ParseError(f"{where}: non-integer token")
-    if arr.size and arr.dtype.kind == "i" and int(arr.min()) < 0:
+    if arr.dtype.kind == "i" and int(arr.min()) < 0:
         raise ParseError(f"{where}: negative token")
-    if arr.size and int(arr.max()) > _MAX_TOKEN:
+    if int(arr.max()) > _MAX_TOKEN:
         raise TokenOverflowError(f"{where}: token exceeds 32 bits")
-    return np.unique(arr.astype(np.uint32))
 
 
-def _build(records, canonical: bool, provenance: dict | None):
-    """Clean records and assemble a Dataset.
+def _flatten(records) -> tuple[np.ndarray, np.ndarray]:
+    """Validate records and lay them end to end: (tokens uint32, lengths).
+
+    The records of each dtype are checked in one pass; the earliest record
+    holding a bad token of any kind raises, worded by `_check_record`.
+    """
+    arrays = [np.asarray(r).ravel() for r in records]
+    lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    dtypes = np.array([a.dtype for a in arrays], dtype=object)
+    first_bad = len(arrays)
+    for dtype in dict.fromkeys(dtypes):  # in order of first appearance
+        members = np.flatnonzero((dtypes == dtype) & (lengths > 0))
+        if not members.size:
+            continue
+        if dtype.kind not in "ui":
+            first_bad = min(first_bad, members[0])
+            continue
+        part = np.concatenate([arrays[i] for i in members])
+        bad = part > _MAX_TOKEN
+        if dtype.kind == "i":
+            bad |= part < 0
+        if bad.any():
+            ends = np.cumsum(lengths[members])
+            first_bad = min(first_bad, members[np.searchsorted(ends, bad.argmax(), side="right")])
+    if first_bad < len(arrays):
+        _check_record(arrays[first_bad], f"record {first_bad}")
+    if not arrays:
+        return np.zeros(0, dtype=np.uint32), lengths
+    # Every token is now in [0, 2^32), so each record casts straight to
+    # uint32; a plain concatenate of int64 and uint64 records would go
+    # through float64.
+    return np.concatenate(arrays, dtype=np.uint32, casting="unsafe"), lengths
+
+
+def _key_sort(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The keys `(high << 32) | low` of 32-bit halves, ascending. Casting a key
+    to uint32 gives back its low half."""
+    keys = high.astype(np.uint64) << np.uint64(32)
+    keys |= low
+    keys.sort()
+    return keys
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the runs of equal neighbours in `values`."""
+    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    if not values.size:
+        return cuts, cuts
+    return np.append(0, cuts), np.append(cuts, values.size)
+
+
+def _rows(block: np.ndarray, size: int) -> np.ndarray:
+    """Records of one size, given as a (k, size) token block, as one void
+    value each that compares like the big-endian token sequence."""
+    return np.ascontiguousarray(block, dtype=">u4").view(f"V{4 * size}").ravel()
+
+
+def _build(tokens: np.ndarray, lengths: np.ndarray, canonical: bool, provenance: dict | None):
+    """Assemble a Dataset from validated uint32 tokens laid end to end, record
+    i holding the next `lengths[i]`.
 
     Returns (dataset, index_map) where index_map[i] is the final index of
-    input record i, or -1 if it was dropped (too small, or a duplicate whose
-    keeper's index is reported instead).
+    input record i, or -1 if it was dropped for having fewer than 2 distinct
+    tokens. A duplicate reports its keeper's index: the first occurrence.
     """
-    cleaned: list[np.ndarray] = []
-    index_map = np.full(len(records), -1, dtype=np.int64)
-    seen: dict[bytes, int] = {}
-    for i, raw in enumerate(records):
-        rec = _clean_record(raw, f"record {i}")
-        if rec.size < 2:
-            continue
-        key = rec.tobytes()
-        slot = seen.get(key)
-        if slot is None:
-            slot = len(cleaned)
-            seen[key] = slot
-            cleaned.append(rec)
-        index_map[i] = slot
+    n_in = lengths.size
+    index_map = np.full(n_in, -1, dtype=np.int64)
+    # Pass 1: sort each record, drop repeated tokens and small records.
+    keys = _key_sort(np.repeat(np.arange(n_in), lengths), tokens)
+    repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    sizes = lengths - np.bincount((keys[repeats] >> np.uint64(32)).astype(np.intp), minlength=n_in)
+    keys = np.delete(keys, repeats)
+    big = sizes >= 2
+    tokens = keys[np.repeat(big, sizes)].astype(np.uint32)
+    kept = np.flatnonzero(big)
+    sizes = sizes[kept]
+    starts = np.cumsum(sizes) - sizes
+
+    # Pass 2: the first occurrence of each distinct record keeps it, so slots
+    # follow input order. This comes before the frequency count, which is
+    # over distinct records.
+    keeper = np.empty(kept.size, dtype=np.intp)
+    by_size = np.argsort(sizes, kind="stable")
+    for start, end in zip(*_runs(sizes[by_size])):
+        members = by_size[start:end]
+        s = int(sizes[members[0]])
+        block = tokens[starts[members][:, None] + np.arange(s)]
+        _, first, inverse = np.unique(_rows(block, s), return_index=True, return_inverse=True)
+        keeper[members] = members[first[inverse]]
+    is_keeper = keeper == np.arange(kept.size)
+    slot = np.cumsum(is_keeper) - 1
+    index_map[kept] = slot[keeper]
+    tokens = tokens[np.repeat(is_keeper, sizes)]
+    sizes = sizes[is_keeper]
 
     if not canonical:
-        d = int(max((int(r[-1]) for r in cleaned), default=-1)) + 1
-        return _assemble(cleaned, d, canonical=False, provenance=provenance), index_map
+        d = int(tokens.max()) + 1 if tokens.size else 0
+        return Dataset(tokens, _indptr(sizes), d, False, provenance), index_map
 
-    if cleaned:
-        flat = np.concatenate(cleaned)
-        orig_ids, counts = np.unique(flat, return_counts=True)
-        # Ascending frequency, ties by original id (lexsort: last key primary).
-        rank_order = np.lexsort((orig_ids, counts))
-        new_id = np.empty(orig_ids.size, dtype=np.uint32)
-        new_id[rank_order] = np.arange(orig_ids.size, dtype=np.uint32)
-        remapped = [np.sort(new_id[np.searchsorted(orig_ids, rec)]) for rec in cleaned]
-        d = orig_ids.size
-    else:
-        remapped, d = [], 0
+    # Pass 3: a token-major key sort counts each token's records and ranks
+    # the tokens by ascending count, ties by original id (lexsort: last key
+    # primary). A record-major key sort then lays the records out by size,
+    # in slot order within a size, each sorted on its new ids.
+    keys = _key_sort(tokens, np.repeat(np.arange(sizes.size, dtype=np.uint32), sizes))
+    ids = keys >> np.uint64(32)
+    starts, ends = _runs(ids)
+    orig_ids, counts = ids[starts], ends - starts
+    new_id = np.empty(orig_ids.size, dtype=np.uint32)
+    new_id[np.lexsort((orig_ids, counts))] = np.arange(orig_ids.size, dtype=np.uint32)
+    by_size = np.argsort(sizes, kind="stable")
+    place = np.empty(sizes.size, dtype=np.intp)
+    place[by_size] = np.arange(sizes.size)
+    keys = _key_sort(place[keys.astype(np.uint32)], np.repeat(new_id, counts))
+    tokens = keys.astype(np.uint32)
+    sizes = sizes[by_size]
 
-    order = sorted(range(len(remapped)),
-                   key=lambda s: (remapped[s].size, remapped[s].astype(">u4").tobytes()))
-    final_of_slot = np.empty(len(order), dtype=np.int64)
-    for pos, slot in enumerate(order):
-        final_of_slot[slot] = pos
-    keep = index_map >= 0
-    index_map[keep] = final_of_slot[index_map[keep]]
+    # Pass 4: each size's records, now a contiguous (k, s) block, in
+    # lexicographic order.
+    indptr = _indptr(sizes)
+    final = np.empty(sizes.size, dtype=np.int64)  # final index by place
+    for start, end in zip(*_runs(sizes)):
+        s = int(sizes[start])
+        block = tokens[indptr[start]:indptr[end]].reshape(-1, s)
+        order = np.argsort(_rows(block, s))
+        block[...] = block[order]
+        final[start + order] = np.arange(start, end)
+    index_map[kept] = final[place][index_map[kept]]
+    return Dataset(tokens, indptr, orig_ids.size, True, provenance), index_map
 
-    return _assemble([remapped[s] for s in order], d, canonical=True,
-                     provenance=provenance), index_map
 
-
-def _assemble(records, d, canonical, provenance) -> Dataset:
-    indptr = np.zeros(len(records) + 1, dtype=np.int64)
-    if records:
-        np.cumsum([r.size for r in records], out=indptr[1:])
-        tokens = np.concatenate(records).astype(np.uint32)
-    else:
-        tokens = np.zeros(0, dtype=np.uint32)
-    return Dataset(tokens, indptr, d, canonical, provenance)
+def _indptr(sizes: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
 
 
 def load(path) -> Dataset:
     """Read a dataset file and return its canonical form."""
-    records = []
+    tokens, lengths = [], []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            rec = []
-            for p in parts:
-                try:
-                    value = int(p, 10)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad token {p!r}") from None
-                if value < 0:
-                    raise ParseError(f"{path}:{lineno}: negative token {value}")
-                if value > _MAX_TOKEN:
-                    raise TokenOverflowError(f"{path}:{lineno}: token {value} exceeds 32 bits")
-                rec.append(value)
-            records.append(np.asarray(rec, dtype=np.uint32))
-    ds, _ = _build(records, canonical=True, provenance={"source": str(path)})
+        lineno = 1
+        while lines := list(islice(fh, _LOAD_LINES)):
+            parts = [line.split() for line in lines]
+            lengths.append(np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)))
+            try:
+                # numpy parses each token as int(p, 10) does.
+                chunk = np.array(list(chain.from_iterable(parts)), dtype=np.int64)
+                in_range = chunk.size == 0 or (chunk.min() >= 0 and chunk.max() <= _MAX_TOKEN)
+            except (ValueError, OverflowError):
+                in_range = False
+            if not in_range:
+                _raise_first_bad_token(path, parts, lineno)
+            tokens.append(chunk.astype(np.uint32))
+            lineno += len(lines)
+    ds, _ = _build(np.concatenate(tokens or [np.zeros(0, dtype=np.uint32)]),
+                   np.concatenate(lengths or [np.zeros(0, dtype=np.int64)]),
+                   canonical=True, provenance={"source": str(path)})
     return ds
+
+
+def _raise_first_bad_token(path, parts, first_lineno: int) -> None:
+    """Raise on the first token, in lines split from `first_lineno` on, that
+    is not an integer in [0, 2^32), naming its line."""
+    for lineno, line in enumerate(parts, first_lineno):
+        for p in line:
+            try:
+                value = int(p, 10)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad token {p!r}") from None
+            if value < 0:
+                raise ParseError(f"{path}:{lineno}: negative token {value}")
+            if value > _MAX_TOKEN:
+                raise TokenOverflowError(f"{path}:{lineno}: token {value} exceeds 32 bits")
+    raise ParseError(f"{path}:{first_lineno}: unreadable tokens")
 
 
 def save(dataset: Dataset, path) -> None:
@@ -205,7 +323,7 @@ def gen_uniform(n: int, avg_size: float, d: int, seed: int = 0) -> Dataset:
     sizes = np.maximum(2, rng.poisson(avg_size, size=n))
     sizes = np.minimum(sizes, d)
     records = [rng.choice(d, size=int(s), replace=False) for s in sizes]
-    ds, _ = _build(records, canonical=True, provenance={
+    ds, _ = _build(*_flatten(records), canonical=True, provenance={
         "generator": "uniform", "n": n, "avg_size": avg_size, "d": d, "seed": seed,
     })
     return ds
@@ -308,7 +426,7 @@ def gen_tokens(spec: TokensSpec) -> Dataset:
         records.append(np.sort(rec))
         made += 1
 
-    ds, index_map = _build(records, canonical=True, provenance=None)
+    ds, index_map = _build(*_flatten(records), canonical=True, provenance=None)
     planted = []
     for a, b, sim, realized in planted_raw:
         na, nb = int(index_map[a]), int(index_map[b])

@@ -11,11 +11,12 @@ the rank position of the token at universe position t. The universe is [0, d)
 when it is no wider than the record tokens (always, for canonical data), and
 otherwise the distinct tokens that occur. Records of equal size are then taken
 in blocks: the least position over each record's tokens, per function, is a
-minimum over a gathered (k, s, F) block, and `order` turns it back into the
-token. The tables are built `_UNIVERSE_CELL_CAP // universe` functions (at
-least one) at a time, so a wide universe costs more chunks rather than more
-memory. One step then cuts the signatures from the matrix and packs the sketch
-bits.
+minimum over a gathered (k, s, F) block, written in place into the chunk's
+rows of the (F, n) matrix through one column index. Once every block is in,
+one `take` per function row turns the positions into tokens through `order`.
+The tables are built `_UNIVERSE_CELL_CAP // universe` functions (at least one)
+at a time, so a wide universe costs more chunks rather than more memory. One
+step then cuts the signatures from the matrix and packs the sketch bits.
 
 The embedding's dimensions are chosen here and nowhere else: a `Prepared`
 reads them off its arrays, and the joins read them off the `Prepared`.
@@ -108,14 +109,15 @@ def _minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
         order, pos = _rank_tables(tables[f:f + step], size, universe)
         if values is None:  # allocated after the first tables, not under them
             values = np.empty((len(tables), data.n), dtype=np.uint32)
-        rows = np.arange(len(order))[:, None]
+        out = values[f:f + len(order)]
         for start, end in zip(starts, np.append(starts[1:], data.n)):
             s = int(sizes[start])
             block = max(1, _BLOCK_CELLS // (s * len(order)))
             for b in range(start, end, block):
                 ids = by_size[b:min(b + block, end)]
-                least = pos[tokens[data.indptr[ids][:, None] + np.arange(s)]].min(axis=1)
-                values[f + rows, ids] = order[rows, least.T]
+                out[:, ids] = pos[tokens[data.indptr[ids][:, None] + np.arange(s)]].min(axis=1).T
+        for r, row in enumerate(out):
+            row[:] = order[r].take(row)
         del order, pos  # freed before the next chunk's tables are built
     return values
 

@@ -1,15 +1,171 @@
 """Dataset layer tests: parsing rules, canonical form invariants, the
-similarity-preserving remap, and both synthetic generators."""
+similarity-preserving remap, and both synthetic generators.
+
+The array-pass build is checked against `_reference_build`, the per-record
+algorithm it replaced, on every canonical and raw field, index map included.
+"""
+
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setjoin import exact
+from setjoin import datasets, exact
 from setjoin.cpsjoin import CpsConfig, cps_join
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform, load, save
 from setjoin.errors import CapacityExceededError, ParseError, TokenOverflowError
 from setjoin.exact import brute_force_join, jaccard
 from setjoin.lsh import LshConfig, lsh_join
+
+
+def _reference_clean(raw, where: str) -> np.ndarray:
+    arr = np.asarray(raw)
+    if arr.size and arr.dtype.kind not in "ui":
+        raise ParseError(f"{where}: non-integer token")
+    if arr.size and arr.dtype.kind == "i" and int(arr.min()) < 0:
+        raise ParseError(f"{where}: negative token")
+    if arr.size and int(arr.max()) > 0xFFFFFFFF:
+        raise TokenOverflowError(f"{where}: token exceeds 32 bits")
+    return np.unique(arr.astype(np.uint32))
+
+
+def _reference_build(records, canonical: bool):
+    """One record at a time: clean, dedup by content, then remap ids by
+    ascending frequency and sort the records by size and content.
+    Returns (tokens, indptr, d, index_map)."""
+    cleaned = []
+    index_map = np.full(len(records), -1, dtype=np.int64)
+    seen = {}
+    for i, raw in enumerate(records):
+        rec = _reference_clean(raw, f"record {i}")
+        if rec.size < 2:
+            continue
+        slot = seen.setdefault(rec.tobytes(), len(cleaned))
+        if slot == len(cleaned):
+            cleaned.append(rec)
+        index_map[i] = slot
+    if not canonical:
+        d = max((int(r[-1]) for r in cleaned), default=-1) + 1
+        out = cleaned
+    else:
+        d = 0
+        remapped = []
+        if cleaned:
+            orig_ids, counts = np.unique(np.concatenate(cleaned), return_counts=True)
+            new_id = np.empty(orig_ids.size, dtype=np.uint32)
+            new_id[np.lexsort((orig_ids, counts))] = np.arange(orig_ids.size, dtype=np.uint32)
+            remapped = [np.sort(new_id[np.searchsorted(orig_ids, rec)]) for rec in cleaned]
+            d = orig_ids.size
+        order = sorted(range(len(remapped)),
+                       key=lambda s: (remapped[s].size, remapped[s].astype(">u4").tobytes()))
+        final_of_slot = np.empty(len(order), dtype=np.int64)
+        final_of_slot[order] = np.arange(len(order))
+        keep = index_map >= 0
+        index_map[keep] = final_of_slot[index_map[keep]]
+        out = [remapped[s] for s in order]
+    indptr = np.zeros(len(out) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in out], out=indptr[1:])
+    tokens = np.concatenate(out).astype(np.uint32) if out else np.zeros(0, dtype=np.uint32)
+    return tokens, indptr, d, index_map
+
+
+def _assert_matches_reference(records, canonical: bool):
+    ds, index_map = datasets._build(*datasets._flatten(records), canonical=canonical,
+                                    provenance=None)
+    tokens, indptr, d, want_map = _reference_build(records, canonical)
+    assert ds.tokens.dtype == np.uint32 and np.array_equal(ds.tokens, tokens)
+    assert ds.indptr.dtype == np.int64 and np.array_equal(ds.indptr, indptr)
+    assert ds.d == d
+    assert ds.canonical == canonical
+    assert index_map.dtype == np.int64 and np.array_equal(index_map, want_map)
+
+
+_FORMS = (list, partial(np.array, dtype=np.int64), partial(np.array, dtype=np.uint32),
+          partial(np.array, dtype=np.uint64))
+_TOKEN_IDS = st.one_of(st.integers(0, 9), st.sampled_from([2 ** 31, 0xFFFFFFFE, 0xFFFFFFFF]))
+
+
+@st.composite
+def _record_lists(draw):
+    """Records, some repeated in another token order, each in one of the
+    list, int64, uint32 and uint64 forms; tokens may repeat in a record."""
+    records = []
+    for base in draw(st.lists(st.lists(_TOKEN_IDS, max_size=6), max_size=10)):
+        records += [draw(st.permutations(base)) for _ in range(draw(st.integers(1, 3)))]
+    records = draw(st.permutations(records))
+    return [draw(st.sampled_from(_FORMS))(rec) for rec in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists(), st.booleans())
+def test_build_matches_per_record_reference(records, canonical):
+    _assert_matches_reference(records, canonical)
+
+
+def test_build_matches_reference_on_edge_inputs():
+    for records in ([], [[]], [[5], [5, 5], [7, 7, 7]], [[3, 1, 2], [2, 3, 1, 1], [9, 0xFFFFFFFF]]):
+        for canonical in (True, False):
+            _assert_matches_reference(records, canonical)
+
+
+def test_from_records_names_the_bad_record():
+    with pytest.raises(ParseError, match="record 2: non-integer"):
+        Dataset.from_records([[1, 2], [3, 4], [1.5, 2.0]])
+    with pytest.raises(ParseError, match="record 1: negative"):
+        Dataset.from_records([[1, 2], np.array([3, -4])])
+    with pytest.raises(TokenOverflowError, match="record 1: token exceeds 32 bits"):
+        Dataset.from_records([[1, 2], np.array([3, 2 ** 32], dtype=np.uint64)])
+
+
+def test_from_records_reports_the_earliest_bad_record_of_any_kind():
+    records = [[1, 2], [2, 3], [3, 4], np.array([4, -5]), [5, 6], np.array([0.5, 1.0]),
+               np.array([2 ** 32, 1], dtype=np.uint64)]
+    with pytest.raises(ParseError, match="record 3: negative"):
+        Dataset.from_records(records)
+    records[3], records[5] = records[5], records[3]
+    with pytest.raises(ParseError, match="record 3: non-integer"):
+        Dataset.from_records(records)
+    records[3] = records[6]
+    with pytest.raises(TokenOverflowError, match="record 3"):
+        Dataset.from_records(records)
+
+
+def test_from_records_mixes_int64_and_uint64_records_exactly():
+    # A plain concatenate of these would go through float64.
+    top = 0xFFFFFFFF
+    records = [np.array([top, 1, 2]), np.array([top - 1, 1, top], dtype=np.uint64),
+               np.array([2, top - 1], dtype=np.int64), np.array([1, 2, top], dtype=np.uint64)]
+    for canonical in (True, False):
+        _assert_matches_reference(records, canonical)
+
+
+def test_load_matches_from_records_across_line_endings(tmp_path):
+    p = tmp_path / "sets.txt"
+    p.write_bytes(b"1 2 3\r\n  3\t2 1 \r\n\n4 4294967295\r5 6 7\n8")
+    got = load(p)
+    want = Dataset.from_records([[1, 2, 3], [3, 2, 1], [], [4, 4294967295], [5, 6, 7], [8]])
+    assert np.array_equal(got.tokens, want.tokens)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert got.d == want.d
+
+
+
+def test_load_parses_in_chunks_of_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_LOAD_LINES", 2)
+    ds = gen_uniform(51, 6, 40, seed=3)
+    p = tmp_path / "chunks.txt"
+    save(ds, p)
+    back = load(p)
+    assert np.array_equal(back.tokens, ds.tokens)
+    assert np.array_equal(back.indptr, ds.indptr)
+    p.write_text("1 2\n3 4\n5 6\n7 -8\n9 x\n")
+    with pytest.raises(ParseError, match=r"chunks.txt:4: negative token -8"):
+        load(p)
+    p.write_text("1 2\n3 4\n5 6\n7 8\n9 x\n")
+    with pytest.raises(ParseError, match=r"chunks.txt:5: bad token 'x'"):
+        load(p)
 
 
 def _assert_canonical(ds: Dataset):

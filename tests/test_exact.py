@@ -168,6 +168,19 @@ def test_reported_pairs_actually_meet_threshold():
     assert np.unique(pairs, axis=0).shape == pairs.shape
 
 
+def test_allpairs_size_filter_keeps_a_pair_at_exactly_the_threshold():
+    # 27 of 42 tokens shared: Jaccard 27/42 == 9/14 exactly, but
+    # 9/14 * 42 evaluates to 27.000000000000004, so a size filter of
+    # ceil(threshold * size) with no tolerance would ask for 28 tokens.
+    lam = 9 / 14
+    assert lam * 42 > 27
+    ds = Dataset.from_records([np.arange(27), np.arange(42)])
+    pairs, stats = allpairs_join(ds, lam)
+    assert pairs.tolist() == [[0, 1]]
+    assert stats.results == 1
+    assert np.array_equal(pairs, brute_force_join(ds, lam)[0])
+
+
 def test_threshold_one_returns_no_pairs_on_deduped_data():
     ds = gen_uniform(200, 6, 30, seed=6)
     pairs, _ = brute_force_join(ds, 1.0)

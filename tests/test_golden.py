@@ -15,6 +15,11 @@ fixed ten-repetition run rather than where the self-tuned stop falls.
 Every join that verifies pairs is pinned on both verification routes: the
 bitset popcount these small universes take by default, and the token probe
 that datasets too wide for a bitset take. The digests are the same.
+
+The canonical datasets themselves are pinned too: the sha256 of `tokens`,
+`indptr`, `d` and the build's index map (input record to final index, which
+`gen_tokens` reads to number its planted pairs), taken from the per-record
+build before the array-pass build replaced it.
 """
 
 import hashlib
@@ -113,3 +118,32 @@ def test_seeded_join_digest_on_the_probe_route(monkeypatch, dataset, join, confi
     pairs, stats = join(data, config(lam))
     assert data.bitset() is None
     assert _digest(pairs, stats) == want
+
+
+def _dataset_digest(monkeypatch, generate) -> str:
+    built = []
+    build = datasets._build
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(datasets, "_build", spy)
+    generate()
+    (data, index_map), = built
+    h = hashlib.sha256()
+    for part in (data.tokens, data.indptr, np.array([data.d], dtype=np.int64), index_map):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("generate, want", [
+    (lambda: gen_uniform(2000, 30, 10_000, seed=17),
+     "5bf2c8bab66c24e653ae4e5bc303e9e8e6f11c05a331910f936db20f970ad305"),
+    (lambda: gen_tokens(TokensSpec(  # the acceptance gate's recipe
+        d=1000, max_freq=1700, seed=41,
+        planted=((0.55, 10), (0.65, 10), (0.75, 10), (0.85, 10), (0.95, 10)))),
+     "ee6c300f472e1a346cf3b54b2124447716efd282a27766742bd2d5ba2f6fa15b"),
+], ids=["uniform", "acceptance-tokens"])
+def test_canonical_dataset_digest(monkeypatch, generate, want):
+    assert _dataset_digest(monkeypatch, generate) == want
