@@ -4,12 +4,14 @@ The protocol for approximate algorithms mirrors how the join quality is
 reported: the exact result is computed once per threshold of a `run` or
 `sweep` call with the inverted-index join, repetitions run cumulatively, and
 the run stops once the union of reported pairs reaches the recall target (or
-the repetition budget). Without the oracle, CPSJoin stops where its own
-capture-recapture estimate (`cpsjoin.estimated_recall`) reaches the target,
-and LSH runs its full budget. Reported join time covers the repetitions only;
-embedding/sketching time is its own column and the oracle is never timed into
-either. A row summarizes all trials: times are means; recall, counters and
-echoed parameters the lower median.
+the repetition budget). The target defaults to the algorithm's own:
+`CpsConfig.recall_target` for CPSJoin, `LshConfig.recall_target` for LSH.
+Without the oracle, CPSJoin stops where its own capture-recapture estimate
+(`cpsjoin.estimated_recall`) reaches the target, and LSH runs its full
+budget. Reported join time covers the repetitions only; embedding/sketching
+time is its own column and the oracle is never timed into either. A row
+summarizes all trials: times are means; recall, counters and echoed
+parameters the lower median.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class ExperimentSpec:
     data: Dataset
     algorithm: str
     thresholds: tuple
-    recall_target: float = mlsh.LshConfig.recall_target
+    recall_target: float | None = None  # None: each algorithm's config default
     max_reps: int | None = None  # None: CpsConfig.reps for cpsjoin, formula for lsh
     limit: int = cps.CpsConfig.limit
     eps: float = cps.CpsConfig.eps
@@ -139,6 +141,7 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
     # The embedding depends on the trial seed only, so each trial embeds once
     # and runs every threshold on it.
     base_seed = _stable_seed(spec.seed, spec.dataset, spec.algorithm)
+    target = _recall_target(spec)
     trial_rows = [[] for _ in spec.thresholds]
     trial_params = [[] for _ in spec.thresholds]
     prep_times = []
@@ -167,12 +170,12 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
             for rep in range(max_reps):
                 t0 = time.perf_counter()
                 codes = run_rep(rep)
-                done = self_tuned and incidence.add(codes) >= spec.recall_target
+                done = self_tuned and incidence.add(codes) >= target
                 join_t += time.perf_counter() - t0
                 reps_used += 1
                 if exacts[t] is not None:
                     recall = _recall(kernel.codes(), exacts[t])
-                    done = recall >= spec.recall_target
+                    done = recall >= target
                 if done:
                     break
             trial_rows[t].append(ReportRow(
@@ -205,6 +208,15 @@ def _lower_median(values):
     return sorted(values)[(len(values) - 1) // 2]
 
 
+def _recall_target(spec: ExperimentSpec) -> float:
+    """The spec's recall target, or else its algorithm's own default:
+    `CpsConfig.recall_target` for cpsjoin, `LshConfig.recall_target` for lsh."""
+    if spec.recall_target is not None:
+        return spec.recall_target
+    config = cps.CpsConfig if spec.algorithm == "cpsjoin" else mlsh.LshConfig
+    return config.recall_target
+
+
 def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
     """The join config an approximate run of `spec` uses at one threshold."""
     if spec.algorithm == "cpsjoin":
@@ -213,7 +225,7 @@ def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
             threshold=threshold, delta=spec.delta, eps=spec.eps, limit=spec.limit,
             reps=spec.max_reps or cps.CpsConfig.reps, seed=seed, recall_target=None)
     return mlsh.LshConfig(
-        threshold=threshold, recall_target=spec.recall_target, k=spec.k,
+        threshold=threshold, recall_target=_recall_target(spec), k=spec.k,
         reps=spec.max_reps, delta=spec.delta, seed=seed)
 
 
@@ -238,7 +250,7 @@ def sweep(spec: ExperimentSpec, param: str, values) -> list[ReportRow]:
         raise ValueError("need at least one sweep value")
     lam = spec.thresholds[0]
     base = replace(spec, thresholds=(lam,),
-                   recall_target=max(spec.recall_target, _SWEEP_RECALL_FLOOR))
+                   recall_target=max(_recall_target(spec), _SWEEP_RECALL_FLOOR))
     exacts = _oracle_codes(base)
     default = getattr(ExperimentSpec, param)
     default_row = _run_approximate(replace(base, **{param: default}), exacts)[0]

@@ -14,7 +14,9 @@ import os
 import sys
 
 from . import bench
+from .cpsjoin import CpsConfig
 from .datasets import TokensSpec, gen_tokens, gen_uniform, load
+from .lsh import LshConfig
 
 
 def _parse_kv(text: str) -> dict:
@@ -108,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold", default="0.5",
                         help="comma separated similarity thresholds (default 0.5)")
     defaults = bench.ExperimentSpec
-    parser.add_argument("--recall", type=float, default=defaults.recall_target,
-                        help="stop repetitions at this recall (default %(default)s)")
+    parser.add_argument("--recall", type=float, default=None,
+                        help="stop repetitions at this recall (default: "
+                             f"{CpsConfig.recall_target} for cpsjoin, "
+                             f"{LshConfig.recall_target} for lsh)")
     parser.add_argument("--reps", type=int, default=None,
                         help="repetition budget override")
     parser.add_argument("--limit", type=int, default=defaults.limit,

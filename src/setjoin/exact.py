@@ -2,7 +2,9 @@
 
 Both joins report exactly the pairs with Jaccard similarity >= threshold: the
 brute-force oracle counts every pair's intersection through a dense or sparse
-matrix product; AllPairs probes an inverted index over prefix tokens as
+matrix product, over the upper triangle only, in row blocks of about
+`_BLOCK_CELLS` cells, and reads its size filter from one table over the
+distinct record sizes; AllPairs probes an inverted index over prefix tokens as
 whole-array passes (sort, searchsorted, blocked pair dedup). `verify_pairs`,
 which AllPairs and both approximate joins end in, counts intersections by
 bitset popcount or, past the bitset's memory cap, by searchsorted over the
@@ -26,7 +28,7 @@ from .stats import JoinStats, decode_pairs, encode_pairs, unique_pairs
 
 _EPS = 1e-9
 _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
-_BLOCK_CELLS = 2 ** 23  # target cells per intersection-count block
+_BLOCK_CELLS = 2 ** 19  # target cells per intersection-count block
 _PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one record has more
 _VERIFY_BLOCK = 4096  # pairs per popcount block, so gathered bitset rows stay cache-sized
 _PROBE_BLOCK = 2 ** 18  # probed tokens per block of the bitset-free intersection count
@@ -107,24 +109,25 @@ def _probe_intersections(data: Dataset, a_ids, b_ids) -> np.ndarray:
 
 
 def _intersection_blocks(data: Dataset):
-    """Yield (row_start, counts_block) with counts_block[r, j] = |x_{row_start+r} & x_j|.
+    """Yield (i0, counts) with counts[r, c] = |x_{i0+r} & x_{i0+c}|: row blocks
+    of the upper triangle, each rows [i0, i1) against columns [i0, n).
 
-    The matrix columns are the token ids, or, where the universe is wider than
-    the record tokens, the ids that occur, so no array spans an unused universe.
+    A block has `_BLOCK_CELLS // (n - i0)` rows (at least one), so the blocks
+    tile the triangle in about `_BLOCK_CELLS` cells each and grow taller as
+    the triangle narrows. The counts are exact integers: float32 from a dense
+    product, int32 from a sparse one. The matrix columns are the token ids,
+    or, where the universe is wider than the record tokens, the ids that
+    occur, so no array spans an unused universe.
     """
     n, d = data.n, data.d
     cols = data.tokens
     if d > cols.size:
         universe, cols = np.unique(cols, return_inverse=True)
         d = universe.size
-    block = max(1, _BLOCK_CELLS // max(n, 1))
     if n * d <= _DENSE_CELL_CAP:
-        dense = np.zeros((n, d), dtype=np.float32)
-        rows = np.repeat(np.arange(n), np.diff(data.indptr))
-        dense[rows, cols.astype(np.intp)] = 1.0
-        for i0 in range(0, n, block):
-            counts = dense[i0:i0 + block] @ dense.T
-            yield i0, counts.astype(np.int64)
+        x = np.zeros((n, d), dtype=np.float32)
+        x[np.repeat(np.arange(n), np.diff(data.indptr)), cols.astype(np.intp)] = 1.0
+        product = lambda i0, i1: x[i0:i1] @ x[i0:].T
     else:
         from scipy.sparse import csr_matrix
 
@@ -133,38 +136,52 @@ def _intersection_blocks(data: Dataset):
              cols.astype(np.int64), data.indptr),
             shape=(n, d),
         )
-        xt = x.T.tocsr()
-        for i0 in range(0, n, block):
-            counts = (x[i0:i0 + block] @ xt).toarray()
-            yield i0, counts.astype(np.int64)
+        xt = x.T.tocsc()
+        product = lambda i0, i1: (x[i0:i1] @ xt[:, i0:]).toarray()
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, _BLOCK_CELLS // (n - i0)))
+        yield i0, product(i0, i1)
+        i0 = i1
 
 
 def brute_force_join_multi(data: Dataset, thresholds) -> dict:
-    """One intersection-count pass, evaluated at several thresholds.
+    """One intersection-count pass over the upper triangle, evaluated at
+    several thresholds.
+
+    Each block's Jaccard values are one float64 division of its exact counts
+    by the unions. A pair (i, j), i < j, is a result where that value reaches
+    the threshold and the pair passes the size filter; the filter is one
+    boolean table per threshold over the distinct sizes, read at the pair's
+    size classes. `candidates`, the pairs passing the filter, is counted from
+    the table and the size-class counts.
 
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
     thresholds = list(thresholds)
     n = data.n
-    sizes = data.sizes.astype(np.int64)
-    out_codes = {lam: [] for lam in thresholds}
-    cand_counts = {lam: 0 for lam in thresholds}
     t0 = time.perf_counter()
+    distinct, size_class, per_class = np.unique(
+        data.sizes.astype(np.int64), return_inverse=True, return_counts=True)
+    smin = np.minimum.outer(distinct, distinct)
+    smax = np.maximum.outer(distinct, distinct)
+    size_ok = {lam: lam * smax <= smin + _EPS for lam in thresholds}
+    # pairs i < j: the ordered pairs of distinct records, halved
+    cand_counts = {lam: int(per_class @ ok @ per_class - per_class @ ok.diagonal()) // 2
+                   for lam, ok in size_ok.items()}
+    out_codes = {lam: [] for lam in thresholds}
     for i0, counts in _intersection_blocks(data):
-        rows = np.arange(i0, i0 + counts.shape[0])
-        cols = np.arange(n)
-        upper = cols[None, :] > rows[:, None]
-        smin = np.minimum(sizes[rows][:, None], sizes[None, :])
-        smax = np.maximum(sizes[rows][:, None], sizes[None, :])
-        union = sizes[rows][:, None] + sizes[None, :] - counts
-        sim = counts / union
+        sizes = data.sizes.astype(counts.dtype)
+        union = sizes[i0:i0 + counts.shape[0], None] + sizes[None, i0:]
+        union -= counts
+        sim = np.divide(counts, union, dtype=np.float64)
         for lam in thresholds:
-            size_ok = upper & (lam * smax <= smin + _EPS)
-            cand_counts[lam] += int(np.count_nonzero(size_ok))
-            hit = size_ok & (sim >= lam)
-            ri, ci = np.nonzero(hit)
-            if ri.size:
-                out_codes[lam].append(encode_pairs(rows[ri], ci))
+            ri, ci = np.divmod(np.flatnonzero(sim >= lam), sim.shape[1])
+            upper = ci > ri
+            i, j = ri[upper] + i0, ci[upper] + i0
+            hit = size_ok[lam][size_class[i], size_class[j]]
+            if hit.any():
+                out_codes[lam].append(encode_pairs(i[hit], j[hit]))
     elapsed = time.perf_counter() - t0
     result = {}
     for lam in thresholds:

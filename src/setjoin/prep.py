@@ -139,6 +139,7 @@ def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None):
     positions = np.arange(size, dtype=dtype)[None, :]
     token_mask = np.uint64((1 << max(size - 1, 1).bit_length()) - 1)
     step = max(1, min(64, _RANK_CHUNK_CELLS // max(size, 1)))
+    row_offsets = np.arange(step, dtype=np.intp)[:, None] * size
     for f in range(0, fns, step):
         chunk = slice(f, min(f + step, fns))
         if universe is None:
@@ -155,9 +156,10 @@ def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None):
         if near.size:
             perm[near] = np.argsort(ranks[near], axis=1, kind="stable")
         order[chunk] = perm if universe is None else universe[perm]
-        inverse = np.empty_like(perm)
-        np.put_along_axis(inverse, perm, positions, axis=1)
-        pos[:, chunk] = inverse.T
+        # a flat buffer, not `perm`'s layout: `hash_keys` ranks are F-ordered
+        inverse = np.empty(perm.size, dtype=dtype)
+        inverse[perm + row_offsets[:len(perm)]] = positions
+        pos[:, chunk] = inverse.reshape(perm.shape).T
     return order, pos
 
 

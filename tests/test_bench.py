@@ -17,7 +17,7 @@ from setjoin.cli import _generate, _parse_planted, main
 from setjoin.cpsjoin import CpsConfig, cps_join_prepared
 from setjoin.datasets import gen_uniform
 from setjoin.exact import allpairs_join, brute_force_join
-from setjoin.lsh import lsh_join_prepared
+from setjoin.lsh import LshConfig, lsh_join_prepared
 from setjoin.prep import preprocess
 from setjoin.tabulation import derive_seed
 
@@ -125,10 +125,25 @@ def test_no_oracle_stops_cpsjoin_at_its_recall_estimate(dense):
     _, full = join_pairs(spec, 0.5)  # every repetition of the same trial
     assert len(full.new_results_per_rep) == CpsConfig.reps
     stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
-                if e >= spec.recall_target)
+                if e >= bench._recall_target(spec))
     assert row.reps_used == stop < len(full.new_results_per_rep)
     assert row.results == sum(full.new_results_per_rep[:stop])
     assert f"reps={CpsConfig.reps}" in row.params  # the echo is the budget
+
+
+def test_each_algorithm_defaults_to_its_own_recall_target(dense):
+    # LSH's 0.9 would stop this CPSJoin run after 2 repetitions
+    spec = _spec(dense, "cpsjoin", use_oracle=False)
+    assert spec.recall_target is None
+    _, full = join_pairs(spec, 0.5)
+    stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
+                if e >= CpsConfig.recall_target)
+    assert run(spec)[0].reps_used == stop
+    assert stop > run(replace(spec, recall_target=0.9))[0].reps_used == 2
+    lsh = _spec(dense, "lsh")
+    assert bench._approximate_config(lsh, 0.5, 0).recall_target == LshConfig.recall_target
+    cfg = bench._approximate_config(replace(lsh, recall_target=0.8), 0.5, 0)
+    assert cfg.recall_target == 0.8  # an explicit target applies to either join
 
 
 def test_oracle_run_stops_cpsjoin_at_the_oracle_recall(dense, monkeypatch):

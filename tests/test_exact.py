@@ -7,10 +7,12 @@ cases and by property tests against the direct Jaccard formula. Batch
 verification must give the same intersection counts on the bitset and the
 bitset-free probe route. The array-pass
 AllPairs is also checked against a per-record loop reference, pairs and
-counters alike.
+counters alike, and the quadratic join's upper-triangle blocks against a
+per-pair scan, on both product routes and at block sizes down to one row.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setjoin import datasets, exact
-from setjoin.datasets import Dataset, gen_uniform
+from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
 from setjoin.errors import CanonicalOrderError
 from setjoin.exact import (
     _EPS,
@@ -230,6 +232,82 @@ def test_brute_force_uses_sparse_route_on_large_universe():
             if jaccard(ds.record(i), ds.record(j)) >= 0.5:
                 want.append((i, j))
     assert [tuple(p) for p in pairs] == want
+
+
+def _tiling_records():
+    """Records of many sizes in no size order, with the 27-in-42 pair whose
+    Jaccard is exactly 9/14 (see the AllPairs size-filter test above)."""
+    rng = np.random.default_rng(14)
+    recs = [rng.choice(60, size=int(s), replace=False) for s in rng.integers(2, 46, size=45)]
+    recs[10:10] = [np.arange(27), np.arange(42)]
+    recs += [recs[3][:-1], np.concatenate([recs[7], [60, 61]])]  # near-duplicates
+    return recs
+
+
+def _per_pair_scan(data: Dataset, lam: float):
+    """Reference brute force: every pair i < j, its Jaccard and size filter."""
+    pairs, candidates = [], 0
+    for i in range(data.n):
+        for j in range(i + 1, data.n):
+            small, large = sorted((int(data.sizes[i]), int(data.sizes[j])))
+            candidates += lam * large <= small + _EPS
+            if jaccard(data.record(i), data.record(j)) >= lam:
+                pairs.append((i, j))
+    return pairs, candidates
+
+
+@pytest.mark.parametrize("route", ["dense", "sparse"])
+@pytest.mark.parametrize("block_cells", [1, 130, 2 ** 19])
+@pytest.mark.parametrize("canonical", [True, False])
+def test_brute_force_triangle_blocks_match_per_pair_scan(monkeypatch, route, block_cells,
+                                                         canonical):
+    ds = Dataset.from_records(_tiling_records(), canonical=canonical)
+    if not canonical:
+        assert (np.diff(ds.sizes) < 0).any()  # sizes in no order
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", block_cells)
+    if route == "sparse":
+        monkeypatch.setattr(exact, "_DENSE_CELL_CAP", 0)
+    # every block spans rows [i0, i1) and columns [i0, n), and the blocks
+    # cover each row once; 130 cells cut the first blocks mid-triangle
+    blocks, next_row = 0, 0
+    for i0, counts in exact._intersection_blocks(ds):
+        rows = counts.shape[0]
+        assert i0 == next_row and counts.shape[1] == ds.n - i0
+        assert rows == min(ds.n - i0, max(1, block_cells // (ds.n - i0)))
+        want = [[np.intersect1d(ds.record(i), ds.record(j)).size
+                 for j in range(i0, ds.n)] for i in range(i0, i0 + rows)]
+        assert np.array_equal(counts, want)
+        blocks, next_row = blocks + 1, i0 + rows
+    assert next_row == ds.n
+    if block_cells == 130:
+        assert 1 < blocks < ds.n
+    lams = (0.2, 1 / 3, 0.5, 9 / 14, 0.8, 1.0)
+    multi = brute_force_join_multi(ds, lams)
+    for lam in lams:
+        pairs, stats = multi[lam]
+        want_pairs, want_candidates = _per_pair_scan(ds, lam)
+        assert [tuple(p) for p in pairs.tolist()] == want_pairs
+        assert stats.candidates == want_candidates
+        assert stats.results == len(want_pairs)
+        assert stats.pre_candidates == ds.n * (ds.n - 1) // 2
+    # the 27-in-42 pair is found: sizes 27 and 42 reach 9/14 only at c = 27
+    assert any(sorted(ds.sizes[p].tolist()) == [27, 42] for p in multi[9 / 14][0])
+
+
+def test_brute_force_memory_stays_bounded():
+    # the acceptance tokens recipe: n = 4,928 records over 1,000 tokens; the
+    # count matrix in one piece would be 4928^2 float32 cells, about 93 MB
+    ds = gen_tokens(TokensSpec(
+        d=1000, max_freq=1700,
+        planted=((0.55, 10), (0.65, 10), (0.75, 10), (0.85, 10), (0.95, 10)), seed=41))
+    assert ds.n == 4928
+    tracemalloc.start()
+    try:
+        brute_force_join_multi(ds, (0.5, 0.6, 0.7, 0.8, 0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
 
 
 def _allpairs_loop(data: Dataset, threshold: float, prefix_filter: bool = True):
