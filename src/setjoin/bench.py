@@ -6,12 +6,12 @@ reported: the exact result is computed once per threshold of a `run` or
 the run stops once the union of reported pairs reaches the recall target (or
 the repetition budget). The target defaults to the algorithm's own:
 `CpsConfig.recall_target` for CPSJoin, `LshConfig.recall_target` for LSH.
-Without the oracle, CPSJoin stops where its own capture-recapture estimate
-(`cpsjoin.estimated_recall`) reaches the target, and LSH runs its full
-budget. Reported join time covers the repetitions only; embedding/sketching
-time is its own column and the oracle is never timed into either. A row
-summarizes all trials: times are means; recall, counters and echoed
-parameters the lower median.
+Without the oracle, CPSJoin stops where the capture-recapture estimate its
+candidate kernel keeps (`cpsjoin.estimated_recall`) reaches the target; LSH's
+kernel keeps the same estimate, but LSH runs its full budget. Reported join
+time covers the repetitions only; embedding/sketching time is its own column
+and the oracle is never timed into either. A row summarizes all trials: times
+are means; recall, counters and echoed parameters the lower median.
 """
 
 from __future__ import annotations
@@ -163,25 +163,21 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
                 extra = {"k": k, "reps": max_reps}
 
             recall = None
-            reps_used = 0
             join_t = 0.0
-            self_tuned = exacts[t] is None and spec.algorithm == "cpsjoin"
-            incidence = cps.Incidence()
             for rep in range(max_reps):
                 t0 = time.perf_counter()
-                codes = run_rep(rep)
-                done = self_tuned and incidence.add(codes) >= target
+                run_rep(rep)
                 join_t += time.perf_counter() - t0
-                reps_used += 1
                 if exacts[t] is not None:
                     recall = _recall(kernel.codes(), exacts[t])
-                    done = recall >= target
-                if done:
+                    if recall >= target:
+                        break
+                elif spec.algorithm == "cpsjoin" and stats.recall_estimate_per_rep[-1] >= target:
                     break
             trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
                 join_time_s=join_t, preprocess_time_s=prep.elapsed_s,
-                recall=recall, reps_used=reps_used,
+                recall=recall, reps_used=len(stats.new_results_per_rep),
                 pre_candidates=stats.pre_candidates, candidates=stats.candidates,
                 results=kernel.codes().size,
             ))

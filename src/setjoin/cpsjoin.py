@@ -20,10 +20,12 @@ most pairs the earlier ones found, so the kernel verifies each distinct pair
 once per join and remembers the outcome. The children of one split that are
 small enough to be compared pairwise go through the kernel in one batch.
 
-The join tunes its own repetition count: after each repetition it counts, for
-every distinct pair found so far, the repetitions that found it, and stops
-once Chao's capture-recapture estimate of the share of the result set found
-(`estimated_recall`) reaches `CpsConfig.recall_target`, or after `reps`.
+The join tunes its own repetition count: the kernel counts, for every pair
+found so far, the repetitions that found it, and after each one turns the
+counts into Chao's capture-recapture estimate of the share of the result set
+found (`estimated_recall`). The join stops once that reaches
+`CpsConfig.recall_target`, or after `reps`, in the loop both approximate
+joins share (`run_repetitions`).
 """
 
 from __future__ import annotations
@@ -112,33 +114,6 @@ def estimated_recall(hits: np.ndarray, reps: int) -> float:
     return found / (found + missed) if found else 1.0
 
 
-class Incidence:
-    """How many repetitions found each distinct pair, for `estimated_recall`."""
-
-    __slots__ = ("codes", "hits", "reps")
-
-    def __init__(self):
-        self.codes = np.zeros(0, dtype=np.uint64)  # sorted codes of the pairs found
-        self.hits = np.zeros(0, dtype=np.int64)  # repetitions that found each
-        self.reps = 0
-
-    def add(self, codes: np.ndarray) -> float:
-        """Count in one repetition's sorted distinct pair codes; returns the
-        estimated recall after it."""
-        merged = np.concatenate([self.codes, codes])
-        order = np.argsort(merged, kind="stable")  # merges the two sorted runs
-        merged = merged[order]
-        hits = np.concatenate([self.hits, np.ones(codes.size, dtype=np.int64)])[order]
-        # a code found before sits just ahead of its copy from this repetition
-        again = merged[1:] == merged[:-1]
-        hits[:-1] += again
-        keep = np.ones(merged.size, dtype=bool)
-        np.logical_not(again, out=keep[1:])
-        self.codes, self.hits = merged[keep], hits[keep]
-        self.reps += 1
-        return estimated_recall(self.hits, self.reps)
-
-
 class CandidateKernel:
     """The step both approximate joins end in, one per join: candidate pairs
     in, verified codes out, each distinct pair verified at most once.
@@ -153,11 +128,14 @@ class CandidateKernel:
     exactly and merges the outcomes into two sorted arrays, one of passed and
     one of failed codes.
 
-    `end_repetition()` flushes, appends the repetition's first-time passes to
-    `stats.new_results_per_rep` and returns the sorted codes of every pair
-    the repetition found that passes, whether new or found before.
-    `codes()` flushes and returns the sorted codes of every pair passed so
-    far in the join.
+    Next to each passed code it counts the repetitions that found it: the
+    flush's lookup among the passed codes adds the hits, and a new pass
+    starts at one. `end_repetition()` flushes, keeps one hit per pair found
+    by several of its flushes, appends the first-time passes to
+    `stats.new_results_per_rep` and the hits' `estimated_recall` to
+    `stats.recall_estimate_per_rep`, and returns the sorted codes of every
+    pair the repetition found that passes, new or found before. `codes()`
+    flushes and returns the sorted codes of every pair passed so far.
 
     The sketch cutoff is applied as an integer one: the largest Hamming
     distance whose estimate reaches it (`max_h`). Distances are summed a word
@@ -166,7 +144,7 @@ class CandidateKernel:
     """
 
     __slots__ = ("data", "sketches", "columns", "sizes", "threshold", "max_h", "stats",
-                 "_hamming_dtype", "_buffer", "_buffered", "_passed", "_failed",
+                 "_hamming_dtype", "_buffer", "_buffered", "_passed", "_hits", "_failed",
                  "_rep_passed", "_rep_new")
 
     def __init__(self, prep: Prepared, threshold: float, delta: float, stats: JoinStats):
@@ -182,6 +160,7 @@ class CandidateKernel:
         self._buffer = []  # code arrays of candidates not yet flushed
         self._buffered = 0
         self._passed = np.zeros(0, dtype=np.uint64)  # sorted, verified similar
+        self._hits = np.zeros(0, dtype=np.int64)  # repetitions that found each passed code
         self._failed = np.zeros(0, dtype=np.uint64)  # sorted, verified not similar
         self._rep_passed = []  # per flush of this repetition, its candidates that pass
         self._rep_new = 0
@@ -215,13 +194,18 @@ class CandidateKernel:
             return
         codes = unique_pairs(self._buffer)
         self._buffer, self._buffered = [], 0
-        passed = _members(self._passed, codes)
-        fresh = ~(passed | _members(self._failed, codes))
+        at, passed = _lookup(self._passed, codes)
+        self._hits[at[passed]] += 1
+        fresh = ~(passed | _lookup(self._failed, codes)[1])
         new = codes[fresh]
         a, b = decode_pairs(new).T
         ok = verify_pairs(self.data, a, b, self.threshold)
         passed[fresh] = ok
-        self._passed = _insert_sorted(self._passed, new[ok])
+        new_passed = new[ok]
+        if new_passed.size:
+            at = np.searchsorted(self._passed, new_passed)
+            self._passed = np.insert(self._passed, at, new_passed)
+            self._hits = np.insert(self._hits, at, 1)
         self._failed = _insert_sorted(self._failed, new[~ok])
         self._rep_passed.append(codes[passed])
         self._rep_new += int(np.count_nonzero(ok))
@@ -231,9 +215,16 @@ class CandidateKernel:
         it found that pass, whether first found in it or earlier."""
         self._flush()
         parts, self._rep_passed = self._rep_passed, []
+        found = parts[0] if len(parts) == 1 else unique_pairs(parts)
+        if len(parts) > 1:  # each flush added its hits: keep one per pair found
+            self._hits -= np.bincount(np.searchsorted(self._passed, np.concatenate(parts)),
+                                      minlength=self._passed.size)
+            self._hits[np.searchsorted(self._passed, found)] += 1
         self.stats.new_results_per_rep.append(self._rep_new)
         self._rep_new = 0
-        return parts[0] if len(parts) == 1 else unique_pairs(parts)
+        self.stats.recall_estimate_per_rep.append(
+            estimated_recall(self._hits, len(self.stats.new_results_per_rep)))
+        return found
 
     def codes(self) -> np.ndarray:
         """Sorted codes of every distinct pair passed so far in the join."""
@@ -241,13 +232,14 @@ class CandidateKernel:
         return self._passed
 
 
-def _members(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Which of `codes` occur in the sorted array `sorted_codes`."""
+def _lookup(sorted_codes: np.ndarray, codes: np.ndarray):
+    """Where each of `codes` would sit in the sorted array `sorted_codes`, and
+    whether it is there; a code past the end gets the last index."""
     if sorted_codes.size == 0:
-        return np.zeros(codes.size, dtype=bool)
+        return np.zeros(codes.size, dtype=np.intp), np.zeros(codes.size, dtype=bool)
     idx = np.searchsorted(sorted_codes, codes)
     np.minimum(idx, sorted_codes.size - 1, out=idx)
-    return sorted_codes[idx] == codes
+    return idx, sorted_codes[idx] == codes
 
 
 def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -380,25 +372,33 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     return kernel.end_repetition()
 
 
+def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition,
+                    recall_target: float | None = None):
+    """Run `one_repetition(rep, kernel)` through one kernel until its recall
+    estimate reaches `recall_target` (never if None), or `reps` times;
+    returns ((m, 2) pairs, JoinStats) of both approximate joins."""
+    stats = JoinStats(preprocess_s=prep.elapsed_s)
+    t0 = time.perf_counter()
+    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+    for rep in range(reps):
+        one_repetition(rep, kernel)
+        if recall_target is not None and stats.recall_estimate_per_rep[-1] >= recall_target:
+            break
+    codes = kernel.codes()
+    stats.results = codes.size
+    stats.join_s = time.perf_counter() - t0
+    return decode_pairs(codes), stats
+
+
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats).
 
     Runs repetitions until the estimated recall after one reaches
     `cfg.recall_target`, or `cfg.reps` of them.
     """
-    stats = JoinStats(preprocess_s=prep.elapsed_s)
-    t0 = time.perf_counter()
-    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
-    incidence = Incidence()
-    for rep in range(cfg.reps):
-        estimate = incidence.add(repetition_codes(prep, cfg, rep, kernel))
-        stats.recall_estimate_per_rep.append(estimate)
-        if cfg.recall_target is not None and estimate >= cfg.recall_target:
-            break
-    codes = kernel.codes()
-    stats.results = codes.size
-    stats.join_s = time.perf_counter() - t0
-    return decode_pairs(codes), stats
+    return run_repetitions(prep, cfg, cfg.reps,
+                           lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
+                           cfg.recall_target)
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):

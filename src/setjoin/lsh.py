@@ -13,15 +13,13 @@ tuned by costing one splitting pass per candidate k.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cpsjoin import CandidateKernel
+from .cpsjoin import CandidateKernel, run_repetitions
 from .datasets import Dataset
 from .prep import Prepared, check_join_params, preprocess
-from .stats import JoinStats, decode_pairs
 from .stats import unique_pairs  # noqa: F401  joinbench's tracer wraps lsh.unique_pairs
 from .tabulation import derive_seed, splitmix64_array
 
@@ -124,17 +122,11 @@ def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
 
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
-    """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
+    """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats).
+    Runs the repetitions of `resolve_params` whatever the recall estimate reads."""
     k, reps = resolve_params(prep, cfg)
-    stats = JoinStats(preprocess_s=prep.elapsed_s)
-    t0 = time.perf_counter()
-    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
-    for rep in range(reps):
-        repetition_codes(prep, cfg, k, rep, kernel)
-    codes = kernel.codes()
-    stats.results = codes.size
-    stats.join_s = time.perf_counter() - t0
-    return decode_pairs(codes), stats
+    return run_repetitions(prep, cfg, reps,
+                           lambda rep, kernel: repetition_codes(prep, cfg, k, rep, kernel))
 
 
 def lsh_join(data: Dataset, cfg: LshConfig):

@@ -145,7 +145,8 @@ def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None):
         if universe is None:
             ranks = _universe_ranks(tables[chunk], size)
         else:
-            ranks = hash_keys(tables[chunk], universe)
+            # C-ordered, so that the key sort below runs on contiguous rows
+            ranks = np.ascontiguousarray(hash_keys(tables[chunk], universe))
         # A rank with its low bits replaced by the universe position sorts by
         # rank, and by token where the high bits tie. A row where two neighbours
         # share their high bits is sorted again on the full rank, stably.
@@ -156,7 +157,6 @@ def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None):
         if near.size:
             perm[near] = np.argsort(ranks[near], axis=1, kind="stable")
         order[chunk] = perm if universe is None else universe[perm]
-        # a flat buffer, not `perm`'s layout: `hash_keys` ranks are F-ordered
         inverse = np.empty(perm.size, dtype=dtype)
         inverse[perm + row_offsets[:len(perm)]] = positions
         pos[:, chunk] = inverse.reshape(perm.shape).T

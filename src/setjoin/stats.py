@@ -17,9 +17,10 @@ class JoinStats:
     pre_candidates >= candidates >= results holds on every run. The
     approximate joins also fill new_results_per_rep: per repetition, the
     pairs that passed verification for the first time in the join, so that
-    they sum to results. CPSJoin also fills recall_estimate_per_rep: per
+    they sum to results. Both also fill recall_estimate_per_rep: per
     repetition, `cpsjoin.estimated_recall` of the pairs found so far (NaN
-    after the first), which its stop rule compares with the recall target.
+    after the first). CPSJoin's stop rule compares it with the recall target;
+    LSH runs its repetition budget whatever it reads.
     """
 
     pre_candidates: int = 0

@@ -15,7 +15,6 @@ from setjoin import cpsjoin, exact
 from setjoin.cpsjoin import (
     CandidateKernel,
     CpsConfig,
-    Incidence,
     brute_force_step,
     co_bucket_frequency,
     coordinate_mask,
@@ -79,21 +78,45 @@ def test_estimated_recall_never_stops_after_one_repetition():
     assert math.isnan(stats.recall_estimate_per_rep[0])
 
 
-def test_incidence_counts_the_repetitions_that_found_each_pair():
-    inc = Incidence()
+class _FixedVerdicts:
+    """Stands in for `verify_pairs`: a pair passes when its code is in `passing`."""
 
-    def codes(*c):
-        return np.array(c, dtype=np.uint64)
+    def __init__(self, passing):
+        self.passing = set(passing)
 
-    assert math.isnan(inc.add(codes()))
-    inc.add(codes(5, 9))
-    inc.add(codes(2, 9))
-    inc.add(codes(9))
-    inc.add(codes())
-    assert inc.codes.tolist() == [2, 5, 9] and inc.hits.tolist() == [1, 1, 3]
-    assert inc.reps == 5
-    assert inc.add(codes(2, 5, 7)) == estimated_recall(_hits(2, 2, 1, 3), 6)
-    assert inc.codes.tolist() == [2, 5, 7, 9] and inc.hits.tolist() == [2, 2, 1, 3]
+    def __call__(self, data, a, b, threshold):
+        return np.array([int(c) in self.passing for c in encode_pairs(a, b)], dtype=bool)
+
+
+@pytest.mark.parametrize("pair_block", [None, 1])
+def test_kernel_counts_the_repetitions_that_found_each_pair(monkeypatch, pair_block):
+    data = Dataset.from_records([list(range(8)) + [100 + i] for i in range(8)])  # J = 0.8
+    kernel = CandidateKernel(preprocess(data, seed=1), 0.5, 0.05, JoinStats())
+    passing = encode_pairs([0, 0, 1, 3], [2, 5, 4, 6])
+    monkeypatch.setattr(cpsjoin, "verify_pairs", _FixedVerdicts(passing))
+    if pair_block is not None:
+        monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", pair_block)  # one flush per pair
+
+    def repetition(*pairs):
+        for a, b in pairs:
+            kernel.run(np.array([a]), np.array([b]))
+        return kernel.end_repetition()
+
+    repetition()
+    repetition((0, 5), (1, 4), (0, 7))  # (0, 7) fails
+    repetition((0, 2), (1, 4), (4, 1))  # a pair found twice in one repetition counts once
+    assert repetition((1, 4), (1, 4)).tolist() == encode_pairs([1], [4]).tolist()
+    repetition()
+    repetition((0, 2), (0, 5), (3, 6), (5, 0))
+    # repetitions that found (0, 2), (0, 5), (1, 4), (3, 6): 1, 1, 3, 0 after
+    # five, then 2, 2, 3, 1
+    estimates = kernel.stats.recall_estimate_per_rep
+    assert math.isnan(estimates[0])
+    assert estimates[1:] == [estimated_recall(_hits(1, 1), 2), estimated_recall(_hits(1, 1, 2), 3),
+                             estimated_recall(_hits(1, 1, 3), 4), estimated_recall(_hits(1, 1, 3), 5),
+                             estimated_recall(_hits(2, 2, 3, 1), 6)]
+    assert kernel.stats.new_results_per_rep == [0, 2, 1, 0, 0, 1]
+    assert kernel.stats.candidates == kernel.stats.pre_candidates  # no filter dropped a pair
 
 
 def _clustered():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from setjoin import cpsjoin, lsh
+from setjoin.cpsjoin import estimated_recall
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.exact import brute_force_join, jaccard
 from setjoin.lsh import (
@@ -186,3 +188,32 @@ def test_determinism():
     assert np.array_equal(p1, p2)
     assert (s1.pre_candidates, s1.candidates, s1.results) == \
         (s2.pre_candidates, s2.candidates, s2.results)
+
+
+def test_lsh_reports_its_recall_estimate_but_runs_its_budget(monkeypatch):
+    ds = gen_uniform(400, 10, 40, seed=9)
+    cfg = LshConfig(threshold=0.5, seed=13)
+    prep = preprocess(ds, seed=cfg.seed)
+    _, reps = resolve_params(prep, cfg)
+    found = []
+    repetition_codes = lsh.repetition_codes
+
+    def recording(*args):
+        found.append(repetition_codes(*args))
+        return found[-1]
+
+    monkeypatch.setattr(lsh, "repetition_codes", recording)
+    pairs, stats = lsh_join_prepared(prep, cfg)
+    estimates = stats.recall_estimate_per_rep
+    assert len(estimates) == len(stats.new_results_per_rep) == len(found) == reps > 2
+    assert math.isnan(estimates[0])
+    for r in range(2, reps + 1):
+        _, hits = np.unique(np.concatenate(found[:r]), return_counts=True)
+        assert estimates[r - 1] == estimated_recall(hits, r)
+    # an estimate that reads the join as complete does not cut the budget
+    monkeypatch.setattr(cpsjoin, "estimated_recall", lambda hits, reps: 1.0)
+    same_pairs, same = lsh_join_prepared(prep, cfg)
+    assert np.array_equal(same_pairs, pairs)
+    assert (same.pre_candidates, same.candidates, same.results) == \
+        (stats.pre_candidates, stats.candidates, stats.results)
+    assert same.new_results_per_rep == stats.new_results_per_rep

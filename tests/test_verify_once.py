@@ -77,6 +77,9 @@ def test_each_candidate_pair_is_verified_at_most_once(monkeypatch, join, cfg, pa
     assert _counters(stats) == _counters(want_stats)
     assert stats.new_results_per_rep == want_stats.new_results_per_rep
     assert sum(stats.new_results_per_rep) == stats.results
+    # a pair found by several flushes of one repetition counts once in the estimate
+    assert np.array_equal(stats.recall_estimate_per_rep, want_stats.recall_estimate_per_rep,
+                          equal_nan=True)
 
 
 def test_codes_are_the_same_on_every_call():
