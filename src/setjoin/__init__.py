@@ -1,7 +1,7 @@
 """Set similarity self-joins under Jaccard thresholds.
 
 Exact baselines (inverted-index prefix join, quadratic scan) and two
-approximate algorithms built on minwise signatures: a recursive
+approximate algorithms built on minwise signatures: a randomized
 candidate-splitting join and a classic bucketing join. Approximate results
 are exactly verified, so reported pairs are always true positives.
 """

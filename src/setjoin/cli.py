@@ -128,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sketch filter false negative budget (default %(default)s)")
     parser.add_argument("--k", type=int, default=None,
                         help="concatenation length for the bucketing join (default: tuned)")
-    parser.add_argument("--L", type=int, default=None, dest="big_l",
-                        help="repetition count for the bucketing join (alias of --reps)")
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="CSV destination (default stdout)")
@@ -147,10 +145,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.reps is not None and args.big_l is not None:
-            raise ValueError("--reps and --L set the same budget; give one")
-        reps = args.reps if args.reps is not None else args.big_l
-
         if args.input:
             data = load(args.input)
             label = os.path.basename(args.input)
@@ -161,7 +155,7 @@ def main(argv=None) -> int:
         spec = bench.ExperimentSpec(
             dataset=label, data=data, algorithm=args.algo,
             thresholds=_parse_thresholds(args.threshold),
-            recall_target=args.recall, max_reps=reps,
+            recall_target=args.recall, max_reps=args.reps,
             limit=args.limit, eps=args.eps, sig_len=args.minhash_t,
             sketch_words=args.sketch_words, delta=args.delta, k=args.k,
             use_oracle=not args.no_oracle, trials=args.trials, seed=args.seed)

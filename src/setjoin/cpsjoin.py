@@ -1,24 +1,24 @@
-"""Randomized recursive similarity self-join with adaptive brute-force stops.
+"""Randomized similarity self-join with adaptive brute-force stops.
 
-Each repetition recursively splits the record set: a node samples signature
-coordinates independently with probability min(1, 1/(threshold * sig_len)) and
-partitions its records by signature value on each sampled coordinate,
-recursing on non-singleton children. Similar records agree on sampled
-coordinates often enough to meet in a node with probability bounded below, so
-a fixed number of repetitions gives per-pair recall; every reported pair is
-exactly verified, so precision is 1.
+Each repetition splits the record set into a tree of buckets, one depth at a
+time: a bucket samples signature coordinates independently with probability
+min(1, 1/(threshold * sig_len)) and partitions its records by signature
+value on each sampled coordinate; its non-singleton parts are the buckets of
+the next depth. Similar records agree on sampled coordinates often enough to
+meet in a bucket with probability bounded below, so a fixed number of
+repetitions gives per-pair recall; every reported pair is exactly verified,
+so precision is 1.
 
-Before splitting, a node removes records that look similar to the whole
-bucket: a pooled sketch summarizes the bucket, every record whose estimated
-average similarity exceeds (1 - eps) * threshold is compared against the full
-bucket directly, and buckets at or below `limit` are compared pairwise and not
-split at all. Every comparison goes through the join's one `CandidateKernel`,
+Buckets at or below `limit` are compared pairwise, each depth's in one
+batch, and not split. Before a larger bucket splits, a pooled sketch
+summarizes it, and every record whose estimated average similarity to it
+exceeds (1 - eps) * threshold is compared against the full bucket and
+removed. Every comparison goes through the join's one `CandidateKernel`,
 which the LSH join shares: it filters pairs by record sizes and by 1-bit
 sketches at a cutoff that keeps threshold-similar pairs except with
 probability delta, then verifies the survivors exactly. Repetitions re-find
 most pairs the earlier ones found, so the kernel verifies each distinct pair
-once per join and remembers the outcome. The children of one split that are
-small enough to be compared pairwise go through the kernel in one batch.
+once per join and remembers the outcome.
 
 The join tunes its own repetition count: the kernel counts, for every pair
 found so far, the repetitions that found it, and after each one turns the
@@ -128,14 +128,13 @@ class CandidateKernel:
     exactly and merges the outcomes into two sorted arrays, one of passed and
     one of failed codes.
 
-    Next to each passed code it counts the repetitions that found it: the
-    flush's lookup among the passed codes adds the hits, and a new pass
-    starts at one. `end_repetition()` flushes, keeps one hit per pair found
-    by several of its flushes, appends the first-time passes to
-    `stats.new_results_per_rep` and the hits' `estimated_recall` to
-    `stats.recall_estimate_per_rep`, and returns the sorted codes of every
-    pair the repetition found that passes, new or found before. `codes()`
-    flushes and returns the sorted codes of every pair passed so far.
+    Next to each passed code it counts the repetitions that found it; a new
+    pass starts at none. `end_repetition()` flushes, adds one hit to every
+    pair the repetition found that passes, new or found before, appends the
+    first-time passes to `stats.new_results_per_rep` and the hits'
+    `estimated_recall` to `stats.recall_estimate_per_rep`, and returns the
+    sorted codes of those pairs. `codes()` flushes and returns the sorted
+    codes of every pair passed so far.
 
     The sketch cutoff is applied as an integer one: the largest Hamming
     distance whose estimate reaches it (`max_h`). Distances are summed a word
@@ -194,9 +193,8 @@ class CandidateKernel:
             return
         codes = unique_pairs(self._buffer)
         self._buffer, self._buffered = [], 0
-        at, passed = _lookup(self._passed, codes)
-        self._hits[at[passed]] += 1
-        fresh = ~(passed | _lookup(self._failed, codes)[1])
+        passed = _lookup(self._passed, codes)
+        fresh = ~(passed | _lookup(self._failed, codes))
         new = codes[fresh]
         a, b = decode_pairs(new).T
         ok = verify_pairs(self.data, a, b, self.threshold)
@@ -205,7 +203,7 @@ class CandidateKernel:
         if new_passed.size:
             at = np.searchsorted(self._passed, new_passed)
             self._passed = np.insert(self._passed, at, new_passed)
-            self._hits = np.insert(self._hits, at, 1)
+            self._hits = np.insert(self._hits, at, 0)
         self._failed = _insert_sorted(self._failed, new[~ok])
         self._rep_passed.append(codes[passed])
         self._rep_new += int(np.count_nonzero(ok))
@@ -216,10 +214,7 @@ class CandidateKernel:
         self._flush()
         parts, self._rep_passed = self._rep_passed, []
         found = parts[0] if len(parts) == 1 else unique_pairs(parts)
-        if len(parts) > 1:  # each flush added its hits: keep one per pair found
-            self._hits -= np.bincount(np.searchsorted(self._passed, np.concatenate(parts)),
-                                      minlength=self._passed.size)
-            self._hits[np.searchsorted(self._passed, found)] += 1
+        self._hits += np.isin(self._passed, found, assume_unique=True)
         self.stats.new_results_per_rep.append(self._rep_new)
         self._rep_new = 0
         self.stats.recall_estimate_per_rep.append(
@@ -232,14 +227,13 @@ class CandidateKernel:
         return self._passed
 
 
-def _lookup(sorted_codes: np.ndarray, codes: np.ndarray):
-    """Where each of `codes` would sit in the sorted array `sorted_codes`, and
-    whether it is there; a code past the end gets the last index."""
+def _lookup(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Whether each of `codes` is in the sorted array `sorted_codes`."""
     if sorted_codes.size == 0:
-        return np.zeros(codes.size, dtype=np.intp), np.zeros(codes.size, dtype=bool)
+        return np.zeros(codes.size, dtype=bool)
     idx = np.searchsorted(sorted_codes, codes)
     np.minimum(idx, sorted_codes.size - 1, out=idx)
-    return idx, sorted_codes[idx] == codes
+    return sorted_codes[idx] == codes
 
 
 def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -274,22 +268,6 @@ def segment_pairs(ids: np.ndarray, bounds):
         yield ids[a[lo:hi]], ids[b[lo:hi]]
 
 
-class _Ctx:
-    __slots__ = ("kernel", "sig", "threshold", "eps", "limit", "sig_len", "stats", "depth_cap")
-
-    def __init__(self, prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel):
-        self.kernel = kernel
-        self.sig = prep.sig
-        self.threshold = cfg.threshold
-        self.eps = cfg.eps
-        self.limit = cfg.limit
-        self.sig_len = prep.sig_len
-        self.stats = kernel.stats
-        # Engineering guard far above the expected O(log n / eps) depth; a
-        # stuck bucket gets brute-forced instead of recursing forever.
-        self.depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
-
-
 def coordinate_mask(seed, sig_len: int, threshold: float) -> np.ndarray:
     """Per-node coordinate sample: Bernoulli(min(1, 1/(threshold*sig_len))).
     A (k, 1) array of seeds gives one mask row per seed."""
@@ -298,23 +276,19 @@ def coordinate_mask(seed, sig_len: int, threshold: float) -> np.ndarray:
     return (vals >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) < p
 
 
-def brute_force_step(ids: np.ndarray, node_seed: int, ctx: _Ctx) -> np.ndarray:
-    """Handle a bucket's brute-force work; return the records that recurse on.
+def brute_force_step(ids: np.ndarray, node_seed: int, cfg: CpsConfig,
+                     kernel: CandidateKernel) -> np.ndarray:
+    """Apply the point rule to a bucket above the limit; return the records
+    that go on to the split.
 
-    Buckets at or below the limit are compared pairwise and consumed. Larger
-    buckets are summarized by one pooled sketch; records whose estimated
+    The bucket is summarized by one pooled sketch; records whose estimated
     average similarity to the bucket exceeds (1 - eps) * threshold are
     compared against the full bucket and removed, all in a single pass.
     """
-    if ids.size == 0:
-        return ids
-    if ids.size <= ctx.limit:
-        ctx.kernel.run_segments(ids, [0, ids.size])
-        return ids[:0]
-    sk_rows = ctx.kernel.sketches[ids]
+    sk_rows = kernel.sketches[ids]
     pooled = pooled_sketch(sk_rows, derive_seed(node_seed, _POOL_TAG))
     est = estimate_rows(sk_rows, pooled)
-    removed = est > (1.0 - ctx.eps) * ctx.threshold
+    removed = est > (1.0 - cfg.eps) * cfg.threshold
     if removed.any():
         # each removed record against every other member, so a pair of two
         # removed records is compared (and counted) once from each side
@@ -325,50 +299,75 @@ def brute_force_step(ids: np.ndarray, node_seed: int, ctx: _Ctx) -> np.ndarray:
             a = np.repeat(x, ids.size)
             b = np.tile(ids, x.size)
             other = a != b
-            ctx.kernel.run(a[other], b[other])
+            kernel.run(a[other], b[other])
         ids = ids[~removed]
     return ids
 
 
-def _recurse(ids: np.ndarray, node_seed: int, depth: int, ctx: _Ctx):
-    if depth > ctx.stats.max_depth:
-        ctx.stats.max_depth = depth
-    ids = brute_force_step(ids, node_seed, ctx)
-    if ids.size < 2:
-        return
-    if depth >= ctx.depth_cap:
-        ctx.kernel.run_segments(ids, [0, ids.size])
-        return
-    mask = coordinate_mask(derive_seed(node_seed, _MASK_TAG), ctx.sig_len, ctx.threshold)
-    for coord in np.flatnonzero(mask):
-        vals = ctx.sig[ids, coord]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cuts = np.flatnonzero(sv[1:] != sv[:-1]) + 1
-        bounds = np.concatenate([[0], cuts, [sv.size]])
-        sizes = np.diff(bounds)
-        # Children at or below the limit would only be compared pairwise at
-        # depth + 1, so all of them go through the kernel together.
-        small = (sizes >= 2) & (sizes <= ctx.limit)
-        if small.any():
-            ctx.stats.max_depth = max(ctx.stats.max_depth, depth + 1)
-            ctx.kernel.run_segments(ids[order[np.repeat(small, sizes)]],
-                                    np.concatenate([[0], np.cumsum(sizes[small])]))
-        for k in np.flatnonzero(sizes > ctx.limit):
-            a, b = bounds[k], bounds[k + 1]
-            child_seed = splitmix64(
-                splitmix64(node_seed, _CHILD_TAG_BASE + int(coord)), int(sv[a]))
-            _recurse(ids[order[a:b]], child_seed, depth + 1, ctx)
+def _split(prep: Prepared, threshold: float, parts: list, seeds: np.ndarray):
+    """Split the buckets `parts`, with seeds `seeds`, into the next depth's
+    (ids, sizes, seeds): one row per (bucket, sampled coordinate) holds the
+    bucket's records in order, one stable sort by (row, signature value)
+    groups them, and each group of two or more records is a child."""
+    node, coord = np.nonzero(coordinate_mask(
+        splitmix64_array(seeds, _MASK_TAG)[:, None], prep.sig_len, threshold))
+    if node.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), seeds[:0]
+    ids = np.concatenate([parts[k] for k in node])
+    row = np.repeat(np.arange(node.size, dtype=np.uint64), [parts[k].size for k in node])
+    # signature values are 32-bit tokens, so (row, value) fits one sort key
+    key = (row << np.uint64(32)) | prep.sig[ids, coord[row]].astype(np.uint64)
+    order = np.argsort(key, kind="stable")
+    ids, key = ids[order], key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    sizes = np.diff(np.append(first, ids.size))
+    child = sizes >= 2
+    first = first[child]
+    child_row = key[first] >> np.uint64(32)
+    child_seeds = splitmix64_array(
+        splitmix64_array(seeds[node[child_row]], _CHILD_TAG_BASE + coord[child_row]),
+        key[first] & np.uint64(0xFFFFFFFF))
+    return ids[np.repeat(child, sizes)], sizes[child], child_seeds
 
 
 def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
                      kernel: CandidateKernel) -> np.ndarray:
     """Run one repetition through the join's kernel; returns the sorted codes
-    of the distinct similar pairs it found, new or found before."""
-    ctx = _Ctx(prep, cfg, kernel)
-    rep_seed = splitmix64(derive_seed(cfg.seed, _REP_TAG), rep)
+    of the distinct similar pairs it found, new or found before.
+
+    The repetition walks the split tree one depth at a time. The frontier
+    holds the records of every bucket of one depth laid end to end, with each
+    bucket's size and seed. Every bucket at or below `limit` is compared
+    pairwise, all in one batch; every larger one applies the point rule
+    (`brute_force_step`), and the records it keeps split into the next depth.
+    """
+    # Engineering guard far above the expected O(log n / eps) depth: at the
+    # cap, what the point rule keeps of a bucket is compared pairwise
+    # instead of split.
+    depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
     ids = np.arange(prep.data.n, dtype=np.int64)
-    _recurse(ids, rep_seed, 0, ctx)
+    sizes = np.array([ids.size], dtype=np.int64)
+    seeds = np.array([splitmix64(derive_seed(cfg.seed, _REP_TAG), rep)], dtype=np.uint64)
+    depth = 0
+    while sizes.size:
+        kernel.stats.max_depth = max(kernel.stats.max_depth, depth)
+        small = sizes <= cfg.limit
+        pairwise, pairwise_sizes = [ids[np.repeat(small, sizes)]], [sizes[small]]
+        parts, part_seeds = [], []
+        starts = np.cumsum(sizes) - sizes
+        for a, size, seed in zip(starts[~small], sizes[~small], seeds[~small]):
+            part = brute_force_step(ids[a:a + size], int(seed), cfg, kernel)
+            if depth >= depth_cap:
+                pairwise.append(part)
+                pairwise_sizes.append([part.size])
+            elif part.size >= 2:
+                parts.append(part)
+                part_seeds.append(seed)
+        kernel.run_segments(np.concatenate(pairwise),
+                            np.concatenate([[0], np.cumsum(np.concatenate(pairwise_sizes))]))
+        ids, sizes, seeds = _split(prep, cfg.threshold, parts,
+                                   np.array(part_seeds, dtype=np.uint64))
+        depth += 1
     return kernel.end_repetition()
 
 
@@ -411,7 +410,7 @@ def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,
                         trials: int, seed: int = 0) -> float:
     """Empirical probability that two signatures stay together to `depth`.
 
-    Simulates the recursive split on a pair with fresh coordinate samples per
+    Simulates the split tree on a pair with fresh coordinate samples per
     node (the production sampling rule), counting trials where some depth-k
     node still contains both records. Mirrors the branching-process view: a
     node's offspring are the sampled coordinates on which the signatures

@@ -304,7 +304,6 @@ def test_cli_end_to_end(tmp_path, capsys):
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["--input", str(tmp_path / "missing.txt")]) == 1
     assert "setjoin-bench:" in capsys.readouterr().err
-    assert main(["--gen", "uniform:n=50,avg=6,d=40", "--reps", "3", "--L", "4"]) == 1
     assert main(["--gen", "uniform:n=50,avg=6,d=40", "--threshold", "1.5"]) == 1
     with pytest.raises(SystemExit) as exc:
         main(["--algo", "cpsjoin"])  # no dataset source

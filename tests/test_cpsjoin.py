@@ -1,4 +1,4 @@
-"""Recursive join tests.
+"""CPSJoin tests.
 
 The adversarial cases matter most here: buckets whose signatures barely
 differ must terminate through the bucket-average removal rule, and a record
@@ -27,6 +27,7 @@ from setjoin.exact import brute_force_join, jaccard, verify
 from setjoin.prep import Prepared, preprocess
 from setjoin.sketch import estimate_similarity, filter_threshold
 from setjoin.stats import JoinStats, encode_pairs
+from setjoin.tabulation import derive_seed, splitmix64
 
 
 def _pair_codes(pairs):
@@ -378,14 +379,14 @@ def test_point_rule_matches_per_pair_loop(monkeypatch, pair_block):
     ds = Dataset.from_records(recs)
     prep = preprocess(ds, sig_len=32, sketch_words=4, seed=2)
     cfg = CpsConfig(threshold=0.5, eps=0.5, limit=5)
-    ctx = cpsjoin._Ctx(prep, cfg, CandidateKernel(prep, cfg.threshold, cfg.delta, JoinStats()))
+    kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, JoinStats())
     ids = np.arange(ds.n, dtype=np.int64)
-    kept = brute_force_step(ids, 123, ctx)
+    kept = brute_force_step(ids, 123, cfg, kernel)
     removed = np.setdiff1d(ids, kept)
     assert removed.size >= 2 and kept.size >= 2
     pairs = [(int(x), int(y)) for x in removed for y in ids if y != x]
-    assert ctx.stats.pre_candidates == removed.size * (ds.n - 1)
-    want_codes = _assert_kernel_matches(ctx.kernel, prep, cfg.threshold, cfg.delta, pairs)
+    assert kernel.stats.pre_candidates == removed.size * (ds.n - 1)
+    want_codes = _assert_kernel_matches(kernel, prep, cfg.threshold, cfg.delta, pairs)
     assert np.unique(want_codes).size < want_codes.size  # the kernel dropped duplicates
 
 
@@ -440,3 +441,131 @@ def test_hamming_sum_does_not_wrap_on_wide_sketches():
     kernel = CandidateKernel(prep, 0.5, 0.05, JoinStats())
     kernel.run(np.array([0]), np.array([1]))
     assert kernel.stats.candidates == 1 and kernel.codes().size == 1
+
+
+class _RecursiveReference:
+    """The recursive CPSJoin repetition the depth loop replaced, kept as the
+    reference it must match: a node at or below the limit is compared
+    pairwise, a larger one applies the point rule, and the records it keeps
+    split on every sampled coordinate, children at or below the limit in one
+    batch and larger ones recursed on, until the depth cap."""
+
+    def __init__(self, prep, cfg, kernel):
+        self.prep, self.cfg, self.kernel = prep, cfg, kernel
+        self.depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
+
+    def brute_force_step(self, ids, node_seed):
+        if ids.size == 0:
+            return ids
+        if ids.size <= self.cfg.limit:
+            self.kernel.run_segments(ids, [0, ids.size])
+            return ids[:0]
+        return brute_force_step(ids, node_seed, self.cfg, self.kernel)
+
+    def recurse(self, ids, node_seed, depth):
+        stats = self.kernel.stats
+        stats.max_depth = max(stats.max_depth, depth)
+        ids = self.brute_force_step(ids, node_seed)
+        if ids.size < 2:
+            return
+        if depth >= self.depth_cap:
+            self.kernel.run_segments(ids, [0, ids.size])
+            return
+        mask = coordinate_mask(derive_seed(node_seed, cpsjoin._MASK_TAG), self.prep.sig_len,
+                               self.cfg.threshold)
+        for coord in np.flatnonzero(mask):
+            vals = self.prep.sig[ids, coord]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            bounds = np.concatenate([[0], np.flatnonzero(sv[1:] != sv[:-1]) + 1, [sv.size]])
+            sizes = np.diff(bounds)
+            small = (sizes >= 2) & (sizes <= self.cfg.limit)
+            if small.any():
+                stats.max_depth = max(stats.max_depth, depth + 1)
+                self.kernel.run_segments(ids[order[np.repeat(small, sizes)]],
+                                         np.concatenate([[0], np.cumsum(sizes[small])]))
+            for k in np.flatnonzero(sizes > self.cfg.limit):
+                a, b = bounds[k], bounds[k + 1]
+                child_seed = splitmix64(
+                    splitmix64(node_seed, cpsjoin._CHILD_TAG_BASE + int(coord)), int(sv[a]))
+                self.recurse(ids[order[a:b]], child_seed, depth + 1)
+
+    @staticmethod
+    def join(prep, cfg):
+        def repetition(rep, kernel):
+            rep_seed = splitmix64(derive_seed(cfg.seed, cpsjoin._REP_TAG), rep)
+            _RecursiveReference(prep, cfg, kernel).recurse(
+                np.arange(prep.data.n, dtype=np.int64), rep_seed, 0)
+            return kernel.end_repetition()
+        return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, cfg.recall_target)
+
+
+def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None):
+    before_each_join()
+    pairs, stats = cpsjoin.cps_join_prepared(prep, cfg)
+    before_each_join()
+    want_pairs, want = _RecursiveReference.join(prep, cfg)
+    assert np.array_equal(pairs, want_pairs)
+    assert (stats.pre_candidates, stats.candidates, stats.results, stats.max_depth) == \
+        (want.pre_candidates, want.candidates, want.results, want.max_depth)
+    assert stats.new_results_per_rep == want.new_results_per_rep
+    assert np.array_equal(stats.recall_estimate_per_rep, want.recall_estimate_per_rep,
+                          equal_nan=True)
+    return stats
+
+
+@pytest.mark.parametrize("pair_block", [None, 64])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+@pytest.mark.parametrize("limit", [2, 5, 20, 250])
+def test_depth_loop_matches_the_recursive_reference(monkeypatch, limit, eps, pair_block):
+    if pair_block is not None:
+        monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", pair_block)
+    prep = preprocess(_clustered(), seed=3)
+    stats = _assert_matches_recursive_reference(
+        prep, CpsConfig(threshold=0.6, eps=eps, limit=limit, seed=11))
+    assert stats.results > 0
+    if limit < prep.data.n:
+        assert stats.max_depth >= 1
+
+
+class _RemoveAtCall:
+    """Stands in for `estimate_rows`: every row estimates at 0, except the
+    first `k` rows on call number `call`, which estimate at 1."""
+
+    def __init__(self, call, k):
+        self.call, self.k, self.calls = call, k, 0
+
+    def __call__(self, rows, pooled):
+        est = np.zeros(len(rows))
+        if self.calls == self.call:
+            est[:self.k] = 1.0
+        self.calls += 1
+        return est
+
+
+@pytest.mark.parametrize("removed_at_cap", [0, 5])
+def test_a_bucket_that_never_splits_apart_stops_at_the_depth_cap(monkeypatch, removed_at_cap):
+    # every record has the same one-coordinate signature, so each depth has
+    # one bucket of all n records; zero sketches and eps=0 keep the point
+    # rule from removing any, so the bucket reaches the cap and is compared
+    # pairwise there
+    n = 300
+    cap = 64 + int(10 * math.log2(n + 1))
+    data = Dataset.from_records([[i, n + i] for i in range(n)])
+    prep = Prepared(data, np.zeros((n, 1), dtype=np.uint32), np.zeros((n, 1), dtype=np.uint64),
+                    0, 0.0)
+    cfg = CpsConfig(threshold=1.0, eps=0.0, limit=2, reps=1, recall_target=None)
+    before_each_join = lambda: None  # noqa: E731
+    if removed_at_cap:
+        # the point rule still runs at the cap, before the pairwise
+        # comparison: there a stand-in estimate removes the first records of
+        # the bucket, and each is compared against all the others first
+        cfg = CpsConfig(threshold=1.0, eps=0.5, limit=2, reps=1, recall_target=None)
+
+        def before_each_join():
+            monkeypatch.setattr(cpsjoin, "estimate_rows", _RemoveAtCall(cap, removed_at_cap))
+    stats = _assert_matches_recursive_reference(prep, cfg, before_each_join)
+    assert stats.max_depth == cap == 146
+    kept = n - removed_at_cap
+    assert stats.pre_candidates == removed_at_cap * (n - 1) + kept * (kept - 1) // 2
+    assert stats.candidates == stats.pre_candidates  # equal sizes and sketches pass the filters
