@@ -128,13 +128,17 @@ class CandidateKernel:
     exactly and merges the outcomes into two sorted arrays, one of passed and
     one of failed codes.
 
-    Next to each passed code it counts the repetitions that found it; a new
-    pass starts at none. `end_repetition()` flushes, adds one hit to every
-    pair the repetition found that passes, new or found before, appends the
-    first-time passes to `stats.new_results_per_rep` and the hits'
-    `estimated_recall` to `stats.recall_estimate_per_rep`, and returns the
-    sorted codes of those pairs. `codes()` flushes and returns the sorted
-    codes of every pair passed so far.
+    Next to each passed code it counts the repetitions that found it and
+    stamps the last repetition that counted it. A flush adds one hit to each
+    passed code it meets whose stamp is an earlier repetition, from the
+    lookup it already makes, so a pair that several flushes of one
+    repetition meet counts once; a new pass enters with one hit.
+    `end_repetition()` flushes, appends the first-time passes to
+    `stats.new_results_per_rep` and the hits' `estimated_recall` to
+    `stats.recall_estimate_per_rep`, and returns the sorted codes of the
+    pairs the repetition found that pass, new or found before (those
+    stamped with it). `codes()` flushes any buffered codes and returns the
+    sorted codes of every pair passed so far.
 
     The sketch cutoff is applied as an integer one: the largest Hamming
     distance whose estimate reaches it (`max_h`). Distances are summed a word
@@ -143,8 +147,8 @@ class CandidateKernel:
     """
 
     __slots__ = ("data", "sketches", "columns", "sizes", "threshold", "max_h", "stats",
-                 "_hamming_dtype", "_buffer", "_buffered", "_passed", "_hits", "_failed",
-                 "_rep_passed", "_rep_new")
+                 "_hamming_dtype", "_buffer", "_buffered", "_passed", "_hits", "_stamp",
+                 "_failed", "_rep_new")
 
     def __init__(self, prep: Prepared, threshold: float, delta: float, stats: JoinStats):
         self.data = prep.data
@@ -160,8 +164,8 @@ class CandidateKernel:
         self._buffered = 0
         self._passed = np.zeros(0, dtype=np.uint64)  # sorted, verified similar
         self._hits = np.zeros(0, dtype=np.int64)  # repetitions that found each passed code
+        self._stamp = np.zeros(0, dtype=np.int64)  # last repetition that counted each
         self._failed = np.zeros(0, dtype=np.uint64)  # sorted, verified not similar
-        self._rep_passed = []  # per flush of this repetition, its candidates that pass
         self._rep_new = 0
 
     def run(self, a_ids: np.ndarray, b_ids: np.ndarray):
@@ -189,32 +193,31 @@ class CandidateKernel:
             self.run(a, b)
 
     def _flush(self):
-        if not self._buffer:
-            return
         codes = unique_pairs(self._buffer)
         self._buffer, self._buffered = [], 0
-        passed = _lookup(self._passed, codes)
-        fresh = ~(passed | _lookup(self._failed, codes))
+        rep = len(self.stats.new_results_per_rep)
+        idx, passed = _lookup(self._passed, codes)
+        met = idx[passed]  # distinct, as the codes are
+        self._hits[met] += self._stamp[met] != rep
+        self._stamp[met] = rep
+        fresh = ~(passed | _lookup(self._failed, codes)[1])
         new = codes[fresh]
         a, b = decode_pairs(new).T
         ok = verify_pairs(self.data, a, b, self.threshold)
-        passed[fresh] = ok
         new_passed = new[ok]
         if new_passed.size:
             at = np.searchsorted(self._passed, new_passed)
             self._passed = np.insert(self._passed, at, new_passed)
-            self._hits = np.insert(self._hits, at, 0)
+            self._hits = np.insert(self._hits, at, 1)
+            self._stamp = np.insert(self._stamp, at, rep)
         self._failed = _insert_sorted(self._failed, new[~ok])
-        self._rep_passed.append(codes[passed])
-        self._rep_new += int(np.count_nonzero(ok))
+        self._rep_new += new_passed.size
 
     def end_repetition(self) -> np.ndarray:
         """Close a repetition; returns the sorted codes of the distinct pairs
         it found that pass, whether first found in it or earlier."""
         self._flush()
-        parts, self._rep_passed = self._rep_passed, []
-        found = parts[0] if len(parts) == 1 else unique_pairs(parts)
-        self._hits += np.isin(self._passed, found, assume_unique=True)
+        found = self._passed[self._stamp == len(self.stats.new_results_per_rep)]
         self.stats.new_results_per_rep.append(self._rep_new)
         self._rep_new = 0
         self.stats.recall_estimate_per_rep.append(
@@ -223,17 +226,19 @@ class CandidateKernel:
 
     def codes(self) -> np.ndarray:
         """Sorted codes of every distinct pair passed so far in the join."""
-        self._flush()
+        if self._buffer:
+            self._flush()
         return self._passed
 
 
-def _lookup(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Whether each of `codes` is in the sorted array `sorted_codes`."""
+def _lookup(sorted_codes: np.ndarray, codes: np.ndarray):
+    """(index, found): where each of `codes` sits in the sorted array
+    `sorted_codes`, and whether it is there."""
     if sorted_codes.size == 0:
-        return np.zeros(codes.size, dtype=bool)
+        return np.zeros(codes.size, dtype=np.intp), np.zeros(codes.size, dtype=bool)
     idx = np.searchsorted(sorted_codes, codes)
     np.minimum(idx, sorted_codes.size - 1, out=idx)
-    return sorted_codes[idx] == codes
+    return idx, sorted_codes[idx] == codes
 
 
 def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -5,7 +5,13 @@ brute-force oracle counts every pair's intersection through a dense or sparse
 matrix product, over the upper triangle only, in row blocks of about
 `_BLOCK_CELLS` cells, and reads its size filter from one table over the
 distinct record sizes; AllPairs probes an inverted index over prefix tokens as
-whole-array passes (sort, searchsorted, blocked pair dedup). `verify_pairs`,
+whole-array passes (sort, searchsorted, blocked pair dedup). Its positional
+filter bounds the overlap of a pair met at a prefix token by 1 + min(rest_i,
+rest_j), the tokens from there on in the shorter tail, and keeps it only where
+that reaches `min_overlap`: a second searchsorted ends each entry's postings at
+the largest partner size its own tail allows, and one gather and compare per
+built pair applies the partner's tail. AllPairs' `candidates` are the distinct
+pairs that pass it, which are the pairs it verifies. `verify_pairs`,
 which AllPairs and both approximate joins end in, counts intersections by
 bitset popcount or, past the bitset's memory cap, by searchsorted over the
 sorted (record, token) keys. One float predicate (float64 intersection/union
@@ -204,7 +210,8 @@ def brute_force_join(data: Dataset, threshold: float):
 
 
 def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
-    """Inverted-index self-join over ascending-frequency prefixes (AllPairs).
+    """Inverted-index self-join over ascending-frequency prefixes (AllPairs)
+    with PPJoin's positional filter.
 
     Record i, in canonical order, is compared with every earlier record j
     that shares one of its prefix tokens and whose size passes the size
@@ -213,11 +220,26 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     token, are every token's postings in record order, so an entry's own
     position ends the postings of the earlier records, and one searchsorted
     on (token, size) keys starts them past the records the size filter
-    drops. Pre-candidates are the lengths of those ranges; candidates are
-    the distinct (j, i) pairs in them, built and deduplicated in blocks cut
-    at record boundaries, then verified exactly. `prefix_filter=False` uses
-    whole records as prefixes; results must not change (used to test that
-    the filter is lossless).
+    drops. Pre-candidates are the lengths of those ranges.
+
+    The positional filter (Xiao et al., WWW 2008) then drops an occurrence,
+    prefix token t of record i met in a posting of record j, unless
+    1 + min(rest_i, rest_j) reaches `min_overlap(threshold, s_i, s_j)`,
+    where rest is the number of tokens after t in the record. In sorted
+    order a result pair's smallest common token lies in both prefixes and
+    every other common token follows it in both records, so at that
+    occurrence the bound is at least the true overlap: the filter is
+    lossless. Each entry's `reach`, the largest s_i + s_j its rest allows
+    (one table over the possible sums) minus its own size, bounds the
+    partner's size, so the bound is two integer steps. On the i side, a
+    second searchsorted on the (token, size) keys ends the entry's range at
+    sizes above its reach; those pairs are never built. On the j side, each
+    built pair is kept only if the posting's reach is at least s_i.
+
+    Candidates are the distinct (j, i) pairs that pass the positional
+    filter, built and deduplicated in blocks cut at record boundaries, then
+    verified exactly. `prefix_filter=False` uses whole records as prefixes;
+    results must not change (used to test that the filter is lossless).
     """
     _check_threshold(threshold)
     if not data.canonical:
@@ -226,12 +248,18 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     stats = JoinStats()
     t0 = time.perf_counter()
     sizes = data.sizes.astype(np.int64)
+    base = int(sizes.max(initial=0)) + 1
     # Smallest size that passes the size filter: for an integer size,
     # size >= threshold * s - eps exactly when size >= ceil(threshold * s - eps).
     min_size = np.ceil(threshold * sizes - _EPS).astype(np.int64)
     # prefix_length(threshold, s), clipped to the record: below threshold
     # 5e-10, min_size is 0 and the formula gives s + 1
     plen = np.minimum(sizes - min_size + 1, sizes) if prefix_filter else sizes
+    # max_sum[r]: the largest s_i + s_j whose min_overlap is at most r, from
+    # min_overlap's own float expression, so the filter agrees with it exactly
+    coef = threshold / (1.0 + threshold)
+    max_sum = np.searchsorted(coef * np.arange(2 * base) - _EPS, np.arange(base + 1),
+                              side="right") - 1
 
     # Prefix entries (record, token) in record order; record r owns entries
     # entry_bounds[r] to entry_bounds[r + 1].
@@ -239,17 +267,22 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     entry_rec = np.repeat(np.arange(n), plen)
     at = np.arange(entry_rec.size) + np.repeat(data.indptr[:-1] - entry_bounds[:-1], plen)
     entry_tok = data.tokens[at].astype(np.int64)
+    # 1 + rest, the entry's token and those after it, is indptr[r + 1] - at
+    reach = max_sum[data.indptr[1:][entry_rec] - at] - sizes[entry_rec]
     # Postings: entries stably sorted by token, so records (and, in canonical
     # order, sizes) ascend along each token's list.
     order = np.argsort(entry_tok, kind="stable")
     post_rec = entry_rec[order]
+    post_reach = reach[order]
     hi = np.empty(order.size, dtype=np.int64)
     hi[order] = np.arange(order.size)
-    base = int(sizes.max(initial=0)) + 1
     keys = entry_tok[order] * base + sizes[post_rec]
     lo = np.searchsorted(keys, entry_tok * base + min_size[entry_rec], side="left")
-    counts = hi - lo  # >= 0: min_size <= size, so lo never passes the entry itself
-    stats.pre_candidates = int(counts.sum())
+    stats.pre_candidates = int((hi - lo).sum())  # >= 0: min_size <= size, so lo <= hi
+    # The i-side cut; the entry's own position caps it, so a reach past the
+    # largest size never runs into the next token's postings.
+    cut = np.searchsorted(keys, entry_tok * base + reach, side="right")
+    counts = np.clip(cut, lo, hi) - lo
 
     # Pairs before each record boundary; blocks end only on those boundaries,
     # so every duplicate of a pair is built in the same block.
@@ -263,7 +296,9 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
         c = counts[e0:e1]
         first = np.cumsum(c) - c
         idx = np.repeat(lo[e0:e1] - first, c) + np.arange(pairs_before[r1] - pairs_before[r0])
-        cand = unique_pairs([encode_pairs(post_rec[idx], np.repeat(entry_rec[e0:e1], c))])
+        i = np.repeat(entry_rec[e0:e1], c)
+        ok = post_reach[idx] >= sizes[i]  # the j side
+        cand = unique_pairs([encode_pairs(post_rec[idx[ok]], i[ok])])
         stats.candidates += cand.size
         pairs = decode_pairs(cand)
         ok = verify_pairs(data, pairs[:, 0], pairs[:, 1], threshold)

@@ -5,10 +5,11 @@ and the inverted-index prefix join must agree on every dataset. Individual
 predicates (verify, min_overlap, prefix_length) are pinned by hand-computable
 cases and by property tests against the direct Jaccard formula. Batch
 verification must give the same intersection counts on the bitset and the
-bitset-free probe route. The array-pass
-AllPairs is also checked against a per-record loop reference, pairs and
-counters alike, and the quadratic join's upper-triangle blocks against a
-per-pair scan, on both product routes and at block sizes down to one row.
+bitset-free probe route. The array-pass AllPairs is also checked against a
+per-record loop reference, pairs and counters alike, and its positional
+filter at its exact bound and against brute force on near-duplicates. The
+quadratic join's upper-triangle blocks are checked against a per-pair scan,
+on both product routes and at block sizes down to one row.
 """
 
 import time
@@ -183,6 +184,28 @@ def test_allpairs_size_filter_keeps_a_pair_at_exactly_the_threshold():
     assert np.array_equal(pairs, brute_force_join(ds, lam)[0])
 
 
+@pytest.mark.parametrize("prefix_filter", [True, False])
+def test_positional_filter_keeps_a_pair_at_exactly_its_bound(prefix_filter):
+    # 4 of 6 and 8 tokens shared: Jaccard 4/10 == 0.4 exactly, and the shared
+    # tokens, the most frequent, end both records. At the first of them
+    # 1 + min(rest_i, rest_j) is 4 == min_overlap, and the pair is kept only
+    # if both steps of the positional filter keep their bound inclusively;
+    # 0.4/1.4 * 14 evaluates to 4.000000000000001, so neither may drop the
+    # 1e-9 slack either.
+    lam = 0.4
+    assert lam / (1 + lam) * 14 > 4
+    ds = Dataset.from_records([[0, 1, 2, 3, 10, 11], [0, 1, 2, 3, 20, 21, 22, 23]])
+    x, y = ds.record(0), ds.record(1)
+    assert jaccard(x, y) == lam
+    first = int(np.intersect1d(x, y).min())
+    rest_x = x.size - 1 - int(np.flatnonzero(x == first)[0])
+    rest_y = y.size - 1 - int(np.flatnonzero(y == first)[0])
+    assert 1 + rest_x == 1 + rest_y == min_overlap(lam, 6, 8) == 4  # tight on both records
+    pairs, stats = allpairs_join(ds, lam, prefix_filter)
+    assert pairs.tolist() == [[0, 1]]
+    assert (stats.candidates, stats.results) == (1, 1)
+
+
 def test_threshold_one_returns_no_pairs_on_deduped_data():
     ds = gen_uniform(200, 6, 30, seed=6)
     pairs, _ = brute_force_join(ds, 1.0)
@@ -314,8 +337,11 @@ def _allpairs_loop(data: Dataset, threshold: float, prefix_filter: bool = True):
     """Reference AllPairs: one record and one prefix token at a time.
 
     Records are scanned in canonical order; each probes the postings of its
-    prefix tokens among earlier records (size-filtered), gets verified against
-    the unique candidates, then indexes its own prefix.
+    prefix tokens among earlier records (size-filtered), keeps a posting only
+    if the tokens from the probe's and the posting's positions onward,
+    1 + min(rest_i, rest_j), reach `min_overlap` (the positional filter),
+    gets verified against the unique candidates, then indexes its own prefix
+    with each token's position.
     """
     n = data.n
     sizes = data.sizes.astype(np.int64)
@@ -325,6 +351,7 @@ def _allpairs_loop(data: Dataset, threshold: float, prefix_filter: bool = True):
     starts = np.zeros(data.d + 1, dtype=np.int64)
     np.cumsum(data.token_freq, out=starts[1:])
     post_ids = np.empty(data.tokens.size, dtype=np.int64)
+    post_pos = np.empty(data.tokens.size, dtype=np.int64)
     fill = np.zeros(data.d, dtype=np.int64)
 
     codes = []
@@ -333,30 +360,71 @@ def _allpairs_loop(data: Dataset, threshold: float, prefix_filter: bool = True):
         s = int(sizes[i])
         plen = prefix_length(threshold, s) if prefix_filter else s
         size_cut = threshold * s - _EPS
-        slices = []
-        for tok in rec[:plen].astype(np.intp):
-            sl = post_ids[starts[tok]:starts[tok] + fill[tok]]
-            if sl.size:
-                # postings are appended in processing order, so sizes ascend
-                lo = int(np.searchsorted(sizes[sl], size_cut, side="left"))
-                sl = sl[lo:]
-                stats.pre_candidates += sl.size
-                if sl.size:
-                    slices.append(sl)
-        if slices:
-            cand = np.unique(np.concatenate(slices))
+        kept = []
+        for p, tok in enumerate(rec[:plen].astype(np.intp)):
+            sl = slice(starts[tok], starts[tok] + fill[tok])
+            # postings are appended in processing order, so sizes ascend
+            lo = int(np.searchsorted(sizes[post_ids[sl]], size_cut, side="left"))
+            stats.pre_candidates += fill[tok] - lo
+            for j, q in zip(post_ids[sl][lo:], post_pos[sl][lo:]):
+                rest_i, rest_j = s - 1 - p, int(sizes[j]) - 1 - q
+                if 1 + min(rest_i, rest_j) >= min_overlap(threshold, s, int(sizes[j])):
+                    kept.append(j)
+        if kept:
+            cand = np.unique(kept)
             stats.candidates += cand.size
             ok = verify_pairs(data, cand, np.full(cand.size, i), threshold)
             if ok.any():
                 codes.append(encode_pairs(cand[ok], np.full(int(ok.sum()), i)))
-        for tok in rec[:plen].astype(np.intp):
+        for p, tok in enumerate(rec[:plen].astype(np.intp)):
             post_ids[starts[tok] + fill[tok]] = i
+            post_pos[starts[tok] + fill[tok]] = p
             fill[tok] += 1
 
     merged = np.sort(np.concatenate(codes)) if codes else np.zeros(0, dtype=np.uint64)
     stats.results = merged.size
     stats.join_s = time.perf_counter() - t0
     return decode_pairs(merged), stats
+
+
+def _near_duplicate_records(rng):
+    """Uniform background sets plus clusters of near-duplicates, each member
+    its center with a few tokens dropped and a few rare ones added."""
+    recs = [rng.choice(60, size=int(s), replace=False) for s in rng.integers(2, 16, size=25)]
+    for _ in range(4):
+        center = rng.choice(60, size=int(rng.integers(6, 20)), replace=False)
+        for _ in range(int(rng.integers(4, 12))):
+            kept = np.delete(center, rng.choice(center.size, size=int(rng.integers(0, 3)),
+                                                replace=False))
+            recs.append(np.concatenate([kept, rng.integers(60, 90, size=int(rng.integers(0, 3)))]))
+    return recs
+
+
+@pytest.mark.parametrize("route", ["bitset", "probe"])
+def test_positional_filter_is_lossless_on_near_duplicates(monkeypatch, route):
+    if route == "probe":
+        monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        ds = Dataset.from_records(_near_duplicate_records(rng))
+        assert (ds.bitset() is None) == (route == "probe")
+        sharing = np.sort(ds.sizes[brute_force_join(ds, 1e-6)[0]], axis=1)
+        for lam in (1e-6, 1 / 3, 0.7, 1.0):
+            want, _ = brute_force_join(ds, lam)
+            # pairs sharing a token that pass the size filter: what
+            # whole-record prefixes verify without the positional filter
+            sized = np.count_nonzero(lam * sharing[:, 1] <= sharing[:, 0] + _EPS)
+            for prefix_filter in (True, False):
+                got = allpairs_join(ds, lam, prefix_filter)
+                assert np.array_equal(got[0], want)
+                _assert_same_join(got, _allpairs_loop(ds, lam, prefix_filter))
+                if lam == 1e-6:
+                    # every pair sharing a token is a result; the range cut
+                    # reaches past the largest size yet stays inside the
+                    # token's postings of earlier records
+                    assert got[1].candidates == got[1].results == sized == len(sharing)
+                elif lam == 0.7:
+                    assert got[1].results < got[1].candidates < sized  # the filter prunes
 
 
 def _assert_same_join(got, want):
