@@ -14,7 +14,7 @@ batch, and not split. Before a larger bucket splits, a pooled sketch
 summarizes it, and every record whose estimated average similarity to it
 exceeds (1 - eps) * threshold is compared against the full bucket and
 removed. Every comparison goes through the join's one `CandidateKernel`,
-which the LSH join shares: it filters pairs by record sizes and by 1-bit
+which the LSH join shares: it filters pairs by record sizes and by minwise
 sketches at a cutoff that keeps threshold-similar pairs except with
 probability delta, then verifies the survivors exactly. Repetitions re-find
 most pairs the earlier ones found, so the kernel verifies each distinct pair
@@ -157,7 +157,8 @@ class CandidateKernel:
         self.sizes = prep.data.sizes.astype(np.float64)  # exact, and no casts in run()
         self.threshold = threshold
         bits = prep.sketch_bits
-        self.max_h = max_hamming(filter_threshold(threshold, bits, delta), bits)
+        cut = filter_threshold(threshold, prep.sketch_minhashes, delta)
+        self.max_h = max_hamming(cut, bits)
         self._hamming_dtype = np.min_scalar_type(bits)  # holds any distance up to bits
         self.stats = stats
         self._buffer = []  # code arrays of candidates not yet flushed

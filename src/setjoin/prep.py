@@ -1,9 +1,10 @@
 """Shared preprocessing: embed and sketch every record of a dataset once.
 
 The signature and sketch MinHash families are stacked into one table tensor of
-F = sig_len + sketch bits functions, and each record's F MinHash values (the
-member of least hash rank under each function) fill one column of an (F, n)
-matrix.
+F = sig_len + 16 * sketch_words functions (a sketch takes 4 bits from each of
+its MinHashes, so 128 + 128 by default), and each record's F MinHash values
+(the member of least hash rank under each function) fill one column of an
+(F, n) matrix.
 
 Each function's ranks over the universe are sorted into rank tables:
 `order[f, r]` is the token at rank position r under function f and `pos[t, f]`
@@ -16,7 +17,8 @@ rows of the (F, n) matrix through one column index. Once every block is in,
 one `take` per function row turns the positions into tokens through `order`.
 The tables are built `_UNIVERSE_CELL_CAP // universe` functions (at least one)
 at a time, so a wide universe costs more chunks rather than more memory. One
-step then cuts the signatures from the matrix and packs the sketch bits.
+step then cuts the signatures from the matrix, and the sketch family packs
+its rows into sketches.
 
 The embedding's dimensions are chosen here and nowhere else: a `Prepared`
 reads them off its arrays, and the joins read them off the `Prepared`.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .minhash import DEFAULT_SIG_LEN, MinHashFamily
-from .sketch import DEFAULT_SKETCH_WORDS, SketchFamily
+from .sketch import BITS_PER_MINHASH, DEFAULT_SKETCH_WORDS, SketchFamily
 from .tabulation import derive_seed, hash_keys
 
 _SIG_TAG = 0x707369  # signature family seed
@@ -65,6 +67,12 @@ class Prepared:
     def sketch_bits(self) -> int:
         return 64 * self.sketch_words
 
+    @property
+    def sketch_minhashes(self) -> int:
+        """Independent MinHashes behind each sketch, which the filter's tail
+        bound counts."""
+        return self.sketch_bits // BITS_PER_MINHASH
+
 
 def check_join_params(threshold: float, delta: float):
     """Validate the config fields every approximate join shares."""
@@ -84,7 +92,7 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
     values = _minhashes(tables, data)
 
     sig = np.ascontiguousarray(values[:sig_len].T)
-    sketches = _sketches(sk_fam, values[sig_len:])
+    sketches = sk_fam.from_minhashes(values[sig_len:])
     return Prepared(data, sig, sketches, seed, time.perf_counter() - t0)
 
 
@@ -172,20 +180,3 @@ def _universe_ranks(tables: np.ndarray, d: int) -> np.ndarray:
         h = (tables[:, j, :count, None] ^ h[:, None, :]).reshape(len(tables), -1)
     return h[:, :d]
 
-
-def _sketches(sk_fam: SketchFamily, values: np.ndarray) -> np.ndarray:
-    """Packed sketches (n, words): bit f applies bit function f to row f of the
-    sketch family's MinHash values (bits, n)."""
-    # A bit function's value is the low bit of its tabulation hash, so the XOR
-    # of the low bits of its four byte-table entries.
-    low = (sk_fam.bit_tables & np.uint64(1)).astype(np.uint8)
-    bits = np.empty(values.shape, dtype=np.uint8)
-    for f, v in enumerate(values):
-        t0, t1, t2, t3 = low[f]
-        b = t0.take(v & 0xFF)
-        b ^= t1.take((v >> 8) & 0xFF)
-        b ^= t2.take((v >> 16) & 0xFF)
-        b ^= t3.take(v >> 24)
-        bits[f] = b
-    packed = np.packbits(bits, axis=0, bitorder="little")
-    return np.ascontiguousarray(packed.T).view("<u8")

@@ -1,10 +1,18 @@
-"""1-bit minwise sketches packed into 64-bit words.
+"""Minwise sketches packed into 64-bit words, 4 bits per MinHash.
 
-Bit i of a sketch is a 1-bit hash of the i-th MinHash value of the set, so two
-sets match on each bit with probability (1 + J)/2. The similarity estimate
-inverts that: J_hat = 1 - 2*H/b for Hamming distance H over b bits. A
-Hoeffding bound turns a target false-negative rate delta at threshold
-`threshold` into the filter line `threshold - sqrt(2*ln(1/delta)/b)`.
+A sketch of b = 64*words bits is built from m = b/4 MinHash values of the set
+(b-bit minwise hashing, Li and Koenig 2010): bit 4*j + k is bit k of a
+tabulation hash of the j-th MinHash value, one hash function per MinHash. Two
+sets agree on all 4 bits of a MinHash when its values collide (probability
+J), and otherwise on each bit with probability 1/2, so each bit matches with
+probability (1 + J)/2. The similarity estimate inverts that: J_hat = 1 - 2*H/b
+for Hamming distance H over b bits.
+
+The 4 bits of one MinHash are not independent, so the filter's tail bound
+counts MinHashes, not bits: J_hat is the mean of m independent per-MinHash
+terms, each in [-1, 1], and Hoeffding turns a target false-negative rate delta
+at threshold `threshold` into the filter line
+`threshold - sqrt(2*ln(1/delta)/m)`.
 
 The candidate kernel never forms the float estimate: it compares integer
 Hamming distances against `max_hamming`, the largest distance whose estimate
@@ -26,15 +34,21 @@ from .tabulation import derive_seed, splitmix64_array, table_tensor
 
 DEFAULT_SKETCH_WORDS = 8
 DEFAULT_DELTA = 0.05
+BITS_PER_MINHASH = 4  # sketch bits taken from each MinHash value
 
 _MH_TAG = 0x736B6D68  # sketch minhash family
 _BIT_TAG = 0x736B6274  # sketch bit family
+_NIBBLE_CELLS = 2 ** 16  # MinHash values hashed per gather
 
 
 class SketchFamily:
-    """Hash family for b = 64*words 1-bit minwise sketch bits.
+    """Hash family for b = 64*words sketch bits: b/4 MinHash functions, and
+    one bit function per MinHash whose low 4 bits give the sketch's 4 bits.
 
-    `minhashes` is the MinHash family whose i-th value bit function i hashes.
+    `minhashes` is the MinHash family whose j-th value bit function j hashes.
+    `bit_tables` (b/4, 4, 256) uint8 holds the low 4 bits of each bit
+    function's tabulation tables: bits 0-3 of a tabulation hash are the XOR of
+    bits 0-3 of its four byte-table entries.
     """
 
     __slots__ = ("words", "bits", "seed", "minhashes", "bit_tables")
@@ -45,26 +59,39 @@ class SketchFamily:
         self.words = words
         self.bits = 64 * words
         self.seed = seed
-        self.minhashes = MinHashFamily(self.bits, derive_seed(seed, _MH_TAG))
-        bit_seeds = function_seeds(derive_seed(seed, _BIT_TAG), self.bits)
-        self.bit_tables = table_tensor(bit_seeds)
-
-    def bit_values(self, minhash_values: np.ndarray) -> np.ndarray:
-        """Apply bit function i to minhash value i; returns (bits,) uint8."""
-        idx = np.asarray(minhash_values, dtype=np.intp)
-        t = self.bit_tables
-        rows = np.arange(self.bits)
-        h = t[rows, 0, idx & 0xFF]
-        h ^= t[rows, 1, (idx >> 8) & 0xFF]
-        h ^= t[rows, 2, (idx >> 16) & 0xFF]
-        h ^= t[rows, 3, (idx >> 24) & 0xFF]
-        return (h & np.uint64(1)).astype(np.uint8)
+        count = self.bits // BITS_PER_MINHASH
+        self.minhashes = MinHashFamily(count, derive_seed(seed, _MH_TAG))
+        tables = table_tensor(function_seeds(derive_seed(seed, _BIT_TAG), count))
+        self.bit_tables = (tables & np.uint64(0xF)).astype(np.uint8)
 
     def sketch(self, tokens) -> np.ndarray:
         """Sketch of a token set: (words,) uint64, bit i at word i//64, position i%64."""
         tokens = checked_tokens(tokens)
-        values = self.minhashes.embed(tokens)
-        return pack_bits(self.bit_values(values))
+        return self.from_minhashes(self.minhashes.embed(tokens)[:, None])[0]
+
+    def from_minhashes(self, values: np.ndarray) -> np.ndarray:
+        """Sketches (n, words) of n sets from their MinHash values (m, n)
+        under `minhashes`: bit 4*j + k of a set's sketch is bit k of bit
+        function j's hash of its j-th value.
+
+        The values are hashed a block of rows (`_NIBBLE_CELLS` values) at a
+        time, one flat gather per key byte.
+        """
+        m, n = values.shape
+        flat = self.bit_tables.reshape(-1)
+        nibbles = np.empty((m, n), dtype=np.uint8)
+        step = max(1, _NIBBLE_CELLS // max(n, 1))
+        for r in range(0, m, step):
+            v = values[r:r + step].astype(np.intp)
+            base = np.arange(r, r + len(v))[:, None] * 1024  # row r's byte-0 table
+            nib = flat.take(base + (v & 0xFF))
+            nib ^= flat.take(base + 256 + ((v >> 8) & 0xFF))
+            nib ^= flat.take(base + 512 + ((v >> 16) & 0xFF))
+            nib ^= flat.take(base + 768 + (v >> 24))
+            nibbles[r:r + len(v)] = nib
+        # byte j of a sketch holds MinHash 2j in its low nibble, 2j + 1 in its high one
+        packed = nibbles[0::2] | (nibbles[1::2] << 4)
+        return np.ascontiguousarray(packed.T).view("<u8")
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -93,14 +120,21 @@ def estimate_rows(rows: np.ndarray, one: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * h / bits
 
 
-def filter_threshold(threshold: float, bits: int, delta: float = DEFAULT_DELTA) -> float:
+def filter_threshold(threshold: float, minhashes: int, delta: float = DEFAULT_DELTA) -> float:
     """Estimate cutoff that keeps pairs with J >= threshold except with
-    probability at most delta (one-sided Hoeffding on b bit matches)."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    probability at most delta.
+
+    One-sided Hoeffding over the `minhashes` independent terms the estimate
+    averages, each in [-1, 1]: a sketch's m = bits/4 MinHashes, whose match
+    counts lie in [0, 4]. Counting the sketch's bits instead would treat the
+    4 correlated bits of one MinHash as independent, and the cutoff would
+    miss more than delta of the pairs at the threshold.
+    """
+    if minhashes < 1:
+        raise ValueError("minhashes must be >= 1")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
-    return threshold - math.sqrt(2.0 * math.log(1.0 / delta) / bits)
+    return threshold - math.sqrt(2.0 * math.log(1.0 / delta) / minhashes)
 
 
 def max_hamming(cut: float, bits: int) -> int:

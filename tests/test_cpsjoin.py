@@ -305,7 +305,7 @@ def test_co_bucket_frequency_shape_mismatch():
 def _reference_kernel(prep, threshold, delta, pairs):
     """Per-pair loop the candidate kernel must reproduce: size predicate,
     sketch estimate against the filter cutoff, then exact verification."""
-    cut = filter_threshold(threshold, prep.sketch_bits, delta)
+    cut = filter_threshold(threshold, prep.sketch_minhashes, delta)
     sizes = prep.data.sizes
     stats, codes = JoinStats(), []
     for a, b in pairs:
@@ -398,7 +398,7 @@ def test_max_h_is_the_largest_distance_the_float_cutoff_passes(words):
     prep = Prepared(ds, np.zeros((ds.n, 1), dtype=np.uint32), sketches, 0, 0.0)
     for threshold in (0.05, 0.3, 0.5, 0.7, 0.9, 1.0):
         for delta in (0.01, 0.05, 0.5, 1.0):
-            cut = filter_threshold(threshold, bits, delta)
+            cut = filter_threshold(threshold, 16 * words, delta)  # the sketch's MinHashes
             want = max((h for h in range(bits + 1) if 1 - 2 * h / bits >= cut), default=-1)
             kernel = CandidateKernel(prep, threshold, delta, JoinStats())
             assert kernel.max_h == want
@@ -410,7 +410,7 @@ def test_kernel_keeps_pairs_whose_estimate_lands_on_the_cutoff():
     # sketch pair at Hamming distance 16 reaches exactly
     ds = gen_uniform(120, 8, 30, seed=8)
     prep = preprocess(ds, sig_len=16, sketch_words=1, seed=4)
-    assert filter_threshold(0.5, prep.sketch_bits, 1.0) == 0.5
+    assert filter_threshold(0.5, prep.sketch_minhashes, 1.0) == 0.5
     ids = np.arange(ds.n, dtype=np.int64)
     pairs = _segment_reference_pairs(ids, [0, ds.n])
     on_cut = [(a, b) for a, b in pairs

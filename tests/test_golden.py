@@ -74,15 +74,15 @@ def _fixed_cps(lam):
 
 _CASES = [
     (_tokens, cps_join, _fixed_cps,
-     "232e23b71f4c0221db0323366625c665dba5b9e151b4aa125e707c9ad23dd48a"),
+     "fed18b9f7433fc61c0d9b7f3d89ea0079b334fc81ea8ddbd4aa303ceb7b76062"),
     (_tokens, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
-     "177d841f8153c9ee46ccb3a142ecf5f7cfbf7f2d5f26a273a632aceab9309912"),
+     "8f09e4ad075ff3e94d97e7b00b3859ec3738d9af7c276282df3408731ddfa58b"),
     (_uniform, cps_join, _fixed_cps,
-     "933ffaa9b9e4cb1048432d90fc13f548171a9d7df21a0d991bdef2b31717d107"),
+     "783c111d4927e26a5bc24260620c1da2d3a1a1f02d56e5161fc2af9cf6670e88"),
     (_uniform, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
-     "7dec08c4533318a46f18a4eebe6fcbb9927458d0709a77a3d23d9ac428d3db72"),
+     "a7700f42189060de509808c267d9aeafe60a901a1c9ec9ac0ea8c9e8b1888145"),
     (_clusters, cps_join, _fixed_cps,
-     "5d8df98e1558f582f27648cd16df0dcab33ae2531c94fba2712ae79bd4dc4e40"),
+     "e81abecdb68c3a7ad52746367ca1f734a0dd35c6b0d03834ab8669c5469c35c1"),
     (_clusters, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
      "e6d2832ebee3ba06f36e8652597e7645532a9cf142c5f8b9825ed9f37bcefc8f"),
     (_tokens, allpairs_join, lambda lam: lam,

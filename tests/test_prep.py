@@ -33,14 +33,14 @@ def _check_against_families(prep):
 def test_universe_path_matches_reference_families():
     ds = gen_uniform(60, 10, 200, seed=0)
     prep = preprocess(ds, sig_len=32, sketch_words=2, seed=9)
-    assert (32 + 128) * ds.d <= _UNIVERSE_CELL_CAP
+    assert (32 + 32) * ds.d <= _UNIVERSE_CELL_CAP
     _check_against_families(prep)
 
 
 def test_per_record_path_matches_reference_families():
-    ds = gen_uniform(80, 600, 200000, seed=1)
+    ds = gen_uniform(150, 600, 200000, seed=1)
     prep = preprocess(ds, sig_len=128, sketch_words=8, seed=9)
-    assert (128 + 512) * ds.d > _UNIVERSE_CELL_CAP
+    assert (128 + 128) * ds.d > _UNIVERSE_CELL_CAP
     _check_against_families(prep)
 
 
@@ -82,11 +82,16 @@ _SMALL_BLOCKS = {"_BLOCK_CELLS": 5000, "_RANK_CHUNK_CELLS": 3 * 500}
 # Rank tables built and used 2 to 6 functions at a time.
 _CHUNKED = {"_UNIVERSE_CELL_CAP": 2000}
 
-# sha256 of sig.tobytes() + sketches.tobytes(), computed with the per-record
-# argmin embedding before the rank-table path existed.
-_TOKENS_DIGEST = "9b510f74ca7f902dd0f97568b072e94fe99df3de7759bfac2490e04bd45d0e32"
-_MIXED_DIGEST = "e7cf890c4b389fdda9e4ba78767fcffe9c51280020f050d596c13dd8dbba9068"
-_WIDE_DIGEST = "86c90700c73c8b7ec70ba005e7bbc11babe2d2713c38cd3d05d31048a6c467a0"
+# (sha256 of sig.tobytes(), sha256 of sketches.tobytes()). The signature
+# digests were computed with the per-record argmin embedding before the
+# rank-table path existed; the sketch digests when sketches took 4 bits per
+# MinHash.
+_TOKENS_DIGEST = ("9747ec7a754d1049e6e7ae8d20a9b88cb97e158df16cd45483ccb41d930095b8",
+                  "4a499ebdf2287335ef6eaa5239f28b13d1c929b9173a7108b03d71c5647c921f")
+_MIXED_DIGEST = ("1347a7801de4945857fd2567ed622a2d757929264177c2b1204fc1449c5d93c1",
+                 "1f7e9f0a79da9c861eb3b8905cafe0b2dda4312d08cf0164323a11575d0a592d")
+_WIDE_DIGEST = ("7faaa0b781b4421260c1b22e01b4afe6e81df6cfb1281d7e087c0a1a197efdb3",
+                "504baaa1487fcd5cb8128e351bb7f388509b8711642365ad73ce7d5940553c35")
 
 
 @pytest.mark.parametrize("dataset, dims, patch, want", [
@@ -105,11 +110,12 @@ def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     data = dataset()
     sig_len, words, seed = dims
     if not patch:
-        assert (sig_len + 64 * words) * data.d <= _UNIVERSE_CELL_CAP
+        assert (sig_len + 16 * words) * data.d <= _UNIVERSE_CELL_CAP
     p = preprocess(data, sig_len=sig_len, sketch_words=words, seed=seed)
     assert p.sig.shape == (data.n, sig_len) and p.sig.dtype == np.uint32
     assert p.sketches.shape == (data.n, words) and p.sketches.dtype == np.uint64
-    assert hashlib.sha256(p.sig.tobytes() + p.sketches.tobytes()).hexdigest() == want
+    assert (hashlib.sha256(p.sig.tobytes()).hexdigest(),
+            hashlib.sha256(p.sketches.tobytes()).hexdigest()) == want
 
 
 def test_digest_cases_cover_their_regimes():
@@ -173,12 +179,12 @@ def test_ranks_are_hashed_per_chunk_of_functions_not_per_record(monkeypatch):
 
     monkeypatch.setattr(prep_module, "hash_keys", counting_hash_keys)
     # canonical, and F * d past the cap: [0, d) is ranked byte table by byte table
-    dense = gen_uniform(80, 600, 200000, seed=1)
-    assert (128 + 512) * dense.d > _UNIVERSE_CELL_CAP
+    dense = gen_uniform(150, 600, 200000, seed=1)
+    assert (128 + 128) * dense.d > _UNIVERSE_CELL_CAP
     preprocess(dense)
     assert calls == []
     # sparse ids: only the tokens that occur are hashed, a chunk of functions at a time
     sparse = _wide()
     preprocess(sparse)
-    assert sum(calls) == 128 + 512
+    assert sum(calls) == 128 + 128
     assert 0 < len(calls) < sparse.n

@@ -3,7 +3,8 @@
 The estimator identities are exact (identical and complementary bit patterns),
 the statistical behavior is checked against small sets whose Jaccard values
 are known rationals, and the filter cutoff is cross-checked against an
-independent root-finding route through the same tail bound.
+independent root-finding route through the same tail bound and against the
+exact distribution of the 4-bit-per-MinHash estimator.
 """
 
 import math
@@ -12,8 +13,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from setjoin.cpsjoin import CandidateKernel
+from setjoin.datasets import Dataset
 from setjoin.errors import EmptyBucketError, SketchMismatchError
 from setjoin.minhash import MinHashFamily, function_seeds
+from setjoin.prep import Prepared
 from setjoin.sketch import (
     _BIT_TAG,
     _MH_TAG,
@@ -21,19 +25,21 @@ from setjoin.sketch import (
     estimate_rows,
     estimate_similarity,
     filter_threshold,
+    max_hamming,
     pack_bits,
     pooled_sketch,
 )
+from setjoin.stats import JoinStats
 from setjoin.tabulation import derive_seed, splitmix64
 
 
-def _bit_hash(seed: int, key: int) -> int:
-    """1-bit hash: the low bit of the key's tabulation hash, the XOR over its
-    bytes of the seed's SplitMix64 stream at 256*byte_index + byte."""
+def _tab_hash(seed: int, key: int) -> int:
+    """The key's tabulation hash: the XOR over its bytes of the seed's
+    SplitMix64 stream at 256*byte_index + byte."""
     h = 0
     for j in range(4):
         h ^= splitmix64(seed, 256 * j + ((key >> (8 * j)) & 0xFF))
-    return h & 1
+    return h
 
 
 def _pair(c, ea, eb):
@@ -76,14 +82,15 @@ def test_estimate_rows_matches_pairwise():
 
 def test_sketch_bits_come_from_bit_hashed_minhash_values():
     # reconstruct both function families from the seed derivation contract
+    # bit i is bit i % 4 of bit function i // 4's hash of MinHash value i // 4
     fam = SketchFamily(words=1, seed=7)
-    mh = MinHashFamily(64, derive_seed(7, _MH_TAG))
-    bit_seeds = function_seeds(derive_seed(7, _BIT_TAG), 64)
+    mh = MinHashFamily(16, derive_seed(7, _MH_TAG))
+    bit_seeds = function_seeds(derive_seed(7, _BIT_TAG), 16)
     tokens = np.array([10, 20, 30, 40, 50], dtype=np.uint32)
     values = mh.embed(tokens)
     word = int(fam.sketch(tokens)[0])
-    for i in (0, 1, 31, 63):
-        want = _bit_hash(int(bit_seeds[i]), int(values[i]))
+    for i in range(64):
+        want = (_tab_hash(int(bit_seeds[i // 4]), int(values[i // 4])) >> (i % 4)) & 1
         assert (word >> i) & 1 == want
 
 
@@ -139,6 +146,55 @@ def test_false_negative_rate_within_budget():
         if estimate_similarity(fam.sketch(a), fam.sketch(b)) < cut:
             misses += 1
     assert misses / trials <= 0.07
+
+
+def _match_count_distribution(j: float, minhashes: int) -> np.ndarray:
+    """Exact law of the number of matching sketch bits between two sets at
+    Jaccard j: each MinHash matches on all 4 of its bits with probability j,
+    and otherwise on Binomial(4, 1/2) of them, independently of the others."""
+    one = (1 - j) * np.array([math.comb(4, k) for k in range(5)]) / 16
+    one[4] += j
+    law = np.ones(1)
+    for _ in range(minhashes):
+        law = np.convolve(law, one)
+    return law
+
+
+def _kernel_max_h(threshold: float, delta: float, words: int) -> int:
+    ds = Dataset.from_records([[0, 1], [0, 2]])
+    sketches = np.zeros((ds.n, words), dtype=np.uint64)
+    prep = Prepared(ds, np.zeros((ds.n, 1), dtype=np.uint32), sketches, 0, 0.0)
+    return CandidateKernel(prep, threshold, delta, JoinStats()).max_h
+
+
+def _false_negative_rate(law: np.ndarray, max_h: int) -> float:
+    """P(Hamming distance > max_h) under a law of bit-match counts."""
+    bits = law.size - 1
+    return float(law[:bits - max_h].sum())
+
+
+_THRESHOLDS = [round(0.1 + 0.05 * i, 2) for i in range(19)]  # 0.1, 0.15, ..., 1.0
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.05, 0.01, 0.001])
+def test_kernel_cut_misses_at_most_delta_of_pairs_at_the_threshold(delta):
+    words, bits = 8, 512
+    worst = 0.0
+    for threshold in _THRESHOLDS:
+        law = _match_count_distribution(threshold, bits // 4)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        worst = max(worst, _false_negative_rate(law, _kernel_max_h(threshold, delta, words)))
+    assert 0.0 < worst <= delta
+
+
+def test_a_cut_counting_bits_misses_more_than_delta():
+    # The 4 bits of one MinHash are correlated, so a Hoeffding cut over all
+    # 512 bits is too tight: at J = threshold it misses more than delta.
+    delta, bits = 0.001, 512
+    worst = max(_false_negative_rate(_match_count_distribution(t, bits // 4),
+                                     max_hamming(filter_threshold(t, bits, delta), bits))
+                for t in _THRESHOLDS)
+    assert worst > delta
 
 
 def test_pooled_sketch_of_single_member_is_that_sketch():

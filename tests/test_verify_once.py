@@ -46,8 +46,11 @@ def _counters(stats):
 def test_each_candidate_pair_is_verified_at_most_once(monkeypatch, join, cfg, pair_block):
     data = _near_duplicates()
     want_pairs, want_stats = join(data, cfg)
-    verified, outcomes, dedups = [], [], []
+    verified, outcomes = [], []
+    flushes = [0]  # non-empty dedups (flushes) made in each repetition so far
+    candidates = []  # candidates each closed repetition produced
     verify_pairs, unique_pairs = cpsjoin.verify_pairs, cpsjoin.unique_pairs
+    end_repetition = CandidateKernel.end_repetition
 
     def recording_verify(data, a, b, threshold):
         verified.append(encode_pairs(a, b))
@@ -55,11 +58,18 @@ def test_each_candidate_pair_is_verified_at_most_once(monkeypatch, join, cfg, pa
         return outcomes[-1]
 
     def recording_unique(chunks):
-        dedups.append(1)
+        flushes[-1] += any(c.size for c in chunks)
         return unique_pairs(chunks)
+
+    def recording_end(kernel):
+        found = end_repetition(kernel)
+        candidates.append(kernel.stats.candidates - sum(candidates))
+        flushes.append(0)
+        return found
 
     monkeypatch.setattr(cpsjoin, "verify_pairs", recording_verify)
     monkeypatch.setattr(cpsjoin, "unique_pairs", recording_unique)
+    monkeypatch.setattr(CandidateKernel, "end_repetition", recording_end)
     if pair_block is not None:
         monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", pair_block)
     pairs, stats = join(data, cfg)
@@ -69,10 +79,13 @@ def test_each_candidate_pair_is_verified_at_most_once(monkeypatch, join, cfg, pa
     outcomes = np.concatenate(outcomes)
     assert 0 < np.count_nonzero(outcomes) < outcomes.size  # failed pairs are not re-verified either
     reps = len(stats.new_results_per_rep)
+    assert len(candidates) == reps and flushes.pop() == 0
+    assert 0 < sum(candidates)
     if pair_block is None:
-        assert len(dedups) == reps  # one flush per repetition
+        # one flush per repetition that produced candidates, none inside it
+        assert flushes == [int(c > 0) for c in candidates]
     else:
-        assert len(dedups) > 2 * reps  # flushes inside repetitions
+        assert sum(flushes) > 2 * reps  # flushes inside repetitions
     assert np.array_equal(pairs, want_pairs)
     assert _counters(stats) == _counters(want_stats)
     assert stats.new_results_per_rep == want_stats.new_results_per_rep
