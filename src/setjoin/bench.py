@@ -2,16 +2,17 @@
 
 The protocol for approximate algorithms mirrors how the join quality is
 reported: the exact result is computed once per threshold of a `run` or
-`sweep` call with the inverted-index join, repetitions run cumulatively, and
-the run stops once the union of reported pairs reaches the recall target (or
-the repetition budget). The target defaults to the algorithm's own:
-`CpsConfig.recall_target` for CPSJoin, `LshConfig.recall_target` for LSH.
-Without the oracle, CPSJoin stops where the capture-recapture estimate its
-candidate kernel keeps (`cpsjoin.estimated_recall`) reaches the target; LSH's
-kernel keeps the same estimate, but LSH runs its full budget. Reported join
-time covers the repetitions only; embedding/sketching time is its own column
-and the oracle is never timed into either. A row summarizes all trials: times
-are means; recall, counters and echoed parameters the lower median.
+`sweep` call with the inverted-index join, and each trial runs the join's
+repetitions through `cpsjoin.run_repetitions` until the union of reported
+pairs reaches the recall target (or the repetition budget). The target
+defaults to the algorithm's own: `CpsConfig.recall_target` for CPSJoin,
+`LshConfig.recall_target` for LSH. Without the oracle each join keeps its own
+stop rule: CPSJoin stops where its kernel's capture-recapture estimate
+(`cpsjoin.estimated_recall`) reaches the target, LSH runs its full budget.
+Join time sums the per-repetition times (`JoinStats.repetition_s`), so it
+leaves out the recall checks; embedding/sketching time is its own column and
+the oracle is never timed into either. A row summarizes all trials: times are
+means; recall, counters and echoed parameters the lower median.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import cpsjoin as cps
 from . import lsh as mlsh
 from .datasets import Dataset
 from .exact import allpairs_join, brute_force_join
-from .stats import JoinStats, encode_pairs
+from .stats import encode_pairs
 from .prep import DEFAULT_SIG_LEN, DEFAULT_SKETCH_WORDS, preprocess
 from .tabulation import derive_seed
 
@@ -67,6 +67,8 @@ class ExperimentSpec:
             raise ValueError("need at least one threshold")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.max_reps is not None and self.max_reps < 1:
+            raise ValueError("max_reps must be >= 1")
 
 
 @dataclass
@@ -149,37 +151,26 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
         trial_seed = derive_seed(base_seed, trial)
         prep = preprocess(spec.data, spec.sig_len, spec.sketch_words, trial_seed)
         prep_times.append(prep.elapsed_s)
-        for t, lam in enumerate(spec.thresholds):
-            stats = JoinStats(preprocess_s=prep.elapsed_s)
+        for t, (lam, exact) in enumerate(zip(spec.thresholds, exacts)):
             cfg = _approximate_config(spec, lam, trial_seed)
-            kernel = cps.CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
             if spec.algorithm == "cpsjoin":
-                max_reps = cfg.reps
-                run_rep = lambda r: cps.repetition_codes(prep, cfg, r, kernel)
-                extra = {"limit": spec.limit, "eps": spec.eps, "reps": max_reps}
+                reps, stop = cfg.reps, cps.estimate_reaches(target)
+                run_rep = lambda r, kernel: cps.repetition_codes(prep, cfg, r, kernel)
+                extra = {"limit": spec.limit, "eps": spec.eps, "reps": reps}
             else:
-                k, max_reps = mlsh.resolve_params(prep, cfg)
-                run_rep = lambda r: mlsh.repetition_codes(prep, cfg, k, r, kernel)
-                extra = {"k": k, "reps": max_reps}
-
-            recall = None
-            join_t = 0.0
-            for rep in range(max_reps):
-                t0 = time.perf_counter()
-                run_rep(rep)
-                join_t += time.perf_counter() - t0
-                if exacts[t] is not None:
-                    recall = _recall(kernel.codes(), exacts[t])
-                    if recall >= target:
-                        break
-                elif spec.algorithm == "cpsjoin" and stats.recall_estimate_per_rep[-1] >= target:
-                    break
+                k, reps = mlsh.resolve_params(prep, cfg)
+                stop = lambda kernel: False
+                run_rep = lambda r, kernel: mlsh.repetition_codes(prep, cfg, k, r, kernel)
+                extra = {"k": k, "reps": reps}
+            if exact is not None:
+                stop = lambda kernel: _recall(kernel.codes(), exact) >= target
+            pairs, stats = cps.run_repetitions(prep, cfg, reps, run_rep, stop)
             trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
-                join_time_s=join_t, preprocess_time_s=prep.elapsed_s,
-                recall=recall, reps_used=len(stats.new_results_per_rep),
-                pre_candidates=stats.pre_candidates, candidates=stats.candidates,
-                results=kernel.codes().size,
+                join_time_s=sum(stats.repetition_s), preprocess_time_s=prep.elapsed_s,
+                recall=None if exact is None else _recall(encode_pairs(*pairs.T), exact),
+                reps_used=len(stats.repetition_s), pre_candidates=stats.pre_candidates,
+                candidates=stats.candidates, results=stats.results,
             ))
             trial_params[t].append(extra)
     # Times are means over trials; recall, counters and the echoed parameters
@@ -216,10 +207,11 @@ def _recall_target(spec: ExperimentSpec) -> float:
 def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
     """The join config an approximate run of `spec` uses at one threshold."""
     if spec.algorithm == "cpsjoin":
-        # the runner stops the repetitions itself, so the config never does
+        # the runner passes its own stop rule, so the config's target stays unset
         return cps.CpsConfig(
             threshold=threshold, delta=spec.delta, eps=spec.eps, limit=spec.limit,
-            reps=spec.max_reps or cps.CpsConfig.reps, seed=seed, recall_target=None)
+            reps=cps.CpsConfig.reps if spec.max_reps is None else spec.max_reps,
+            seed=seed, recall_target=None)
     return mlsh.LshConfig(
         threshold=threshold, recall_target=_recall_target(spec), k=spec.k,
         reps=spec.max_reps, delta=spec.delta, seed=seed)
@@ -238,7 +230,7 @@ def sweep(spec: ExperimentSpec, param: str, values) -> list[ReportRow]:
     by the join time of the run at the parameter's default value.
     """
     if spec.algorithm != "cpsjoin":
-        raise ValueError("sweeps cover the recursive join's parameters")
+        raise ValueError("sweeps cover CPSJoin's parameters")
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     values = list(values)

@@ -59,7 +59,7 @@ def _generate(text: str):
                 max_freq=int(kv.pop("max_freq", "100")),
                 planted=_parse_planted(kv.pop("planted", "")),
                 background_similarity=float(kv.pop("bg", "0.2")),
-                n_background=int(kv["n"]) if kv.pop("n", None) else None,
+                n_background=int(kv.pop("n")) if "n" in kv else None,
                 seed=int(kv.pop("seed", "0")),
             )
             data = gen_tokens(spec)

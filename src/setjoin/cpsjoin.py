@@ -24,8 +24,8 @@ The join tunes its own repetition count: the kernel counts, for every pair
 found so far, the repetitions that found it, and after each one turns the
 counts into Chao's capture-recapture estimate of the share of the result set
 found (`estimated_recall`). The join stops once that reaches
-`CpsConfig.recall_target`, or after `reps`, in the loop both approximate
-joins share (`run_repetitions`).
+`CpsConfig.recall_target`, or after `reps`, in the one repetition loop
+(`run_repetitions`) that both approximate joins and `bench` drive.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ _PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel, and per
 class CpsConfig:
     """Parameters of one CPSJoin run.
 
-    `reps` is the repetition budget. The join stops after the first
-    repetition r >= 2 whose `estimated_recall` reaches `recall_target`, and
-    `recall_target=None` runs all `reps`. A stopped run is exactly the first
-    r repetitions of the run with `reps=r, recall_target=None`.
+    `reps` is the repetition budget. The stop rule `estimate_reaches` ends
+    the join after the first repetition r >= 2 whose `estimated_recall`
+    reaches `recall_target`; with None it runs all `reps`. A stopped run is
+    exactly the first r repetitions of the run with `reps=r, recall_target=None`.
 
     The default target, 0.999, is far above `LshConfig.recall_target`'s 0.9
     because the two measure different things. LSH's target is the
@@ -377,17 +377,18 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     return kernel.end_repetition()
 
 
-def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition,
-                    recall_target: float | None = None):
-    """Run `one_repetition(rep, kernel)` through one kernel until its recall
-    estimate reaches `recall_target` (never if None), or `reps` times;
-    returns ((m, 2) pairs, JoinStats) of both approximate joins."""
+def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition, stop):
+    """Run `one_repetition(rep, kernel)` through one kernel until `stop(kernel)`
+    holds after one, or `reps` times, timing each call into `repetition_s`;
+    returns ((m, 2) pairs, JoinStats) of both approximate joins and `bench`."""
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
     kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
     for rep in range(reps):
+        t = time.perf_counter()
         one_repetition(rep, kernel)
-        if recall_target is not None and stats.recall_estimate_per_rep[-1] >= recall_target:
+        stats.repetition_s.append(time.perf_counter() - t)
+        if stop(kernel):
             break
     codes = kernel.codes()
     stats.results = codes.size
@@ -395,15 +396,17 @@ def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition,
     return decode_pairs(codes), stats
 
 
-def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
-    """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats).
+def estimate_reaches(target: float | None):
+    """CPSJoin's stop rule: the recall estimate reaches `target` (never if None)."""
+    return lambda kernel: target is not None and kernel.stats.recall_estimate_per_rep[-1] >= target
 
-    Runs repetitions until the estimated recall after one reaches
-    `cfg.recall_target`, or `cfg.reps` of them.
-    """
+
+def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
+    """Join an already-embedded dataset until `estimate_reaches(cfg.recall_target)`
+    or after `cfg.reps` repetitions; returns ((m, 2) pairs, JoinStats)."""
     return run_repetitions(prep, cfg, cfg.reps,
                            lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
-                           cfg.recall_target)
+                           estimate_reaches(cfg.recall_target))
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):

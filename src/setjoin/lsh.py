@@ -6,8 +6,8 @@ inside each bucket through the candidate kernel it shares with CPSJoin. Two
 records with signature agreement fraction s collide in a repetition with
 probability close to s^k, so L = ceil(ln(1/(1-recall)) / threshold^k)
 repetitions give the target per-pair recall at the threshold. The number of
-buckets to try per record (k) trades hashing cost against bucket sizes; it is
-tuned by costing one splitting pass per candidate k.
+signature positions in one bucket key (k) trades the repetition count against
+bucket sizes; it is tuned by costing one splitting pass per candidate k.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     Runs the repetitions of `resolve_params` whatever the recall estimate reads."""
     k, reps = resolve_params(prep, cfg)
     return run_repetitions(prep, cfg, reps,
-                           lambda rep, kernel: repetition_codes(prep, cfg, k, rep, kernel))
+                           lambda rep, kernel: repetition_codes(prep, cfg, k, rep, kernel),
+                           lambda kernel: False)
 
 
 def lsh_join(data: Dataset, cfg: LshConfig):

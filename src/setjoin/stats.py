@@ -19,8 +19,9 @@ class JoinStats:
     pairs that passed verification for the first time in the join, so that
     they sum to results. Both also fill recall_estimate_per_rep: per
     repetition, `cpsjoin.estimated_recall` of the pairs found so far (NaN
-    after the first). CPSJoin's stop rule compares it with the recall target;
-    LSH runs its repetition budget whatever it reads.
+    after the first), which CPSJoin's stop rule reads; LSH runs its budget
+    whatever it says. repetition_s holds the seconds each repetition took;
+    join_s also covers the stop rule after each and the kernel's set-up.
     """
 
     pre_candidates: int = 0
@@ -31,6 +32,7 @@ class JoinStats:
     join_s: float = 0.0
     new_results_per_rep: list[int] = field(default_factory=list)
     recall_estimate_per_rep: list[float] = field(default_factory=list)
+    repetition_s: list[float] = field(default_factory=list)
 
     def counters_ok(self) -> bool:
         return self.pre_candidates >= self.candidates >= self.results >= 0

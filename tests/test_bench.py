@@ -6,6 +6,7 @@ checks compare everything except them.
 
 import csv
 import io
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,10 @@ def test_spec_validation(dense):
         _spec(dense, "cpsjoin", thresholds=())
     with pytest.raises(ValueError):
         _spec(dense, "cpsjoin", trials=0)
+    for algorithm in ("cpsjoin", "lsh"):
+        with pytest.raises(ValueError):
+            _spec(dense, algorithm, max_reps=0)
+    assert _spec(dense, "cpsjoin", max_reps=1).max_reps == 1
 
 
 def test_exact_rows(dense):
@@ -157,6 +162,22 @@ def test_oracle_run_stops_cpsjoin_at_the_oracle_recall(dense, monkeypatch):
     monkeypatch.setattr(bench.cps, "estimated_recall", lambda hits, reps: 1.0)
     stopped = run(spec)[0]
     assert (stopped.reps_used, stopped.recall) == (row.reps_used, row.recall)
+
+
+def test_join_time_leaves_out_the_oracle_recall_checks(dense, monkeypatch):
+    calls = []
+    original = bench._recall
+
+    def slow(found, exact):
+        calls.append(1)
+        time.sleep(0.05)
+        return original(found, exact)
+
+    monkeypatch.setattr(bench, "_recall", slow)
+    row, = run(_spec(dense, "cpsjoin"))
+    assert len(calls) >= row.reps_used >= 2  # one check after every repetition
+    # timing those checks would put at least their sleep into the join time
+    assert row.join_time_s < 0.05 * row.reps_used
 
 
 def test_join_pairs_consistency(dense):
@@ -276,6 +297,7 @@ def test_generate_specs():
     assert data.n <= 50 and data.d <= 40
     data = _generate("tokens:d=300,max_freq=30,planted=0.8x2,seed=1")
     assert data.provenance["generator"] == "tokens"
+    assert _generate("tokens:d=300,max_freq=30,planted=0.8x2,n=20,seed=1").n == 20 + 2 * 2
     with pytest.raises(ValueError):
         _generate("zipf:n=10")
     with pytest.raises(ValueError):
@@ -305,6 +327,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["--input", str(tmp_path / "missing.txt")]) == 1
     assert "setjoin-bench:" in capsys.readouterr().err
     assert main(["--gen", "uniform:n=50,avg=6,d=40", "--threshold", "1.5"]) == 1
+    for algorithm in ("cpsjoin", "lsh"):
+        assert main(["--gen", "uniform:n=50,avg=6,d=40", "--algo", algorithm,
+                     "--reps", "0", "--trials", "1"]) == 1
+        assert "max_reps must be >= 1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["--algo", "cpsjoin"])  # no dataset source
     assert exc.value.code == 2

@@ -7,6 +7,7 @@ splitting scatters its neighbors.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from setjoin.cpsjoin import (
     co_bucket_frequency,
     coordinate_mask,
     cps_join,
+    cps_join_prepared,
     estimated_recall,
     segment_pairs,
 )
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.exact import brute_force_join, jaccard, verify
+from setjoin.lsh import LshConfig, lsh_join
 from setjoin.prep import Prepared, preprocess
 from setjoin.sketch import estimate_similarity, filter_threshold
 from setjoin.stats import JoinStats, encode_pairs
@@ -153,6 +156,37 @@ def test_a_stopped_run_is_the_fixed_run_cut_at_its_repetitions(limit):
     _, full = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, recall_target=None))
     assert len(full.new_results_per_rep) == CpsConfig.reps
     assert full.new_results_per_rep[:reps] == stats.new_results_per_rep
+
+
+def test_run_repetitions_stops_where_the_rule_says():
+    prep = preprocess(_clustered(), seed=3)
+    cfg = CpsConfig(threshold=0.6, seed=11, recall_target=None)
+    seen = []
+
+    def stop(kernel):
+        seen.append(len(kernel.stats.new_results_per_rep))
+        return seen[-1] == 3
+
+    pairs, stats = cpsjoin.run_repetitions(
+        prep, cfg, cfg.reps, lambda rep, kernel: cpsjoin.repetition_codes(prep, cfg, rep, kernel),
+        stop)
+    assert seen == [1, 2, 3]  # asked once after each repetition
+    fixed_pairs, fixed = cps_join_prepared(prep, replace(cfg, reps=3))
+    assert np.array_equal(pairs, fixed_pairs)
+    assert stats.new_results_per_rep == fixed.new_results_per_rep
+    assert stats.results == fixed.results == pairs.shape[0]
+
+
+@pytest.mark.parametrize("join", ["cpsjoin", "lsh"])
+def test_each_repetition_is_timed_inside_the_join_time(join):
+    ds = _clustered()
+    if join == "cpsjoin":
+        _, stats = cps_join(ds, CpsConfig(threshold=0.6, seed=9))
+    else:
+        _, stats = lsh_join(ds, LshConfig(threshold=0.6, seed=9))
+    assert len(stats.repetition_s) == len(stats.new_results_per_rep) >= 2
+    assert all(t > 0 for t in stats.repetition_s)
+    assert sum(stats.repetition_s) <= stats.join_s
 
 
 def test_coordinate_mask_sampling_rate():
@@ -497,7 +531,10 @@ class _RecursiveReference:
             _RecursiveReference(prep, cfg, kernel).recurse(
                 np.arange(prep.data.n, dtype=np.int64), rep_seed, 0)
             return kernel.end_repetition()
-        return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, cfg.recall_target)
+        def stop(kernel):
+            target = cfg.recall_target
+            return target is not None and kernel.stats.recall_estimate_per_rep[-1] >= target
+        return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, stop)
 
 
 def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None):

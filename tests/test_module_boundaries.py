@@ -1,4 +1,5 @@
-"""Module boundaries: no setjoin module reaches into another's private names."""
+"""Module boundaries: no setjoin module reaches into another's private names,
+and one function alone builds the candidate kernel."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,40 @@ def test_private_name_uses_finds_both_kinds(tmp_path):
 def test_no_module_touches_another_modules_private_names():
     uses = {p.name: private_name_uses(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def kernel_constructions(path):
+    """(line, enclosing function) of every `CandidateKernel(...)` call in a
+    module, by name or as a module attribute; None outside any function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "CandidateKernel":
+                found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_kernel_constructions_finds_both_kinds(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import cpsjoin as cps\n"
+                    "k = CandidateKernel(1)\n"
+                    "def run(prep):\n"
+                    "    return [cps.CandidateKernel(prep) for _ in range(2)]\n")
+    assert kernel_constructions(path) == [(2, None), (4, "run")]
+
+
+def test_only_the_repetition_loop_builds_a_candidate_kernel():
+    # a second place that builds one would be a second repetition driver
+    found = {(p.name, func) for p in sorted(SRC.glob("*.py"))
+             for _, func in kernel_constructions(p)}
+    assert found == {("cpsjoin.py", "run_repetitions")}
