@@ -69,6 +69,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.max_reps is not None and self.max_reps < 1:
             raise ValueError("max_reps must be >= 1")
+        if self.recall_target is not None and not 0.0 < self.recall_target < 1.0:
+            raise ValueError("recall_target must be in (0, 1)")
 
 
 @dataclass

@@ -9,16 +9,16 @@ meet in a bucket with probability bounded below, so a fixed number of
 repetitions gives per-pair recall; every reported pair is exactly verified,
 so precision is 1.
 
-Buckets at or below `limit` are compared pairwise, each depth's in one
-batch, and not split. Before a larger bucket splits, a pooled sketch
-summarizes it, and every record whose estimated average similarity to it
-exceeds (1 - eps) * threshold is compared against the full bucket and
-removed. Every comparison goes through the join's one `CandidateKernel`,
-which the LSH join shares: it filters pairs by record sizes and by minwise
-sketches at a cutoff that keeps threshold-similar pairs except with
-probability delta, then verifies the survivors exactly. Repetitions re-find
-most pairs the earlier ones found, so the kernel verifies each distinct pair
-once per join and remembers the outcome.
+Each depth is three batches. Buckets at or below `limit` are compared
+pairwise and not split. A pooled sketch summarizes each larger bucket, and
+every record whose estimated average similarity to its bucket exceeds
+(1 - eps) * threshold is compared against the full bucket and removed (the
+point rule); the rest split. Every comparison goes through the join's one
+`CandidateKernel`, which the LSH join shares: it filters pairs by record
+sizes and by minwise sketches at a cutoff that keeps threshold-similar pairs
+except with probability delta, then verifies the survivors exactly.
+Repetitions re-find most pairs the earlier ones found, so the kernel
+verifies each distinct pair once per join and remembers the outcome.
 
 The join tunes its own repetition count: the kernel counts, for every pair
 found so far, the repetitions that found it, and after each one turns the
@@ -118,6 +118,8 @@ class CandidateKernel:
     """The step both approximate joins end in, one per join: candidate pairs
     in, verified codes out, each distinct pair verified at most once.
 
+    `run_ranges` and `run_segments` build the pairs of ranges of an id array,
+    and hand them to `run` in blocks of at most _PAIR_BLOCK pairs.
     `run(a_ids, b_ids)` counts every pair as a pre-candidate, keeps the pairs
     whose sizes allow the threshold and whose sketch estimate reaches the
     cutoff that loses a threshold-similar pair with probability at most
@@ -190,8 +192,25 @@ class CandidateKernel:
 
     def run_segments(self, ids: np.ndarray, bounds):
         """Run every i < j pair inside each segment ids[bounds[k]:bounds[k + 1]]."""
-        for a, b in segment_pairs(ids, bounds):
-            self.run(a, b)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        pos = np.arange(bounds[0], bounds[-1])
+        self.run_ranges(ids, pos, pos + 1, np.repeat(bounds[1:], np.diff(bounds)) - pos - 1)
+
+    def run_ranges(self, ids: np.ndarray, rows, lo, counts):
+        """Run ids[rows[k]] against each of ids[lo[k]:lo[k] + counts[k]], for
+        every k in order, in blocks of at most _PAIR_BLOCK pairs."""
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        heads, shift = ids[rows], lo - starts  # pair p of row k is (heads[k], ids[p + shift[k]])
+        total = int(ends[-1]) if ends.size else 0
+        for p0 in range(0, total, _PAIR_BLOCK):
+            p1 = min(total, p0 + _PAIR_BLOCK)
+            # the rows whose pairs overlap [p0, p1), and how many of them each has there
+            k0 = int(np.searchsorted(ends, p0, side="right"))
+            k1 = int(np.searchsorted(ends, p1, side="left")) + 1
+            per_row = np.minimum(ends[k0:k1], p1) - np.maximum(starts[k0:k1], p0)
+            self.run(np.repeat(heads[k0:k1], per_row),
+                     ids[np.arange(p0, p1) + np.repeat(shift[k0:k1], per_row)])
 
     def _flush(self):
         codes = unique_pairs(self._buffer)
@@ -249,31 +268,6 @@ def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.insert(sorted_codes, np.searchsorted(sorted_codes, new), new)
 
 
-def segment_pairs(ids: np.ndarray, bounds):
-    """Every i < j pair inside each segment ids[bounds[k]:bounds[k + 1]].
-
-    Yields (a, b) id arrays of at most _PAIR_BLOCK pairs each; `a` holds the
-    member that comes first in `ids`.
-    """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    pos = np.arange(bounds[0], bounds[-1])
-    later = np.repeat(bounds[1:], np.diff(bounds)) - pos - 1  # partners after each position
-    ends = np.cumsum(later)  # pair index one past each position's last pair
-    total = int(ends[-1]) if ends.size else 0
-    for p0 in range(0, total, _PAIR_BLOCK):
-        p1 = min(total, p0 + _PAIR_BLOCK)
-        # positions whose pairs overlap [p0, p1)
-        r0 = int(np.searchsorted(ends, p0, side="right"))
-        r1 = int(np.searchsorted(ends, p1, side="left")) + 1
-        counts = later[r0:r1]
-        first = ends[r0:r1] - counts
-        a = np.repeat(pos[r0:r1], counts)
-        b = a + 1 + np.arange(first[0], first[0] + a.size) - np.repeat(first, counts)
-        lo = p0 - int(first[0])
-        hi = lo + p1 - p0
-        yield ids[a[lo:hi]], ids[b[lo:hi]]
-
-
 def coordinate_mask(seed, sig_len: int, threshold: float) -> np.ndarray:
     """Per-node coordinate sample: Bernoulli(min(1, 1/(threshold*sig_len))).
     A (k, 1) array of seeds gives one mask row per seed."""
@@ -282,45 +276,43 @@ def coordinate_mask(seed, sig_len: int, threshold: float) -> np.ndarray:
     return (vals >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) < p
 
 
-def brute_force_step(ids: np.ndarray, node_seed: int, cfg: CpsConfig,
-                     kernel: CandidateKernel) -> np.ndarray:
-    """Apply the point rule to a bucket above the limit; return the records
-    that go on to the split.
+def brute_force_step(ids: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, cfg: CpsConfig,
+                     kernel: CandidateKernel):
+    """Apply the point rule to the buckets above the limit, laid end to end
+    in `ids` with one size and one seed per bucket; returns the (ids, sizes)
+    each bucket keeps for the split.
 
-    The bucket is summarized by one pooled sketch; records whose estimated
-    average similarity to the bucket exceeds (1 - eps) * threshold are
-    compared against the full bucket and removed, all in a single pass.
+    A record whose estimate against its bucket's pooled sketch exceeds
+    (1 - eps) * threshold runs against the members before it and those after
+    it, and is removed, so two removed records are compared, and counted,
+    once from each side.
     """
+    bucket = np.repeat(np.arange(sizes.size), sizes)
     sk_rows = kernel.sketches[ids]
-    pooled = pooled_sketch(sk_rows, derive_seed(node_seed, _POOL_TAG))
-    est = estimate_rows(sk_rows, pooled)
-    removed = est > (1.0 - cfg.eps) * cfg.threshold
-    if removed.any():
-        # each removed record against every other member, so a pair of two
-        # removed records is compared (and counted) once from each side
-        points = ids[removed]
-        step = max(1, _PAIR_BLOCK // ids.size)
-        for r0 in range(0, points.size, step):
-            x = points[r0:r0 + step]
-            a = np.repeat(x, ids.size)
-            b = np.tile(ids, x.size)
-            other = a != b
-            kernel.run(a[other], b[other])
-        ids = ids[~removed]
-    return ids
+    pooled = pooled_sketch(sk_rows, splitmix64_array(seeds, _POOL_TAG), sizes)
+    removed = estimate_rows(sk_rows, pooled[bucket]) > (1.0 - cfg.eps) * cfg.threshold
+    at = np.flatnonzero(removed)
+    start = (np.cumsum(sizes) - sizes)[bucket[at]]
+    after = start + sizes[bucket[at]] - at - 1
+    kernel.run_ranges(ids, np.repeat(at, 2), np.column_stack([start, at + 1]).ravel(),
+                      np.column_stack([at - start, after]).ravel())
+    kept = ~removed
+    return ids[kept], np.bincount(bucket[kept], minlength=sizes.size)
 
 
-def _split(prep: Prepared, threshold: float, parts: list, seeds: np.ndarray):
-    """Split the buckets `parts`, with seeds `seeds`, into the next depth's
-    (ids, sizes, seeds): one row per (bucket, sampled coordinate) holds the
-    bucket's records in order, one stable sort by (row, signature value)
-    groups them, and each group of two or more records is a child."""
+def _split(prep: Prepared, threshold: float, ids: np.ndarray, sizes: np.ndarray,
+           seeds: np.ndarray):
+    """Split the buckets laid end to end in `ids`, with sizes `sizes` and
+    seeds `seeds`, into the next depth's (ids, sizes, seeds): one row per
+    (bucket, sampled coordinate) holds the bucket's records in order, one
+    stable sort by (row, signature value) groups them, and each group of two
+    or more records is a child."""
     node, coord = np.nonzero(coordinate_mask(
         splitmix64_array(seeds, _MASK_TAG)[:, None], prep.sig_len, threshold))
-    if node.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), seeds[:0]
-    ids = np.concatenate([parts[k] for k in node])
-    row = np.repeat(np.arange(node.size, dtype=np.uint64), [parts[k].size for k in node])
+    row_sizes = sizes[node]
+    row = np.repeat(np.arange(node.size, dtype=np.uint64), row_sizes)
+    shift = (np.cumsum(sizes) - sizes)[node] - (np.cumsum(row_sizes) - row_sizes)
+    ids = ids[np.arange(row.size) + shift[row]]  # bucket node[r]'s records, in row r
     # signature values are 32-bit tokens, so (row, value) fits one sort key
     key = (row << np.uint64(32)) | prep.sig[ids, coord[row]].astype(np.uint64)
     order = np.argsort(key, kind="stable")
@@ -341,15 +333,14 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     """Run one repetition through the join's kernel; returns the sorted codes
     of the distinct similar pairs it found, new or found before.
 
-    The repetition walks the split tree one depth at a time. The frontier
-    holds the records of every bucket of one depth laid end to end, with each
-    bucket's size and seed. Every bucket at or below `limit` is compared
-    pairwise, all in one batch; every larger one applies the point rule
-    (`brute_force_step`), and the records it keeps split into the next depth.
+    The repetition walks the split tree one depth at a time, with the
+    records of every bucket of a depth laid end to end and each bucket's size
+    and seed. Each depth is three batches: the buckets at or below `limit`
+    compared pairwise, the point rule (`brute_force_step`) over the larger
+    ones, and the split of what it keeps into the next depth.
     """
     # Engineering guard far above the expected O(log n / eps) depth: at the
-    # cap, what the point rule keeps of a bucket is compared pairwise
-    # instead of split.
+    # cap, what the point rule keeps is compared pairwise instead of split.
     depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
     ids = np.arange(prep.data.n, dtype=np.int64)
     sizes = np.array([ids.size], dtype=np.int64)
@@ -358,21 +349,15 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     while sizes.size:
         kernel.stats.max_depth = max(kernel.stats.max_depth, depth)
         small = sizes <= cfg.limit
-        pairwise, pairwise_sizes = [ids[np.repeat(small, sizes)]], [sizes[small]]
-        parts, part_seeds = [], []
-        starts = np.cumsum(sizes) - sizes
-        for a, size, seed in zip(starts[~small], sizes[~small], seeds[~small]):
-            part = brute_force_step(ids[a:a + size], int(seed), cfg, kernel)
-            if depth >= depth_cap:
-                pairwise.append(part)
-                pairwise_sizes.append([part.size])
-            elif part.size >= 2:
-                parts.append(part)
-                part_seeds.append(seed)
-        kernel.run_segments(np.concatenate(pairwise),
-                            np.concatenate([[0], np.cumsum(np.concatenate(pairwise_sizes))]))
-        ids, sizes, seeds = _split(prep, cfg.threshold, parts,
-                                   np.array(part_seeds, dtype=np.uint64))
+        in_small = np.repeat(small, sizes)
+        kernel.run_segments(ids[in_small], np.concatenate([[0], np.cumsum(sizes[small])]))
+        if small.all():
+            break
+        ids, sizes = brute_force_step(ids[~in_small], sizes[~small], seeds[~small], cfg, kernel)
+        if depth >= depth_cap:
+            kernel.run_segments(ids, np.concatenate([[0], np.cumsum(sizes)]))
+            break
+        ids, sizes, seeds = _split(prep, cfg.threshold, ids, sizes, seeds[~small])
         depth += 1
     return kernel.end_repetition()
 

@@ -165,6 +165,8 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
     thresholds = list(thresholds)
+    for lam in thresholds:
+        _check_threshold(lam)
     n = data.n
     t0 = time.perf_counter()
     distinct, size_class, per_class = np.unique(
@@ -205,7 +207,6 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
 
 def brute_force_join(data: Dataset, threshold: float):
     """Ground-truth join: every pair checked, no filtering beyond sizes."""
-    _check_threshold(threshold)
     return brute_force_join_multi(data, [threshold])[threshold]
 
 

@@ -18,8 +18,8 @@ The candidate kernel never forms the float estimate: it compares integer
 Hamming distances against `max_hamming`, the largest distance whose estimate
 reaches the filter line, and sums those distances a word at a time on a
 word-major (words, n) copy of the sketches. `estimate_rows` remains for the
-pooled-sketch rule, which compares one bucket's records against its pooled
-sketch.
+point rule, which compares the records of each bucket against the bucket's
+pooled sketch (`pooled_sketch`), all the buckets of a depth in one call.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ BITS_PER_MINHASH = 4  # sketch bits taken from each MinHash value
 _MH_TAG = 0x736B6D68  # sketch minhash family
 _BIT_TAG = 0x736B6274  # sketch bit family
 _NIBBLE_CELLS = 2 ** 16  # MinHash values hashed per gather
+_POOL_CELLS = 2 ** 16  # (bucket, bit) member picks drawn per block of buckets
 
 
 class SketchFamily:
@@ -95,8 +96,9 @@ class SketchFamily:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a multiple-of-64 bit vector little-endian into uint64 words."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    """Pack bit vectors of a multiple of 64 bits, along the last axis,
+    little-endian into uint64 words."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
     return packed.view("<u8").copy()
 
 
@@ -112,7 +114,7 @@ def estimate_similarity(a, b) -> float:
 
 
 def estimate_rows(rows: np.ndarray, one: np.ndarray) -> np.ndarray:
-    """Vectorized estimate of every sketch row in `rows` against `one`."""
+    """Estimates of the sketch rows `rows` against `one`: one sketch, or one per row."""
     if rows.shape[-1] != one.shape[-1]:
         raise SketchMismatchError("sketch word counts differ")
     bits = 64 * rows.shape[-1]
@@ -149,21 +151,29 @@ def max_hamming(cut: float, bits: int) -> int:
     return int(np.count_nonzero(1.0 - 2.0 * h / bits >= cut)) - 1
 
 
-def pooled_sketch(member_sketches: np.ndarray, seed: int) -> np.ndarray:
-    """Single-sketch summary of a bucket.
+def pooled_sketch(member_sketches: np.ndarray, seed, sizes=None) -> np.ndarray:
+    """Single-sketch summary of a bucket: bit i is bit i of the member at
+    splitmix64(seed, i) mod the bucket size, sampled uniformly with
+    replacement, so the estimate of a set against it is, in expectation, its
+    average estimated similarity over the bucket (the set's own sketch
+    contributes at weight 1/len(bucket) when it is a member).
 
-    Bit i of the result is bit i of a member sampled uniformly with
-    replacement, so the estimate of a set against the pooled sketch is, in
-    expectation, its average estimated similarity over the bucket (the set's
-    own sketch contributes at weight 1/len(bucket) when it is a member).
+    With `sizes`, the rows are B buckets laid end to end, `seed` and `sizes`
+    hold one seed and one size per bucket, and the result is (B, words).
     """
     members = np.asarray(member_sketches, dtype=np.uint64)
-    if members.ndim != 2 or members.shape[0] == 0:
+    counts = np.asarray(members.shape[:1] if sizes is None else sizes, dtype=np.int64)
+    if members.ndim != 2 or np.any(counts < 1):
         raise EmptyBucketError("pooled sketch needs at least one member sketch")
-    m, words = members.shape
-    bits = 64 * words
-    picks = splitmix64_array(seed, np.arange(bits, dtype=np.uint64)) % np.uint64(m)
-    positions = np.arange(bits)
-    chosen = members[picks.astype(np.intp), positions >> 6]
-    bit_vals = ((chosen >> (positions & 63).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
-    return pack_bits(bit_vals)
+    seeds = np.asarray(seed, dtype=np.uint64).reshape(-1, 1)
+    starts = (np.cumsum(counts) - counts)[:, None]
+    positions = np.arange(64 * members.shape[1])
+    shifts = (positions & 63).astype(np.uint64)
+    pooled = np.empty((counts.size, members.shape[1]), dtype=np.uint64)
+    step = max(1, _POOL_CELLS // positions.size)
+    for b in range(0, counts.size, step):
+        picks = splitmix64_array(seeds[b:b + step], positions)
+        picks %= counts[b:b + step, None].astype(np.uint64)
+        chosen = members[picks.astype(np.intp) + starts[b:b + step], positions >> 6]
+        pooled[b:b + step] = pack_bits((chosen >> shifts) & np.uint64(1))
+    return pooled[0] if sizes is None else pooled

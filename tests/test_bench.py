@@ -69,6 +69,10 @@ def test_spec_validation(dense):
     for algorithm in ("cpsjoin", "lsh"):
         with pytest.raises(ValueError):
             _spec(dense, algorithm, max_reps=0)
+        for target in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match=r"recall_target must be in \(0, 1\)"):
+                _spec(dense, algorithm, recall_target=target)
+        assert _spec(dense, algorithm, recall_target=0.5).recall_target == 0.5
     assert _spec(dense, "cpsjoin", max_reps=1).max_reps == 1
 
 
@@ -331,6 +335,10 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(["--gen", "uniform:n=50,avg=6,d=40", "--algo", algorithm,
                      "--reps", "0", "--trials", "1"]) == 1
         assert "max_reps must be >= 1" in capsys.readouterr().err
+        for target in ("1.5", "0"):
+            assert main(["--gen", "uniform:n=50,avg=6,d=40", "--algo", algorithm,
+                         "--recall", target, "--trials", "1"]) == 1
+            assert "recall_target must be in (0, 1)" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["--algo", "cpsjoin"])  # no dataset source
     assert exc.value.code == 2

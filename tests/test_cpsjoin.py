@@ -22,13 +22,12 @@ from setjoin.cpsjoin import (
     cps_join,
     cps_join_prepared,
     estimated_recall,
-    segment_pairs,
 )
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.exact import brute_force_join, jaccard, verify
 from setjoin.lsh import LshConfig, lsh_join
 from setjoin.prep import Prepared, preprocess
-from setjoin.sketch import estimate_similarity, filter_threshold
+from setjoin.sketch import estimate_similarity, filter_threshold, pooled_sketch
 from setjoin.stats import JoinStats, encode_pairs
 from setjoin.tabulation import derive_seed, splitmix64
 
@@ -365,6 +364,18 @@ def _assert_kernel_matches(kernel, prep, threshold, delta, pairs):
     return want_codes
 
 
+def _record_pair_blocks(monkeypatch):
+    """Wraps `CandidateKernel.run`; returns the list it appends each (a, b)
+    block of pairs to."""
+    blocks, run = [], CandidateKernel.run
+
+    def recording(kernel, a, b):
+        blocks.append((a, b))
+        run(kernel, a, b)
+    monkeypatch.setattr(CandidateKernel, "run", recording)
+    return blocks
+
+
 def _segment_reference_pairs(ids, bounds):
     return [(int(ids[i]), int(ids[j])) for lo, hi in zip(bounds[:-1], bounds[1:])
             for i in range(lo, hi) for j in range(i + 1, hi)]
@@ -386,42 +397,104 @@ def test_candidate_kernel_matches_per_pair_loop(monkeypatch, sizes, small_blocks
     prep = preprocess(ds, sig_len=32, sketch_words=2, seed=4)
     ids = np.random.default_rng(1).permutation(ds.n)[:sum(sizes)].astype(np.int64)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = list(segment_pairs(ids, bounds))
+    kernel = CandidateKernel(prep, 0.3, 0.05, JoinStats())
+    blocks = _record_pair_blocks(monkeypatch)
+    kernel.run_segments(ids, bounds)
     got = [(int(a), int(b)) for ab in blocks for a, b in zip(*ab)]
     want = _segment_reference_pairs(ids, bounds)
     assert sorted(got) == sorted(want)
     assert all(a.size <= cpsjoin._PAIR_BLOCK for a, _ in blocks)
     if small_blocks:
         assert len(blocks) > 1
-    kernel = CandidateKernel(prep, 0.3, 0.05, JoinStats())
-    kernel.run_segments(ids, bounds)
     if len(want) > 100:  # the filters and verification each drop some pairs
         assert len(want) > kernel.stats.candidates > kernel.codes().size > 0
     _assert_kernel_matches(kernel, prep, 0.3, 0.05, want)
 
 
-@pytest.mark.parametrize("pair_block", [None, 50])
-def test_point_rule_matches_per_pair_loop(monkeypatch, pair_block):
-    # a cluster of near-duplicates inside a bucket of unrelated records: every
-    # cluster member looks similar to the whole bucket and is removed, so the
-    # point rule compares several removed records against the same bucket
-    if pair_block is not None:
-        monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", pair_block)
+def _point_rule_buckets(layout):
+    """Buckets of ids, one per list of (group, start, stop) slices, where the
+    groups are two clusters of near-duplicates, `a` of 12 records and `b` of
+    8, and `r`, 30 unrelated records."""
     rng = np.random.default_rng(9)
     recs = [np.concatenate([np.arange(60), [1000 + i]]) for i in range(12)]
-    recs += [rng.choice(np.arange(100, 900), size=40, replace=False) for _ in range(20)]
+    recs += [np.concatenate([np.arange(2000, 2050), [3000 + i]]) for i in range(8)]
+    recs += [rng.choice(np.arange(100, 900), size=40, replace=False) for _ in range(30)]
     ds = Dataset.from_records(recs)
+    groups = {"a": np.flatnonzero(ds.sizes == 61), "b": np.flatnonzero(ds.sizes == 51),
+              "r": np.flatnonzero(ds.sizes == 40)}
+    return ds, [[int(x) for g, lo, hi in bucket for x in groups[g][lo:hi]] for bucket in layout]
+
+
+@pytest.mark.parametrize("pair_block", [None, 50])
+def test_point_rule_matches_per_pair_loop(monkeypatch, pair_block):
+    # a cluster inside a bucket of unrelated records: every cluster member
+    # looks similar to the whole bucket and is removed, so the point rule
+    # compares several removed records against the same bucket
+    _assert_point_rule_matches_per_pair_loop(monkeypatch, pair_block,
+                                             [[("a", 0, 12), ("r", 0, 20)]])
+
+
+@pytest.mark.parametrize("pair_block", [None, 50])
+def test_point_rule_over_several_buckets_matches_per_pair_loop(monkeypatch, pair_block):
+    # mixed sizes, a record in two buckets, and a bucket of unrelated records
+    # only, where nothing is removed
+    _assert_point_rule_matches_per_pair_loop(monkeypatch, pair_block, [
+        [("r", 0, 10), ("a", 0, 12), ("r", 10, 15)],
+        [("r", 15, 30)],
+        [("b", 0, 8), ("a", 1, 2), ("r", 0, 2)],
+        [("a", 2, 4), ("r", 20, 24)]])
+
+
+def _assert_point_rule_matches_per_pair_loop(monkeypatch, pair_block, layout):
+    """One `brute_force_step` call over the buckets `layout` makes, against
+    a per-bucket, per-pair loop: the pairs and their blocks, the counters,
+    the records kept and each bucket's kept size."""
+    if pair_block is not None:
+        monkeypatch.setattr(cpsjoin, "_PAIR_BLOCK", pair_block)
+    ds, buckets = _point_rule_buckets(layout)
     prep = preprocess(ds, sig_len=32, sketch_words=4, seed=2)
-    cfg = CpsConfig(threshold=0.5, eps=0.5, limit=5)
+    cfg = CpsConfig(threshold=0.5, eps=0.5, limit=2)
     kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, JoinStats())
-    ids = np.arange(ds.n, dtype=np.int64)
-    kept = brute_force_step(ids, 123, cfg, kernel)
-    removed = np.setdiff1d(ids, kept)
-    assert removed.size >= 2 and kept.size >= 2
-    pairs = [(int(x), int(y)) for x in removed for y in ids if y != x]
-    assert kernel.stats.pre_candidates == removed.size * (ds.n - 1)
+    blocks = _record_pair_blocks(monkeypatch)
+    seeds = np.array([123 + 7 * k for k in range(len(buckets))], dtype=np.uint64)
+    ids = np.concatenate(buckets).astype(np.int64)
+    kept, kept_sizes = brute_force_step(ids, np.array([len(b) for b in buckets]), seeds, cfg,
+                                        kernel)
+    pairs, bucket_ends, want_kept, want_sizes = [], [], [], []
+    for bucket, seed in zip(buckets, seeds):
+        pooled = pooled_sketch(prep.sketches[bucket], derive_seed(int(seed), cpsjoin._POOL_TAG))
+        removed = [x for x in bucket if estimate_similarity(prep.sketches[x], pooled)
+                   > (1 - cfg.eps) * cfg.threshold]
+        pairs += [(x, y) for x in removed for y in bucket if y != x]
+        bucket_ends.append(len(pairs))
+        want_kept += [x for x in bucket if x not in removed]
+        want_sizes.append(len(bucket) - len(removed))
+    assert 0 < len(want_kept) < ids.size
+    assert kept.tolist() == want_kept
+    assert kept_sizes.tolist() == want_sizes
+    if len(buckets) > 1:
+        assert kept_sizes[1] == len(buckets[1])  # nothing removed from the unrelated bucket
+        if pair_block is not None:  # a block runs across the end of a bucket's pairs
+            block_sizes = np.array([a.size for a, _ in blocks])
+            block_ends = np.cumsum(block_sizes)
+            assert any(lo < end < hi for lo, hi in zip(block_ends - block_sizes, block_ends)
+                       for end in bucket_ends)
+    assert all(a.size <= cpsjoin._PAIR_BLOCK for a, _ in blocks)
+    assert [(int(x), int(y)) for ab in blocks for x, y in zip(*ab)] == pairs
+    assert kernel.stats.pre_candidates == len(pairs)
     want_codes = _assert_kernel_matches(kernel, prep, cfg.threshold, cfg.delta, pairs)
     assert np.unique(want_codes).size < want_codes.size  # the kernel dropped duplicates
+
+
+def test_the_point_rule_runs_once_per_depth(monkeypatch):
+    calls, step = [], cpsjoin.brute_force_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+    monkeypatch.setattr(cpsjoin, "brute_force_step", counting)
+    _, stats = cps_join(_clustered(), CpsConfig(threshold=0.6, limit=2, seed=11))
+    assert len(calls) <= len(stats.new_results_per_rep) * (stats.max_depth + 1)
 
 
 @pytest.mark.parametrize("words", [1, 2, 8])
@@ -494,7 +567,8 @@ class _RecursiveReference:
         if ids.size <= self.cfg.limit:
             self.kernel.run_segments(ids, [0, ids.size])
             return ids[:0]
-        return brute_force_step(ids, node_seed, self.cfg, self.kernel)
+        return brute_force_step(ids, np.array([ids.size]), np.array([node_seed], dtype=np.uint64),
+                                self.cfg, self.kernel)[0]
 
     def recurse(self, ids, node_seed, depth):
         stats = self.kernel.stats

@@ -228,6 +228,15 @@ def test_threshold_validation():
         allpairs_join(ds, 1.2)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, 1.5])
+def test_multi_threshold_join_rejects_each_bad_threshold(bad):
+    # at 0 or below, every pair would pass, J = 0 included
+    ds = gen_uniform(50, 6, 30, seed=1)
+    for thresholds in ([bad], [0.5, bad]):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            brute_force_join_multi(ds, thresholds)
+
+
 def test_multi_threshold_matches_single_runs():
     ds = gen_uniform(150, 8, 35, seed=8)
     multi = brute_force_join_multi(ds, [0.4, 0.6, 0.9])

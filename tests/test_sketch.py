@@ -69,6 +69,8 @@ def test_pack_bits_is_little_endian_per_word():
     assert packed.dtype == np.uint64
     assert packed[0] == (np.uint64(1) | (np.uint64(1) << np.uint64(63)))
     assert packed[1] == np.uint64(1)
+    rows = np.random.default_rng(1).integers(0, 2, size=(3, 128), dtype=np.uint8)
+    assert np.array_equal(pack_bits(rows), [pack_bits(r) for r in rows])  # along the last axis
 
 
 def test_estimate_rows_matches_pairwise():
@@ -224,11 +226,29 @@ def test_pooled_estimate_matches_mean_pairwise_estimate():
     assert abs(got - want) < 0.03
 
 
+def test_pooled_sketches_of_buckets_laid_end_to_end_match_one_bucket_calls():
+    rng = np.random.default_rng(7)
+    members = rng.integers(0, 2 ** 63, size=(12, 2), dtype=np.uint64)
+    sizes = np.array([5, 1, 6])
+    seeds = np.array([3, 2 ** 64 - 1, 77], dtype=np.uint64)
+    pooled = pooled_sketch(members, seeds, sizes)
+    assert pooled.shape == (3, 2)
+    for k, (lo, hi) in enumerate([(0, 5), (5, 6), (6, 12)]):
+        assert np.array_equal(pooled[k], pooled_sketch(members[lo:hi], int(seeds[k])))
+        # bit i is bit i of the member at splitmix64(seed, i) mod the bucket size
+        for i in range(128):
+            member = members[lo + splitmix64(int(seeds[k]), i) % (hi - lo)]
+            word, bit = divmod(i, 64)
+            assert (int(pooled[k, word]) >> bit) & 1 == (int(member[word]) >> bit) & 1
+
+
 def test_pooled_sketch_rejects_empty_bucket():
     with pytest.raises(EmptyBucketError):
         pooled_sketch(np.zeros((0, 4), dtype=np.uint64), 1)
     with pytest.raises(EmptyBucketError):
         pooled_sketch(np.zeros(4, dtype=np.uint64), 1)
+    with pytest.raises(EmptyBucketError):
+        pooled_sketch(np.zeros((3, 4), dtype=np.uint64), [1, 2], [3, 0])
 
 
 def test_estimate_shape_mismatch_rejected():
