@@ -300,21 +300,21 @@ def brute_force_step(ids: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, cfg:
     return ids[kept], np.bincount(bucket[kept], minlength=sizes.size)
 
 
-def _split(prep: Prepared, threshold: float, ids: np.ndarray, sizes: np.ndarray,
+def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray,
            seeds: np.ndarray):
     """Split the buckets laid end to end in `ids`, with sizes `sizes` and
-    seeds `seeds`, into the next depth's (ids, sizes, seeds): one row per
-    (bucket, sampled coordinate) holds the bucket's records in order, one
-    stable sort by (row, signature value) groups them, and each group of two
-    or more records is a child."""
+    seeds `seeds`, by the records' signatures `sig`, into the next depth's
+    (ids, sizes, seeds): one row per (bucket, sampled coordinate) holds the
+    bucket's records in order, one stable sort by (row, signature value)
+    groups them, and each group of two or more records is a child."""
     node, coord = np.nonzero(coordinate_mask(
-        splitmix64_array(seeds, _MASK_TAG)[:, None], prep.sig_len, threshold))
+        splitmix64_array(seeds, _MASK_TAG)[:, None], sig.shape[1], threshold))
     row_sizes = sizes[node]
     row = np.repeat(np.arange(node.size, dtype=np.uint64), row_sizes)
     shift = (np.cumsum(sizes) - sizes)[node] - (np.cumsum(row_sizes) - row_sizes)
     ids = ids[np.arange(row.size) + shift[row]]  # bucket node[r]'s records, in row r
     # signature values are 32-bit tokens, so (row, value) fits one sort key
-    key = (row << np.uint64(32)) | prep.sig[ids, coord[row]].astype(np.uint64)
+    key = (row << np.uint64(32)) | sig[ids, coord[row]].astype(np.uint64)
     order = np.argsort(key, kind="stable")
     ids, key = ids[order], key[order]
     first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
@@ -357,7 +357,7 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
         if depth >= depth_cap:
             kernel.run_segments(ids, np.concatenate([[0], np.cumsum(sizes)]))
             break
-        ids, sizes, seeds = _split(prep, cfg.threshold, ids, sizes, seeds[~small])
+        ids, sizes, seeds = _split(prep.sig, cfg.threshold, ids, sizes, seeds[~small])
         depth += 1
     return kernel.end_repetition()
 
@@ -404,37 +404,24 @@ def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,
                         trials: int, seed: int = 0) -> float:
     """Empirical probability that two signatures stay together to `depth`.
 
-    Simulates the split tree on a pair with fresh coordinate samples per
-    node (the production sampling rule), counting trials where some depth-k
-    node still contains both records. Mirrors the branching-process view: a
-    node's offspring are the sampled coordinates on which the signatures
-    agree, since equal values land in the same child and unequal values make
-    both children singletons.
+    Runs the join's own `_split` on `trials` copies of the pair laid end to
+    end, trial t as records 2t and 2t + 1 under its own seed, and counts the
+    trials that still hold a bucket after `depth` splits. Each bucket holds
+    the pair, and its children are the sampled coordinates on which the
+    signatures agree (the branching-process view).
     """
     sig_a = np.asarray(sig_a)
     sig_b = np.asarray(sig_b)
     if sig_a.shape != sig_b.shape:
         raise ValueError("signature shapes differ")
-    sig_len = sig_a.size
-    agree_idx = np.flatnonzero(sig_a == sig_b)
-    cap = 64  # survival is near certain long before a frontier this wide dies
-    chunk = 2 ** 16
-    alive = np.ones(trials, dtype=np.int64)
-    level_seed = seed
-    for level in range(depth):
-        level_seed = splitmix64(level_seed, 0xD0 + level)
-        total = int(alive.sum())
-        if total == 0:
-            break
-        # One production-style coordinate mask per live node; offspring are
-        # the sampled coordinates on which the signatures agree.
-        offspring = np.empty(total, dtype=np.int64)
-        for c0 in range(0, total, chunk):
-            c1 = min(total, c0 + chunk)
-            node_seeds = splitmix64_array(level_seed, np.arange(c0, c1, dtype=np.uint64))
-            mask = coordinate_mask(node_seeds[:, None], sig_len, threshold)
-            offspring[c0:c1] = mask[:, agree_idx].sum(axis=1)
-        trial_of_node = np.repeat(np.arange(trials), alive)
-        sums = np.bincount(trial_of_node, weights=offspring, minlength=trials)
-        alive = np.minimum(sums.astype(np.int64), cap)
-    return float(np.count_nonzero(alive)) / trials
+    sig = np.tile(np.stack([sig_a, sig_b]), (trials, 1))
+    ids = np.arange(2 * trials, dtype=np.int64)
+    sizes = np.full(trials, 2, dtype=np.int64)
+    seeds = splitmix64_array(seed, np.arange(trials, dtype=np.uint64))
+    for _ in range(depth):
+        ids, sizes, seeds = _split(sig, threshold, ids, sizes, seeds)
+        trial = ids[::2] // 2  # buckets stay in trial order
+        # survival is near certain long before a frontier of 64 buckets dies
+        keep = np.arange(trial.size) - np.searchsorted(trial, trial) < 64
+        ids, sizes, seeds = ids.reshape(-1, 2)[keep].reshape(-1), sizes[keep], seeds[keep]
+    return np.unique(ids // 2).size / trials

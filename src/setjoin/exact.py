@@ -13,9 +13,10 @@ the largest partner size its own tail allows, and one gather and compare per
 built pair applies the partner's tail. AllPairs' `candidates` are the distinct
 pairs that pass it, which are the pairs it verifies. `verify_pairs`,
 which AllPairs and both approximate joins end in, counts intersections by
-bitset popcount or, past the bitset's memory cap, by searchsorted over the
-sorted (record, token) keys. One float predicate (float64 intersection/union
->= threshold) decides membership everywhere, so every route agrees bit-for-bit.
+bitset popcount or, past the bitset's memory cap, as elementwise row products
+of the records' CSR matrix, the one `_csr` also builds for the oracle's sparse
+route. One float predicate (float64 intersection/union >= threshold) decides
+membership everywhere, so every route agrees bit-for-bit.
 
 All cheap pruning bounds carry a 1e-9 slack in the keep direction: float
 rounding can only add candidates, never drop a true pair.
@@ -36,8 +37,7 @@ _EPS = 1e-9
 _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
 _BLOCK_CELLS = 2 ** 19  # target cells per intersection-count block
 _PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one record has more
-_VERIFY_BLOCK = 4096  # pairs per popcount block, so gathered bitset rows stay cache-sized
-_PROBE_BLOCK = 2 ** 18  # probed tokens per block of the bitset-free intersection count
+_VERIFY_BLOCK = 4096  # pairs per block, so the gathered bitset or CSR rows stay cache-sized
 
 
 def jaccard(x, y) -> float:
@@ -70,48 +70,35 @@ def verify(x, y, threshold: float) -> bool:
 def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
     """Vectorized exact check for batches of candidate pairs.
 
-    Counts each pair's intersection c with packed-bitset popcounts,
-    `_VERIFY_BLOCK` pairs at a time, when the dataset has a bitset, and with
-    the token probe otherwise; then keeps c / (|a| + |b| - c) >= threshold.
+    Counts each pair's intersection c, `_VERIFY_BLOCK` pairs at a time, by
+    packed-bitset popcounts when the dataset has a bitset, and otherwise as
+    the sums of the elementwise products of the pairs' rows in the records'
+    CSR matrix; then keeps c / (|a| + |b| - c) >= threshold.
     """
     a_ids = np.asarray(a_ids, dtype=np.int64)
     b_ids = np.asarray(b_ids, dtype=np.int64)
     bits = data.bitset()
     if bits is None:
-        c = _probe_intersections(data, a_ids, b_ids)
+        x = _csr(data, data.tokens, data.d)
+        # np.asarray: a sparse matrix sums to an (m, 1) matrix, an array to (m,)
+        count = lambda a, b: np.asarray(x[a].multiply(x[b]).sum(axis=1)).reshape(-1)
     else:
-        c = np.empty(a_ids.size, dtype=np.int64)
-        for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
-            v = slice(v0, v0 + _VERIFY_BLOCK)
-            c[v] = np.bitwise_count(bits[a_ids[v]] & bits[b_ids[v]]).sum(axis=1, dtype=np.int64)
+        count = lambda a, b: np.bitwise_count(bits[a] & bits[b]).sum(axis=1, dtype=np.int64)
+    c = np.empty(a_ids.size, dtype=np.int64)
+    for v0 in range(0, a_ids.size, _VERIFY_BLOCK):
+        v = slice(v0, v0 + _VERIFY_BLOCK)
+        c[v] = count(a_ids[v], b_ids[v])
     sizes = data.sizes
     return c / (sizes[a_ids] + sizes[b_ids] - c) >= threshold
 
 
-def _probe_intersections(data: Dataset, a_ids, b_ids) -> np.ndarray:
-    """|x_a & x_b| per pair: the smaller record's tokens are looked up under
-    the other record's id among the (record << 32) | token keys, sorted as
-    tokens ascend in each record, in blocks of about `_PROBE_BLOCK` probed
-    tokens and at least one pair."""
-    sizes = data.sizes
-    swap = sizes[a_ids] > sizes[b_ids]
-    small, other = np.where(swap, b_ids, a_ids), np.where(swap, a_ids, b_ids)
-    plen = sizes[small]
-    ends = np.cumsum(plen)
-    keys = (np.repeat(np.arange(data.n, dtype=np.int64), sizes) << 32) | data.tokens
-    c = np.empty(a_ids.size, dtype=np.int64)
-    p0 = 0
-    while p0 < a_ids.size:
-        start = ends[p0] - plen[p0]
-        p1 = max(p0 + 1, int(np.searchsorted(ends, start + _PROBE_BLOCK, side="right")))
-        counts, first = plen[p0:p1], ends[p0:p1] - plen[p0:p1] - start
-        at = np.repeat(data.indptr[small[p0:p1]] - first, counts) + np.arange(ends[p1 - 1] - start)
-        probe = (np.repeat(other[p0:p1], counts) << 32) | data.tokens[at]
-        pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-        hits = np.concatenate(([0], np.cumsum(keys[pos] == probe)))
-        c[p0:p1] = hits[first + counts] - hits[first]
-        p0 = p1
-    return c
+def _csr(data: Dataset, cols: np.ndarray, d: int):
+    """The records as an (n, d) int32 CSR matrix of ones at columns `cols`,
+    which are `data.tokens` or a renumbering of them in the same order."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((np.ones(cols.size, dtype=np.int32), cols.astype(np.int64), data.indptr),
+                      shape=(data.n, d))
 
 
 def _intersection_blocks(data: Dataset):
@@ -135,13 +122,7 @@ def _intersection_blocks(data: Dataset):
         x[np.repeat(np.arange(n), np.diff(data.indptr)), cols.astype(np.intp)] = 1.0
         product = lambda i0, i1: x[i0:i1] @ x[i0:].T
     else:
-        from scipy.sparse import csr_matrix
-
-        x = csr_matrix(
-            (np.ones(data.tokens.size, dtype=np.int32),
-             cols.astype(np.int64), data.indptr),
-            shape=(n, d),
-        )
+        x = _csr(data, cols, d)
         xt = x.T.tocsc()
         product = lambda i0, i1: (x[i0:i1] @ xt[:, i0:]).toarray()
     i0 = 0
@@ -164,7 +145,7 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
 
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
-    thresholds = list(thresholds)
+    thresholds = list(dict.fromkeys(thresholds))  # a repeated threshold is one result
     for lam in thresholds:
         _check_threshold(lam)
     n = data.n

@@ -82,11 +82,13 @@ def choose_k(prep: Prepared, threshold: float, recall_target: float,
 
     Estimated cost of a full join at k: repetitions(k) times (bucket pair
     comparisons of the sample pass plus n hashings). Ties go to the smaller k.
+    Only k up to the signature length are costed; if none of `ks` is, k is
+    the signature length.
     """
     n = prep.data.n
     tune_seed = derive_seed(seed, _TUNE_TAG)
     best_k, best_cost = None, None
-    for k in ks:
+    for k in [k for k in ks if k <= prep.sig_len] or [prep.sig_len]:
         positions = sample_positions(derive_seed(tune_seed, k), k, prep.sig_len)
         _, counts = np.unique(bucket_keys(prep.sig, positions), return_counts=True)
         pairs = int((counts * (counts - 1) // 2).sum())

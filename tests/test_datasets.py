@@ -257,7 +257,7 @@ def test_non_canonical_build_keeps_original_ids():
 
 
 def test_raw_32_bit_ids_join_without_a_table_over_the_universe(monkeypatch):
-    # d = 2^32: no bitset, so the joins verify with the token probe, and
+    # d = 2^32: no bitset, so the joins verify by CSR row products, and
     # preprocess builds rank tables over the tokens that occur, as brute
     # force builds its matrix columns. Nothing here may allocate per id in
     # [0, d), so the test never reads `token_freq`.

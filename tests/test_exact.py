@@ -5,7 +5,7 @@ and the inverted-index prefix join must agree on every dataset. Individual
 predicates (verify, min_overlap, prefix_length) are pinned by hand-computable
 cases and by property tests against the direct Jaccard formula. Batch
 verification must give the same intersection counts on the bitset and the
-bitset-free probe route. The array-pass AllPairs is also checked against a
+bitset-free CSR route. The array-pass AllPairs is also checked against a
 per-record loop reference, pairs and counters alike, and its positional
 filter at its exact bound and against brute force on near-duplicates. The
 quadratic join's upper-triangle blocks are checked against a per-pair scan,
@@ -103,7 +103,7 @@ def test_verify_pairs_bitset_and_probe_routes_agree(monkeypatch):
     assert np.array_equal(got, want)
     monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
     bare = gen_uniform(120, 8, 50, seed=1)
-    assert bare.bitset() is None  # the probe route is exercised
+    assert bare.bitset() is None  # the CSR route is exercised
     assert np.array_equal(verify_pairs(bare, a, b, 0.4), want)
 
 
@@ -113,19 +113,39 @@ def test_probe_matches_bitset_over_several_blocks(monkeypatch):
     a = rng.integers(0, ds.n, size=500)
     b = rng.integers(0, ds.n, size=500)
     a[:25] = b[:25]  # a record against itself
-    monkeypatch.setattr(exact, "_PROBE_BLOCK", 7)
-    probed = np.minimum(ds.sizes[a], ds.sizes[b])
-    assert probed.sum() > 10 * exact._PROBE_BLOCK  # several blocks
-    assert probed.max() > exact._PROBE_BLOCK  # a pair larger than a whole block
-    want = [np.intersect1d(ds.record(int(i)), ds.record(int(j))).size for i, j in zip(a, b)]
-    assert np.array_equal(exact._probe_intersections(ds, a, b), want)
+    c = np.array([np.intersect1d(ds.record(int(i)), ds.record(int(j))).size
+                  for i, j in zip(a, b)])
+    union = ds.sizes[a] + ds.sizes[b] - c
     assert ds.bitset() is not None
     monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    monkeypatch.setattr(exact, "_VERIFY_BLOCK", 7)  # 72 blocks, the last one short
     bare = gen_uniform(200, 12, 60, seed=12)
     assert bare.bitset() is None
     for lam in (1 / 3, 0.5, 1.0):
-        assert np.array_equal(verify_pairs(bare, a, b, lam), verify_pairs(ds, a, b, lam))
+        want = c / union >= lam
+        assert np.array_equal(verify_pairs(bare, a, b, lam), want)
+        assert np.array_equal(verify_pairs(ds, a, b, lam), want)
     assert verify_pairs(bare, a[:25], b[:25], 1.0).all()
+
+
+def test_verify_pairs_without_a_bitset_on_32_bit_token_ids():
+    # raw ids up to 0xFFFFFFFF: d = 2^32, so the bitset is over its cap and
+    # the CSR columns must hold token ids past int32
+    rng = np.random.default_rng(16)
+    top = 0xFFFFFFFF
+    recs = [rng.choice(64, size=int(s), replace=False) + (top - 63)
+            for s in rng.integers(1, 20, size=40)]
+    recs[0][0] = top
+    recs += [recs[0][1:], np.concatenate([recs[1], [0]])]  # near-duplicates
+    ds = Dataset.from_records(recs, canonical=False)
+    assert ds.d == 2 ** 32 and ds.tokens.max() == top
+    assert ds.bitset() is None
+    a, b = np.triu_indices(ds.n, 1)
+    for lam in (0.2, 0.5, 0.9):
+        want = [verify(ds.record(int(i)), ds.record(int(j)), lam) for i, j in zip(a, b)]
+        got = verify_pairs(ds, a, b, lam)
+        assert np.array_equal(got, want)
+        assert got.any() and not got.all()
 
 
 def _random_dataset(rng):
@@ -235,6 +255,16 @@ def test_multi_threshold_join_rejects_each_bad_threshold(bad):
     for thresholds in ([bad], [0.5, bad]):
         with pytest.raises(ValueError, match="threshold must be in"):
             brute_force_join_multi(ds, thresholds)
+
+
+def test_multi_threshold_join_reports_a_repeated_threshold_once():
+    ds = gen_uniform(60, 6, 30, seed=2)
+    pairs, stats = brute_force_join(ds, 0.5)
+    assert stats.results == 6
+    multi = brute_force_join_multi(ds, [0.5, 0.5])
+    assert list(multi) == [0.5]
+    assert np.array_equal(multi[0.5][0], pairs)
+    assert multi[0.5][1].results == 6
 
 
 def test_multi_threshold_matches_single_runs():

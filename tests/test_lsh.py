@@ -137,6 +137,19 @@ def test_choose_k_prefers_small_k_when_buckets_cannot_shrink():
     assert choose_k(degenerate, 0.5, 0.9, 0) == K_RANGE.start
 
 
+def test_choose_k_stays_within_the_signature():
+    # a k above sig_len samples only sig_len positions, while its repetition
+    # budget is sized for k
+    ds = gen_uniform(120, 8, 50, seed=4)
+    one = preprocess(ds, 1, 8, seed=6)
+    assert choose_k(one, 0.5, 0.9) == 1
+    assert resolve_params(one, LshConfig(threshold=0.5)) == (1, 5)
+    four = preprocess(ds, 4, 8, seed=6)
+    assert choose_k(four, 0.5, 0.9, ks=(5, 6)) == 4
+    degenerate = dataclasses.replace(four, sig=np.zeros_like(four.sig))
+    assert choose_k(degenerate, 0.5, 0.9, ks=(3, 4, 5, 6)) == 3
+
+
 def test_resolve_params_passthrough_and_tuning():
     ds = gen_uniform(200, 10, 50, seed=5)
     prep = preprocess(ds, 128, 8, seed=7)

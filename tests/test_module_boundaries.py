@@ -1,5 +1,6 @@
 """Module boundaries: no setjoin module reaches into another's private names,
-and one function alone builds the candidate kernel."""
+one function alone builds the candidate kernel, and one module alone holds
+the sparse (scipy) view of the records."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,30 @@ def test_only_the_repetition_loop_builds_a_candidate_kernel():
     found = {(p.name, func) for p in sorted(SRC.glob("*.py"))
              for _, func in kernel_constructions(p)}
     assert found == {("cpsjoin.py", "run_repetitions")}
+
+
+def imported_modules(path):
+    """Top-level package of every module a file imports, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_finds_nested_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\n"
+                    "from .exact import verify\n"
+                    "def f():\n"
+                    "    from scipy.sparse import csr_matrix\n"
+                    "    import scipy.optimize\n")
+    assert imported_modules(path) == {"numpy", "scipy"}
+
+
+def test_only_exact_imports_scipy():
+    found = {p.name for p in sorted(SRC.glob("*.py")) if "scipy" in imported_modules(p)}
+    assert found == {"exact.py"}
