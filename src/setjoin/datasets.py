@@ -49,7 +49,7 @@ class Dataset:
     """Immutable collection of token sets in CSR-like layout."""
 
     __slots__ = ("tokens", "indptr", "n", "d", "canonical", "provenance",
-                 "_token_freq", "_bitset")
+                 "_token_freq", "_bitset", "_bitset_words")
 
     def __init__(self, tokens: np.ndarray, indptr: np.ndarray, d: int,
                  canonical: bool, provenance: dict | None = None):
@@ -61,6 +61,7 @@ class Dataset:
         self.provenance = provenance or {}
         self._token_freq = None
         self._bitset = None
+        self._bitset_words = None
 
     def record(self, i: int) -> np.ndarray:
         return self.tokens[self.indptr[i]:self.indptr[i + 1]]
@@ -106,11 +107,34 @@ class Dataset:
                 return None
             bits = np.zeros((self.n, words), dtype=np.uint64)
             rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            cols = (self.tokens >> np.uint32(6)).astype(np.intp)
-            vals = np.uint64(1) << (self.tokens.astype(np.uint64) & np.uint64(63))
+            cols, vals = self._bit_cells()
             np.bitwise_or.at(bits, (rows, cols), vals)
             self._bitset = bits
         return self._bitset
+
+    def bitset_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each record's non-zero `bitset()` words, built on first call:
+        (starts, cols, words), record i owning the word indices
+        cols[starts[i]:starts[i + 1]], ascending, and their values in the
+        same slice of `words`. Held here, so they live as long as the
+        dataset and no longer."""
+        if self._bitset_words is None:
+            cols, vals = self._bit_cells()
+            # A run of one record's tokens in one word starts where the word
+            # index changes or a record starts (records hold tokens, ascending).
+            run = np.empty(cols.size, dtype=bool)
+            np.not_equal(cols[1:], cols[:-1], out=run[1:])
+            run[self.indptr[:-1]] = True
+            run_starts = np.flatnonzero(run)
+            self._bitset_words = (np.searchsorted(run_starts, self.indptr), cols[run_starts],
+                                  np.bitwise_or.reduceat(vals, run_starts))
+        return self._bitset_words
+
+    def _bit_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's word index and bit in its `bitset()` row."""
+        cols = (self.tokens >> np.uint32(6)).astype(np.intp)
+        vals = np.uint64(1) << (self.tokens.astype(np.uint64) & np.uint64(63))
+        return cols, vals
 
     @staticmethod
     def from_records(records, canonical: bool = True, provenance: dict | None = None) -> "Dataset":

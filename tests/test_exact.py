@@ -4,16 +4,20 @@ The two exact algorithms are each other's oracle: the quadratic matrix join
 and the inverted-index prefix join must agree on every dataset. Individual
 predicates (verify, min_overlap, prefix_length) are pinned by hand-computable
 cases and by property tests against the direct Jaccard formula. Batch
-verification must give the same intersection counts on the bitset and the
-bitset-free CSR route. The array-pass AllPairs is also checked against a
+verification must give the same intersection counts on all three routes:
+whole bitset rows, the non-zero bitset words and the bitset-free CSR rows.
+The route follows the bitset's fill, and the word lists are built once per
+dataset and freed with it. The array-pass AllPairs is also checked against a
 per-record loop reference, pairs and counters alike, and its positional
 filter at its exact bound and against brute force on near-duplicates. The
 quadratic join's upper-triangle blocks are checked against a per-pair scan,
 on both product routes and at block sizes down to one row.
 """
 
+import gc
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -118,7 +122,9 @@ def test_probe_matches_bitset_over_several_blocks(monkeypatch):
     union = ds.sizes[a] + ds.sizes[b] - c
     assert ds.bitset() is not None
     monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
-    monkeypatch.setattr(exact, "_VERIFY_BLOCK", 7)  # 72 blocks, the last one short
+    # 84 CSR entries a block, 12 a record (2,382 in 200): blocks of 7 pairs,
+    # 72 of them, the last one short
+    monkeypatch.setattr(exact, "_VERIFY_BLOCK", 84)
     bare = gen_uniform(200, 12, 60, seed=12)
     assert bare.bitset() is None
     for lam in (1 / 3, 0.5, 1.0):
@@ -146,6 +152,103 @@ def test_verify_pairs_without_a_bitset_on_32_bit_token_ids():
         got = verify_pairs(ds, a, b, lam)
         assert np.array_equal(got, want)
         assert got.any() and not got.all()
+
+
+def _force_route(monkeypatch, route):
+    """Send `verify_pairs` down one route, whatever the dataset's shape."""
+    if route == "csr":
+        monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    else:
+        monkeypatch.setattr(exact, "_GATHER_COST", 0 if route == "words" else 2 ** 40)
+
+
+def _word_boundary_records():
+    """Raw records over [0, 192), three 64-id words, that hold tokens 63, 64
+    and 127 on both sides of a word boundary. Record 0 has a token in every
+    word and record 1 in one: the lower id has more words."""
+    rng = np.random.default_rng(21)
+    recs = [np.array([0, 63, 64, 127, 128, 191]), np.array([62, 63]),
+            np.array([63, 64]), np.array([63, 64, 127]), np.array([64, 127, 128])]
+    recs += [rng.choice(192, size=int(s), replace=False) for s in rng.integers(2, 30, size=60)]
+    recs += [np.union1d(r, [63, 64, 127]) for r in recs[5:25]]
+    return recs
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("route", ["dense", "words", "csr"])
+def test_every_verify_route_gives_the_same_counts(monkeypatch, route, canonical):
+    _force_route(monkeypatch, route)
+    ds = Dataset.from_records(_word_boundary_records(), canonical=canonical)
+    assert (ds.bitset() is None) == (route == "csr")
+    if not canonical:
+        starts = ds.bitset_words()[0]
+        assert ds.record(0).size == 6 and starts[1] - starts[0] == 3 > starts[2] - starts[1]
+    rng = np.random.default_rng(22)
+    m = 499  # a prime, so blocks of 2 or more pairs end in a short one
+    a = rng.integers(0, ds.n, size=m)
+    b = rng.integers(0, ds.n, size=m)
+    a[:20] = b[:20]  # a record with itself
+    a[20:40], b[20:40] = np.arange(20), 0  # a > b, and record 0 with each of the first 20
+    c = np.array([np.intersect1d(ds.record(int(i)), ds.record(int(j))).size
+                  for i, j in zip(a, b)])
+    union = ds.sizes[a] + ds.sizes[b] - c
+    widest = max((ds.d + 63) >> 6, int(ds.sizes.max()))
+    # no route's mean row is wider than `widest`: 4 pairs a block or more
+    monkeypatch.setattr(exact, "_VERIFY_BLOCK", 4 * widest)
+    blocks = []
+    word_intersections = exact._word_intersections
+
+    def spy(*args):
+        blocks.append(args[-1].size)
+        return word_intersections(*args)
+
+    monkeypatch.setattr(exact, "_word_intersections", spy)
+    for lam in (1 / 3, 0.5, 1.0):
+        assert np.array_equal(verify_pairs(ds, a, b, lam), c / union >= lam)
+    if route == "words":
+        assert len(blocks) > 3 and sum(blocks) == 3 * m and blocks[-1] < blocks[0]
+    else:
+        assert not blocks
+    assert verify_pairs(ds, a[:20], b[:20], 1.0).all()
+
+
+def test_verify_route_follows_the_bitset_fill(monkeypatch):
+    built = []
+    bitset_words = Dataset.bitset_words
+
+    def spy(data):
+        built.append(data)
+        return bitset_words(data)
+
+    monkeypatch.setattr(Dataset, "bitset_words", spy)
+    # about 30 tokens in 157 words: the word route
+    sparse = gen_uniform(2000, 30, 10_000, seed=23)
+    assert sparse.d > 9_900
+    a, b = np.random.default_rng(23).integers(0, sparse.n, size=(2, 5000))
+    verify_pairs(sparse, a, b, 0.5)
+    assert built == [sparse]
+    # every word holds tokens: the dense route, with no word lists
+    built.clear()
+    dense = gen_tokens(TokensSpec(d=800, max_freq=60, background_similarity=0.12, seed=23))
+    assert dense.tokens.size * exact._GATHER_COST >= dense.bitset().size
+    a, b = np.triu_indices(dense.n, 1)
+    verify_pairs(dense, a, b, 0.5)
+    assert built == []
+
+
+def test_word_lists_are_built_once_and_die_with_their_dataset():
+    ds = gen_uniform(600, 10, 10_000, seed=24)
+    assert ds.tokens.size * exact._GATHER_COST < ds.bitset().size  # the word route
+    pairs, _ = allpairs_join(ds, 0.2)
+    lists = ds.bitset_words()
+    verify_pairs(ds, pairs[:, 0], pairs[:, 1], 0.5)
+    allpairs_join(ds, 0.1)
+    assert ds.bitset_words() is lists  # built once, in the first join
+    # Dataset has no __weakref__ slot; its arrays do, and nothing else holds them
+    refs = [weakref.ref(x) for x in (ds.bitset(), *lists)]
+    del ds, lists, pairs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def _random_dataset(rng):

@@ -12,10 +12,12 @@ on the `tokens` and `uniform` sets, AllPairs with and without its prefix
 filter. The CPSJoin cases pass `recall_target=None`, so they pin the
 fixed ten-repetition run rather than where the self-tuned stop falls.
 
-Every join that verifies pairs is pinned on both verification routes: the
-bitset popcount these small universes take by default, and the token probe
-that datasets too wide for a bitset take. The digests are the same. A
-mismatch prints the join's counters, so a re-pin shows which of them moved.
+Every join that verifies pairs is pinned on all three verification routes:
+the popcount over whole bitset rows that these small universes take by
+default, the popcount over the lower id's non-zero bitset words that sparse
+bitsets take, and the CSR row product that datasets too wide for a bitset
+take. The digests are the same. A mismatch prints the join's counters, so a
+re-pin shows which of them moved.
 
 The canonical datasets themselves are pinned too: the sha256 of `tokens`,
 `indptr`, `d` and the build's index map (input record to final index, which
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from setjoin import (CpsConfig, Dataset, LshConfig, TokensSpec, allpairs_join, brute_force_join,
-                     cps_join, datasets, gen_tokens, gen_uniform, lsh_join)
+                     cps_join, datasets, exact, gen_tokens, gen_uniform, lsh_join)
 from setjoin.stats import encode_pairs
 
 
@@ -121,6 +123,20 @@ def test_seeded_join_digest_on_the_probe_route(monkeypatch, dataset, join, confi
     data, lam = dataset()
     pairs, stats = join(data, config(lam))
     assert data.bitset() is None
+    assert _digest(pairs, stats) == want, _counters(stats)
+
+
+@pytest.mark.parametrize("dataset, join, config, want", [c for c, _ in _VERIFYING],
+                         ids=[name for _, name in _VERIFYING])
+def test_seeded_join_digest_on_the_word_route(monkeypatch, dataset, join, config, want):
+    monkeypatch.setattr(exact, "_GATHER_COST", 0)
+    calls = []
+    word_intersections = exact._word_intersections
+    monkeypatch.setattr(exact, "_word_intersections",
+                        lambda *args: calls.append(1) or word_intersections(*args))
+    data, lam = dataset()
+    pairs, stats = join(data, config(lam))
+    assert calls
     assert _digest(pairs, stats) == want, _counters(stats)
 
 
