@@ -137,8 +137,8 @@ class Dataset:
         return cols, vals
 
     @staticmethod
-    def from_records(records, canonical: bool = True, provenance: dict | None = None) -> "Dataset":
-        ds, _ = _build(*_flatten(records), canonical=canonical, provenance=provenance)
+    def from_records(records, canonical: bool = True) -> "Dataset":
+        ds, _ = _build(*_flatten(records), canonical=canonical, provenance=None)
         return ds
 
 

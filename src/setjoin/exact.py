@@ -3,8 +3,9 @@
 Both joins report exactly the pairs with Jaccard similarity >= threshold: the
 brute-force oracle counts every pair's intersection through a dense or sparse
 matrix product, over the upper triangle only, in row blocks of about
-`_BLOCK_CELLS` cells, and reads its size filter from one table over the
-distinct record sizes; AllPairs probes an inverted index over prefix tokens as
+`_BLOCK_CELLS` cells, keeps the pairs that pass the one Jaccard predicate and
+counts its size-filter candidates with one searchsorted over the sorted
+sizes; AllPairs probes an inverted index over prefix tokens as
 whole-array passes (sort, searchsorted, blocked pair dedup). Its positional
 filter bounds the overlap of a pair met at a prefix token by 1 + min(rest_i,
 rest_j), the tokens from there on in the shorter tail, and keeps it only where
@@ -181,11 +182,12 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     several thresholds.
 
     Each block's Jaccard values are one float64 division of its exact counts
-    by the unions. A pair (i, j), i < j, is a result where that value reaches
-    the threshold and the pair passes the size filter; the filter is one
-    boolean table per threshold over the distinct sizes, read at the pair's
-    size classes. `candidates`, the pairs passing the filter, is counted from
-    the table and the size-class counts.
+    by the unions, so a pair (i, j), i < j, is a result where `verify_pairs`'
+    predicate holds. `candidates`, the pairs passing the size filter
+    threshold * max(s_i, s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted
+    over the sorted sizes. The filter needs no test at the hits: c / u >=
+    threshold in float64 gives threshold * max <= min * (1 + 2^-52), which
+    is within the slack for records under 2^21 tokens.
 
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
@@ -194,14 +196,11 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
         _check_threshold(lam)
     n = data.n
     t0 = time.perf_counter()
-    distinct, size_class, per_class = np.unique(
-        data.sizes.astype(np.int64), return_inverse=True, return_counts=True)
-    smin = np.minimum.outer(distinct, distinct)
-    smax = np.maximum.outer(distinct, distinct)
-    size_ok = {lam: lam * smax <= smin + _EPS for lam in thresholds}
-    # pairs i < j: the ordered pairs of distinct records, halved
-    cand_counts = {lam: int(per_class @ ok @ per_class - per_class @ ok.diagonal()) // 2
-                   for lam, ok in size_ok.items()}
+    asc = np.sort(data.sizes.astype(np.int64))
+    # per size in ascending order, the sizes k with lam * asc[k] <= asc[i] + eps,
+    # less the i + 1 at or before it, which always pass: its partners after it
+    cand_counts = {lam: int((np.searchsorted(lam * asc, asc + _EPS, side="right")
+                             - np.arange(1, n + 1)).sum()) for lam in thresholds}
     out_codes = {lam: [] for lam in thresholds}
     for i0, counts in _intersection_blocks(data):
         sizes = data.sizes.astype(counts.dtype)
@@ -211,14 +210,12 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
         for lam in thresholds:
             ri, ci = np.divmod(np.flatnonzero(sim >= lam), sim.shape[1])
             upper = ci > ri
-            i, j = ri[upper] + i0, ci[upper] + i0
-            hit = size_ok[lam][size_class[i], size_class[j]]
-            if hit.any():
-                out_codes[lam].append(encode_pairs(i[hit], j[hit]))
+            out_codes[lam].append(encode_pairs(ri[upper] + i0, ci[upper] + i0))
     elapsed = time.perf_counter() - t0
     result = {}
     for lam in thresholds:
-        codes = np.sort(np.concatenate(out_codes[lam])) if out_codes[lam] \
+        # blocks arrive in row order and are read row-major: the codes ascend
+        codes = np.concatenate(out_codes[lam]) if out_codes[lam] \
             else np.zeros(0, dtype=np.uint64)
         stats = JoinStats(
             pre_candidates=n * (n - 1) // 2,
@@ -231,7 +228,7 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
 
 
 def brute_force_join(data: Dataset, threshold: float):
-    """Ground-truth join: every pair checked, no filtering beyond sizes."""
+    """Ground-truth join: every pair checked."""
     return brute_force_join_multi(data, [threshold])[threshold]
 
 

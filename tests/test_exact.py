@@ -11,7 +11,9 @@ dataset and freed with it. The array-pass AllPairs is also checked against a
 per-record loop reference, pairs and counters alike, and its positional
 filter at its exact bound and against brute force on near-duplicates. The
 quadratic join's upper-triangle blocks are checked against a per-pair scan,
-on both product routes and at block sizes down to one row.
+on both product routes and at block sizes down to one row, its candidates on
+300 distinct sizes in no order, and the float fact that lets it skip a size
+test at its hits is a property test.
 """
 
 import gc
@@ -382,15 +384,20 @@ def test_multi_threshold_matches_single_runs():
         assert stats.results == len(pairs)
 
 
-def test_brute_force_uses_sparse_route_on_large_universe():
-    # records spread over a universe too large for the dense matrix path
+def test_brute_force_uses_sparse_route_on_large_universe(monkeypatch):
+    # records spread over a large universe; the oracle renumbers the ids that
+    # occur, so the dense matrix would be n by those, and a cap just below
+    # that sends it to the sparse route
     rng = np.random.default_rng(9)
     recs = [rng.choice(3_000_000, size=400, replace=False) for _ in range(60)]
     recs += [recs[0][:350], recs[1][:300]]  # a few overlapping pairs
     ds = Dataset.from_records(recs, canonical=False)  # keep sparse original ids
-    dense_route_cells = ds.n * ds.d
-    assert dense_route_cells > 2 ** 26  # really on the sparse path
+    monkeypatch.setattr(exact, "_DENSE_CELL_CAP", ds.n * np.unique(ds.tokens).size - 1)
+    built = []
+    csr = exact._csr
+    monkeypatch.setattr(exact, "_csr", lambda *args: built.append(args[2]) or csr(*args))
     pairs, _ = brute_force_join(ds, 0.5)
+    assert built == [np.unique(ds.tokens).size]  # one CSR matrix over the ids that occur
     want = []
     for i in range(ds.n):
         for j in range(i + 1, ds.n):
@@ -457,6 +464,38 @@ def test_brute_force_triangle_blocks_match_per_pair_scan(monkeypatch, route, blo
         assert stats.pre_candidates == ds.n * (ds.n - 1) // 2
     # the 27-in-42 pair is found: sizes 27 and 42 reach 9/14 only at c = 27
     assert any(sorted(ds.sizes[p].tolist()) == [27, 42] for p in multi[9 / 14][0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 2 ** 21), st.integers(2, 2 ** 21), st.data())
+def test_a_jaccard_hit_passes_the_size_filter(size_a, size_b, data):
+    # why brute force needs no size test at its hits: a float64 c / u that
+    # reaches the threshold keeps lam * max within the filter's 1e-9 slack
+    small, large = sorted((size_a, size_b))
+    c = data.draw(st.integers(1, small))
+    sim = np.float64(c) / np.float64(size_a + size_b - c)
+    # the largest threshold the hit reaches is the tightest case
+    lam = data.draw(st.one_of(st.just(float(sim)), st.floats(0, 1, exclude_min=True)))
+    if sim >= lam:
+        assert lam * large <= small + _EPS
+
+
+def test_brute_force_candidates_over_many_sizes_in_no_order():
+    rng = np.random.default_rng(3)
+    recs = [rng.choice(400, size=s, replace=False) for s in rng.permutation(np.arange(2, 302))]
+    ds = Dataset.from_records(recs, canonical=False)
+    sizes = ds.sizes.astype(np.int64)
+    assert np.unique(sizes).size == ds.n == 300 and (np.diff(sizes) < 0).any()
+    i, j = np.triu_indices(ds.n, 1)
+    lams = (0.2, 1 / 3, 0.5, 0.7, 0.9, 1.0)
+    multi = brute_force_join_multi(ds, lams)
+    for lam in lams:
+        pairs, stats = multi[lam]
+        small, large = np.minimum(sizes[i], sizes[j]), np.maximum(sizes[i], sizes[j])
+        assert stats.candidates == int((lam * large <= small + _EPS).sum())
+        hit = verify_pairs(ds, i, j, lam)
+        assert np.array_equal(pairs, np.stack([i[hit], j[hit]], axis=1))
+    assert multi[0.5][1].results > 0
 
 
 def test_brute_force_memory_stays_bounded():
