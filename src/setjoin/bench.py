@@ -12,7 +12,8 @@ stop rule: CPSJoin stops where its kernel's capture-recapture estimate
 Join time sums the per-repetition times (`JoinStats.repetition_s`), so it
 leaves out the recall checks; embedding/sketching time is its own column and
 the oracle is never timed into either. A row summarizes all trials: times are
-means; recall, counters and echoed parameters the lower median.
+means; recall, counters, the key width (signature coordinates per bucket key:
+CPSJoin's chosen width, LSH's k) and echoed parameters the lower median.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ SWEEP_PARAMS = ("limit", "eps", "sketch_words")
 _SWEEP_RECALL_FLOOR = 0.8
 
 COLUMNS = ("dataset", "algorithm", "threshold", "join_time_s", "preprocess_time_s",
-           "recall", "reps_used", "pre_candidates", "candidates", "results",
+           "recall", "reps_used", "key_width", "pre_candidates", "candidates", "results",
            "relative_join_time", "params")
 
 
@@ -85,6 +86,7 @@ class ReportRow:
     pre_candidates: int
     candidates: int
     results: int
+    key_width: int | None = None  # signature coordinates per bucket key; None for exact joins
     relative_join_time: float | None = None
     params: str = ""
 
@@ -173,6 +175,7 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
                 recall=None if exact is None else _recall(encode_pairs(*pairs.T), exact),
                 reps_used=len(stats.repetition_s), pre_candidates=stats.pre_candidates,
                 candidates=stats.candidates, results=stats.results,
+                key_width=stats.key_width,
             ))
             trial_params[t].append(extra)
     # Times are means over trials; recall, counters and the echoed parameters
@@ -185,7 +188,8 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
                       join_time_s=float(np.mean([r.join_time_s for r in trials])),
                       preprocess_time_s=float(np.mean(prep_times)),
                       params=_params_echo(spec, echo))
-        for name in ("recall", "reps_used", "pre_candidates", "candidates", "results"):
+        for name in ("recall", "reps_used", "key_width", "pre_candidates", "candidates",
+                     "results"):
             if getattr(row, name) is not None:
                 setattr(row, name, _lower_median([getattr(r, name) for r in trials]))
         rows.append(row)
@@ -272,7 +276,8 @@ def write_csv(rows, out) -> None:
                 row.dataset, row.algorithm, _fmt(row.threshold),
                 f"{row.join_time_s:.6f}", f"{row.preprocess_time_s:.6f}",
                 "" if row.recall is None else f"{row.recall:.6f}",
-                row.reps_used, row.pre_candidates, row.candidates, row.results,
+                row.reps_used, "" if row.key_width is None else row.key_width,
+                row.pre_candidates, row.candidates, row.results,
                 "" if row.relative_join_time is None else f"{row.relative_join_time:.4f}",
                 row.params,
             ])

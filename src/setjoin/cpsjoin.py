@@ -2,12 +2,17 @@
 
 Each repetition splits the record set into a tree of buckets, one depth at a
 time: a bucket samples signature coordinates independently with probability
-min(1, 1/(threshold * sig_len)) and partitions its records by signature
-value on each sampled coordinate; its non-singleton parts are the buckets of
-the next depth. Similar records agree on sampled coordinates often enough to
-meet in a bucket with probability bounded below, so a fixed number of
-repetitions gives per-pair recall; every reported pair is exactly verified,
-so precision is 1.
+min(1, 1/(threshold**k * sig_len)) and partitions its records, for each
+sampled coordinate c, by a key of k coordinates, c and k - 1 more drawn from
+(bucket seed, c); its non-singleton parts are the buckets of the next depth.
+A threshold-similar pair agrees on a key with probability threshold**k, so
+it expects one surviving child per bucket at every key width, and meets in a
+bucket with probability bounded below; a fixed number of repetitions gives
+per-pair recall, and every reported pair is exactly verified, so precision
+is 1. The key width k is chosen once per join, before its first repetition,
+by costing one root split per width (`choose_key_width`): one coordinate
+over a small universe of frequent tokens leaves buckets far above `limit`,
+and a wider key cuts them at the root.
 
 Each depth is three batches. Buckets at or below `limit` are compared
 pairwise and not split. A pooled sketch summarizes each larger bucket, and
@@ -23,9 +28,10 @@ verifies each distinct pair once per join and remembers the outcome.
 The join tunes its own repetition count: the kernel counts, for every pair
 found so far, the repetitions that found it, and after each one turns the
 counts into Chao's capture-recapture estimate of the share of the result set
-found (`estimated_recall`). The join stops once that reaches
-`CpsConfig.recall_target`, or after `reps`, in the one repetition loop
-(`run_repetitions`) that both approximate joins and `bench` drive.
+found (`estimated_recall`) and a lower bound on it (`recall_lower_bound`).
+The join stops once the bound reaches `CpsConfig.recall_target`, or after
+`reps`, in the one repetition loop (`run_repetitions`) that both approximate
+joins and `bench` drive.
 """
 
 from __future__ import annotations
@@ -48,7 +54,13 @@ _REP_TAG = 0x726570
 _POOL_TAG = 1
 _MASK_TAG = 2
 _CHILD_TAG_BASE = 3
+_KEY_TAG = 0x6B6579  # streams of the extra key coordinates; past every child tag
+_FOLD_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd: the fold's multiply-add constant
+_WIDTH_TAG = 0x776964  # the root row `choose_key_width` costs
+_WIDTHS = range(1, 5)  # key widths costed; wider ones were not measured
+_WIDTH_SAMPLE = 512  # pairs sampled per width to estimate candidates
 _PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel, and per flush
+_BOUND_Z = 1.645  # standard normal quantile of the one-sided 95% recall bound
 
 
 @dataclass(frozen=True)
@@ -56,18 +68,23 @@ class CpsConfig:
     """Parameters of one CPSJoin run.
 
     `reps` is the repetition budget. The stop rule `estimate_reaches` ends
-    the join after the first repetition r >= 2 whose `estimated_recall`
+    the join after the first repetition r >= 2 whose `recall_lower_bound`
     reaches `recall_target`; with None it runs all `reps`. A stopped run is
     exactly the first r repetitions of the run with `reps=r, recall_target=None`.
+    The key width is not a field: the join derives it (`choose_key_width`).
 
     The default target, 0.999, is far above `LshConfig.recall_target`'s 0.9
     because the two measure different things. LSH's target is the
     probability that one pair exactly at the threshold collides in some
     repetition; pairs above the threshold collide more often, so the share of
     the result set LSH finds is well above it. This target is that share
-    itself. Over eight seeds of the benchmark workloads, a target of 0.99
-    stopped most runs after 2 repetitions and lost up to 1.6% of the `tokens`
-    pairs; 0.999 stopped them after 3-4 with at most 0.08% lost.
+    itself. Over eight seeds of the benchmark workloads, with one-coordinate
+    keys and the stop read off the point estimate, a target of 0.99 stopped
+    most runs after 2 repetitions and lost up to 1.6% of the `tokens` pairs;
+    0.999 stopped them after 3-4 with at most 0.08% lost. With the chosen
+    widths (3 on `tokens`, 2 on `clusters`) and the bound, 0.999 stops
+    `tokens` after 3-6 repetitions with at most 0.18% lost (records seeds
+    21, 7, 1, 2, 3, 33, 4, 5) and `clusters` after 3.
     """
 
     threshold: float
@@ -88,6 +105,46 @@ class CpsConfig:
             raise ValueError("reps must be >= 1")
         if self.recall_target is not None and not 0.0 < self.recall_target < 1.0:
             raise ValueError("recall_target must be in (0, 1) or None")
+
+
+def recall_lower_bound(hits: np.ndarray, reps: int) -> float:
+    """A one-sided 95% lower bound on the share of the result set found after
+    `reps` repetitions, which CPSJoin's stop rule reads: S / (S + f0 +
+    1.645 * sd(f0)), with `estimated_recall`'s f0 and Chao's variance of it
+    (Chao 1987; Chao 2005, "Species estimation and applications"), with
+    x = Q1 / Q2 and a = (r - 1) / r,
+
+        Q2 * (a/2 * x^2 + a^2 * x^3 + a^2/4 * x^4), or, when Q2 = 0,
+        a * Q1 (Q1 - 1) / 2 + a^2 * Q1 (2 Q1 - 1)^2 / 4 - a^2 * Q1^4 / (4 (S + f0)).
+
+    Chao's f0 is a lower bound on the pairs missed where some pairs are
+    caught less often than others, and a CPSJoin key of k coordinates
+    catches a pair that agrees on a fraction s of its signature at a rate
+    that grows like s**k. At the point estimate, on the benchmark's `tokens`
+    workload at key width 3 (records seeds 1-14, 21, 33), the join stopped
+    after 2-4 repetitions at a true recall of 0.9970-1.0, median 0.9984;
+    at the bound, after 3-6 at 0.9982-1.0, median 0.9997. On `clusters` both
+    stop after 3. NaN before r = 2, as the estimate, and 0.0 while no pair
+    has been found, which says nothing of the pairs missed: a join that finds
+    none runs its whole budget."""
+    found = hits.size
+    if reps < 2:
+        return math.nan
+    if not found:
+        return 0.0
+    once = int(np.count_nonzero(hits == 1))
+    twice = int(np.count_nonzero(hits == 2))
+    a = (reps - 1) / reps
+    if twice:
+        x = once / twice
+        missed = a * once * x / 2
+        var = twice * (a / 2 * x ** 2 + a * a * x ** 3 + a * a / 4 * x ** 4)
+    else:
+        missed = a * once * (once - 1) / 2
+        var = (a * once * (once - 1) / 2 + a * a * once * (2 * once - 1) ** 2 / 4
+               - a * a * once ** 4 / (4 * (found + missed)))
+    missed += _BOUND_Z * math.sqrt(max(var, 0.0))
+    return found / (found + missed)
 
 
 def estimated_recall(hits: np.ndarray, reps: int) -> float:
@@ -171,8 +228,8 @@ class CandidateKernel:
         self._failed = np.zeros(0, dtype=np.uint64)  # sorted, verified not similar
         self._rep_new = 0
 
-    def run(self, a_ids: np.ndarray, b_ids: np.ndarray):
-        self.stats.pre_candidates += a_ids.size
+    def filter_pairs(self, a_ids: np.ndarray, b_ids: np.ndarray):
+        """The (a_ids, b_ids) pairs that pass the size and sketch filters."""
         sa, sb = self.sizes.take(a_ids), self.sizes.take(b_ids)
         keep = self.threshold * np.maximum(sa, sb) <= np.minimum(sa, sb) + _EPS
         a_ids, b_ids = a_ids[keep], b_ids[keep]
@@ -182,7 +239,11 @@ class CandidateKernel:
             x ^= col.take(b_ids)
             h += np.bitwise_count(x)
         keep = h <= self.max_h
-        a_ids, b_ids = a_ids[keep], b_ids[keep]
+        return a_ids[keep], b_ids[keep]
+
+    def run(self, a_ids: np.ndarray, b_ids: np.ndarray):
+        self.stats.pre_candidates += a_ids.size
+        a_ids, b_ids = self.filter_pairs(a_ids, b_ids)
         self.stats.candidates += a_ids.size
         if a_ids.size:
             self._buffer.append(encode_pairs(a_ids, b_ids))
@@ -240,8 +301,9 @@ class CandidateKernel:
         found = self._passed[self._stamp == len(self.stats.new_results_per_rep)]
         self.stats.new_results_per_rep.append(self._rep_new)
         self._rep_new = 0
-        self.stats.recall_estimate_per_rep.append(
-            estimated_recall(self._hits, len(self.stats.new_results_per_rep)))
+        reps = len(self.stats.new_results_per_rep)
+        self.stats.recall_estimate_per_rep.append(estimated_recall(self._hits, reps))
+        self.stats.recall_bound_per_rep.append(recall_lower_bound(self._hits, reps))
         return found
 
     def codes(self) -> np.ndarray:
@@ -268,10 +330,15 @@ def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.insert(sorted_codes, np.searchsorted(sorted_codes, new), new)
 
 
-def coordinate_mask(seed, sig_len: int, threshold: float) -> np.ndarray:
-    """Per-node coordinate sample: Bernoulli(min(1, 1/(threshold*sig_len))).
-    A (k, 1) array of seeds gives one mask row per seed."""
-    p = min(1.0, 1.0 / (threshold * sig_len))
+def coordinate_mask(seed, sig_len: int, threshold: float, width: int = 1) -> np.ndarray:
+    """Per-node coordinate sample: Bernoulli(min(1, 1/(threshold**width * sig_len))).
+    A (k, 1) array of seeds gives one mask row per seed.
+
+    A pair that agrees on a fraction `threshold` of the coordinates agrees on
+    a key of `width` independently drawn ones with probability
+    threshold**width, so it expects one child per node for as long as
+    threshold**width * sig_len >= 1."""
+    p = min(1.0, 1.0 / (threshold ** width * sig_len))
     vals = splitmix64_array(seed, np.arange(sig_len, dtype=np.uint64))
     return (vals >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) < p
 
@@ -301,21 +368,31 @@ def brute_force_step(ids: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, cfg:
 
 
 def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray,
-           seeds: np.ndarray):
+           seeds: np.ndarray, width: int = 1):
     """Split the buckets laid end to end in `ids`, with sizes `sizes` and
     seeds `seeds`, by the records' signatures `sig`, into the next depth's
     (ids, sizes, seeds): one row per (bucket, sampled coordinate) holds the
-    bucket's records in order, one stable sort by (row, signature value)
-    groups them, and each group of two or more records is a child."""
+    bucket's records in order, one stable sort by (row, key value) groups
+    them, and each group of two or more records is a child.
+
+    A row's key is `width` coordinates: the sampled one, c, then
+    `width - 1` more drawn uniformly from (bucket seed, c) by `_key_coords`,
+    sampled at `coordinate_mask`'s rate for that width. At width 1 the key
+    value is the signature value at c; wider keys fold their values into the
+    same 32-bit slot (`_fold`), where a collision only merges two children.
+    """
     node, coord = np.nonzero(coordinate_mask(
-        splitmix64_array(seeds, _MASK_TAG)[:, None], sig.shape[1], threshold))
+        splitmix64_array(seeds, _MASK_TAG)[:, None], sig.shape[1], threshold, width))
     row_sizes = sizes[node]
-    row = np.repeat(np.arange(node.size, dtype=np.uint64), row_sizes)
     shift = (np.cumsum(sizes) - sizes)[node] - (np.cumsum(row_sizes) - row_sizes)
-    ids = ids[np.arange(row.size) + shift[row]]  # bucket node[r]'s records, in row r
-    # signature values are 32-bit tokens, so (row, value) fits one sort key
-    key = (row << np.uint64(32)) | sig[ids, coord[row]].astype(np.uint64)
-    order = np.argsort(key, kind="stable")
+    ids = ids[np.arange(row_sizes.sum()) + np.repeat(shift, row_sizes)]  # node[r]'s, in row r
+    at = ids * sig.shape[1]  # each entry's signature, in the flat signature array
+    flat = sig.reshape(-1)
+    key = _fold([flat[at + np.repeat(c, row_sizes)]
+                 for c in _key_coords(seeds[node], coord, width, sig.shape[1]).T])
+    # key values fit 32 bits, so (row, value) fits one sort key
+    key |= np.repeat(np.arange(node.size, dtype=np.uint64) << np.uint64(32), row_sizes)
+    order = _stable_order(key, 32 + int(node.size - 1).bit_length())
     ids, key = ids[order], key[order]
     first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
     sizes = np.diff(np.append(first, ids.size))
@@ -326,6 +403,124 @@ def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray
         splitmix64_array(seeds[node[child_row]], _CHILD_TAG_BASE + coord[child_row]),
         key[first] & np.uint64(0xFFFFFFFF))
     return ids[np.repeat(child, sizes)], sizes[child], child_seeds
+
+
+def _stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
+    """`np.argsort(key, kind="stable")` for uint64 keys below 2**key_bits.
+    Where each key's position fits the bits the keys leave free, it is one
+    sort of (key << bits) | position, whose values are distinct, so any sort
+    is stable; numpy sorts uint64 values 7-10x faster than it stably
+    argsorts them (40k keys: 0.35 against 3.6 ms on 2 vCPUs)."""
+    bits = int(key.size - 1).bit_length() if key.size else 0
+    if key_bits + bits > 64:
+        return np.argsort(key, kind="stable")
+    packed = (key << np.uint64(bits)) | np.arange(key.size, dtype=np.uint64)
+    packed.sort()
+    return (packed & np.uint64((1 << bits) - 1)).astype(np.intp)
+
+
+def _key_coords(seeds: np.ndarray, coord: np.ndarray, width: int, sig_len: int) -> np.ndarray:
+    """(rows, width) key coordinates: each row's sampled coordinate, then
+    `width - 1` drawn uniformly, with replacement, from (its bucket's seed,
+    that coordinate). Draws with replacement make a pair that agrees on a
+    fraction s of the coordinates agree on the whole key with probability
+    exactly s**width, and a key of width k is the key of width k - 1 plus one
+    coordinate."""
+    if width == 1:
+        return coord[:, None]
+    stream = splitmix64_array(splitmix64_array(seeds, _KEY_TAG), coord)
+    extra = splitmix64_array(stream[:, None], np.arange(width - 1, dtype=np.uint64))
+    return np.column_stack([coord, extra % np.uint64(sig_len)]).astype(np.intp)
+
+
+def _fold(columns) -> np.ndarray:
+    """One 32-bit value, as uint64, per entry of the key's 32-bit signature
+    value `columns`: the value itself for one column, else the high half of
+    a multiply-add fold of them all."""
+    out = columns[0].astype(np.uint64)
+    if len(columns) == 1:
+        return out
+    for col in columns[1:]:
+        out *= _FOLD_MUL
+        out += col
+    out *= _FOLD_MUL
+    return out >> np.uint64(32)
+
+
+def choose_key_width(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel) -> int:
+    """The key width the join splits on: the width of `_WIDTHS` of least
+    estimated cost per repetition, ties to the smaller. Only widths k with
+    threshold**k * sig_len >= 1 are costed, where a threshold-similar pair
+    still expects one surviving child per node; width 1 always is. A root at
+    or below `limit` never splits, so it gets width 1 uncosted.
+
+    Each width is costed on one root row, all on the same coordinate c drawn
+    from `cfg.seed` (the key of width k is the key of width k - 1 plus one
+    coordinate). With P the pairs inside the row's children of 2 to `limit`
+    records, C the candidates among them (the share of `_WIDTH_SAMPLE` pairs
+    drawn uniformly from those children that pass the kernel's filters,
+    times P) and A the records in children above `limit`, the cost in
+    pre-candidates is
+
+        R(k) * (P + C / 2 + A * limit / 2 + (0.8 + 0.2 * k) * n),
+
+    where R(k) = min(sig_len, 1 / threshold**k) is the expected number of
+    rows the root samples. The weights are costs relative to one
+    pre-candidate (size filter and 8-word Hamming sum, 35-55 ns on 2 vCPUs):
+
+    - a candidate costs 0.04-0.55 more to buffer, deduplicate and look up
+      once verified, measured on 60 clusters of 100 near-duplicates, and
+      0.3-0.7 in place, from `clusters`' repetition times at widths 1 and 2;
+    - `_split` costs 0.7-1.3 per (row, record) at width 1, 1.0-1.5 at widths
+      2-3 and 1.2-1.7 at width 4 on `gen_uniform(6000, 30, 5000)`: its sort,
+      plus one gather and one multiply-add per coordinate;
+    - a record in a child above `limit` is split again and ends in buckets
+      of at most `limit` records, in about limit / 2 pairs (135 were
+      measured per such record and row on `tokens` at width 1).
+
+    On records seed 21 the rule ranks the widths in the order of their
+    measured join times: 3, 4, 2, 1 on `tokens` (28, 21-29, 62 and 94 ms)
+    and 2, 1, 3, 4 on `clusters` (41, 43, 46 and 56 ms). Costing takes one
+    sort of n keys and one filtered sample per width.
+    """
+    n, sig_len = prep.data.n, prep.sig_len
+    widths = [k for k in _WIDTHS if k == 1 or cfg.threshold ** k * sig_len >= 1]
+    if n <= cfg.limit or len(widths) == 1:
+        return 1
+    seed = derive_seed(cfg.seed, _WIDTH_TAG)
+    coord = np.array([splitmix64(seed, 0) % sig_len])
+    coords = _key_coords(np.array([seed], dtype=np.uint64), coord, widths[-1], sig_len)[0]
+    uniforms = (splitmix64_array(seed, np.arange(1, 3 * _WIDTH_SAMPLE + 1, dtype=np.uint64))
+                >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    columns = np.ascontiguousarray(prep.sig[:, coords].T, dtype=np.uint64)
+    costs = [min(sig_len, cfg.threshold ** -k) * _row_cost(kernel, columns[:k], cfg.limit, uniforms)
+             for k in widths]
+    return widths[int(np.argmin(costs))]
+
+
+def _row_cost(kernel: CandidateKernel, columns, limit: int, uniforms: np.ndarray) -> float:
+    """`choose_key_width`'s cost of one root row keyed on the signature
+    value `columns`, before the factor R(k)."""
+    n, k = columns[0].size, len(columns)
+    key = _fold(columns)
+    order = _stable_order(key, 32)
+    key = key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    sizes = np.diff(np.append(first, n))
+    deep = int(sizes[sizes > limit].sum())
+    pairs = np.cumsum(np.where(sizes <= limit, sizes * (sizes - 1) // 2, 0))
+    total = int(pairs[-1])
+    candidates = 0.0
+    if total:
+        m = _WIDTH_SAMPLE
+        child = np.searchsorted(pairs, np.sort(uniforms[:m]) * total, side="right")
+        size = sizes[child]
+        i = (uniforms[m:2 * m] * size).astype(np.int64)
+        j = (uniforms[2 * m:] * (size - 1)).astype(np.int64)
+        j += j >= i  # the other member, uniform over the rest of the child
+        a, _ = kernel.filter_pairs(order[first[child] + i], order[first[child] + j])
+        candidates = total * a.size / m
+    return total + candidates / 2 + deep * limit / 2 + (0.8 + 0.2 * k) * n
 
 
 def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
@@ -342,6 +537,9 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     # Engineering guard far above the expected O(log n / eps) depth: at the
     # cap, what the point rule keeps is compared pairwise instead of split.
     depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
+    if not kernel.stats.key_width:  # the join's first repetition
+        kernel.stats.key_width = choose_key_width(prep, cfg, kernel)
+    width = kernel.stats.key_width
     ids = np.arange(prep.data.n, dtype=np.int64)
     sizes = np.array([ids.size], dtype=np.int64)
     seeds = np.array([splitmix64(derive_seed(cfg.seed, _REP_TAG), rep)], dtype=np.uint64)
@@ -357,7 +555,7 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
         if depth >= depth_cap:
             kernel.run_segments(ids, np.concatenate([[0], np.cumsum(sizes)]))
             break
-        ids, sizes, seeds = _split(prep.sig, cfg.threshold, ids, sizes, seeds[~small])
+        ids, sizes, seeds = _split(prep.sig, cfg.threshold, ids, sizes, seeds[~small], width)
         depth += 1
     return kernel.end_repetition()
 
@@ -382,8 +580,9 @@ def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition, stop):
 
 
 def estimate_reaches(target: float | None):
-    """CPSJoin's stop rule: the recall estimate reaches `target` (never if None)."""
-    return lambda kernel: target is not None and kernel.stats.recall_estimate_per_rep[-1] >= target
+    """CPSJoin's stop rule: the recall's lower bound (`recall_lower_bound`)
+    reaches `target` (never if None)."""
+    return lambda kernel: target is not None and kernel.stats.recall_bound_per_rep[-1] >= target
 
 
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
@@ -401,14 +600,14 @@ def cps_join(data: Dataset, cfg: CpsConfig):
 
 
 def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,
-                        trials: int, seed: int = 0) -> float:
+                        trials: int, seed: int = 0, width: int = 1) -> float:
     """Empirical probability that two signatures stay together to `depth`.
 
-    Runs the join's own `_split` on `trials` copies of the pair laid end to
-    end, trial t as records 2t and 2t + 1 under its own seed, and counts the
-    trials that still hold a bucket after `depth` splits. Each bucket holds
-    the pair, and its children are the sampled coordinates on which the
-    signatures agree (the branching-process view).
+    Runs the join's own `_split` at key width `width` on `trials` copies of
+    the pair laid end to end, trial t as records 2t and 2t + 1 under its own
+    seed, and counts the trials that still hold a bucket after `depth`
+    splits. Each bucket holds the pair, and its children are the sampled
+    keys on which the signatures agree (the branching-process view).
     """
     sig_a = np.asarray(sig_a)
     sig_b = np.asarray(sig_b)
@@ -419,7 +618,7 @@ def co_bucket_frequency(sig_a, sig_b, threshold: float, depth: int,
     sizes = np.full(trials, 2, dtype=np.int64)
     seeds = splitmix64_array(seed, np.arange(trials, dtype=np.uint64))
     for _ in range(depth):
-        ids, sizes, seeds = _split(sig, threshold, ids, sizes, seeds)
+        ids, sizes, seeds = _split(sig, threshold, ids, sizes, seeds, width)
         trial = ids[::2] // 2  # buckets stay in trial order
         # survival is near certain long before a frontier of 64 buckets dies
         keep = np.arange(trial.size) - np.searchsorted(trial, trial) < 64

@@ -111,8 +111,10 @@ def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
 
 def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
                      kernel: CandidateKernel) -> np.ndarray:
-    """One bucketing repetition through the join's kernel; returns the sorted
+    """One bucketing repetition through the join's kernel, on keys of `k`
+    positions, which it records as the join's key width; returns the sorted
     codes of the distinct similar pairs it found, new or found before."""
+    kernel.stats.key_width = k
     positions = sample_positions(
         splitmix64_array(derive_seed(cfg.seed, _POS_TAG), np.uint64(rep)).item(), k, prep.sig_len)
     keys = bucket_keys(prep.sig, positions)

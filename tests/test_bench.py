@@ -118,6 +118,20 @@ def test_lsh_echo_is_the_lower_median_over_trials(dense, monkeypatch):
     # the last trial's (4, 37) is not the median
     assert tuned == [(3, 19), (4, 37), (3, 19), (3, 19), (4, 37)]
     assert row.params.endswith(";k=3;reps=19")
+    assert row.key_width == 3  # the lower median of the same trials
+
+
+def test_rows_report_the_key_width(dense):
+    spec = _spec(dense, "cpsjoin", use_oracle=False)
+    row, = run(spec)
+    assert row.key_width == join_pairs(spec, 0.5)[1].key_width in (1, 2, 3, 4)
+    lsh, = run(_spec(dense, "lsh", k=3, max_reps=2))
+    assert lsh.key_width == 3
+    exact, = run(_spec(dense, "allpairs"))
+    assert exact.key_width is None
+    header, *lines = csv.reader(io.StringIO(bench.csv_text([row, lsh, exact])))
+    at = header.index("key_width")
+    assert [line[at] for line in lines] == [str(row.key_width), "3", ""]
 
 
 def test_no_oracle_runs_full_budget(dense):
@@ -129,12 +143,14 @@ def test_no_oracle_runs_full_budget(dense):
 
 
 def test_no_oracle_stops_cpsjoin_at_its_recall_estimate(dense):
-    spec = _spec(dense, "cpsjoin", use_oracle=False)
+    # at the default 0.999 the bound on this set's 259 pairs stays below the
+    # target for the whole budget, so the run takes a lower one
+    spec = _spec(dense, "cpsjoin", use_oracle=False, recall_target=0.99)
     row = run(spec)[0]
     assert row.recall is None
     _, full = join_pairs(spec, 0.5)  # every repetition of the same trial
     assert len(full.new_results_per_rep) == CpsConfig.reps
-    stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
+    stop = next(r for r, e in enumerate(full.recall_bound_per_rep, 1)
                 if e >= bench._recall_target(spec))
     assert row.reps_used == stop < len(full.new_results_per_rep)
     assert row.results == sum(full.new_results_per_rep[:stop])
@@ -142,14 +158,15 @@ def test_no_oracle_stops_cpsjoin_at_its_recall_estimate(dense):
 
 
 def test_each_algorithm_defaults_to_its_own_recall_target(dense):
-    # LSH's 0.9 would stop this CPSJoin run after 2 repetitions
+    # LSH's 0.9 would stop this CPSJoin run after 3 repetitions; at 0.999
+    # it runs its whole budget
     spec = _spec(dense, "cpsjoin", use_oracle=False)
     assert spec.recall_target is None
     _, full = join_pairs(spec, 0.5)
-    stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
-                if e >= CpsConfig.recall_target)
+    stop = next((r for r, e in enumerate(full.recall_bound_per_rep, 1)
+                 if e >= CpsConfig.recall_target), CpsConfig.reps)
     assert run(spec)[0].reps_used == stop
-    assert stop > run(replace(spec, recall_target=0.9))[0].reps_used == 2
+    assert stop > run(replace(spec, recall_target=0.9))[0].reps_used == 3
     lsh = _spec(dense, "lsh")
     assert bench._approximate_config(lsh, 0.5, 0).recall_target == LshConfig.recall_target
     cfg = bench._approximate_config(replace(lsh, recall_target=0.8), 0.5, 0)

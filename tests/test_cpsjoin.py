@@ -142,9 +142,10 @@ def test_a_stopped_run_is_the_fixed_run_cut_at_its_repetitions(limit):
     reps = len(stats.new_results_per_rep)
     assert 2 <= reps < CpsConfig.reps  # the rule stopped the run early
     estimates = stats.recall_estimate_per_rep
-    assert len(estimates) == reps
-    assert estimates[-1] >= CpsConfig.recall_target
-    assert not any(e >= CpsConfig.recall_target for e in estimates[:-1])
+    bounds = stats.recall_bound_per_rep
+    assert len(estimates) == len(bounds) == reps
+    assert bounds[-1] >= CpsConfig.recall_target
+    assert not any(e >= CpsConfig.recall_target for e in bounds[:-1])
     fixed_pairs, fixed = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, reps=reps,
                                                 recall_target=None))
     assert np.array_equal(pairs, fixed_pairs)
@@ -152,6 +153,7 @@ def test_a_stopped_run_is_the_fixed_run_cut_at_its_repetitions(limit):
         (fixed.pre_candidates, fixed.candidates, fixed.results, fixed.max_depth)
     assert stats.new_results_per_rep == fixed.new_results_per_rep
     assert np.array_equal(estimates, fixed.recall_estimate_per_rep, equal_nan=True)
+    assert np.array_equal(bounds, fixed.recall_bound_per_rep, equal_nan=True)
     _, full = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, recall_target=None))
     assert len(full.new_results_per_rep) == CpsConfig.reps
     assert full.new_results_per_rep[:reps] == stats.new_results_per_rep
@@ -557,8 +559,8 @@ class _RecursiveReference:
     split on every sampled coordinate, children at or below the limit in one
     batch and larger ones recursed on, until the depth cap."""
 
-    def __init__(self, prep, cfg, kernel):
-        self.prep, self.cfg, self.kernel = prep, cfg, kernel
+    def __init__(self, prep, cfg, kernel, width):
+        self.prep, self.cfg, self.kernel, self.width = prep, cfg, kernel, width
         self.depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
 
     def brute_force_step(self, ids, node_seed):
@@ -580,9 +582,11 @@ class _RecursiveReference:
             self.kernel.run_segments(ids, [0, ids.size])
             return
         mask = coordinate_mask(derive_seed(node_seed, cpsjoin._MASK_TAG), self.prep.sig_len,
-                               self.cfg.threshold)
+                               self.cfg.threshold, self.width)
         for coord in np.flatnonzero(mask):
-            vals = self.prep.sig[ids, coord]
+            key = cpsjoin._key_coords(np.array([node_seed], dtype=np.uint64), np.array([coord]),
+                                      self.width, self.prep.sig_len)[0]
+            vals = cpsjoin._fold([self.prep.sig[ids, c] for c in key])
             order = np.argsort(vals, kind="stable")
             sv = vals[order]
             bounds = np.concatenate([[0], np.flatnonzero(sv[1:] != sv[:-1]) + 1, [sv.size]])
@@ -601,13 +605,15 @@ class _RecursiveReference:
     @staticmethod
     def join(prep, cfg):
         def repetition(rep, kernel):
+            if not kernel.stats.key_width:
+                kernel.stats.key_width = cpsjoin.choose_key_width(prep, cfg, kernel)
             rep_seed = splitmix64(derive_seed(cfg.seed, cpsjoin._REP_TAG), rep)
-            _RecursiveReference(prep, cfg, kernel).recurse(
+            _RecursiveReference(prep, cfg, kernel, kernel.stats.key_width).recurse(
                 np.arange(prep.data.n, dtype=np.int64), rep_seed, 0)
             return kernel.end_repetition()
         def stop(kernel):
             target = cfg.recall_target
-            return target is not None and kernel.stats.recall_estimate_per_rep[-1] >= target
+            return target is not None and kernel.stats.recall_bound_per_rep[-1] >= target
         return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, stop)
 
 
@@ -622,6 +628,7 @@ def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None
     assert stats.new_results_per_rep == want.new_results_per_rep
     assert np.array_equal(stats.recall_estimate_per_rep, want.recall_estimate_per_rep,
                           equal_nan=True)
+    assert np.array_equal(stats.recall_bound_per_rep, want.recall_bound_per_rep, equal_nan=True)
     return stats
 
 
@@ -637,6 +644,16 @@ def test_depth_loop_matches_the_recursive_reference(monkeypatch, limit, eps, pai
     assert stats.results > 0
     if limit < prep.data.n:
         assert stats.max_depth >= 1
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("limit", [5, 20])
+def test_depth_loop_matches_the_recursive_reference_at_wider_keys(monkeypatch, limit, width):
+    monkeypatch.setattr(cpsjoin, "choose_key_width", lambda prep, cfg, kernel: width)
+    prep = preprocess(_clustered(), seed=3)
+    stats = _assert_matches_recursive_reference(
+        prep, CpsConfig(threshold=0.6, limit=limit, seed=11))
+    assert stats.key_width == width and stats.results > 0 and stats.max_depth >= 1
 
 
 class _RemoveAtCall:
@@ -680,3 +697,121 @@ def test_a_bucket_that_never_splits_apart_stops_at_the_depth_cap(monkeypatch, re
     kept = n - removed_at_cap
     assert stats.pre_candidates == removed_at_cap * (n - 1) + kept * (kept - 1) // 2
     assert stats.candidates == stats.pre_candidates  # equal sizes and sketches pass the filters
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_co_bucket_frequency_at_wider_keys_keeps_the_survival_floor(width):
+    # criterion 6's floors, 1/(depth + 1) - 0.03, at each width's own
+    # sampling rate, for a pair that agrees on exactly a `lam` fraction
+    for lam, agree in ((0.5, 64), (0.75, 96)):
+        sig_a = np.arange(128, dtype=np.uint32)
+        sig_b = sig_a.copy()
+        sig_b[agree:] += 1000
+        for depth in (1, 2, 3, 4):
+            freq = co_bucket_frequency(sig_a, sig_b, lam, depth, 4000, seed=10 * depth,
+                                       width=width)
+            assert freq >= 1 / (depth + 1) - 0.03, (lam, depth, freq)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_split_children_are_the_records_agreeing_on_every_key_coordinate(width):
+    rng = np.random.default_rng(4)
+    sig = rng.integers(0, 3, size=(60, 16)).astype(np.uint32)  # few values: large children
+    sizes, seeds = np.array([25, 35]), np.array([7, 8], dtype=np.uint64)
+    ids = rng.permutation(60).astype(np.int64)
+    got_ids, got_sizes, _ = cpsjoin._split(sig, 0.5, ids, sizes, seeds, width)
+    want = []
+    for bucket, seed in zip(np.split(ids, [25]), seeds):
+        mask = coordinate_mask(derive_seed(int(seed), cpsjoin._MASK_TAG), 16, 0.5, width)
+        for c in np.flatnonzero(mask):
+            key = cpsjoin._key_coords(np.array([seed]), np.array([c]), width, 16)[0]
+            assert key[0] == c
+            children = {}
+            for i in bucket:
+                children.setdefault(tuple(sig[i, key]), []).append(int(i))
+            want += [child for child in children.values() if len(child) >= 2]
+    got = [part.tolist() for part in np.split(got_ids, np.cumsum(got_sizes)[:-1])]
+    assert len(want) > 5
+    assert sorted(got) == sorted(want)  # each child keeps its bucket's order
+
+
+def test_extra_key_coordinates_are_drawn_per_bucket_and_coordinate():
+    seeds = np.arange(300, dtype=np.uint64)
+    coords = cpsjoin._key_coords(seeds, np.full(300, 5), 4, 128)
+    assert coords.shape == (300, 4) and (coords[:, 0] == 5).all()
+    assert coords.min() >= 0 and coords.max() < 128
+    assert len({tuple(row) for row in coords[:, 1:]}) > 250  # no fixed offset from c
+    assert len(np.unique(coords[:, 1] - coords[:, 0])) > 100
+    # a key of width k is the key of width k - 1 plus one coordinate
+    assert np.array_equal(cpsjoin._key_coords(seeds, np.full(300, 5), 3, 128), coords[:, :3])
+    other = cpsjoin._key_coords(seeds, np.full(300, 6), 4, 128)
+    assert not np.array_equal(other[:, 1:], coords[:, 1:])  # and depend on c
+
+
+def test_stable_order_is_the_stable_argsort():
+    rng = np.random.default_rng(2)
+    for size, bits in ((0, 40), (1, 40), (7, 40), (5000, 40), (3000, 63)):  # 63: no room, argsort
+        key = rng.integers(0, 2 ** min(bits, 62), size).astype(np.uint64) >> np.uint64(30)
+        assert np.array_equal(cpsjoin._stable_order(key, bits), np.argsort(key, kind="stable"))
+
+
+def _count_costed_widths(monkeypatch):
+    costed, row_cost = [], cpsjoin._row_cost
+    monkeypatch.setattr(cpsjoin, "_row_cost",
+                        lambda kernel, columns, *args: costed.append(len(columns))
+                        or row_cost(kernel, columns, *args))
+    return costed
+
+
+@pytest.mark.parametrize("records, lam", [
+    ([], 0.5),
+    ([[1, 2, 3]], 0.5),
+    ([[4, 5, 6, 7]] * 5, 0.5),
+    ([rec.tolist() for rec in gen_uniform(60, 6, 30, seed=2).records()], 1.0),
+], ids=["empty", "one-record", "all-duplicates", "threshold-one"])
+def test_a_root_that_never_splits_takes_width_one_uncosted(monkeypatch, records, lam):
+    costed = _count_costed_widths(monkeypatch)
+    _, stats = cps_join(Dataset.from_records(records), CpsConfig(threshold=lam, seed=1))
+    assert stats.key_width == 1 and costed == []
+
+
+def test_only_widths_that_keep_a_child_per_similar_pair_are_costed(monkeypatch):
+    costed = _count_costed_widths(monkeypatch)
+    ds = gen_uniform(400, 10, 40, seed=1)
+    for lam, want in ((0.08, []), (0.15, [1, 2]), (0.5, [1, 2, 3, 4]), (1.0, [1, 2, 3, 4])):
+        # 0.08^2 * 128 < 1, so only width 1 is eligible and nothing is costed;
+        # at 1.0 every width is eligible, and no more than _WIDTHS are costed
+        costed.clear()
+        _, stats = cps_join(ds, CpsConfig(threshold=lam, limit=20, seed=1, reps=2))
+        assert costed == want
+        assert stats.key_width == 1 if not want else stats.key_width in want
+
+
+def test_the_width_is_chosen_once_per_join_from_its_seed(monkeypatch):
+    calls, choose = [], cpsjoin.choose_key_width
+    monkeypatch.setattr(cpsjoin, "choose_key_width",
+                        lambda *args: calls.append(1) or choose(*args))
+    ds = _clustered()
+    cfg = CpsConfig(threshold=0.6, limit=20, seed=9, recall_target=None)
+    _, first = cps_join(ds, cfg)
+    assert len(calls) == 1 and len(first.new_results_per_rep) == cfg.reps
+    _, again = cps_join(ds, cfg)
+    assert again.key_width == first.key_width >= 1
+    widths = {cps_join(ds, replace(cfg, seed=seed, reps=1))[1].key_width for seed in range(6)}
+    assert widths <= set(cpsjoin._WIDTHS)
+
+
+def test_recall_lower_bound_on_hand_made_incidence_counts():
+    bound = cpsjoin.recall_lower_bound
+    # S = 5, Q1 = 2, Q2 = 1, r = 4: f0 = 1.5 and, with a = 3/4 and x = Q1/Q2 = 2,
+    # Var = Q2 (a/2 x^2 + a^2 x^3 + a^2/4 x^4)
+    var = 3 / 8 * 2 ** 2 + 9 / 16 * 2 ** 3 + 9 / 64 * 2 ** 4
+    assert bound(_hits(1, 1, 2, 3, 4), 4) == pytest.approx(5 / (6.5 + 1.645 * math.sqrt(var)))
+    # Q2 = 0, S = 4, Q1 = 3, r = 3: f0 = 2, a = 2/3,
+    # Var = a Q1 (Q1 - 1)/2 + a^2 Q1 (2 Q1 - 1)^2 / 4 - a^2 Q1^4 / (4 (S + f0))
+    var = 2 + 4 / 9 * 3 * 25 / 4 - 4 / 9 * 81 / 24
+    assert bound(_hits(1, 1, 1, 3), 3) == pytest.approx(4 / (6 + 1.645 * math.sqrt(var)))
+    assert bound(_hits(1, 1, 1, 3), 3) < estimated_recall(_hits(1, 1, 1, 3), 3)
+    assert bound(_hits(3, 5, 5), 5) == 1.0  # Q1 = 0: nothing missed, no spread
+    assert bound(_hits(), 5) == 0.0  # nothing found says nothing of what was missed
+    assert math.isnan(bound(_hits(1, 1), 1))

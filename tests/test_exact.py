@@ -124,8 +124,8 @@ def test_probe_matches_bitset_over_several_blocks(monkeypatch):
     union = ds.sizes[a] + ds.sizes[b] - c
     assert ds.bitset() is not None
     monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
-    # 84 CSR entries a block, 12 a record (2,382 in 200): blocks of 7 pairs,
-    # 72 of them, the last one short
+    # 4 * 84 CSR entries a block, 12 a record (2,382 in 200): blocks of 28
+    # pairs, 18 of them, the last one short
     monkeypatch.setattr(exact, "_VERIFY_BLOCK", 84)
     bare = gen_uniform(200, 12, 60, seed=12)
     assert bare.bitset() is None
@@ -512,6 +512,28 @@ def test_brute_force_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_dense_oracle_matrix_is_built_in_4_bytes_per_token(wide):
+    # records of sizes 2..2,501: 3.1M tokens against a matrix of n * d cells;
+    # two token-long intp index arrays would add 8 bytes per token each. With
+    # `wide`, the ids spread over a universe wider than the tokens, which the
+    # build renumbers
+    rng = np.random.default_rng(24)
+    ids = np.arange(2600) * (2 ** 12 if wide else 1)
+    data = Dataset.from_records([rng.choice(ids, size=s, replace=False)
+                                 for s in range(2, 2502)], canonical=not wide)
+    assert (data.d > data.tokens.size) == wide and data.n * 2600 <= exact._DENSE_CELL_CAP
+    tracemalloc.start()
+    try:
+        i0, counts = next(exact._intersection_blocks(data))  # the build and the first block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert i0 == 0 and counts.dtype == np.float32
+    assert peak < (data.n * 2600 * 4 + 4 * data.tokens.size + counts.nbytes
+                   + 16 * exact._FILL_CHUNK + 2 ** 20)
 
 
 def _allpairs_loop(data: Dataset, threshold: float, prefix_filter: bool = True):

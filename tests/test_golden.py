@@ -10,7 +10,10 @@ of near-duplicates, which every repetition re-finds, so most of its
 candidates are pairs the join has verified before. The exact joins are pinned
 on the `tokens` and `uniform` sets, AllPairs with and without its prefix
 filter. The CPSJoin cases pass `recall_target=None`, so they pin the
-fixed ten-repetition run rather than where the self-tuned stop falls.
+fixed ten-repetition run rather than where the self-tuned stop falls. Each
+CPSJoin case also pins the key width the join chooses: the `clusters` case
+splits on one coordinate and keeps the digest pinned before wider keys
+existed; the `uniform` case splits on two and the `tokens` case on three.
 
 Every join that verifies pairs is pinned on all three verification routes:
 the popcount over whole bitset rows that these small universes take by
@@ -76,11 +79,11 @@ def _fixed_cps(lam):
 
 _CASES = [
     (_tokens, cps_join, _fixed_cps,
-     "fed18b9f7433fc61c0d9b7f3d89ea0079b334fc81ea8ddbd4aa303ceb7b76062"),
+     "3a1ecbe7b99c28e81d73b8334e1368afcdea0f794567829315f808472ba5d0b3"),
     (_tokens, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
      "8f09e4ad075ff3e94d97e7b00b3859ec3738d9af7c276282df3408731ddfa58b"),
     (_uniform, cps_join, _fixed_cps,
-     "783c111d4927e26a5bc24260620c1da2d3a1a1f02d56e5161fc2af9cf6670e88"),
+     "f9befdaff6714275e829cd65219d128628a116623f12757827919b2d25af62a8"),
     (_uniform, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
      "a7700f42189060de509808c267d9aeafe60a901a1c9ec9ac0ea8c9e8b1888145"),
     (_clusters, cps_join, _fixed_cps,
@@ -106,6 +109,14 @@ _IDS = ["tokens-cpsjoin", "tokens-lsh", "uniform-cpsjoin", "uniform-lsh",
         "uniform-allpairs", "uniform-allpairs-noprefix", "uniform-bruteforce"]
 # Brute force counts every intersection itself and never verifies a pair.
 _VERIFYING = [(case, name) for case, name in zip(_CASES, _IDS) if case[1] is not brute_force_join]
+
+
+@pytest.mark.parametrize("dataset, width", [(_tokens, 3), (_uniform, 2), (_clusters, 1)],
+                         ids=["tokens", "uniform", "clusters"])
+def test_seeded_cpsjoin_key_width(dataset, width):
+    data, lam = dataset()
+    _, stats = cps_join(data, _fixed_cps(lam))
+    assert stats.key_width == width
 
 
 @pytest.mark.parametrize("dataset, join, config, want", _CASES, ids=_IDS)

@@ -127,4 +127,4 @@ def test_new_results_per_rep_matches_the_benchmark_trace(capsys, monkeypatch, wo
         assert stats.new_results_per_rep == report["new_results_per_rep"][join]
         assert sum(stats.new_results_per_rep) == stats.results
     if workload == "clusters":
-        assert report["new_results_per_rep"]["cpsjoin"] == [45893, 4931, 56]
+        assert report["new_results_per_rep"]["cpsjoin"] == [46030, 4835, 15]
