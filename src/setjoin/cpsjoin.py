@@ -111,8 +111,7 @@ def recall_lower_bound(hits: np.ndarray, reps: int) -> float:
     """A one-sided 95% lower bound on the share of the result set found after
     `reps` repetitions, which CPSJoin's stop rule reads: S / (S + f0 +
     1.645 * sd(f0)), with `estimated_recall`'s f0 and Chao's variance of it
-    (Chao 1987; Chao 2005, "Species estimation and applications"), with
-    x = Q1 / Q2 and a = (r - 1) / r,
+    (Chao 1987, with the incidence factor a = (r - 1) / r), with x = Q1 / Q2,
 
         Q2 * (a/2 * x^2 + a^2 * x^3 + a^2/4 * x^4), or, when Q2 = 0,
         a * Q1 (Q1 - 1) / 2 + a^2 * Q1 (2 Q1 - 1)^2 / 4 - a^2 * Q1^4 / (4 (S + f0)).
@@ -122,7 +121,7 @@ def recall_lower_bound(hits: np.ndarray, reps: int) -> float:
     catches a pair that agrees on a fraction s of its signature at a rate
     that grows like s**k. At the point estimate, on the benchmark's `tokens`
     workload at key width 3 (records seeds 1-14, 21, 33), the join stopped
-    after 2-4 repetitions at a true recall of 0.9970-1.0, median 0.9984;
+    after 2-4 repetitions at a true recall of 0.9970-1.0, median 0.9986;
     at the bound, after 3-6 at 0.9982-1.0, median 0.9997. On `clusters` both
     stop after 3. NaN before r = 2, as the estimate, and 0.0 while no pair
     has been found, which says nothing of the pairs missed: a join that finds
@@ -193,8 +192,9 @@ class CandidateKernel:
     lookup it already makes, so a pair that several flushes of one
     repetition meet counts once; a new pass enters with one hit.
     `end_repetition()` flushes, appends the first-time passes to
-    `stats.new_results_per_rep` and the hits' `estimated_recall` to
-    `stats.recall_estimate_per_rep`, and returns the sorted codes of the
+    `stats.new_results_per_rep`, the hits' `estimated_recall` to
+    `stats.recall_estimate_per_rep` and their `recall_lower_bound` to
+    `stats.recall_bound_per_rep`, and returns the sorted codes of the
     pairs the repetition found that pass, new or found before (those
     stamped with it). `codes()` flushes any buffered codes and returns the
     sorted codes of every pair passed so far.
@@ -368,7 +368,7 @@ def brute_force_step(ids: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, cfg:
 
 
 def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray,
-           seeds: np.ndarray, width: int = 1):
+           seeds: np.ndarray, width: int):
     """Split the buckets laid end to end in `ids`, with sizes `sizes` and
     seeds `seeds`, by the records' signatures `sig`, into the next depth's
     (ids, sizes, seeds): one row per (bucket, sampled coordinate) holds the
@@ -378,8 +378,9 @@ def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray
     A row's key is `width` coordinates: the sampled one, c, then
     `width - 1` more drawn uniformly from (bucket seed, c) by `_key_coords`,
     sampled at `coordinate_mask`'s rate for that width. At width 1 the key
-    value is the signature value at c; wider keys fold their values into the
-    same 32-bit slot (`_fold`), where a collision only merges two children.
+    value is the signature value at c, the one-coordinate split bit for bit;
+    wider keys fold their values into the same 32-bit slot (`_fold`), where
+    a collision only merges two children.
     """
     node, coord = np.nonzero(coordinate_mask(
         splitmix64_array(seeds, _MASK_TAG)[:, None], sig.shape[1], threshold, width))
@@ -478,10 +479,11 @@ def choose_key_width(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel) ->
       of at most `limit` records, in about limit / 2 pairs (135 were
       measured per such record and row on `tokens` at width 1).
 
-    On records seed 21 the rule ranks the widths in the order of their
-    measured join times: 3, 4, 2, 1 on `tokens` (28, 21-29, 62 and 94 ms)
-    and 2, 1, 3, 4 on `clusters` (41, 43, 46 and 56 ms). Costing takes one
-    sort of n keys and one filtered sample per width.
+    The rule picks width 3 on `tokens` and 2 on `clusters` (records seeds 21,
+    7, 1, 2, 3, 33, 4, 5). Joins at fixed widths 1-4, medians of 5, measured
+    94/62/28/21 ms (seed 21) and 96/60/27/29 ms (seed 7) on `tokens`, and
+    43/41/46/56 and 57/54/57/57 ms on `clusters`. Costing takes one sort of
+    n keys and one filtered sample per width: 0.8-2 ms on either workload.
     """
     n, sig_len = prep.data.n, prep.sig_len
     widths = [k for k in _WIDTHS if k == 1 or cfg.threshold ** k * sig_len >= 1]
@@ -532,7 +534,9 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     records of every bucket of a depth laid end to end and each bucket's size
     and seed. Each depth is three batches: the buckets at or below `limit`
     compared pairwise, the point rule (`brute_force_step`) over the larger
-    ones, and the split of what it keeps into the next depth.
+    ones, and the split of what it keeps into the next depth. The join's
+    first repetition chooses the key width every split of the join uses
+    (`choose_key_width`) and records it in `JoinStats.key_width`.
     """
     # Engineering guard far above the expected O(log n / eps) depth: at the
     # cap, what the point rule keeps is compared pairwise instead of split.
