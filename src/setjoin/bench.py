@@ -7,9 +7,8 @@ repetitions through `cpsjoin.run_repetitions` until the union of reported
 pairs reaches the recall target (or the repetition budget). The target
 defaults to the algorithm's own: `CpsConfig.recall_target` for CPSJoin,
 `LshConfig.recall_target` for LSH. Without the oracle each join keeps its own
-stop rule: CPSJoin stops where the lower bound on its kernel's
-capture-recapture estimate (`cpsjoin.recall_lower_bound`) reaches the target,
-LSH runs its full budget.
+stop rule: CPSJoin stops where its kernel's capture-recapture estimate
+(`cpsjoin.estimated_recall`) reaches the target, LSH runs its full budget.
 Join time sums the per-repetition times (`JoinStats.repetition_s`), so it
 leaves out the recall checks; embedding/sketching time is its own column and
 the oracle is never timed into either. A row summarizes all trials: times are

@@ -28,10 +28,10 @@ verifies each distinct pair once per join and remembers the outcome.
 The join tunes its own repetition count: the kernel counts, for every pair
 found so far, the repetitions that found it, and after each one turns the
 counts into Chao's capture-recapture estimate of the share of the result set
-found (`estimated_recall`) and a lower bound on it (`recall_lower_bound`).
-The join stops once the bound reaches `CpsConfig.recall_target`, or after
-`reps`, in the one repetition loop (`run_repetitions`) that both approximate
-joins and `bench` drive.
+found (`estimated_recall`). The join stops once some pair has been found
+and that reaches `CpsConfig.recall_target`, or after `reps`, in the one
+repetition loop (`run_repetitions`) that both approximate joins and `bench`
+drive.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ _WIDTH_TAG = 0x776964  # the root row `choose_key_width` costs
 _WIDTHS = range(1, 5)  # key widths costed; wider ones were not measured
 _WIDTH_SAMPLE = 512  # pairs sampled per width to estimate candidates
 _PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel, and per flush
-_BOUND_Z = 1.645  # standard normal quantile of the one-sided 95% recall bound
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,9 @@ class CpsConfig:
     """Parameters of one CPSJoin run.
 
     `reps` is the repetition budget. The stop rule `estimate_reaches` ends
-    the join after the first repetition r >= 2 whose `recall_lower_bound`
-    reaches `recall_target`; with None it runs all `reps`. A stopped run is
+    the join after the first repetition r >= 2 whose `estimated_recall`
+    reaches `recall_target`, once some pair has been found; with None it
+    runs all `reps`. A stopped run is
     exactly the first r repetitions of the run with `reps=r, recall_target=None`.
     The key width is not a field: the join derives it (`choose_key_width`).
 
@@ -82,9 +82,10 @@ class CpsConfig:
     keys and the stop read off the point estimate, a target of 0.99 stopped
     most runs after 2 repetitions and lost up to 1.6% of the `tokens` pairs;
     0.999 stopped them after 3-4 with at most 0.08% lost. With the chosen
-    widths (3 on `tokens`, 2 on `clusters`) and the bound, 0.999 stops
-    `tokens` after 3-6 repetitions with at most 0.18% lost (records seeds
-    21, 7, 1, 2, 3, 33, 4, 5) and `clusters` after 3.
+    widths (3 on `tokens`, 2 on `clusters`), 0.999 stops both after 3-4
+    repetitions (records seeds 21, 7, 1, 2, 3, 33, 4, 5), with at most 0.30%
+    of the `tokens` pairs lost: keys of 3 coordinates catch pairs at uneven
+    rates, and Chao's estimate then over-reports recall.
     """
 
     threshold: float
@@ -105,45 +106,6 @@ class CpsConfig:
             raise ValueError("reps must be >= 1")
         if self.recall_target is not None and not 0.0 < self.recall_target < 1.0:
             raise ValueError("recall_target must be in (0, 1) or None")
-
-
-def recall_lower_bound(hits: np.ndarray, reps: int) -> float:
-    """A one-sided 95% lower bound on the share of the result set found after
-    `reps` repetitions, which CPSJoin's stop rule reads: S / (S + f0 +
-    1.645 * sd(f0)), with `estimated_recall`'s f0 and Chao's variance of it
-    (Chao 1987, with the incidence factor a = (r - 1) / r), with x = Q1 / Q2,
-
-        Q2 * (a/2 * x^2 + a^2 * x^3 + a^2/4 * x^4), or, when Q2 = 0,
-        a * Q1 (Q1 - 1) / 2 + a^2 * Q1 (2 Q1 - 1)^2 / 4 - a^2 * Q1^4 / (4 (S + f0)).
-
-    Chao's f0 is a lower bound on the pairs missed where some pairs are
-    caught less often than others, and a CPSJoin key of k coordinates
-    catches a pair that agrees on a fraction s of its signature at a rate
-    that grows like s**k. At the point estimate, on the benchmark's `tokens`
-    workload at key width 3 (records seeds 1-14, 21, 33), the join stopped
-    after 2-4 repetitions at a true recall of 0.9970-1.0, median 0.9986;
-    at the bound, after 3-6 at 0.9982-1.0, median 0.9997. On `clusters` both
-    stop after 3. NaN before r = 2, as the estimate, and 0.0 while no pair
-    has been found, which says nothing of the pairs missed: a join that finds
-    none runs its whole budget."""
-    found = hits.size
-    if reps < 2:
-        return math.nan
-    if not found:
-        return 0.0
-    once = int(np.count_nonzero(hits == 1))
-    twice = int(np.count_nonzero(hits == 2))
-    a = (reps - 1) / reps
-    if twice:
-        x = once / twice
-        missed = a * once * x / 2
-        var = twice * (a / 2 * x ** 2 + a * a * x ** 3 + a * a / 4 * x ** 4)
-    else:
-        missed = a * once * (once - 1) / 2
-        var = (a * once * (once - 1) / 2 + a * a * once * (2 * once - 1) ** 2 / 4
-               - a * a * once ** 4 / (4 * (found + missed)))
-    missed += _BOUND_Z * math.sqrt(max(var, 0.0))
-    return found / (found + missed)
 
 
 def estimated_recall(hits: np.ndarray, reps: int) -> float:
@@ -192,9 +154,8 @@ class CandidateKernel:
     lookup it already makes, so a pair that several flushes of one
     repetition meet counts once; a new pass enters with one hit.
     `end_repetition()` flushes, appends the first-time passes to
-    `stats.new_results_per_rep`, the hits' `estimated_recall` to
-    `stats.recall_estimate_per_rep` and their `recall_lower_bound` to
-    `stats.recall_bound_per_rep`, and returns the sorted codes of the
+    `stats.new_results_per_rep` and the hits' `estimated_recall` to
+    `stats.recall_estimate_per_rep`, and returns the sorted codes of the
     pairs the repetition found that pass, new or found before (those
     stamped with it). `codes()` flushes any buffered codes and returns the
     sorted codes of every pair passed so far.
@@ -301,9 +262,8 @@ class CandidateKernel:
         found = self._passed[self._stamp == len(self.stats.new_results_per_rep)]
         self.stats.new_results_per_rep.append(self._rep_new)
         self._rep_new = 0
-        reps = len(self.stats.new_results_per_rep)
-        self.stats.recall_estimate_per_rep.append(estimated_recall(self._hits, reps))
-        self.stats.recall_bound_per_rep.append(recall_lower_bound(self._hits, reps))
+        self.stats.recall_estimate_per_rep.append(
+            estimated_recall(self._hits, len(self.stats.new_results_per_rep)))
         return found
 
     def codes(self) -> np.ndarray:
@@ -453,7 +413,10 @@ def choose_key_width(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel) ->
     estimated cost per repetition, ties to the smaller. Only widths k with
     threshold**k * sig_len >= 1 are costed, where a threshold-similar pair
     still expects one surviving child per node; width 1 always is. A root at
-    or below `limit` never splits, so it gets width 1 uncosted.
+    or below `limit` never splits, so it gets width 1 uncosted, and so does
+    threshold 1: every width then samples one coordinate per node, so a key
+    of width k parts a bucket as k successive one-coordinate splits would,
+    which also run the point rule and the small-bucket batch between them.
 
     Each width is costed on one root row, all on the same coordinate c drawn
     from `cfg.seed` (the key of width k is the key of width k - 1 plus one
@@ -481,13 +444,13 @@ def choose_key_width(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel) ->
 
     The rule picks width 3 on `tokens` and 2 on `clusters` (records seeds 21,
     7, 1, 2, 3, 33, 4, 5). Joins at fixed widths 1-4, medians of 5, measured
-    94/62/28/21 ms (seed 21) and 96/60/27/29 ms (seed 7) on `tokens`, and
+    99/50/20/29 ms (seed 21) and 110/70/31/31 ms (seed 7) on `tokens`, and
     43/41/46/56 and 57/54/57/57 ms on `clusters`. Costing takes one sort of
     n keys and one filtered sample per width: 0.8-2 ms on either workload.
     """
     n, sig_len = prep.data.n, prep.sig_len
     widths = [k for k in _WIDTHS if k == 1 or cfg.threshold ** k * sig_len >= 1]
-    if n <= cfg.limit or len(widths) == 1:
+    if n <= cfg.limit or len(widths) == 1 or cfg.threshold == 1.0:
         return 1
     seed = derive_seed(cfg.seed, _WIDTH_TAG)
     coord = np.array([splitmix64(seed, 0) % sig_len])
@@ -584,9 +547,17 @@ def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition, stop):
 
 
 def estimate_reaches(target: float | None):
-    """CPSJoin's stop rule: the recall's lower bound (`recall_lower_bound`)
-    reaches `target` (never if None)."""
-    return lambda kernel: target is not None and kernel.stats.recall_bound_per_rep[-1] >= target
+    """CPSJoin's stop rule: some pair has been found and the recall estimate
+    reaches `target` (never if None).
+
+    With no pair found the estimate reads 0/0 as 1.0, which says nothing of
+    the pairs missed, so a join that finds none runs its whole budget. Two
+    repetitions miss a pair caught in about half of them a quarter of the
+    time: the one result pair of the acceptance gate's `uniform` set at 0.5
+    was found in 34, 40 and 32 of 60 one-repetition joins at key widths 1,
+    2 and 3."""
+    return lambda kernel: (target is not None and any(kernel.stats.new_results_per_rep)
+                           and kernel.stats.recall_estimate_per_rep[-1] >= target)
 
 
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):

@@ -54,7 +54,7 @@ _PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one recor
 # Bitset words a verify block gathers per side, on average: 512 KB of uint64,
 # so both sides and their AND fit a 2 MB L2 cache.
 _VERIFY_BLOCK = 2 ** 16
-_CSR_BLOCK_SCALE = 4  # the CSR route's blocks hold this many times more entries; see verify_pairs
+_CSR_VERIFY_BLOCK = 2 ** 18  # CSR entries a verify block gathers per side; see verify_pairs
 _GATHER_COST = 4  # the word route runs where tokens * this < n * ceil(d/64); see the docstring
 
 
@@ -100,11 +100,12 @@ def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
 
     A block holds `_VERIFY_BLOCK` over the route's mean row (bitset words or
     non-zero words per record) pairs, so it gathers about `_VERIFY_BLOCK` of
-    them per side; the CSR route's blocks hold `_CSR_BLOCK_SCALE` times more
-    entries, 2^18. Without a bitset, AllPairs on the benchmark's `tokens`
-    records (seed 21, 4.1M candidates) took 18.9/16.1/15.3/16.9/19.5 s with
-    CSR blocks of 2^16-2^20 entries, and on `clusters` 0.165/0.152/0.143/
-    0.151/0.152 s (medians of 4, 2 vCPUs).
+    them per side. The CSR route's blocks hold `_CSR_VERIFY_BLOCK` over the
+    mean record's CSR entries pairs, a measured size: without a bitset,
+    AllPairs on the benchmark's `tokens` records (seed 21, 4.1M candidates)
+    took 18.9/16.1/15.3/16.9/19.5 s with CSR blocks of 2^16-2^20 entries,
+    and on `clusters` 0.165/0.152/0.143/0.151/0.152 s (medians of 4, 2
+    vCPUs).
     """
     a_ids = np.asarray(a_ids, dtype=np.int64)
     b_ids = np.asarray(b_ids, dtype=np.int64)
@@ -113,7 +114,7 @@ def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
         x = _csr(data, data.tokens, data.d)
         # np.asarray: a sparse matrix sums to an (m, 1) matrix, an array to (m,)
         count = lambda a, b: np.asarray(x[a].multiply(x[b]).sum(axis=1)).reshape(-1)
-        entries, block = data.tokens.size, _VERIFY_BLOCK * _CSR_BLOCK_SCALE
+        entries, block = data.tokens.size, _CSR_VERIFY_BLOCK
     elif data.tokens.size * _GATHER_COST < bits.size:
         starts, cols, words = data.bitset_words()
         count = lambda a, b: _word_intersections(starts, cols, words, bits, a, b)

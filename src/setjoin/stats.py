@@ -17,11 +17,10 @@ class JoinStats:
     pre_candidates >= candidates >= results holds on every run. The
     approximate joins also fill new_results_per_rep: per repetition, the
     pairs that passed verification for the first time in the join, so that
-    they sum to results. Both also fill, per repetition,
-    recall_estimate_per_rep with `cpsjoin.estimated_recall` of the pairs
-    found so far (NaN after the first) and recall_bound_per_rep with
-    `cpsjoin.recall_lower_bound`, its lower bound, which CPSJoin's stop rule
-    reads; LSH runs its budget whatever they say. key_width is the
+    they sum to results. Both also fill recall_estimate_per_rep: per
+    repetition, `cpsjoin.estimated_recall` of the pairs found so far (NaN
+    after the first), which CPSJoin's stop rule reads; LSH runs its budget
+    whatever it says. key_width is the
     number of signature coordinates in each bucket key: CPSJoin's chosen
     width (`cpsjoin.choose_key_width`), LSH's k; 0 for the exact joins.
     repetition_s holds the seconds each repetition took (CPSJoin's first
@@ -38,7 +37,6 @@ class JoinStats:
     join_s: float = 0.0
     new_results_per_rep: list[int] = field(default_factory=list)
     recall_estimate_per_rep: list[float] = field(default_factory=list)
-    recall_bound_per_rep: list[float] = field(default_factory=list)
     repetition_s: list[float] = field(default_factory=list)
 
     def counters_ok(self) -> bool:

@@ -143,14 +143,12 @@ def test_no_oracle_runs_full_budget(dense):
 
 
 def test_no_oracle_stops_cpsjoin_at_its_recall_estimate(dense):
-    # at the default 0.999 the bound on this set's 259 pairs stays below the
-    # target for the whole budget, so the run takes a lower one
-    spec = _spec(dense, "cpsjoin", use_oracle=False, recall_target=0.99)
+    spec = _spec(dense, "cpsjoin", use_oracle=False)
     row = run(spec)[0]
     assert row.recall is None
     _, full = join_pairs(spec, 0.5)  # every repetition of the same trial
     assert len(full.new_results_per_rep) == CpsConfig.reps
-    stop = next(r for r, e in enumerate(full.recall_bound_per_rep, 1)
+    stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
                 if e >= bench._recall_target(spec))
     assert row.reps_used == stop < len(full.new_results_per_rep)
     assert row.results == sum(full.new_results_per_rep[:stop])
@@ -158,15 +156,14 @@ def test_no_oracle_stops_cpsjoin_at_its_recall_estimate(dense):
 
 
 def test_each_algorithm_defaults_to_its_own_recall_target(dense):
-    # LSH's 0.9 would stop this CPSJoin run after 3 repetitions; at 0.999
-    # it runs its whole budget
+    # LSH's 0.9 would stop this CPSJoin run after 2 repetitions
     spec = _spec(dense, "cpsjoin", use_oracle=False)
     assert spec.recall_target is None
     _, full = join_pairs(spec, 0.5)
-    stop = next((r for r, e in enumerate(full.recall_bound_per_rep, 1)
-                 if e >= CpsConfig.recall_target), CpsConfig.reps)
+    stop = next(r for r, e in enumerate(full.recall_estimate_per_rep, 1)
+                if e >= CpsConfig.recall_target)
     assert run(spec)[0].reps_used == stop
-    assert stop > run(replace(spec, recall_target=0.9))[0].reps_used == 3
+    assert stop > run(replace(spec, recall_target=0.9))[0].reps_used == 2
     lsh = _spec(dense, "lsh")
     assert bench._approximate_config(lsh, 0.5, 0).recall_target == LshConfig.recall_target
     cfg = bench._approximate_config(replace(lsh, recall_target=0.8), 0.5, 0)

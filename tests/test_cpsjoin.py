@@ -7,6 +7,7 @@ splitting scatters its neighbors.
 """
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,15 @@ def test_estimated_recall_never_stops_after_one_repetition():
     assert math.isnan(stats.recall_estimate_per_rep[0])
 
 
+def test_a_join_that_finds_no_pair_runs_its_budget():
+    ds = Dataset.from_records([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(50)])  # disjoint
+    _, stats = cps_join(ds, CpsConfig(threshold=0.5, limit=5, seed=2))
+    assert stats.results == 0 and len(stats.new_results_per_rep) == CpsConfig.reps
+    assert stats.recall_estimate_per_rep[1:] == [1.0] * (CpsConfig.reps - 1)  # 0/0 reads 1.0
+    _, empty = cps_join(Dataset.from_records([]), CpsConfig(threshold=0.5))
+    assert len(empty.new_results_per_rep) == CpsConfig.reps
+
+
 class _FixedVerdicts:
     """Stands in for `verify_pairs`: a pair passes when its code is in `passing`."""
 
@@ -142,10 +152,9 @@ def test_a_stopped_run_is_the_fixed_run_cut_at_its_repetitions(limit):
     reps = len(stats.new_results_per_rep)
     assert 2 <= reps < CpsConfig.reps  # the rule stopped the run early
     estimates = stats.recall_estimate_per_rep
-    bounds = stats.recall_bound_per_rep
-    assert len(estimates) == len(bounds) == reps
-    assert bounds[-1] >= CpsConfig.recall_target
-    assert not any(e >= CpsConfig.recall_target for e in bounds[:-1])
+    assert len(estimates) == reps
+    assert estimates[-1] >= CpsConfig.recall_target
+    assert not any(e >= CpsConfig.recall_target for e in estimates[:-1])
     fixed_pairs, fixed = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, reps=reps,
                                                 recall_target=None))
     assert np.array_equal(pairs, fixed_pairs)
@@ -153,7 +162,6 @@ def test_a_stopped_run_is_the_fixed_run_cut_at_its_repetitions(limit):
         (fixed.pre_candidates, fixed.candidates, fixed.results, fixed.max_depth)
     assert stats.new_results_per_rep == fixed.new_results_per_rep
     assert np.array_equal(estimates, fixed.recall_estimate_per_rep, equal_nan=True)
-    assert np.array_equal(bounds, fixed.recall_bound_per_rep, equal_nan=True)
     _, full = cps_join(ds, CpsConfig(threshold=0.6, limit=limit, seed=9, recall_target=None))
     assert len(full.new_results_per_rep) == CpsConfig.reps
     assert full.new_results_per_rep[:reps] == stats.new_results_per_rep
@@ -613,7 +621,8 @@ class _RecursiveReference:
             return kernel.end_repetition()
         def stop(kernel):
             target = cfg.recall_target
-            return target is not None and kernel.stats.recall_bound_per_rep[-1] >= target
+            return (target is not None and any(kernel.stats.new_results_per_rep)
+                    and kernel.stats.recall_estimate_per_rep[-1] >= target)
         return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, stop)
 
 
@@ -628,7 +637,6 @@ def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None
     assert stats.new_results_per_rep == want.new_results_per_rep
     assert np.array_equal(stats.recall_estimate_per_rep, want.recall_estimate_per_rep,
                           equal_nan=True)
-    assert np.array_equal(stats.recall_bound_per_rep, want.recall_bound_per_rep, equal_nan=True)
     return stats
 
 
@@ -763,24 +771,30 @@ def _count_costed_widths(monkeypatch):
     return costed
 
 
-@pytest.mark.parametrize("records, lam", [
-    ([], 0.5),
-    ([[1, 2, 3]], 0.5),
-    ([[4, 5, 6, 7]] * 5, 0.5),
-    ([rec.tolist() for rec in gen_uniform(60, 6, 30, seed=2).records()], 1.0),
-], ids=["empty", "one-record", "all-duplicates", "threshold-one"])
-def test_a_root_that_never_splits_takes_width_one_uncosted(monkeypatch, records, lam):
+@pytest.mark.parametrize("records, lam, results", [
+    ([], 0.5, 0),
+    ([[1, 2, 3]], 0.5, 0),
+    ([[4, 5, 6, 7]] * 5, 0.5, 0),  # canonicalized to one record
+    # above `limit`; canonical records are distinct, so nothing is 1-similar
+    ([rec.tolist() for rec in gen_uniform(400, 6, 30, seed=2).records()], 1.0, 0),
+    ([[1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2]], 0.1, 1),  # 0.1^2 * 128 < 1
+], ids=["empty", "one-record", "all-duplicates", "threshold-one", "low-threshold"])
+def test_edge_inputs_take_width_one_uncosted(monkeypatch, records, lam, results):
     costed = _count_costed_widths(monkeypatch)
-    _, stats = cps_join(Dataset.from_records(records), CpsConfig(threshold=lam, seed=1))
-    assert stats.key_width == 1 and costed == []
+    data = Dataset.from_records(records)
+    assert (data.n > CpsConfig.limit) == (lam == 1.0)  # threshold 1 is costed by no rule else
+    t0 = time.perf_counter()
+    _, stats = cps_join(data, CpsConfig(threshold=lam, seed=1))
+    assert time.perf_counter() - t0 < 10
+    assert stats.key_width == 1 and costed == [] and stats.results == results
 
 
 def test_only_widths_that_keep_a_child_per_similar_pair_are_costed(monkeypatch):
     costed = _count_costed_widths(monkeypatch)
     ds = gen_uniform(400, 10, 40, seed=1)
-    for lam, want in ((0.08, []), (0.15, [1, 2]), (0.5, [1, 2, 3, 4]), (1.0, [1, 2, 3, 4])):
+    for lam, want in ((0.08, []), (0.15, [1, 2]), (0.5, [1, 2, 3, 4]), (0.95, [1, 2, 3, 4])):
         # 0.08^2 * 128 < 1, so only width 1 is eligible and nothing is costed;
-        # at 1.0 every width is eligible, and no more than _WIDTHS are costed
+        # at 0.95 every width is eligible, and no more than _WIDTHS are costed
         costed.clear()
         _, stats = cps_join(ds, CpsConfig(threshold=lam, limit=20, seed=1, reps=2))
         assert costed == want
@@ -800,18 +814,3 @@ def test_the_width_is_chosen_once_per_join_from_its_seed(monkeypatch):
     widths = {cps_join(ds, replace(cfg, seed=seed, reps=1))[1].key_width for seed in range(6)}
     assert widths <= set(cpsjoin._WIDTHS)
 
-
-def test_recall_lower_bound_on_hand_made_incidence_counts():
-    bound = cpsjoin.recall_lower_bound
-    # S = 5, Q1 = 2, Q2 = 1, r = 4: f0 = 1.5 and, with a = 3/4 and x = Q1/Q2 = 2,
-    # Var = Q2 (a/2 x^2 + a^2 x^3 + a^2/4 x^4)
-    var = 3 / 8 * 2 ** 2 + 9 / 16 * 2 ** 3 + 9 / 64 * 2 ** 4
-    assert bound(_hits(1, 1, 2, 3, 4), 4) == pytest.approx(5 / (6.5 + 1.645 * math.sqrt(var)))
-    # Q2 = 0, S = 4, Q1 = 3, r = 3: f0 = 2, a = 2/3,
-    # Var = a Q1 (Q1 - 1)/2 + a^2 Q1 (2 Q1 - 1)^2 / 4 - a^2 Q1^4 / (4 (S + f0))
-    var = 2 + 4 / 9 * 3 * 25 / 4 - 4 / 9 * 81 / 24
-    assert bound(_hits(1, 1, 1, 3), 3) == pytest.approx(4 / (6 + 1.645 * math.sqrt(var)))
-    assert bound(_hits(1, 1, 1, 3), 3) < estimated_recall(_hits(1, 1, 1, 3), 3)
-    assert bound(_hits(3, 5, 5), 5) == 1.0  # Q1 = 0: nothing missed, no spread
-    assert bound(_hits(), 5) == 0.0  # nothing found says nothing of what was missed
-    assert math.isnan(bound(_hits(1, 1), 1))

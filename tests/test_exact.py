@@ -124,8 +124,9 @@ def test_probe_matches_bitset_over_several_blocks(monkeypatch):
     union = ds.sizes[a] + ds.sizes[b] - c
     assert ds.bitset() is not None
     monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
-    # 4 * 84 CSR entries a block, 12 a record (2,382 in 200): blocks of 28
-    # pairs, 18 of them, the last one short
+    # 84 CSR entries a block, 12 a record (2,382 in 200): blocks of 7 pairs,
+    # 72 of them, the last one short; the bitset side runs in blocks too
+    monkeypatch.setattr(exact, "_CSR_VERIFY_BLOCK", 84)
     monkeypatch.setattr(exact, "_VERIFY_BLOCK", 84)
     bare = gen_uniform(200, 12, 60, seed=12)
     assert bare.bitset() is None
