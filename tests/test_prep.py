@@ -2,6 +2,7 @@
 its tables are chunked and whichever universe they rank."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,11 +119,106 @@ def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
             hashlib.sha256(p.sketches.tobytes()).hexdigest()) == want
 
 
-def test_digest_cases_cover_their_regimes():
+def _first_hit_records(monkeypatch, data, sig_len=128, sketch_words=8, seed=0):
+    """The sizes of the records `preprocess` passes to the first-hit kernel,
+    one entry per record."""
+    taken, first_hits = [], prep_module._first_hits
+
+    def spy(members, order, window):
+        taken.extend([members.shape[1]] * len(members))
+        return first_hits(members, order, window)
+
+    monkeypatch.setattr(prep_module, "_first_hits", spy)
+    preprocess(data, sig_len=sig_len, sketch_words=sketch_words, seed=seed)
+    return taken
+
+
+def test_digest_cases_cover_their_regimes(monkeypatch):
     wide = _wide()
     assert wide.d > 2 ** 16 and wide.d > wide.tokens.size
     sizes = _mixed().sizes
     assert not np.all(sizes[:-1] <= sizes[1:])
+    # the pinned `_tokens` digest comes from the first-hit kernel alone, and
+    # `_mixed`'s from the gather kernel alone
+    tokens = _tokens()
+    assert len(_first_hit_records(monkeypatch, tokens, 128, 8, 7)) == tokens.n
+    assert _first_hit_records(monkeypatch, _mixed(), 64, 4, 2) == []
+
+
+# The kernel rule's constant, patched to send every block to one kernel.
+_FIRST_HIT_ONLY = {"_FIRST_HIT_COST": 0.0}
+_GATHER_ONLY = {"_FIRST_HIT_COST": float("inf")}
+
+
+def _straddling():
+    """Raw records, 30 each of sizes 2, 5, 20, 60, 150 and 300 over [0, 400)."""
+    rng = np.random.default_rng(12)
+    return Dataset.from_records([rng.choice(400, size=s, replace=False)
+                                 for s in (2, 5, 20, 60, 150, 300) for _ in range(30)],
+                                canonical=False)
+
+
+def _pairs():
+    """Raw records of two tokens each, ranked over the 150-odd that occur."""
+    rng = np.random.default_rng(13)
+    return Dataset.from_records([rng.choice(5000, size=2, replace=False) for _ in range(80)],
+                                canonical=False)
+
+
+def _one():
+    return Dataset.from_records([[3, 7, 9]])
+
+
+def test_the_rule_sends_large_records_to_the_first_hit_kernel(monkeypatch):
+    data = _straddling()
+    assert data.d <= data.tokens.size
+    assert sorted(set(_first_hit_records(monkeypatch, data))) == [150, 300]
+
+
+@pytest.mark.parametrize("kernel", [_FIRST_HIT_ONLY, _GATHER_ONLY], ids=["first-hit", "gather"])
+@pytest.mark.parametrize("dataset, patch", [
+    (_straddling, {}),
+    (_wide, {}),
+    (_one, {}),
+    (_pairs, {}),
+    # 7 records per first-hit block, each over the indicator's cap of 2,800 bytes
+    (_straddling, {"_BLOCK_CELLS": 400 * 7}),
+    # windows of 8 positions out of the 150-odd: most pairs scan on past the first
+    (_pairs, {"_WINDOW_CAP": 8}),
+], ids=["straddling", "wide", "one-record", "size-two", "over-the-cap", "unresolved"])
+def test_each_kernel_matches_reference_families(dataset, patch, kernel, monkeypatch):
+    for name, value in {**patch, **kernel}.items():
+        monkeypatch.setattr(prep_module, name, value)
+    _check_against_families(preprocess(dataset(), sig_len=16, sketch_words=1, seed=3))
+
+
+def test_first_hits_scan_on_past_the_window():
+    rng = np.random.default_rng(5)
+    u, window = 60, 8
+    order = np.array([rng.permutation(u) for _ in range(5)], dtype=np.uint16)
+    members = np.array([rng.choice(u, size=3, replace=False) for _ in range(4)], dtype=np.uint32)
+    rank = np.argsort(order, axis=1)  # rank[f, t]: the rank position of t
+    want = rank[:, members].min(axis=2)
+    assert (want >= window).any() and (want < window).any()
+    assert np.array_equal(prep_module._first_hits(members, order, window), want)
+
+
+def test_first_hit_blocks_keep_the_peak_of_the_gather_kernel(monkeypatch):
+    data = gen_tokens(TokensSpec(d=600, max_freq=300, planted=((0.8, 5),),
+                                 background_similarity=0.12, seed=4))
+    assert _first_hit_records(monkeypatch, data)
+    monkeypatch.undo()
+    peaks = []
+    for patch in ({}, _GATHER_ONLY):
+        for name, value in patch.items():
+            monkeypatch.setattr(prep_module, name, value)
+        tracemalloc.start()
+        try:
+            preprocess(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1]
 
 
 def test_out_of_order_sizes_match_reference_families():
