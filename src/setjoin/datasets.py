@@ -100,15 +100,15 @@ class Dataset:
 
     def bitset(self) -> np.ndarray | None:
         """Packed indicator matrix (n, ceil(d/64)) uint64, or None when the
-        universe is too large to justify the memory."""
+        universe is too large to justify the memory. Its non-zero words are
+        those of `bitset_words()`, scattered into place."""
         if self._bitset is None:
             words = (self.d + 63) >> 6
             if self.n * words * 8 > _BITSET_BYTE_CAP:
                 return None
             bits = np.zeros((self.n, words), dtype=np.uint64)
-            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            cols, vals = self._bit_cells()
-            np.bitwise_or.at(bits, (rows, cols), vals)
+            starts, cols, runs = self.bitset_words()
+            bits[np.repeat(np.arange(self.n), np.diff(starts)), cols] = runs
             self._bitset = bits
         return self._bitset
 
@@ -119,7 +119,8 @@ class Dataset:
         same slice of `words`. Held here, so they live as long as the
         dataset and no longer."""
         if self._bitset_words is None:
-            cols, vals = self._bit_cells()
+            cols = (self.tokens >> np.uint32(6)).astype(np.intp)
+            vals = np.uint64(1) << (self.tokens.astype(np.uint64) & np.uint64(63))
             # A run of one record's tokens in one word starts where the word
             # index changes or a record starts (records hold tokens, ascending).
             run = np.empty(cols.size, dtype=bool)
@@ -129,12 +130,6 @@ class Dataset:
             self._bitset_words = (np.searchsorted(run_starts, self.indptr), cols[run_starts],
                                   np.bitwise_or.reduceat(vals, run_starts))
         return self._bitset_words
-
-    def _bit_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each token's word index and bit in its `bitset()` row."""
-        cols = (self.tokens >> np.uint32(6)).astype(np.intp)
-        vals = np.uint64(1) << (self.tokens.astype(np.uint64) & np.uint64(63))
-        return cols, vals
 
     @staticmethod
     def from_records(records, canonical: bool = True) -> "Dataset":

@@ -302,6 +302,19 @@ def test_bitset_matches_records():
     assert c == np.intersect1d(ds.record(a), ds.record(b)).size
 
 
+@pytest.mark.parametrize("canonical", [True, False])
+def test_bitset_rows_hold_exactly_their_records_tokens(canonical):
+    rng = np.random.default_rng(5)
+    # dense runs of tokens in one word, and lone tokens in sparse words
+    records = [rng.choice(300, size=int(s), replace=False) for s in rng.integers(2, 90, size=80)]
+    ds = Dataset.from_records(records, canonical=canonical)
+    want = np.zeros((ds.n, (ds.d + 63) // 64), dtype=np.uint64)
+    for i, rec in enumerate(ds.records()):
+        for t in rec.tolist():
+            want[i, t // 64] |= np.uint64(1) << np.uint64(t % 64)
+    assert np.array_equal(ds.bitset(), want)
+
+
 def test_stats_reports_shape_of_the_data():
     ds = gen_uniform(100, 5, 60, seed=4)
     st = ds.stats()

@@ -227,13 +227,15 @@ def test_verify_route_follows_the_bitset_fill(monkeypatch):
     # about 30 tokens in 157 words: the word route
     sparse = gen_uniform(2000, 30, 10_000, seed=23)
     assert sparse.d > 9_900
+    sparse.bitset()  # scattered from the word lists
+    built.clear()
     a, b = np.random.default_rng(23).integers(0, sparse.n, size=(2, 5000))
     verify_pairs(sparse, a, b, 0.5)
     assert built == [sparse]
-    # every word holds tokens: the dense route, with no word lists
-    built.clear()
+    # every word holds tokens: the dense route, which reads no word lists
     dense = gen_tokens(TokensSpec(d=800, max_freq=60, background_similarity=0.12, seed=23))
     assert dense.tokens.size * exact._GATHER_COST >= dense.bitset().size
+    built.clear()
     a, b = np.triu_indices(dense.n, 1)
     verify_pairs(dense, a, b, 0.5)
     assert built == []
@@ -246,7 +248,7 @@ def test_word_lists_are_built_once_and_die_with_their_dataset():
     lists = ds.bitset_words()
     verify_pairs(ds, pairs[:, 0], pairs[:, 1], 0.5)
     allpairs_join(ds, 0.1)
-    assert ds.bitset_words() is lists  # built once, in the first join
+    assert ds.bitset_words() is lists  # built once, with the bitset
     # Dataset has no __weakref__ slot; its arrays do, and nothing else holds them
     refs = [weakref.ref(x) for x in (ds.bitset(), *lists)]
     del ds, lists, pairs
