@@ -9,9 +9,10 @@ defaults to the algorithm's own: `CpsConfig.recall_target` for CPSJoin,
 `LshConfig.recall_target` for LSH. Without the oracle each join keeps its own
 stop rule: CPSJoin stops where its kernel's capture-recapture estimate
 (`cpsjoin.estimated_recall`) reaches the target, LSH runs its full budget.
-Join time sums the per-repetition times (`JoinStats.repetition_s`), so it
-leaves out the recall checks; embedding/sketching time is its own column and
-the oracle is never timed into either. A row summarizes all trials: times are
+Join time sums CPSJoin's key-width choice and the per-repetition times
+(`JoinStats.key_width_s` and `repetition_s`), so it leaves out the recall
+checks; embedding/sketching time is its own column and the oracle is never
+timed into either. A row summarizes all trials: times are
 means; recall, counters, the key width (signature coordinates per bucket key:
 CPSJoin's chosen width, LSH's k) and echoed parameters the lower median.
 """
@@ -160,18 +161,21 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
             if spec.algorithm == "cpsjoin":
                 reps, stop = cfg.reps, cps.estimate_reaches(target)
                 run_rep = lambda r, kernel: cps.repetition_codes(prep, cfg, r, kernel)
+                choose = lambda kernel: cps.choose_key_width(prep, cfg, kernel)
                 extra = {"limit": spec.limit, "eps": spec.eps, "reps": reps}
             else:
                 k, reps = mlsh.resolve_params(prep, cfg)
                 stop = lambda kernel: False
                 run_rep = lambda r, kernel: mlsh.repetition_codes(prep, cfg, k, r, kernel)
+                choose = None
                 extra = {"k": k, "reps": reps}
             if exact is not None:
                 stop = lambda kernel: _recall(kernel.codes(), exact) >= target
-            pairs, stats = cps.run_repetitions(prep, cfg, reps, run_rep, stop)
+            pairs, stats = cps.run_repetitions(prep, cfg, reps, run_rep, stop, choose)
             trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
-                join_time_s=sum(stats.repetition_s), preprocess_time_s=prep.elapsed_s,
+                join_time_s=stats.key_width_s + sum(stats.repetition_s),
+                preprocess_time_s=prep.elapsed_s,
                 recall=None if exact is None else _recall(encode_pairs(*pairs.T), exact),
                 reps_used=len(stats.repetition_s), pre_candidates=stats.pre_candidates,
                 candidates=stats.candidates, results=stats.results,

@@ -497,15 +497,13 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     records of every bucket of a depth laid end to end and each bucket's size
     and seed. Each depth is three batches: the buckets at or below `limit`
     compared pairwise, the point rule (`brute_force_step`) over the larger
-    ones, and the split of what it keeps into the next depth. The join's
-    first repetition chooses the key width every split of the join uses
-    (`choose_key_width`) and records it in `JoinStats.key_width`.
+    ones, and the split of what it keeps into the next depth. Every split
+    keys on `JoinStats.key_width`, which the join chose before its first
+    repetition (`choose_key_width`, through `run_repetitions`).
     """
     # Engineering guard far above the expected O(log n / eps) depth: at the
     # cap, what the point rule keeps is compared pairwise instead of split.
     depth_cap = 64 + int(10 * math.log2(prep.data.n + 1))
-    if not kernel.stats.key_width:  # the join's first repetition
-        kernel.stats.key_width = choose_key_width(prep, cfg, kernel)
     width = kernel.stats.key_width
     ids = np.arange(prep.data.n, dtype=np.int64)
     sizes = np.array([ids.size], dtype=np.int64)
@@ -527,13 +525,19 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     return kernel.end_repetition()
 
 
-def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition, stop):
+def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition, stop, choose_width=None):
     """Run `one_repetition(rep, kernel)` through one kernel until `stop(kernel)`
     holds after one, or `reps` times, timing each call into `repetition_s`;
-    returns ((m, 2) pairs, JoinStats) of both approximate joins and `bench`."""
+    returns ((m, 2) pairs, JoinStats) of both approximate joins and `bench`.
+    A join that chooses its key width through the kernel passes
+    `choose_width(kernel)`, which runs first, timed into `key_width_s`."""
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
     kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+    if choose_width is not None:
+        t = time.perf_counter()
+        stats.key_width = choose_width(kernel)
+        stats.key_width_s = time.perf_counter() - t
     for rep in range(reps):
         t = time.perf_counter()
         one_repetition(rep, kernel)
@@ -565,7 +569,8 @@ def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
     or after `cfg.reps` repetitions; returns ((m, 2) pairs, JoinStats)."""
     return run_repetitions(prep, cfg, cfg.reps,
                            lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
-                           estimate_reaches(cfg.recall_target))
+                           estimate_reaches(cfg.recall_target),
+                           lambda kernel: choose_key_width(prep, cfg, kernel))
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):

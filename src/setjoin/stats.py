@@ -23,9 +23,10 @@ class JoinStats:
     whatever it says. key_width is the
     number of signature coordinates in each bucket key: CPSJoin's chosen
     width (`cpsjoin.choose_key_width`), LSH's k; 0 for the exact joins.
-    repetition_s holds the seconds each repetition took (CPSJoin's first
-    also chooses the key width); join_s also covers the stop rule after each
-    and the kernel's set-up.
+    key_width_s holds the seconds CPSJoin took to choose it, before its
+    first repetition (0 for the others), and repetition_s the seconds each
+    repetition took; join_s also covers both, the stop rule after each
+    repetition and the kernel's set-up.
     """
 
     pre_candidates: int = 0
@@ -33,6 +34,7 @@ class JoinStats:
     results: int = 0
     max_depth: int = 0
     key_width: int = 0
+    key_width_s: float = 0.0
     preprocess_s: float = 0.0
     join_s: float = 0.0
     new_results_per_rep: list[int] = field(default_factory=list)

@@ -178,7 +178,7 @@ def test_run_repetitions_stops_where_the_rule_says():
 
     pairs, stats = cpsjoin.run_repetitions(
         prep, cfg, cfg.reps, lambda rep, kernel: cpsjoin.repetition_codes(prep, cfg, rep, kernel),
-        stop)
+        stop, lambda kernel: cpsjoin.choose_key_width(prep, cfg, kernel))
     assert seen == [1, 2, 3]  # asked once after each repetition
     fixed_pairs, fixed = cps_join_prepared(prep, replace(cfg, reps=3))
     assert np.array_equal(pairs, fixed_pairs)
@@ -196,6 +196,20 @@ def test_each_repetition_is_timed_inside_the_join_time(join):
     assert len(stats.repetition_s) == len(stats.new_results_per_rep) >= 2
     assert all(t > 0 for t in stats.repetition_s)
     assert sum(stats.repetition_s) <= stats.join_s
+
+
+def test_the_key_width_choice_is_timed_apart_from_the_first_repetition(monkeypatch):
+    choose = cpsjoin.choose_key_width
+
+    def slow_choice(*args):
+        time.sleep(0.3)
+        return choose(*args)
+
+    monkeypatch.setattr(cpsjoin, "choose_key_width", slow_choice)
+    _, stats = cps_join(_clustered(), CpsConfig(threshold=0.6, seed=9, reps=2))
+    assert stats.key_width >= 1 and stats.key_width_s >= 0.3
+    assert stats.repetition_s[0] < 0.3
+    assert stats.key_width_s + sum(stats.repetition_s) <= stats.join_s
 
 
 def test_coordinate_mask_sampling_rate():
@@ -613,8 +627,6 @@ class _RecursiveReference:
     @staticmethod
     def join(prep, cfg):
         def repetition(rep, kernel):
-            if not kernel.stats.key_width:
-                kernel.stats.key_width = cpsjoin.choose_key_width(prep, cfg, kernel)
             rep_seed = splitmix64(derive_seed(cfg.seed, cpsjoin._REP_TAG), rep)
             _RecursiveReference(prep, cfg, kernel, kernel.stats.key_width).recurse(
                 np.arange(prep.data.n, dtype=np.int64), rep_seed, 0)
@@ -623,7 +635,8 @@ class _RecursiveReference:
             target = cfg.recall_target
             return (target is not None and any(kernel.stats.new_results_per_rep)
                     and kernel.stats.recall_estimate_per_rep[-1] >= target)
-        return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, stop)
+        return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, stop,
+                                       lambda kernel: cpsjoin.choose_key_width(prep, cfg, kernel))
 
 
 def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None):
