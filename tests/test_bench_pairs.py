@@ -37,6 +37,8 @@ def test_pairs_alternate_which_revision_runs_first(monkeypatch, tmp_path):
     assert tokens["change"]["cps_join_s"] == pytest.approx(-0.5)
     assert tokens["head_better_pairs"]["cps_join_s"] == 3  # lower is better
     assert tokens["head_better_pairs"]["cps_recall"] == 0  # a tie is no win
+    assert tokens["gain"]["cps_join_s"] is True and tokens["gain"]["cps_recall"] is False
+    assert tokens["head"]["quartiles"]["cps_join_s"] == [0.5, 0.5]
     assert tokens["head"]["fingerprints"] == [{"cpsjoin": "head"}]
 
 
@@ -44,3 +46,25 @@ def test_rejects_an_empty_run(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--base", "A", "--head", "B", "--pairs", "0",
                           "--out", str(tmp_path / "x.json")])
+
+
+def _runs(base, head, metric="setup_s"):
+    return {side: [{"metrics": {metric: v}, "failed": 0, "fingerprints": {}} for v in values]
+            for side, values in (("base", base), ("head", head))}
+
+
+@pytest.mark.parametrize("head, gain", [
+    # better in 9 of 10 pairs, the median 0.35 lower against an IQR of 0.1
+    ([0.7] * 9 + [1.5], True),
+    # better in 8 of 10: too few pairs won, however far the median moved
+    ([0.1] * 8 + [1.5, 1.5], False),
+    # better in every pair, by less than the base's interquartile range
+    ([v - 0.05 for v in (1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 0.9, 1.2, 1.0, 1.1)], False),
+], ids=["gain", "too-few-pairs", "inside-the-spread"])
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_shift_past_the_base_iqr(head, gain):
+    base = [1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 0.9, 1.2, 1.0, 1.1]
+    out = bench_pairs.summarize(_runs(base, head), {"setup_s": "lower"})
+    assert out["base"]["quartiles"]["setup_s"] == pytest.approx([1.0, 1.1])
+    assert out["gain"]["setup_s"] is gain
+    # the same samples read as a loss where higher is better
+    assert bench_pairs.summarize(_runs(base, head), {"setup_s": "higher"})["gain"]["setup_s"] is False

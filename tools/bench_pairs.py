@@ -12,9 +12,12 @@ pair (base first in even pairs, head first in odd ones), so that neither
 side always runs on the heap and caches the other left behind.
 
 The output file holds, per workload and revision, every end-to-end sample,
-their medians and the join fingerprints the runs reported; per metric, the
-relative change of the medians (head against base) and the number of pairs
-in which head was better, in the direction `BENCHMARK.json` gives.
+their medians and quartiles and the join fingerprints the runs reported; per
+metric, the relative change of the medians (head against base), the number
+of pairs in which head was better, in the direction `BENCHMARK.json` gives,
+and whether head shows a gain: it was better in at least nine tenths of the
+pairs, ties counting for neither, and its median lies beyond base's by more
+than base's interquartile range.
 """
 
 from __future__ import annotations
@@ -59,15 +62,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "failed": result["failed"], "fingerprints": report["fingerprints"]}
 
 
+def quartiles(values: list) -> list:
+    """The first and third quartiles, interpolated as numpy's default does
+    (one value gives itself twice)."""
+    if len(values) == 1:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def summarize(runs: dict, metrics: dict) -> dict:
-    """Samples, medians and fingerprints per side; per metric the change of
-    the medians and the pairs head won."""
+    """Samples, medians, quartiles and fingerprints per side; per metric the
+    change of the medians, the pairs head won and whether that is a gain."""
     out = {}
     for side, samples in runs.items():
         values = {m: [s["metrics"][m] for s in samples] for m in metrics}
         fingerprints = sorted({json.dumps(s["fingerprints"], sort_keys=True) for s in samples})
         out[side] = {"samples": values,
                      "median": {m: statistics.median(v) for m, v in values.items()},
+                     "quartiles": {m: quartiles(v) for m, v in values.items()},
                      "failed": sum(s["failed"] for s in samples),
                      "fingerprints": [json.loads(f) for f in fingerprints]}
     base, head = out["base"], out["head"]
@@ -77,6 +90,13 @@ def summarize(runs: dict, metrics: dict) -> dict:
         m: sum((h < b) if better == "lower" else (h > b)
                for b, h in zip(base["samples"][m], head["samples"][m]))
         for m, better in metrics.items()}
+    out["gain"] = {}
+    for m, better in metrics.items():
+        q1, q3 = base["quartiles"][m]
+        shift = head["median"][m] - base["median"][m]
+        pairs = len(base["samples"][m])
+        out["gain"][m] = (10 * out["head_better_pairs"][m] >= 9 * pairs
+                          and (-shift if better == "lower" else shift) > q3 - q1)
     return out
 
 
