@@ -185,10 +185,13 @@ def _first_hit_window(s: int, u: int, fns: int, k: int) -> int:
     kernels at fns = 256 on 2 vCPUs, over u of 500 to 20,000, s * s / u of 2
     to 32, and blocks of 26 to 1,048 records: 1.7 ns per byte filled, 0.63
     per byte gathered and 100 per row, against 0.6-0.7 ns per rank position
-    gathered. It chose the faster kernel in 57 of 70 cases, the others
-    within 1.7x, where taking the first-hit kernel at s * s > 4u chose it in
-    48. On the `tokens` benchmark set (s = 171, u = 800), `preprocess` fell
-    from 55-75 to 27-39 ms; `clusters` (s <= 50, u = 10,000) gathers.
+    gathered. The rule picked the faster kernel in 57 of those 70 cases,
+    and one within 1.7x of it in the rest; the rule s * s > 4u, which
+    ignores k, picked it in 48, and one up to 5.4x slower in the rest. With
+    it, in-process `preprocess` medians on the `tokens` benchmark set
+    (s = 171, u = 800) fell from 69-85 to 27-39 ms, and on the acceptance
+    gate's `tokens` set (s = 333, u = 1,000) from 170-194 to 40-59 ms;
+    `clusters` (s <= 50, u = 10,000) gathers, as before.
     """
     window = -(-5 * u // s)
     window = -(-window // 8) * 8
@@ -219,14 +222,14 @@ def _first_hits(members: np.ndarray, order: np.ndarray, window: int) -> np.ndarr
         cells |= positions
         chunk = cells.min(axis=1)
         first[f:f + step] = chunk
-        fns, cols = np.divmod(np.flatnonzero(chunk == 0xFF), k)
-        fns += f
+        rows, cols = np.divmod(np.flatnonzero(chunk == 0xFF), k)
+        rows += f
         start = window
-        while fns.size:
-            hit = miss[order[fns, start:start + window], cols[:, None]] == 0
+        while rows.size:
+            hit = miss[order[rows, start:start + window], cols[:, None]] == 0
             found = hit.any(axis=1)
-            first[fns[found], cols[found]] = start + hit[found].argmax(axis=1)
-            fns, cols = fns[~found], cols[~found]
+            first[rows[found], cols[found]] = start + hit[found].argmax(axis=1)
+            rows, cols = rows[~found], cols[~found]
             start += window
     return first
 
