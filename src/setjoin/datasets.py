@@ -6,11 +6,18 @@ dense in [0, d) and ordered by ascending global frequency (ties by original
 id), records sorted by size then lexicographically, tokens sorted within each
 record.
 
-Records are validated one dtype at a time and laid end to end as uint32
-tokens with per-record lengths; `from_records`, `load` and the generators all
-build from that flat form in whole-array passes, with no per-record loop:
+Records are concatenated once and checked by their least and largest
+token, and laid end to end as uint32 tokens with per-record lengths; only
+input that fails that check, or whose dtypes numpy cannot join into an
+integer one, is checked a dtype at a time, to name its first bad record.
+`from_records`, `load` and the generators all build from that flat form in
+whole-array passes, with no per-record loop. The three key sorts (one in
+pass 1, two in pass 3) pack two halves, `(high << shift) | low`, into
+uint32 where the halves' bounds (the record count, the largest token and
+the number of distinct ids) fit in 32 bits together, and into uint64
+otherwise:
 
-1. One sort of `(record << 32) | token` keys sorts each record and drops
+1. One sort of `(record, token)` keys sorts each record and drops
    repeated tokens; records left with fewer than two tokens are dropped.
 2. Duplicate records are found per size, as the rows of a `(k, size)` block
    viewed as one big-endian void value each; the first occurrence keeps the
@@ -151,17 +158,35 @@ def _check_record(arr: np.ndarray, where: str) -> None:
 def _flatten(records) -> tuple[np.ndarray, np.ndarray]:
     """Validate records and lay them end to end: (tokens uint32, lengths).
 
-    The records of each dtype are checked in one pass; the earliest record
-    holding a bad token of any kind raises, worded by `_check_record`.
+    Records of integer dtypes that numpy joins into an integer dtype are
+    concatenated once and checked by their least and largest token. Any
+    other input (a bad token, a non-integer record, or int64 records mixed
+    with uint64 ones, which numpy joins as float64) takes `_check_dtypes`.
     """
     arrays = [np.asarray(r).ravel() for r in records]
     lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
-    dtypes = np.array([a.dtype for a in arrays], dtype=object)
+    dtypes = {a.dtype for a in arrays if a.size}
+    if all(dtype.kind in "ui" for dtype in dtypes):
+        common = np.result_type(np.uint32, *dtypes)
+        if common.kind in "ui" and arrays:
+            flat = np.concatenate(arrays, dtype=common, casting="unsafe")
+            if not flat.size or ((common.kind == "u" or flat.min() >= 0)
+                                 and flat.max() <= _MAX_TOKEN):
+                return flat.astype(np.uint32, copy=False), lengths
+    if not arrays:
+        return np.zeros(0, dtype=np.uint32), lengths
+    _check_dtypes(arrays, lengths)
+    # Every token is now in [0, 2^32), so each record casts straight to uint32.
+    return np.concatenate(arrays, dtype=np.uint32, casting="unsafe"), lengths
+
+
+def _check_dtypes(arrays: list, lengths: np.ndarray) -> None:
+    """Check the non-empty records one dtype at a time, each dtype's in one
+    pass; the earliest record holding a bad token of any kind raises, worded
+    by `_check_record`."""
     first_bad = len(arrays)
-    for dtype in dict.fromkeys(dtypes):  # in order of first appearance
-        members = np.flatnonzero((dtypes == dtype) & (lengths > 0))
-        if not members.size:
-            continue
+    for dtype in dict.fromkeys(a.dtype for a in arrays if a.size):  # in order of first appearance
+        members = np.array([i for i, a in enumerate(arrays) if a.size and a.dtype == dtype])
         if dtype.kind not in "ui":
             first_bad = min(first_bad, members[0])
             continue
@@ -174,21 +199,26 @@ def _flatten(records) -> tuple[np.ndarray, np.ndarray]:
             first_bad = min(first_bad, members[np.searchsorted(ends, bad.argmax(), side="right")])
     if first_bad < len(arrays):
         _check_record(arrays[first_bad], f"record {first_bad}")
-    if not arrays:
-        return np.zeros(0, dtype=np.uint32), lengths
-    # Every token is now in [0, 2^32), so each record casts straight to
-    # uint32; a plain concatenate of int64 and uint64 records would go
-    # through float64.
-    return np.concatenate(arrays, dtype=np.uint32, casting="unsafe"), lengths
 
 
-def _key_sort(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """The keys `(high << 32) | low` of 32-bit halves, ascending. Casting a key
-    to uint32 gives back its low half."""
-    keys = high.astype(np.uint64) << np.uint64(32)
+def _key_sort(high: np.ndarray, low: np.ndarray, high_max: int,
+              low_max: int) -> tuple[np.ndarray, int]:
+    """The keys `(high << shift) | low` ascending, and `shift`, the bit length
+    of `low_max`; the keys are uint32 where `high_max` and `low_max` fit in
+    32 bits together, else uint64. `keys >> shift` gives back the high
+    halves and `_low(keys, shift)` the low ones. Narrow keys halve the bytes
+    every pass over them moves, and sort in about half the time."""
+    shift = int(low_max).bit_length()
+    dtype = np.uint32 if int(high_max).bit_length() + shift <= 32 else np.uint64
+    keys = np.left_shift(high, shift, dtype=dtype, casting="unsafe")
     keys |= low
     keys.sort()
-    return keys
+    return keys, shift
+
+
+def _low(keys: np.ndarray, shift: int) -> np.ndarray:
+    """The low halves, uint32, of keys from `_key_sort`."""
+    return np.bitwise_and(keys, (1 << shift) - 1, dtype=np.uint32, casting="unsafe")
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,12 +246,13 @@ def _build(tokens: np.ndarray, lengths: np.ndarray, canonical: bool, provenance:
     n_in = lengths.size
     index_map = np.full(n_in, -1, dtype=np.int64)
     # Pass 1: sort each record, drop repeated tokens and small records.
-    keys = _key_sort(np.repeat(np.arange(n_in), lengths), tokens)
+    top = int(tokens.max()) if tokens.size else 0  # largest token, bounding every id
+    keys, shift = _key_sort(np.repeat(np.arange(n_in), lengths), tokens, n_in - 1, top)
     repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    sizes = lengths - np.bincount((keys[repeats] >> np.uint64(32)).astype(np.intp), minlength=n_in)
+    sizes = lengths - np.bincount((keys[repeats] >> shift).astype(np.intp), minlength=n_in)
     keys = np.delete(keys, repeats)
     big = sizes >= 2
-    tokens = keys[np.repeat(big, sizes)].astype(np.uint32)
+    tokens = _low(keys[np.repeat(big, sizes)], shift)
     kept = np.flatnonzero(big)
     sizes = sizes[kept]
     starts = np.cumsum(sizes) - sizes
@@ -251,17 +282,19 @@ def _build(tokens: np.ndarray, lengths: np.ndarray, canonical: bool, provenance:
     # the tokens by ascending count, ties by original id (lexsort: last key
     # primary). A record-major key sort then lays the records out by size,
     # in slot order within a size, each sorted on its new ids.
-    keys = _key_sort(tokens, np.repeat(np.arange(sizes.size, dtype=np.uint32), sizes))
-    ids = keys >> np.uint64(32)
+    m = sizes.size
+    keys, shift = _key_sort(tokens, np.repeat(np.arange(m, dtype=np.uint32), sizes), top, m - 1)
+    ids = keys >> shift
     starts, ends = _runs(ids)
     orig_ids, counts = ids[starts], ends - starts
     new_id = np.empty(orig_ids.size, dtype=np.uint32)
     new_id[np.lexsort((orig_ids, counts))] = np.arange(orig_ids.size, dtype=np.uint32)
     by_size = np.argsort(sizes, kind="stable")
-    place = np.empty(sizes.size, dtype=np.intp)
-    place[by_size] = np.arange(sizes.size)
-    keys = _key_sort(place[keys.astype(np.uint32)], np.repeat(new_id, counts))
-    tokens = keys.astype(np.uint32)
+    place = np.empty(m, dtype=np.intp)
+    place[by_size] = np.arange(m)
+    keys, shift = _key_sort(place[_low(keys, shift)], np.repeat(new_id, counts), m - 1,
+                            orig_ids.size - 1)
+    tokens = _low(keys, shift)
     sizes = sizes[by_size]
 
     # Pass 4: each size's records, now a contiguous (k, s) block, in

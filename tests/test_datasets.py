@@ -141,6 +141,48 @@ def test_from_records_mixes_int64_and_uint64_records_exactly():
         _assert_matches_reference(records, canonical)
 
 
+
+def _ring(top):
+    """Records {i, i + 1} for i < 2^16, wrapping to 0 at `top` + 1, shuffled:
+    2^16 records of 2^16 or 2^16 + 1 ids."""
+    ids = np.arange(2 ** 16)
+    records = np.stack([ids, (ids + 1) % (top + 1)], axis=1)
+    return list(np.random.default_rng(top).permutation(records))
+
+
+_T30 = 2 ** 30 - 1  # 30 bits; one more is 31
+
+
+# Each `_key_sort` packs its (high, low) halves into uint32 keys when their
+# bit lengths (the high and low maxima the build passes) add up to 32 at
+# most. The sorts are record-major over the input (input index, token),
+# token-major (token, record slot) and record-major over the output (place,
+# new id); a raw build runs the first only.
+@pytest.mark.parametrize("records, widths", [
+    # 4 records: index 3 has 2 bits, record slot 3 has 2, ids 0..4 have 3
+    ([[i, _T30] for i in range(4)], (32, 32, 5)),
+    ([[i, _T30 + 1] for i in range(4)], (33, 33, 5)),
+    # 2^16 records over 2^16 ids: every sort 16 + 16 bits; then one id more
+    (_ring(2 ** 16 - 1), (32, 32, 32)),
+    (_ring(2 ** 16), (33, 33, 33)),
+    # the widest token: one record's keys are its tokens shifted by 32
+    ([[5, 0xFFFFFFFF]], (32, 32, 1)),
+    ([np.array([0xFFFFFFFF, 1], dtype=np.uint64), [2, 0xFFFFFFFF, 1]], (33, 33, 3)),
+], ids=["small-32", "small-33", "ring-32", "ring-33", "top-id-one-record", "top-id"])
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+def test_key_width_switches_at_32_bits(records, widths, canonical, monkeypatch):
+    dtypes, key_sort = [], datasets._key_sort
+
+    def spy(*args):
+        keys, shift = key_sort(*args)
+        dtypes.append(keys.dtype)
+        return keys, shift
+
+    monkeypatch.setattr(datasets, "_key_sort", spy)
+    _assert_matches_reference(records, canonical)
+    want = [np.uint32 if w <= 32 else np.uint64 for w in widths]
+    assert dtypes == (want if canonical else want[:1])
+
 def test_load_matches_from_records_across_line_endings(tmp_path):
     p = tmp_path / "sets.txt"
     p.write_bytes(b"1 2 3\r\n  3\t2 1 \r\n\n4 4294967295\r5 6 7\n8")
