@@ -11,9 +11,17 @@ Each function's ranks over the universe are sorted into rank tables:
 and `pos[t, f]` the rank position of universe position t. The universe is
 [0, d) when it is no wider than the record tokens (always, for canonical
 data), and otherwise the distinct tokens that occur, which records then
-index by position. A record's MinHash under f is `order[f, r*]`, where r* is
-the least rank position it holds. Records of equal size are taken in
-blocks, and one rule (`_first_hit_window`) picks the kernel that finds r*:
+index by position. The sort runs on keys that hold a rank's high bits and
+the universe position in its low ones. Over [0, d) they come straight out
+of the byte-at-a-time expansion of the hash tables, once the tables' low
+bits are cleared, each byte's share of the position is ORed into its table,
+and every byte that is 0 over the whole universe is folded into byte 0's
+table; only a function whose keys tie on their high bits is ranked again in
+full. A record's MinHash under f is `order[f, r*]`, where r* is the least
+rank position it holds. Records of equal size are taken in blocks, and one
+rule (`_first_hit_window`) picks the kernel that finds r*, for every block
+before a chunk of functions builds its tables, so that `pos` is built only
+for a chunk in which some block gathers:
 
 - the gather kernel reads all s positions of each record, a minimum over a
   gathered (k, s, F) block;
@@ -49,7 +57,7 @@ import numpy as np
 from .datasets import Dataset
 from .minhash import DEFAULT_SIG_LEN, MinHashFamily
 from .sketch import BITS_PER_MINHASH, DEFAULT_SKETCH_WORDS, SketchFamily
-from .tabulation import derive_seed, hash_keys
+from .tabulation import MASK64, derive_seed, hash_keys
 
 _SIG_TAG = 0x707369  # signature family seed
 _SK_TAG = 0x70736B  # sketch family seed
@@ -137,16 +145,23 @@ def _minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
     values = None
     step = max(1, _UNIVERSE_CELL_CAP // max(size, 1))
     for f in range(0, len(tables), step):
-        order, pos = _rank_tables(tables[f:f + step], size, universe)
-        if values is None:  # allocated after the first tables, not under them
-            values = np.empty((len(tables), data.n), dtype=np.uint32)
-        out = values[f:f + len(order)]
+        fns = min(step, len(tables) - f)
+        # (start, end, record size, block, first-hit window) per size, chosen
+        # first, so that only a chunk with a gathering block inverts `order`
+        plan = []
         for start, end in zip(starts, np.append(starts[1:], data.n)):
             s = int(sizes[start])
             block = min(end - start, max(1, _BLOCK_CELLS // size))
-            window = _first_hit_window(s, size, len(order), block)
+            window = _first_hit_window(s, size, fns, block)
             if not window:
-                block = max(1, _BLOCK_CELLS // (s * len(order)))
+                block = max(1, _BLOCK_CELLS // (s * fns))
+            plan.append((start, end, s, block, window))
+        order, pos = _rank_tables(tables[f:f + fns], size, universe,
+                                  inverse=not all(window for *_, window in plan))
+        if values is None:  # allocated after the first tables, not under them
+            values = np.empty((len(tables), data.n), dtype=np.uint32)
+        out = values[f:f + fns]
+        for start, end, s, block, window in plan:
             for b in range(start, end, block):
                 ids = by_size[b:min(b + block, end)]
                 if ids[-1] - ids[0] == len(ids) - 1:  # consecutive, as canonical data is
@@ -234,54 +249,74 @@ def _first_hits(members: np.ndarray, order: np.ndarray, window: int) -> np.ndarr
     return first
 
 
-def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None):
+def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None, inverse: bool):
     """Rank tables of the stacked functions over `size` tokens: [0, size), or
     the sorted tokens of `universe` when one is given.
 
     Returns `order` (F, size), the universe positions in ascending rank
-    under each function, and its inverse `pos` (size, F), the rank position
-    of each universe position.
+    under each function, and, where `inverse` is set, its inverse `pos`
+    (size, F), the rank position of each universe position (else None).
     Tokens of equal 64-bit rank sit in ascending token order, the tie-break
     `argmin` gives on an ascending record.
+
+    Each function is sorted on keys: its 64-bit ranks with the low bits
+    (`token_mask`) replaced by the universe position, which sort by rank,
+    and by position where the high bits tie. Tabulation hashing XORs one
+    table entry per key byte, so clearing those bits in the tables clears
+    them in every rank. Over [0, size), entry c of byte j's table then also
+    holds c << 8j, that byte's share of the position, and the expansion
+    (`_universe_ranks`) gives the keys themselves; over `universe`, the
+    position is ORed into the hashes. A row where two neighbouring keys
+    share their high bits is sorted again on its full ranks, stably. `pos`
+    is scattered a row at a time.
     """
     dtype = np.uint16 if size <= 2 ** 16 else np.uint32
     fns = len(tables)
     order = np.empty((fns, size), dtype=dtype)
-    pos = np.empty((size, fns), dtype=dtype)
-    index = np.arange(size, dtype=np.uint64)
-    positions = np.arange(size, dtype=dtype)[None, :]
-    token_mask = np.uint64((1 << max(size - 1, 1).bit_length()) - 1)
+    pos = np.empty((size, fns), dtype=dtype) if inverse else None
+    positions = np.arange(size, dtype=dtype)
+    token_mask = (1 << max(size - 1, 1).bit_length()) - 1
+    keyed = tables & np.uint64(~token_mask & MASK64)
+    if universe is None:
+        shares = np.arange(256, dtype=np.uint64) << np.arange(0, 32, 8, dtype=np.uint64)[:, None]
+        keyed |= shares
     step = max(1, min(64, _RANK_CHUNK_CELLS // max(size, 1)))
-    row_offsets = np.arange(step, dtype=np.intp)[:, None] * size
     for f in range(0, fns, step):
         chunk = slice(f, min(f + step, fns))
         if universe is None:
-            ranks = _universe_ranks(tables[chunk], size)
+            keys = _universe_ranks(keyed[chunk], size)
         else:
             # C-ordered, so that the key sort below runs on contiguous rows
-            ranks = np.ascontiguousarray(hash_keys(tables[chunk], universe))
-        # A rank with its low bits replaced by the universe position sorts by
-        # rank, and by token where the high bits tie. A row where two neighbours
-        # share their high bits is sorted again on the full rank, stably.
-        keys = (ranks & ~token_mask) | index
+            keys = np.ascontiguousarray(hash_keys(keyed[chunk], universe))
+            keys |= positions
         keys.sort(axis=1)
-        perm = (keys & token_mask).astype(dtype)
         near = np.flatnonzero(((keys[:, 1:] ^ keys[:, :-1]) <= token_mask).any(axis=1))
+        perm = keys.astype(dtype)
+        perm &= dtype(token_mask)
         if near.size:
-            perm[near] = np.argsort(ranks[near], axis=1, kind="stable")
+            full = tables[chunk][near]
+            ranks = _universe_ranks(full, size) if universe is None else hash_keys(full, universe)
+            perm[near] = np.argsort(ranks, axis=1, kind="stable")
         order[chunk] = perm
-        inverse = np.empty(perm.size, dtype=dtype)
-        inverse[perm + row_offsets[:len(perm)]] = positions
-        pos[:, chunk] = inverse.reshape(perm.shape).T
+        if pos is not None:
+            rank_of = np.empty_like(perm)
+            for r, row in enumerate(perm):
+                rank_of[r, row.astype(np.intp)] = positions  # faster than a uint16 index
+            pos[:, chunk] = rank_of.T
     return order, pos
 
 
 def _universe_ranks(tables: np.ndarray, d: int) -> np.ndarray:
     """Hash ranks (F, d) of the tokens [0, d), built a key byte at a time: each
-    entry of byte j's table XORed with the ranks of every lower-byte key."""
+    entry of byte j's table XORed with the ranks of every lower-byte key. A
+    byte that is 0 for every token of [0, d) adds one entry to every rank,
+    so it is folded into byte 0's table first."""
     h = tables[:, 0, :]
     for j in (1, 2, 3):
-        count = min(256, -(-d // 256 ** j))
-        h = (tables[:, j, :count, None] ^ h[:, None, :]).reshape(len(tables), -1)
+        if d <= 256 ** j:
+            h = h ^ tables[:, j, :1]
+    for j in (1, 2, 3):
+        if d > 256 ** j:
+            count = min(256, -(-d // 256 ** j))
+            h = (tables[:, j, :count, None] ^ h[:, None, :]).reshape(len(tables), -1)
     return h[:, :d]
-

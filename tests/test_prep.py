@@ -12,7 +12,7 @@ from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
 from setjoin.minhash import MinHashFamily
 from setjoin.prep import _SIG_TAG, _SK_TAG, _UNIVERSE_CELL_CAP, preprocess
 from setjoin.sketch import SketchFamily
-from setjoin.tabulation import derive_seed, hash_keys
+from setjoin.tabulation import derive_seed, hash_keys, table_tensor
 
 
 def families(prep):
@@ -143,6 +143,25 @@ def test_digest_cases_cover_their_regimes(monkeypatch):
     tokens = _tokens()
     assert len(_first_hit_records(monkeypatch, tokens, 128, 8, 7)) == tokens.n
     assert _first_hit_records(monkeypatch, _mixed(), 64, 4, 2) == []
+
+
+def test_only_a_chunk_with_a_gathering_block_inverts_its_rank_tables(monkeypatch):
+    built, rank_tables = [], prep_module._rank_tables
+
+    def spy(*args, **kwargs):
+        order, pos = rank_tables(*args, **kwargs)
+        built.append(pos is not None)
+        return order, pos
+
+    monkeypatch.setattr(prep_module, "_rank_tables", spy)
+    data = _tokens()
+    p = preprocess(data, sig_len=128, sketch_words=8, seed=7)
+    assert built == [False]  # every `_tokens` block takes the first-hit kernel
+    assert (hashlib.sha256(p.sig.tobytes()).hexdigest(),
+            hashlib.sha256(p.sketches.tobytes()).hexdigest()) == _TOKENS_DIGEST
+    built.clear()
+    preprocess(_mixed(), sig_len=64, sketch_words=4, seed=2)
+    assert built == [True]
 
 
 # The kernel rule's constant, patched to send every block to one kernel.
@@ -284,3 +303,45 @@ def test_ranks_are_hashed_per_chunk_of_functions_not_per_record(monkeypatch):
     preprocess(sparse)
     assert sum(calls) == 128 + 128
     assert 0 < len(calls) < sparse.n
+
+
+def _spanning(u):
+    """Raw records over [0, u) holding at least u tokens, so that the rank
+    tables span [0, u) itself, byte table by byte table."""
+    rng = np.random.default_rng(u)
+    s = min(u, 40 if u < 1000 else 1000)
+    records = [rng.choice(u, size=s, replace=False) for _ in range(-(-u // s) + 2)]
+    return Dataset.from_records(records + [[0, u - 1]], canonical=False)
+
+
+# Universe sizes around each byte a rank key folds (byte 1 varies from 257
+# positions on, byte 2 from 65,537) and the uint16 / uint32 table boundary.
+@pytest.mark.parametrize("u", [1, 2, 255, 256, 257, 2 ** 16, 2 ** 16 + 1])
+def test_folded_rank_keys_at_byte_boundaries(u):
+    tables = table_tensor(np.arange(3, dtype=np.uint64) + np.uint64(u))
+    order, pos = prep_module._rank_tables(tables, u, None, inverse=True)
+    ranks = hash_keys(tables, np.arange(u))
+    assert order.dtype == (np.uint16 if u <= 2 ** 16 else np.uint32)
+    assert np.array_equal(order, np.argsort(ranks, axis=1, kind="stable"))
+    assert np.array_equal(pos.T, np.argsort(order, axis=1))
+    if u > 1:  # a record holds two tokens, so no dataset spans one
+        data = _spanning(u)
+        assert data.d == u <= data.tokens.size
+        _check_against_families(preprocess(data, sig_len=16, sketch_words=1, seed=u))
+
+
+def test_clusters_shaped_preprocess_keeps_its_peak_under_32_mib():
+    # Uniform sets of about 30 tokens over d = 10^4, shaped like the `clusters`
+    # benchmark's background: every block gathers, so the one chunk of 256
+    # functions builds `order` and its inverse. The peak reads 28.7 MB; rank
+    # tables built with a separate uint64 rank array, masked keys and an intp
+    # scatter index peak at 35.9 MB, above the bound.
+    data = gen_uniform(2000, 30, 10_000, seed=0)
+    assert data.d <= data.tokens.size and (128 + 128) * data.d <= _UNIVERSE_CELL_CAP
+    tracemalloc.start()
+    try:
+        preprocess(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
