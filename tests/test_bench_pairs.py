@@ -40,6 +40,7 @@ def test_pairs_alternate_which_revision_runs_first(monkeypatch, tmp_path):
     assert tokens["gain"]["cps_join_s"] is True and tokens["gain"]["cps_recall"] is False
     assert tokens["head"]["quartiles"]["cps_join_s"] == [0.5, 0.5]
     assert tokens["head"]["fingerprints"] == [{"cpsjoin": "head"}]
+    assert tokens["fingerprints_equal"] is False
 
 
 def test_rejects_an_empty_run(tmp_path):
@@ -68,3 +69,16 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_shift_past_the_base_iqr(head,
     assert out["gain"]["setup_s"] is gain
     # the same samples read as a loss where higher is better
     assert bench_pairs.summarize(_runs(base, head), {"setup_s": "higher"})["gain"]["setup_s"] is False
+
+
+def test_fingerprints_are_equal_only_when_both_sides_report_the_same_set():
+    def runs(base, head):
+        return {side: [{"metrics": {"setup_s": 1.0}, "failed": 0, "fingerprints": f} for f in fps]
+                for side, fps in (("base", base), ("head", head))}
+
+    same = {"cpsjoin": "ab12", "lsh": "cd34"}
+    moved = {"cpsjoin": "ab12", "lsh": "ef56"}
+    assert bench_pairs.summarize(runs([same, same], [same, same]),
+                                 {"setup_s": "lower"})["fingerprints_equal"] is True
+    assert bench_pairs.summarize(runs([same, same], [same, moved]),
+                                 {"setup_s": "lower"})["fingerprints_equal"] is False

@@ -12,8 +12,10 @@ pair (base first in even pairs, head first in odd ones), so that neither
 side always runs on the heap and caches the other left behind.
 
 The output file holds, per workload and revision, every end-to-end sample,
-their medians and quartiles and the join fingerprints the runs reported; per
-metric, the relative change of the medians (head against base), the number
+their medians and quartiles and the join fingerprints the runs reported;
+per workload, whether both revisions reported the same fingerprints
+(`fingerprints_equal`, which a change meant to keep behaviour must show);
+per metric, the relative change of the medians (head against base), the number
 of pairs in which head was better, in the direction `BENCHMARK.json` gives,
 and whether head shows a gain: it was better in at least nine tenths of the
 pairs, ties counting for neither, and its median lies beyond base's by more
@@ -72,8 +74,9 @@ def quartiles(values: list) -> list:
 
 
 def summarize(runs: dict, metrics: dict) -> dict:
-    """Samples, medians, quartiles and fingerprints per side; per metric the
-    change of the medians, the pairs head won and whether that is a gain."""
+    """Samples, medians, quartiles and fingerprints per side; whether the
+    sides' fingerprints are equal; per metric the change of the medians, the
+    pairs head won and whether that is a gain."""
     out = {}
     for side, samples in runs.items():
         values = {m: [s["metrics"][m] for s in samples] for m in metrics}
@@ -84,6 +87,7 @@ def summarize(runs: dict, metrics: dict) -> dict:
                      "failed": sum(s["failed"] for s in samples),
                      "fingerprints": [json.loads(f) for f in fingerprints]}
     base, head = out["base"], out["head"]
+    out["fingerprints_equal"] = base["fingerprints"] == head["fingerprints"]
     out["change"] = {m: head["median"][m] / base["median"][m] - 1 if base["median"][m] else None
                      for m in metrics}
     out["head_better_pairs"] = {
