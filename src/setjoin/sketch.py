@@ -76,20 +76,25 @@ class SketchFamily:
         function j's hash of its j-th value.
 
         The values are hashed a block of rows (`_NIBBLE_CELLS` values) at a
-        time, one flat gather per key byte.
+        time, one flat gather per key byte. A byte that is 0 in every value
+        (bytes 2 and 3 when every value is below 2^16, as over a canonical
+        universe of at most 2^16 ids) adds the same entry to every hash of a
+        row, so it is XORed in once per row instead of gathered.
         """
         m, n = values.shape
         flat = self.bit_tables.reshape(-1)
+        top = int(values.max()) if values.size else 0
+        gathered = max(1, -(-top.bit_length() // 8))  # bytes 0 .. gathered - 1 vary
         nibbles = np.empty((m, n), dtype=np.uint8)
         step = max(1, _NIBBLE_CELLS // max(n, 1))
         for r in range(0, m, step):
             v = values[r:r + step].astype(np.intp)
             base = np.arange(r, r + len(v))[:, None] * 1024  # row r's byte-0 table
             nib = flat.take(base + (v & 0xFF))
-            nib ^= flat.take(base + 256 + ((v >> 8) & 0xFF))
-            nib ^= flat.take(base + 512 + ((v >> 16) & 0xFF))
-            nib ^= flat.take(base + 768 + (v >> 24))
+            for j in range(1, gathered):
+                nib ^= flat.take(base + 256 * j + ((v >> 8 * j) & 0xFF))
             nibbles[r:r + len(v)] = nib
+        nibbles ^= np.bitwise_xor.reduce(self.bit_tables[:m, gathered:, 0], axis=1)[:, None]
         # byte j of a sketch holds MinHash 2j in its low nibble, 2j + 1 in its high one
         packed = nibbles[0::2] | (nibbles[1::2] << 4)
         return np.ascontiguousarray(packed.T).view("<u8")

@@ -96,6 +96,23 @@ def test_sketch_bits_come_from_bit_hashed_minhash_values():
         assert (word >> i) & 1 == want
 
 
+
+# Largest MinHash values around each byte boundary: the bytes above the
+# largest value's are folded in per row, not gathered.
+@pytest.mark.parametrize("top", [0, 255, 256, 2 ** 16 - 1, 2 ** 16, 2 ** 24 - 1, 2 ** 24,
+                                 0xFFFFFFFF])
+def test_sketch_bits_of_values_of_every_width(top):
+    fam = SketchFamily(words=1, seed=3)
+    bit_seeds = function_seeds(derive_seed(3, _BIT_TAG), 16)
+    values = np.random.default_rng(top).integers(0, top + 1, size=(16, 4), dtype=np.uint64)
+    values[3, 2] = top
+    sketches = fam.from_minhashes(values.astype(np.uint32))
+    for c in range(4):
+        word = int(sketches[c, 0])
+        for i in range(64):
+            want = (_tab_hash(int(bit_seeds[i // 4]), int(values[i // 4, c])) >> (i % 4)) & 1
+            assert (word >> i) & 1 == want
+
 def test_estimate_is_unbiased_at_known_jaccard():
     a, b, j = _pair(4, 2, 2)  # J = 0.5
     ests = []
