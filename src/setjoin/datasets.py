@@ -165,16 +165,16 @@ def _flatten(records) -> tuple[np.ndarray, np.ndarray]:
     """
     arrays = [np.asarray(r).ravel() for r in records]
     lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    if not arrays:
+        return np.zeros(0, dtype=np.uint32), lengths
     dtypes = {a.dtype for a in arrays if a.size}
     if all(dtype.kind in "ui" for dtype in dtypes):
         common = np.result_type(np.uint32, *dtypes)
-        if common.kind in "ui" and arrays:
+        if common.kind in "ui":
             flat = np.concatenate(arrays, dtype=common, casting="unsafe")
             if not flat.size or ((common.kind == "u" or flat.min() >= 0)
                                  and flat.max() <= _MAX_TOKEN):
                 return flat.astype(np.uint32, copy=False), lengths
-    if not arrays:
-        return np.zeros(0, dtype=np.uint32), lengths
     _check_dtypes(arrays, lengths)
     # Every token is now in [0, 2^32), so each record casts straight to uint32.
     return np.concatenate(arrays, dtype=np.uint32, casting="unsafe"), lengths

@@ -141,7 +141,6 @@ def test_from_records_mixes_int64_and_uint64_records_exactly():
         _assert_matches_reference(records, canonical)
 
 
-
 def _ring(top):
     """Records {i, i + 1} for i < 2^16, wrapping to 0 at `top` + 1, shuffled:
     2^16 records of 2^16 or 2^16 + 1 ids."""
@@ -182,6 +181,7 @@ def test_key_width_switches_at_32_bits(records, widths, canonical, monkeypatch):
     _assert_matches_reference(records, canonical)
     want = [np.uint32 if w <= 32 else np.uint64 for w in widths]
     assert dtypes == (want if canonical else want[:1])
+
 
 def test_load_matches_from_records_across_line_endings(tmp_path):
     p = tmp_path / "sets.txt"
