@@ -9,7 +9,8 @@ defaults to the algorithm's own: `CpsConfig.recall_target` for CPSJoin,
 `LshConfig.recall_target` for LSH. Without the oracle each join keeps its own
 stop rule: CPSJoin stops where its kernel's capture-recapture estimate
 (`cpsjoin.estimated_recall`) reaches the target, LSH runs its full budget.
-Join time sums CPSJoin's key-width choice and the per-repetition times
+Join time sums the key-width choice (CPSJoin's width, LSH's k and
+repetition count) and the per-repetition times
 (`JoinStats.key_width_s` and `repetition_s`), so it leaves out the recall
 checks; embedding/sketching time is its own column and the oracle is never
 timed into either. A row summarizes all trials: times are
@@ -159,19 +160,21 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
         for t, (lam, exact) in enumerate(zip(spec.thresholds, exacts)):
             cfg = _approximate_config(spec, lam, trial_seed)
             if spec.algorithm == "cpsjoin":
-                reps, stop = cfg.reps, cps.estimate_reaches(target)
+                stop = cps.estimate_reaches(target)
                 run_rep = lambda r, kernel: cps.repetition_codes(prep, cfg, r, kernel)
-                choose = lambda kernel: cps.choose_key_width(prep, cfg, kernel)
-                extra = {"limit": spec.limit, "eps": spec.eps, "reps": reps}
+                plan = lambda kernel: (cps.choose_key_width(prep, cfg, kernel), cfg.reps)
+                extra = {"limit": spec.limit, "eps": spec.eps, "reps": cfg.reps}
             else:
-                k, reps = mlsh.resolve_params(prep, cfg)
                 stop = lambda kernel: False
-                run_rep = lambda r, kernel: mlsh.repetition_codes(prep, cfg, k, r, kernel)
-                choose = None
-                extra = {"k": k, "reps": reps}
+                run_rep = lambda r, kernel: mlsh.repetition_codes(prep, cfg, r, kernel)
+                extra = {}
+
+                def plan(kernel):
+                    extra["k"], extra["reps"] = mlsh.resolve_params(prep, cfg)
+                    return extra["k"], extra["reps"]
             if exact is not None:
                 stop = lambda kernel: _recall(kernel.codes(), exact) >= target
-            pairs, stats = cps.run_repetitions(prep, cfg, reps, run_rep, stop, choose)
+            pairs, stats = cps.run_repetitions(prep, cfg, plan, run_rep, stop)
             trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
                 join_time_s=stats.key_width_s + sum(stats.repetition_s),

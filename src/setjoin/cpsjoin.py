@@ -331,26 +331,32 @@ def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray
            seeds: np.ndarray, width: int):
     """Split the buckets laid end to end in `ids`, with sizes `sizes` and
     seeds `seeds`, by the records' signatures `sig`, into the next depth's
-    (ids, sizes, seeds): one row per (bucket, sampled coordinate) holds the
-    bucket's records in order, one stable sort by (row, key value) groups
-    them, and each group of two or more records is a child.
-
-    A row's key is `width` coordinates: the sampled one, c, then
-    `width - 1` more drawn uniformly from (bucket seed, c) by `_key_coords`,
-    sampled at `coordinate_mask`'s rate for that width. At width 1 the key
-    value is the signature value at c, the one-coordinate split bit for bit;
-    wider keys fold their values into the same 32-bit slot (`_fold`), where
-    a collision only merges two children.
-    """
+    (ids, sizes, seeds): each bucket samples coordinates at
+    `coordinate_mask`'s rate for `width`, and `split_rows` keys one row per
+    (bucket, sampled coordinate)."""
     node, coord = np.nonzero(coordinate_mask(
         splitmix64_array(seeds, _MASK_TAG)[:, None], sig.shape[1], threshold, width))
+    return split_rows(sig, ids, sizes, seeds, node, coord, width)
+
+
+def split_rows(sig: np.ndarray, ids: np.ndarray, sizes: np.ndarray, seeds: np.ndarray,
+               node: np.ndarray, coord: np.ndarray, width: int):
+    """The children, laid end to end as (ids, sizes, seeds), of the rows
+    (node[r], coord[r]) of the buckets laid end to end in `ids`, with sizes
+    `sizes` and seeds `seeds`: row r holds bucket node[r]'s records in
+    order, one stable sort by (row, key value) groups them, and each group of
+    two or more records is a child. Row r's key is `width` coordinates,
+    coord[r] and `width - 1` more drawn from (bucket seed, coord[r]) by
+    `_key_coords`, folded by `bucket_keys`. Both approximate joins group
+    records by key here and nowhere else.
+    """
     row_sizes = sizes[node]
     shift = (np.cumsum(sizes) - sizes)[node] - (np.cumsum(row_sizes) - row_sizes)
     ids = ids[np.arange(row_sizes.sum()) + np.repeat(shift, row_sizes)]  # node[r]'s, in row r
     at = ids * sig.shape[1]  # each entry's signature, in the flat signature array
     flat = sig.reshape(-1)
-    key = _fold([flat[at + np.repeat(c, row_sizes)]
-                 for c in _key_coords(seeds[node], coord, width, sig.shape[1]).T])
+    key = bucket_keys([flat[at + np.repeat(c, row_sizes)]
+                       for c in _key_coords(seeds[node], coord, width, sig.shape[1]).T])
     # key values fit 32 bits, so (row, value) fits one sort key
     key |= np.repeat(np.arange(node.size, dtype=np.uint64) << np.uint64(32), row_sizes)
     order = _stable_order(key, 32 + int(node.size - 1).bit_length())
@@ -394,10 +400,11 @@ def _key_coords(seeds: np.ndarray, coord: np.ndarray, width: int, sig_len: int) 
     return np.column_stack([coord, extra % np.uint64(sig_len)]).astype(np.intp)
 
 
-def _fold(columns) -> np.ndarray:
-    """One 32-bit value, as uint64, per entry of the key's 32-bit signature
-    value `columns`: the value itself for one column, else the high half of
-    a multiply-add fold of them all."""
+def bucket_keys(columns) -> np.ndarray:
+    """One 32-bit bucket key, as uint64, per entry of the key's 32-bit
+    signature value `columns`: the value itself for one column, else the
+    high half of a multiply-add fold of them all, where a collision of two
+    keys only merges their buckets."""
     out = columns[0].astype(np.uint64)
     if len(columns) == 1:
         return out
@@ -453,39 +460,36 @@ def choose_key_width(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel) ->
     if n <= cfg.limit or len(widths) == 1 or cfg.threshold == 1.0:
         return 1
     seed = derive_seed(cfg.seed, _WIDTH_TAG)
-    coord = np.array([splitmix64(seed, 0) % sig_len])
-    coords = _key_coords(np.array([seed], dtype=np.uint64), coord, widths[-1], sig_len)[0]
+    root = (np.arange(n, dtype=np.int64), np.array([n]), np.array([seed], dtype=np.uint64),
+            np.zeros(1, dtype=np.intp), np.array([splitmix64(seed, 0) % sig_len]))
     uniforms = (splitmix64_array(seed, np.arange(1, 3 * _WIDTH_SAMPLE + 1, dtype=np.uint64))
                 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    columns = np.ascontiguousarray(prep.sig[:, coords].T, dtype=np.uint64)
-    costs = [min(sig_len, cfg.threshold ** -k) * _row_cost(kernel, columns[:k], cfg.limit, uniforms)
-             for k in widths]
+    costs = []
+    for k in widths:
+        ids, sizes, _ = split_rows(prep.sig, *root, k)
+        costs.append(min(sig_len, cfg.threshold ** -k)
+                     * _row_cost(kernel, ids, sizes, k, cfg.limit, uniforms))
     return widths[int(np.argmin(costs))]
 
 
-def _row_cost(kernel: CandidateKernel, columns, limit: int, uniforms: np.ndarray) -> float:
-    """`choose_key_width`'s cost of one root row keyed on the signature
-    value `columns`, before the factor R(k)."""
-    n, k = columns[0].size, len(columns)
-    key = _fold(columns)
-    order = _stable_order(key, 32)
-    key = key[order]
-    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    sizes = np.diff(np.append(first, n))
+def _row_cost(kernel: CandidateKernel, ids: np.ndarray, sizes: np.ndarray, width: int,
+              limit: int, uniforms: np.ndarray) -> float:
+    """`choose_key_width`'s cost, before the factor R(k), of one root row
+    keyed on `width` coordinates, from its `split_rows` children."""
     deep = int(sizes[sizes > limit].sum())
     pairs = np.cumsum(np.where(sizes <= limit, sizes * (sizes - 1) // 2, 0))
-    total = int(pairs[-1])
+    total = int(pairs[-1]) if pairs.size else 0
     candidates = 0.0
     if total:
         m = _WIDTH_SAMPLE
         child = np.searchsorted(pairs, np.sort(uniforms[:m]) * total, side="right")
-        size = sizes[child]
+        size, start = sizes[child], (np.cumsum(sizes) - sizes)[child]
         i = (uniforms[m:2 * m] * size).astype(np.int64)
         j = (uniforms[2 * m:] * (size - 1)).astype(np.int64)
         j += j >= i  # the other member, uniform over the rest of the child
-        a, _ = kernel.filter_pairs(order[first[child] + i], order[first[child] + j])
+        a, _ = kernel.filter_pairs(ids[start + i], ids[start + j])
         candidates = total * a.size / m
-    return total + candidates / 2 + deep * limit / 2 + (0.8 + 0.2 * k) * n
+    return total + candidates / 2 + deep * limit / 2 + (0.8 + 0.2 * width) * kernel.data.n
 
 
 def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
@@ -525,19 +529,18 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     return kernel.end_repetition()
 
 
-def run_repetitions(prep: Prepared, cfg, reps: int, one_repetition, stop, choose_width=None):
-    """Run `one_repetition(rep, kernel)` through one kernel until `stop(kernel)`
-    holds after one, or `reps` times, timing each call into `repetition_s`;
-    returns ((m, 2) pairs, JoinStats) of both approximate joins and `bench`.
-    A join that chooses its key width through the kernel passes
-    `choose_width(kernel)`, which runs first, timed into `key_width_s`."""
+def run_repetitions(prep: Prepared, cfg, plan, one_repetition, stop):
+    """Run both approximate joins and `bench` through one kernel: first
+    `plan(kernel)`, which returns the join's key width and repetition budget
+    and is timed into `key_width_s`, then `one_repetition(rep, kernel)` until
+    `stop(kernel)` holds after one, or the budget is spent, timing each call
+    into `repetition_s`; returns ((m, 2) pairs, JoinStats)."""
     stats = JoinStats(preprocess_s=prep.elapsed_s)
     t0 = time.perf_counter()
     kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
-    if choose_width is not None:
-        t = time.perf_counter()
-        stats.key_width = choose_width(kernel)
-        stats.key_width_s = time.perf_counter() - t
+    t = time.perf_counter()
+    stats.key_width, reps = plan(kernel)
+    stats.key_width_s = time.perf_counter() - t
     for rep in range(reps):
         t = time.perf_counter()
         one_repetition(rep, kernel)
@@ -567,10 +570,10 @@ def estimate_reaches(target: float | None):
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
     """Join an already-embedded dataset until `estimate_reaches(cfg.recall_target)`
     or after `cfg.reps` repetitions; returns ((m, 2) pairs, JoinStats)."""
-    return run_repetitions(prep, cfg, cfg.reps,
+    return run_repetitions(prep, cfg,
+                           lambda kernel: (choose_key_width(prep, cfg, kernel), cfg.reps),
                            lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
-                           estimate_reaches(cfg.recall_target),
-                           lambda kernel: choose_key_width(prep, cfg, kernel))
+                           estimate_reaches(cfg.recall_target))
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):

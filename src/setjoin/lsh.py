@@ -1,13 +1,13 @@
-"""MinHash LSH self-join: bucket by k signature positions, L repetitions.
+"""MinHash LSH self-join: bucket by k signature coordinates, L repetitions.
 
-A repetition samples k fresh signature positions (without replacement),
-buckets records by the tuple of values at those positions, and runs every pair
-inside each bucket through the candidate kernel it shares with CPSJoin. Two
-records with signature agreement fraction s collide in a repetition with
-probability close to s^k, so L = ceil(ln(1/(1-recall)) / threshold^k)
-repetitions give the target per-pair recall at the threshold. The number of
-signature positions in one bucket key (k) trades the repetition count against
-bucket sizes; it is tuned by costing one splitting pass per candidate k.
+A repetition is one row of CPSJoin's split (`cpsjoin.split_rows`) at the
+root, keyed on k coordinates drawn with replacement from its seed, with no
+depth below it; every pair inside each bucket runs through the candidate
+kernel both joins share. Two records whose signatures agree on a fraction s
+of the coordinates share a bucket with probability exactly s^k, so
+L = ceil(ln(1/(1-recall)) / threshold^k) repetitions give the target
+per-pair recall at the threshold. k trades the repetition count against
+bucket sizes; `choose_k` tunes it by costing one root row per candidate.
 """
 
 from __future__ import annotations
@@ -17,25 +17,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpsjoin import CandidateKernel, run_repetitions
+# joinbench's tracer wraps lsh.bucket_keys and lsh.unique_pairs; this module calls neither
+from .cpsjoin import bucket_keys  # noqa: F401
+from .cpsjoin import CandidateKernel, run_repetitions, split_rows
 from .datasets import Dataset
 from .prep import Prepared, check_join_params, preprocess
-from .stats import unique_pairs  # noqa: F401  joinbench's tracer wraps lsh.unique_pairs
-from .tabulation import derive_seed, splitmix64_array
+from .stats import unique_pairs  # noqa: F401
+from .tabulation import derive_seed, splitmix64
 
 _POS_TAG = 0x706F73
 _TUNE_TAG = 0x74756E
-_KEY_SALT = 0x6B657973616C74
 
 K_RANGE = range(2, 11)
 
 
 @dataclass(frozen=True)
 class LshConfig:
+    """Parameters of one MinHash LSH run. `k` is the number of coordinates in
+    each bucket key, tuned by `choose_k` when None; `reps` is the number of
+    repetitions, all of which run, `repetitions_for_recall` when None.
+    `recall_target` is the chance that a pair exactly at the threshold shares
+    a bucket in some repetition; pairs above it collide more often."""
+
     threshold: float
     recall_target: float = 0.9
-    k: int | None = None  # None: tune with choose_k
-    reps: int | None = None  # None: repetitions_for_recall
+    k: int | None = None
+    reps: int | None = None
     delta: float = 0.05
     seed: int = 0x15ABE7
 
@@ -57,41 +64,29 @@ def repetitions_for_recall(threshold: float, k: int, recall_target: float) -> in
     return math.ceil(math.log(1.0 / (1.0 - recall_target)) / threshold ** k)
 
 
-def sample_positions(seed: int, k: int, sig_len: int) -> np.ndarray:
-    """k distinct signature positions, uniform without replacement."""
-    ranks = splitmix64_array(seed, np.arange(sig_len, dtype=np.uint64))
-    return np.argsort(ranks)[:k]
-
-
-def bucket_keys(sig: np.ndarray, positions) -> np.ndarray:
-    """Fold the values at `positions` into one 64-bit key per record.
-
-    Key collisions between distinct value tuples only add candidates; they
-    never lose pairs.
-    """
-    acc = np.full(sig.shape[0], _KEY_SALT, dtype=np.uint64)
-    for pos in positions:
-        col = sig[:, int(pos)].astype(np.uint64)
-        acc = splitmix64_array(acc + np.uint64(0x9E37 * (int(pos) + 1)), col)
-    return acc
+def _buckets(prep: Prepared, seed: int, k: int):
+    """(ids, sizes) of the buckets of two or more records of the root row
+    keyed on k coordinates drawn from `seed`, the first seed % sig_len."""
+    n = prep.data.n
+    ids, sizes, _ = split_rows(prep.sig, np.arange(n, dtype=np.int64), np.array([n]),
+                               np.array([seed], dtype=np.uint64), np.zeros(1, dtype=np.intp),
+                               np.array([seed % prep.sig_len]), k)
+    return ids, sizes
 
 
 def choose_k(prep: Prepared, threshold: float, recall_target: float,
              seed: int = 0, ks=K_RANGE) -> int:
-    """Pick k by costing one splitting pass per candidate.
-
-    Estimated cost of a full join at k: repetitions(k) times (bucket pair
-    comparisons of the sample pass plus n hashings). Ties go to the smaller k.
-    Only k up to the signature length are costed; if none of `ks` is, k is
-    the signature length.
-    """
+    """Pick k by costing one root row per candidate, all on one chain of
+    coordinates drawn from the tune seed (the key of k coordinates is the key
+    of k - 1 plus one): repetitions(k) times (the pairs inside the row's
+    buckets plus n). Ties go to the smaller k. Only k up to the signature
+    length are costed; if none of `ks` is, k is the signature length."""
     n = prep.data.n
     tune_seed = derive_seed(seed, _TUNE_TAG)
     best_k, best_cost = None, None
     for k in [k for k in ks if k <= prep.sig_len] or [prep.sig_len]:
-        positions = sample_positions(derive_seed(tune_seed, k), k, prep.sig_len)
-        _, counts = np.unique(bucket_keys(prep.sig, positions), return_counts=True)
-        pairs = int((counts * (counts - 1) // 2).sum())
+        _, sizes = _buckets(prep, tune_seed, k)
+        pairs = int((sizes * (sizes - 1) // 2).sum())
         cost = repetitions_for_recall(threshold, k, recall_target) * (pairs + n)
         if best_cost is None or cost < best_cost:
             best_k, best_cost = k, cost
@@ -109,28 +104,23 @@ def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
     return k, reps
 
 
-def repetition_codes(prep: Prepared, cfg: LshConfig, k: int, rep: int,
+def repetition_codes(prep: Prepared, cfg: LshConfig, rep: int,
                      kernel: CandidateKernel) -> np.ndarray:
-    """One bucketing repetition through the join's kernel, on keys of `k`
-    positions, which it records as the join's key width; returns the sorted
-    codes of the distinct similar pairs it found, new or found before."""
-    kernel.stats.key_width = k
-    positions = sample_positions(
-        splitmix64_array(derive_seed(cfg.seed, _POS_TAG), np.uint64(rep)).item(), k, prep.sig_len)
-    keys = bucket_keys(prep.sig, positions)
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    cuts = np.flatnonzero(sk[1:] != sk[:-1]) + 1
-    kernel.run_segments(order, np.concatenate([[0], cuts, [sk.size]]))
+    """One bucketing repetition through the join's kernel, on keys of
+    `JoinStats.key_width` coordinates (the k of `resolve_params`, through
+    `run_repetitions`); returns the sorted codes of the distinct similar
+    pairs it found, new or found before."""
+    ids, sizes = _buckets(prep, splitmix64(derive_seed(cfg.seed, _POS_TAG), rep),
+                          kernel.stats.key_width)
+    kernel.run_segments(ids, np.concatenate([[0], np.cumsum(sizes)]))
     return kernel.end_repetition()
 
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats).
     Runs the repetitions of `resolve_params` whatever the recall estimate reads."""
-    k, reps = resolve_params(prep, cfg)
-    return run_repetitions(prep, cfg, reps,
-                           lambda rep, kernel: repetition_codes(prep, cfg, k, rep, kernel),
+    return run_repetitions(prep, cfg, lambda kernel: resolve_params(prep, cfg),
+                           lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
                            lambda kernel: False)
 
 

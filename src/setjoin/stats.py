@@ -23,8 +23,9 @@ class JoinStats:
     whatever it says. key_width is the
     number of signature coordinates in each bucket key: CPSJoin's chosen
     width (`cpsjoin.choose_key_width`), LSH's k; 0 for the exact joins.
-    key_width_s holds the seconds CPSJoin took to choose it, before its
-    first repetition (0 for the others), and repetition_s the seconds each
+    key_width_s holds the seconds the approximate join took to choose it
+    (and LSH its repetition count) before its first repetition, 0 for the
+    exact joins, and repetition_s the seconds each
     repetition took; join_s also covers both, the stop rule after each
     repetition and the kernel's set-up.
     """

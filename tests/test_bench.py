@@ -114,11 +114,11 @@ def test_lsh_echo_is_the_lower_median_over_trials(dense, monkeypatch):
         return tuned[-1]
 
     monkeypatch.setattr(bench.mlsh, "resolve_params", recording)
-    row, = run(_spec(dense, "lsh", trials=5, seed=3))
-    # the last trial's (4, 37) is not the median
-    assert tuned == [(3, 19), (4, 37), (3, 19), (3, 19), (4, 37)]
-    assert row.params.endswith(";k=3;reps=19")
-    assert row.key_width == 3  # the lower median of the same trials
+    row, = run(_spec(dense, "lsh", trials=5, seed=2))
+    # the last trial's (3, 19) is not the median
+    assert tuned == [(4, 37), (4, 37), (2, 10), (4, 37), (3, 19)]
+    assert row.params.endswith(";k=4;reps=37")
+    assert row.key_width == 4  # the lower median of the same trials
 
 
 def test_rows_report_the_key_width(dense):

@@ -82,3 +82,40 @@ def test_fingerprints_are_equal_only_when_both_sides_report_the_same_set():
                                  {"setup_s": "lower"})["fingerprints_equal"] is True
     assert bench_pairs.summarize(runs([same, same], [same, moved]),
                                  {"setup_s": "lower"})["fingerprints_equal"] is False
+
+
+_SPREAD = [1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 0.9, 1.2, 1.0, 1.1]  # median 1.05, IQR 0.1
+
+
+@pytest.mark.parametrize("base, head, better, bound, verdict", [
+    # the median 30% worse against a 25% bound, in either direction
+    (_SPREAD, [v * 1.3 for v in _SPREAD], "lower", 0.25, "worse"),
+    (_SPREAD, [v * 0.7 for v in _SPREAD], "higher", 0.25, "worse"),
+    # 20% worse is inside the bound, and the base's spread (IQR 0.1 over a
+    # median of 1.05) is narrower than it
+    (_SPREAD, [v * 1.2 for v in _SPREAD], "lower", 0.25, "none"),
+    # a spread of 9.5% against a 5% bound: a head that lost one pair cannot
+    # rule a loss out, a head that won every pair can
+    (_SPREAD, [v - 0.01 for v in _SPREAD[:9]] + [1.5], "lower", 0.05, "unresolved"),
+    (_SPREAD, [v - 0.01 for v in _SPREAD], "lower", 0.05, "none"),
+    # equal samples: no pair won, so a wide base spread leaves it unresolved
+    (_SPREAD, _SPREAD, "higher", 0.05, "unresolved"),
+    ([1.0] * 10, [1.0] * 10, "higher", 0.05, "none"),
+], ids=["worse-lower", "worse-higher", "inside-the-bound", "unresolved", "won-every-pair",
+        "ties-in-a-wide-spread", "ties-in-no-spread"])
+def test_regression_reads_the_bound_against_the_base(base, head, better, bound, verdict):
+    out = bench_pairs.summarize(_runs(base, head), {"setup_s": better}, {"setup_s": bound})
+    assert out["regression"] == {"setup_s": verdict}
+
+
+def test_every_bounded_metric_gets_a_regression_verdict(monkeypatch, tmp_path):
+    contract = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: f"commit-{rev}")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: {
+        "metrics": {m["name"]: 1.0 for m in contract["end_to_end"]}, "failed": 0,
+        "fingerprints": {}})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--base", "A", "--head", "B", "--pairs", "2", "--workloads", "tokens",
+                      "--out", str(out)])
+    regression = json.loads(out.read_text())["workloads"]["tokens"]["regression"]
+    assert regression == {m["name"]: "none" for m in contract["end_to_end"]}

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from setjoin import cpsjoin, exact
+from setjoin import cpsjoin, exact, lsh
 from setjoin.cpsjoin import (
     CandidateKernel,
     CpsConfig,
@@ -177,8 +177,8 @@ def test_run_repetitions_stops_where_the_rule_says():
         return seen[-1] == 3
 
     pairs, stats = cpsjoin.run_repetitions(
-        prep, cfg, cfg.reps, lambda rep, kernel: cpsjoin.repetition_codes(prep, cfg, rep, kernel),
-        stop, lambda kernel: cpsjoin.choose_key_width(prep, cfg, kernel))
+        prep, cfg, lambda kernel: (cpsjoin.choose_key_width(prep, cfg, kernel), cfg.reps),
+        lambda rep, kernel: cpsjoin.repetition_codes(prep, cfg, rep, kernel), stop)
     assert seen == [1, 2, 3]  # asked once after each repetition
     fixed_pairs, fixed = cps_join_prepared(prep, replace(cfg, reps=3))
     assert np.array_equal(pairs, fixed_pairs)
@@ -208,6 +208,20 @@ def test_the_key_width_choice_is_timed_apart_from_the_first_repetition(monkeypat
     monkeypatch.setattr(cpsjoin, "choose_key_width", slow_choice)
     _, stats = cps_join(_clustered(), CpsConfig(threshold=0.6, seed=9, reps=2))
     assert stats.key_width >= 1 and stats.key_width_s >= 0.3
+    assert stats.repetition_s[0] < 0.3
+    assert stats.key_width_s + sum(stats.repetition_s) <= stats.join_s
+
+
+def test_the_lsh_k_choice_is_timed_into_the_join(monkeypatch):
+    choose = lsh.choose_k
+
+    def slow_choice(*args):
+        time.sleep(0.3)
+        return choose(*args)
+
+    monkeypatch.setattr(lsh, "choose_k", slow_choice)
+    _, stats = lsh_join(_clustered(), LshConfig(threshold=0.6, seed=9, reps=2))
+    assert stats.key_width >= 2 and stats.key_width_s >= 0.3 and stats.join_s >= 0.3
     assert stats.repetition_s[0] < 0.3
     assert stats.key_width_s + sum(stats.repetition_s) <= stats.join_s
 
@@ -608,7 +622,7 @@ class _RecursiveReference:
         for coord in np.flatnonzero(mask):
             key = cpsjoin._key_coords(np.array([node_seed], dtype=np.uint64), np.array([coord]),
                                       self.width, self.prep.sig_len)[0]
-            vals = cpsjoin._fold([self.prep.sig[ids, c] for c in key])
+            vals = cpsjoin.bucket_keys([self.prep.sig[ids, c] for c in key])
             order = np.argsort(vals, kind="stable")
             sv = vals[order]
             bounds = np.concatenate([[0], np.flatnonzero(sv[1:] != sv[:-1]) + 1, [sv.size]])
@@ -635,8 +649,9 @@ class _RecursiveReference:
             target = cfg.recall_target
             return (target is not None and any(kernel.stats.new_results_per_rep)
                     and kernel.stats.recall_estimate_per_rep[-1] >= target)
-        return cpsjoin.run_repetitions(prep, cfg, cfg.reps, repetition, stop,
-                                       lambda kernel: cpsjoin.choose_key_width(prep, cfg, kernel))
+        return cpsjoin.run_repetitions(
+            prep, cfg, lambda kernel: (cpsjoin.choose_key_width(prep, cfg, kernel), cfg.reps),
+            repetition, stop)
 
 
 def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None):
@@ -779,8 +794,8 @@ def test_stable_order_is_the_stable_argsort():
 def _count_costed_widths(monkeypatch):
     costed, row_cost = [], cpsjoin._row_cost
     monkeypatch.setattr(cpsjoin, "_row_cost",
-                        lambda kernel, columns, *args: costed.append(len(columns))
-                        or row_cost(kernel, columns, *args))
+                        lambda kernel, ids, sizes, width, *args: costed.append(width)
+                        or row_cost(kernel, ids, sizes, width, *args))
     return costed
 
 

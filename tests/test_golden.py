@@ -81,15 +81,15 @@ _CASES = [
     (_tokens, cps_join, _fixed_cps,
      "3a1ecbe7b99c28e81d73b8334e1368afcdea0f794567829315f808472ba5d0b3"),
     (_tokens, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
-     "8f09e4ad075ff3e94d97e7b00b3859ec3738d9af7c276282df3408731ddfa58b"),
+     "222c42a9930a91b1d284b32f255c6c0e22da6bd5db7b9de719f9b26bcffbe994"),
     (_uniform, cps_join, _fixed_cps,
      "f9befdaff6714275e829cd65219d128628a116623f12757827919b2d25af62a8"),
     (_uniform, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
-     "a7700f42189060de509808c267d9aeafe60a901a1c9ec9ac0ea8c9e8b1888145"),
+     "acc7e660d90ef85d478cc404567932c2ce6a57b8492de7b95eb40fa639c5cfcd"),
     (_clusters, cps_join, _fixed_cps,
      "e81abecdb68c3a7ad52746367ca1f734a0dd35c6b0d03834ab8669c5469c35c1"),
     (_clusters, lsh_join, lambda lam: LshConfig(threshold=lam, seed=5),
-     "e6d2832ebee3ba06f36e8652597e7645532a9cf142c5f8b9825ed9f37bcefc8f"),
+     "f35b956df47294eeef26f508a1374e25bbe323812ba36af9a21b8b4959c30418"),
     (_tokens, allpairs_join, lambda lam: lam,
      "ec8edead7a451ad9e3cf8c6ce03d65cb138be0a1b60ee177eedf492a35fdc7a7"),
     (_tokens, partial(allpairs_join, prefix_filter=False), lambda lam: lam,

@@ -7,23 +7,22 @@ import numpy as np
 import pytest
 
 from setjoin import cpsjoin, lsh
-from setjoin.cpsjoin import estimated_recall
+from setjoin.cpsjoin import CandidateKernel, bucket_keys, estimated_recall, split_rows
 from setjoin.datasets import Dataset, gen_uniform
 from setjoin.exact import brute_force_join, jaccard
 from setjoin.lsh import (
-    K_RANGE,
+    _POS_TAG,
     _TUNE_TAG,
+    K_RANGE,
     LshConfig,
-    bucket_keys,
     choose_k,
     lsh_join,
     lsh_join_prepared,
     repetitions_for_recall,
     resolve_params,
-    sample_positions,
 )
 from setjoin.prep import preprocess
-from setjoin.tabulation import derive_seed
+from setjoin.tabulation import derive_seed, splitmix64, splitmix64_array
 
 
 def test_repetitions_known_value():
@@ -67,31 +66,59 @@ def test_config_validation():
         lsh_join_prepared(prep, LshConfig(threshold=0.5, k=65))
 
 
+def _rep_seeds(reps, seed=LshConfig.seed):
+    """The seeds of an LSH join's first `reps` repetitions."""
+    return splitmix64_array(derive_seed(seed, _POS_TAG), np.arange(reps, dtype=np.uint64))
+
+
+def _key(seeds, k, sig_len):
+    """(len(seeds), k) coordinates of the key each seed draws: the first is
+    seed % sig_len, the rest come from (seed, first), with replacement."""
+    return cpsjoin._key_coords(seeds, seeds % np.uint64(sig_len), k, sig_len)
+
+
+def _root(n, sig_len, seed):
+    """split_rows' arguments, before the width, for the one row of a root of
+    n records that `seed` keys."""
+    return (np.arange(n, dtype=np.int64), np.array([n]), np.array([seed], dtype=np.uint64),
+            np.zeros(1, dtype=np.intp), np.array([seed % sig_len]))
+
+
 def test_sample_positions_distinct_and_in_range():
-    for seed in range(50):
-        pos = sample_positions(seed, 5, 128)
-        assert pos.size == 5
-        assert np.unique(pos).size == 5
-        assert pos.min() >= 0 and pos.max() < 128
-    assert np.array_equal(sample_positions(7, 5, 128), sample_positions(7, 5, 128))
+    # an LSH key's coordinates are drawn with replacement, so they need not
+    # be distinct; they are in range, start at seed % sig_len and are
+    # deterministic
+    seeds = _rep_seeds(50)
+    pos = _key(seeds, 5, 128)
+    assert pos.shape == (50, 5)
+    assert pos.min() >= 0 and pos.max() < 128
+    assert np.array_equal(pos[:, 0], seeds % np.uint64(128))
+    assert np.array_equal(_key(seeds, 5, 128), pos)
+    assert np.array_equal(_key(seeds, 3, 128), pos[:, :3])  # one chain per seed
 
 
 def test_sample_positions_uniform():
-    # frequency of "all 3 positions inside a fixed 96-of-128 subset" should
-    # match the hypergeometric value C(96,3)/C(128,3)
-    want = (96 * 95 * 94) / (128 * 127 * 126)
-    hits = sum(sample_positions(seed, 3, 128).max() < 96 for seed in range(3000))
+    # frequency of "all 3 coordinates inside a fixed 96-of-128 subset" should
+    # match (96/128)^3, the law of independent uniform draws
+    want = (96 / 128) ** 3
+    hits = np.count_nonzero(_key(_rep_seeds(3000), 3, 128).max(axis=1) < 96)
     assert abs(hits / 3000 - want) < 0.025
 
 
 def test_bucket_keys_depend_only_on_selected_columns():
+    # the children of a root row keyed on 2 coordinates are the same
+    # whatever the other columns hold
     rng = np.random.default_rng(0)
-    sig = rng.integers(0, 2**32, size=(50, 8), dtype=np.uint32)
-    positions = np.array([1, 5])
+    sig = rng.integers(0, 4, size=(50, 8), dtype=np.uint32)
+    seed = 7
+    used = set(_key(np.array([seed], dtype=np.uint64), 2, 8)[0].tolist())
     noisy = sig.copy()
-    for c in (0, 2, 3, 4, 6, 7):
+    for c in set(range(8)) - used:
         noisy[:, c] = rng.integers(0, 2**32, size=50, dtype=np.uint32)
-    assert np.array_equal(bucket_keys(sig, positions), bucket_keys(noisy, positions))
+    ids, sizes, _ = split_rows(sig, *_root(50, 8, seed), 2)
+    noisy_ids, noisy_sizes, _ = split_rows(noisy, *_root(50, 8, seed), 2)
+    assert sizes.size > 2
+    assert np.array_equal(ids, noisy_ids) and np.array_equal(sizes, noisy_sizes)
 
 
 def test_bucket_keys_rowwise():
@@ -99,14 +126,14 @@ def test_bucket_keys_rowwise():
     sig = rng.integers(0, 2**32, size=(200, 6), dtype=np.uint32)
     perm = rng.permutation(200)
     positions = np.array([0, 3, 4])
-    assert np.array_equal(bucket_keys(sig, positions)[perm],
-                          bucket_keys(sig[perm], positions))
+    assert np.array_equal(bucket_keys([sig[:, c] for c in positions])[perm],
+                          bucket_keys([sig[perm, c] for c in positions]))
 
 
 def test_bucket_keys_separate_distinct_tuples():
     # 5000 rows with distinct value tuples fold to 5000 distinct keys
     sig = np.arange(5000, dtype=np.uint32).reshape(-1, 1).repeat(4, axis=1)
-    keys = bucket_keys(sig, np.array([0, 2]))
+    keys = bucket_keys([sig[:, 0], sig[:, 2]])
     assert np.unique(keys).size == 5000
 
 
@@ -115,10 +142,11 @@ def test_choose_k_matches_cost_model():
     prep = preprocess(ds, 128, 8, seed=5)
     threshold, target, seed = 0.5, 0.9, 11
     tune_seed = derive_seed(seed, _TUNE_TAG)
+    chain = _key(np.array([tune_seed], dtype=np.uint64), K_RANGE[-1], prep.sig_len)[0]
     best_k, best_cost = None, None
     for k in K_RANGE:
-        positions = sample_positions(derive_seed(tune_seed, k), k, prep.sig_len)
-        _, counts = np.unique(bucket_keys(prep.sig, positions), return_counts=True)
+        # every k keys on the first k coordinates of one chain
+        _, counts = np.unique(prep.sig[:, chain[:k]], axis=0, return_counts=True)
         pairs = int((counts * (counts - 1) // 2).sum())
         cost = repetitions_for_recall(threshold, k, target) * (pairs + ds.n)
         if best_cost is None or cost < best_cost:
@@ -138,8 +166,7 @@ def test_choose_k_prefers_small_k_when_buckets_cannot_shrink():
 
 
 def test_choose_k_stays_within_the_signature():
-    # a k above sig_len samples only sig_len positions, while its repetition
-    # budget is sized for k
+    # only k up to sig_len are costed; with none of them, k is sig_len
     ds = gen_uniform(120, 8, 50, seed=4)
     one = preprocess(ds, 1, 8, seed=6)
     assert choose_k(one, 0.5, 0.9) == 1
@@ -230,3 +257,39 @@ def test_lsh_reports_its_recall_estimate_but_runs_its_budget(monkeypatch):
     assert (same.pre_candidates, same.candidates, same.results) == \
         (stats.pre_candidates, stats.candidates, stats.results)
     assert same.new_results_per_rep == stats.new_results_per_rep
+
+
+def test_a_pair_shares_a_bucket_at_the_law_s_to_the_k():
+    # two signatures that agree on exactly 4 of 16 coordinates share a
+    # bucket in a share (4/16)^4 of the repetitions at k = 4, as
+    # `repetitions_for_recall` assumes; k distinct coordinates would give
+    # C(4, 4) / C(16, 4) = 0.00055 instead
+    ds = Dataset.from_records([np.arange(10), np.arange(1, 11)])
+    prep = preprocess(ds, sig_len=16, sketch_words=1, seed=1)
+    sig = np.tile(np.arange(16, dtype=prep.sig.dtype), (2, 1))
+    sig[1, 4:] += 100
+    reps, p = 12_000, 0.25 ** 4
+    _, stats = lsh_join_prepared(dataclasses.replace(prep, sig=sig),
+                                 LshConfig(threshold=0.25, k=4, reps=reps, seed=3))
+    assert stats.key_width == 4 and len(stats.repetition_s) == reps
+    # each repetition looks at the pair once if it buckets it, else not at all
+    assert abs(stats.pre_candidates - reps * p) <= 4 * math.sqrt(reps * p * (1 - p))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_repetitions_buckets_are_a_one_row_split_of_the_root(monkeypatch, k):
+    prep = preprocess(gen_uniform(400, 10, 40, seed=9), seed=13)
+    cfg = LshConfig(threshold=0.5, k=k, reps=3, seed=13)
+    segments = []
+    run_segments = CandidateKernel.run_segments
+    monkeypatch.setattr(CandidateKernel, "run_segments", lambda kernel, ids, bounds: (
+        segments.append((ids, bounds)), run_segments(kernel, ids, bounds)))
+    lsh_join_prepared(prep, cfg)
+    assert len(segments) == cfg.reps
+    for rep, (ids, bounds) in enumerate(segments):
+        seed = splitmix64(derive_seed(cfg.seed, _POS_TAG), rep)
+        root = _root(prep.data.n, prep.sig_len, seed)
+        want_ids, want_sizes, _ = split_rows(prep.sig, *root, k)
+        assert want_sizes.size > 1 and (want_sizes >= 2).all()
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(want_sizes)]))

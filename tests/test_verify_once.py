@@ -33,8 +33,12 @@ def _near_duplicates():
     return Dataset.from_records(recs)
 
 
+# LSH runs a fixed 10 repetitions: at its recall-sized budget of 5-7 the
+# pairs it verifies are re-found 1.9-2.6 times each over config seeds 1-10,
+# at the edge of the "more than twice" the test asserts, and at 10 they are
+# re-found 2.6-4.5 times each
 JOINS = [(cps_join, CpsConfig(threshold=0.7, limit=20, seed=5)),
-         (lsh_join, LshConfig(threshold=0.7, seed=5))]
+         (lsh_join, LshConfig(threshold=0.7, seed=5, reps=10))]
 
 
 def _counters(stats):

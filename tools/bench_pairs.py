@@ -17,9 +17,17 @@ per workload, whether both revisions reported the same fingerprints
 (`fingerprints_equal`, which a change meant to keep behaviour must show);
 per metric, the relative change of the medians (head against base), the number
 of pairs in which head was better, in the direction `BENCHMARK.json` gives,
-and whether head shows a gain: it was better in at least nine tenths of the
+whether head shows a gain: it was better in at least nine tenths of the
 pairs, ties counting for neither, and its median lies beyond base's by more
-than base's interquartile range.
+than base's interquartile range; and, per metric with a bound in
+`BENCHMARK.json`, a regression verdict:
+
+- `worse`: head's median is worse than base's by more than the bound,
+  relative to base's median;
+- `unresolved`: base's interquartile range over its median is wider than
+  the bound, and head did not beat base in every pair, so the runs cannot
+  rule such a loss out;
+- `none` otherwise.
 """
 
 from __future__ import annotations
@@ -73,10 +81,11 @@ def quartiles(values: list) -> list:
     return [q1, q3]
 
 
-def summarize(runs: dict, metrics: dict) -> dict:
+def summarize(runs: dict, metrics: dict, bounds: dict | None = None) -> dict:
     """Samples, medians, quartiles and fingerprints per side; whether the
     sides' fingerprints are equal; per metric the change of the medians, the
-    pairs head won and whether that is a gain."""
+    pairs head won and whether that is a gain; per metric of `bounds` (name
+    to relative bound), the regression verdict."""
     out = {}
     for side, samples in runs.items():
         values = {m: [s["metrics"][m] for s in samples] for m in metrics}
@@ -101,6 +110,19 @@ def summarize(runs: dict, metrics: dict) -> dict:
         pairs = len(base["samples"][m])
         out["gain"][m] = (10 * out["head_better_pairs"][m] >= 9 * pairs
                           and (-shift if better == "lower" else shift) > q3 - q1)
+    out["regression"] = {}
+    for m, bound in (bounds or {}).items():
+        base_median = base["median"][m]
+        q1, q3 = base["quartiles"][m]
+        loss = head["median"][m] - base_median if metrics[m] == "lower" else \
+            base_median - head["median"][m]
+        if loss > bound * abs(base_median):
+            out["regression"][m] = "worse"
+        elif (q3 - q1 > bound * abs(base_median)
+              and out["head_better_pairs"][m] < len(base["samples"][m])):
+            out["regression"][m] = "unresolved"
+        else:
+            out["regression"][m] = "none"
     return out
 
 
@@ -120,6 +142,7 @@ def main(argv=None) -> int:
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in contract["end_to_end"] if "bound" in m}
     workloads = args.workloads.split(",") if args.workloads else \
         [w["name"] for w in contract["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -143,7 +166,7 @@ def main(argv=None) -> int:
                      "command": "joinbench/run.py --trace 0, from a git archive of each revision"},
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
-        "workloads": {w: summarize(runs[w], metrics) for w in workloads},
+        "workloads": {w: summarize(runs[w], metrics, bounds) for w in workloads},
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
