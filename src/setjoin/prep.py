@@ -1,10 +1,12 @@
 """Shared preprocessing: embed and sketch every record of a dataset once.
 
-The signature and sketch MinHash families are stacked into one table tensor of
-F = sig_len + 16 * sketch_words functions (a sketch takes 4 bits from each of
-its MinHashes, so 128 + 128 by default), and each record's F MinHash values
-(the member of least hash rank under each function) fill one column of an
-(F, n) matrix.
+Signatures and sketches come from one MinHash family of
+F = max(sig_len, 16 * sketch_words) functions (a sketch takes 4 bits from each
+of its MinHashes, so 128 by default), and each record's F MinHash values (the
+member of least hash rank under each function) fill one column of an (F, n)
+matrix. The signature is its first sig_len rows and the sketch packs its first
+16 * sketch_words; a family's first functions do not depend on its size, so
+signatures do not depend on the sketch's.
 
 Each function's ranks over the universe are sorted into rank tables:
 `order[f, r]` is the universe position at rank position r under function f
@@ -38,8 +40,8 @@ the universe). Ties in rank sit in token order in `order`, so both kernels
 give the argmin of the per-record definition, bit for bit. The tables are
 built `_UNIVERSE_CELL_CAP // universe` functions (at least one) at a time, so
 a wide universe costs more chunks rather than more memory. One step then
-cuts the signatures from the matrix, and the sketch family packs its rows
-into sketches.
+cuts the signatures from the matrix, and the sketch's bit functions pack its
+rows into sketches.
 
 The embedding's dimensions are chosen here and nowhere else: a `Prepared`
 reads them off its arrays, and the joins read them off the `Prepared`.
@@ -59,8 +61,8 @@ from .minhash import DEFAULT_SIG_LEN, MinHashFamily
 from .sketch import BITS_PER_MINHASH, DEFAULT_SKETCH_WORDS, SketchFamily
 from .tabulation import MASK64, derive_seed, hash_keys
 
-_SIG_TAG = 0x707369  # signature family seed
-_SK_TAG = 0x70736B  # sketch family seed
+_SIG_TAG = 0x707369  # MinHash family seed
+_SK_TAG = 0x70736B  # sketch bit function seed
 _UNIVERSE_CELL_CAP = 2 ** 24  # rank table cells built per chunk of functions
 _RANK_CHUNK_CELLS = 2 ** 20  # 64-bit ranks hashed and sorted at a time
 _BLOCK_CELLS = 2 ** 19  # cells gathered, or indicator bytes filled, per block
@@ -92,8 +94,9 @@ class Prepared:
 
     @property
     def sketch_minhashes(self) -> int:
-        """Independent MinHashes behind each sketch, which the filter's tail
-        bound counts."""
+        """MinHashes behind each sketch, which the filter's tail bound counts:
+        the first 16 * sketch_words of the signature family, independent of
+        each other but shared with the signature, not drawn apart from it."""
         return self.sketch_bits // BITS_PER_MINHASH
 
 
@@ -108,14 +111,13 @@ def check_join_params(threshold: float, delta: float):
 def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
                sketch_words: int = DEFAULT_SKETCH_WORDS, seed: int = 0) -> Prepared:
     t0 = time.perf_counter()
-    sig_fam = MinHashFamily(sig_len, derive_seed(seed, _SIG_TAG))
     sk_fam = SketchFamily(sketch_words, derive_seed(seed, _SK_TAG))
-
-    tables = np.concatenate([sig_fam.tables, sk_fam.minhashes.tables], axis=0)
-    values = _minhashes(tables, data)
+    count = len(sk_fam.bit_tables)  # MinHashes per sketch
+    fam = MinHashFamily(max(sig_len, count), derive_seed(seed, _SIG_TAG))
+    values = _minhashes(fam.tables, data)
 
     sig = np.ascontiguousarray(values[:sig_len].T)
-    sketches = sk_fam.from_minhashes(values[sig_len:])
+    sketches = sk_fam.from_minhashes(values[:count])
     return Prepared(data, sig, sketches, seed, time.perf_counter() - t0)
 
 

@@ -2,7 +2,9 @@
 
 A sketch of b = 64*words bits is built from m = b/4 MinHash values of the set
 (b-bit minwise hashing, Li and Koenig 2010): bit 4*j + k is bit k of a
-tabulation hash of the j-th MinHash value, one hash function per MinHash. Two
+tabulation hash of the j-th MinHash value, one hash function per MinHash.
+Any m independent MinHash functions serve; `prep.preprocess` takes the
+signature family's first m, so the sketch costs no MinHashes of its own. Two
 sets agree on all 4 bits of a MinHash when its values collide (probability
 J), and otherwise on each bit with probability 1/2, so each bit matches with
 probability (1 + J)/2. The similarity estimate inverts that: J_hat = 1 - 2*H/b
@@ -43,16 +45,18 @@ _POOL_CELLS = 2 ** 16  # (bucket, bit) member picks drawn per block of buckets
 
 
 class SketchFamily:
-    """Hash family for b = 64*words sketch bits: b/4 MinHash functions, and
-    one bit function per MinHash whose low 4 bits give the sketch's 4 bits.
+    """Hash family for b = 64*words sketch bits: one bit function for each of
+    b/4 MinHashes, whose low 4 bits give the sketch's 4 bits of that MinHash.
 
-    `minhashes` is the MinHash family whose j-th value bit function j hashes.
     `bit_tables` (b/4, 4, 256) uint8 holds the low 4 bits of each bit
     function's tabulation tables: bits 0-3 of a tabulation hash are the XOR of
-    bits 0-3 of its four byte-table entries.
+    bits 0-3 of its four byte-table entries. `minhashes` is a MinHash family
+    of b/4 functions of the sketch's own, which only `sketch` reads; it is
+    built on first use. `prep.preprocess` packs the signature family's first
+    b/4 MinHashes instead, through `from_minhashes`.
     """
 
-    __slots__ = ("words", "bits", "seed", "minhashes", "bit_tables")
+    __slots__ = ("words", "bits", "seed", "bit_tables", "_minhashes")
 
     def __init__(self, words: int = DEFAULT_SKETCH_WORDS, seed: int = 0):
         if words < 1:
@@ -61,9 +65,17 @@ class SketchFamily:
         self.bits = 64 * words
         self.seed = seed
         count = self.bits // BITS_PER_MINHASH
-        self.minhashes = MinHashFamily(count, derive_seed(seed, _MH_TAG))
         tables = table_tensor(function_seeds(derive_seed(seed, _BIT_TAG), count))
         self.bit_tables = (tables & np.uint64(0xF)).astype(np.uint8)
+        self._minhashes = None
+
+    @property
+    def minhashes(self) -> MinHashFamily:
+        """The sketch's own MinHash family, whose j-th value bit function j
+        hashes in `sketch`."""
+        if self._minhashes is None:
+            self._minhashes = MinHashFamily(len(self.bit_tables), derive_seed(self.seed, _MH_TAG))
+        return self._minhashes
 
     def sketch(self, tokens) -> np.ndarray:
         """Sketch of a token set: (words,) uint64, bit i at word i//64, position i%64."""
@@ -71,9 +83,9 @@ class SketchFamily:
         return self.from_minhashes(self.minhashes.embed(tokens)[:, None])[0]
 
     def from_minhashes(self, values: np.ndarray) -> np.ndarray:
-        """Sketches (n, words) of n sets from their MinHash values (m, n)
-        under `minhashes`: bit 4*j + k of a set's sketch is bit k of bit
-        function j's hash of its j-th value.
+        """Sketches (n, words) of n sets from their MinHash values (m, n),
+        m = b/4, under any family of m functions: bit 4*j + k of a set's
+        sketch is bit k of bit function j's hash of its j-th value.
 
         The values are hashed a block of rows (`_NIBBLE_CELLS` values) at a
         time, one flat gather per key byte. A byte that is 0 in every value

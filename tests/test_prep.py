@@ -7,42 +7,132 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from setjoin import cpsjoin
 from setjoin import prep as prep_module
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
 from setjoin.minhash import MinHashFamily
 from setjoin.prep import _SIG_TAG, _SK_TAG, _UNIVERSE_CELL_CAP, preprocess
-from setjoin.sketch import SketchFamily
-from setjoin.tabulation import derive_seed, hash_keys, table_tensor
+from setjoin.sketch import SketchFamily, filter_threshold, max_hamming
+from setjoin.tabulation import derive_seed, hash_keys, splitmix64_array, table_tensor
 
 
 def families(prep):
-    """The signature and sketch families a Prepared was built with."""
-    sig_fam = MinHashFamily(prep.sig_len, derive_seed(prep.seed, _SIG_TAG))
+    """The one MinHash family a Prepared was built with, of
+    max(sig_len, 16 * sketch_words) functions, and the sketch family whose
+    bit functions pack its first 16 * sketch_words values."""
+    count = 16 * prep.sketch_words
+    fam = MinHashFamily(max(prep.sig_len, count), derive_seed(prep.seed, _SIG_TAG))
     sk_fam = SketchFamily(prep.sketch_words, derive_seed(prep.seed, _SK_TAG))
-    return sig_fam, sk_fam
+    return fam, sk_fam
 
 
 def _check_against_families(prep):
-    sig_fam, sk_fam = families(prep)
+    fam, sk_fam = families(prep)
+    count = 16 * prep.sketch_words
     ds = prep.data
     for i in range(ds.n):
-        rec = ds.record(i)
-        assert np.array_equal(prep.sig[i], sig_fam.embed(rec))
-        assert np.array_equal(prep.sketches[i], sk_fam.sketch(rec))
+        values = fam.embed(ds.record(i))
+        assert np.array_equal(prep.sig[i], values[:prep.sig_len])
+        assert np.array_equal(prep.sketches[i], sk_fam.from_minhashes(values[:count, None])[0])
 
 
 def test_universe_path_matches_reference_families():
     ds = gen_uniform(60, 10, 200, seed=0)
     prep = preprocess(ds, sig_len=32, sketch_words=2, seed=9)
-    assert (32 + 32) * ds.d <= _UNIVERSE_CELL_CAP
+    assert 32 * ds.d <= _UNIVERSE_CELL_CAP
     _check_against_families(prep)
 
 
 def test_per_record_path_matches_reference_families():
     ds = gen_uniform(150, 600, 200000, seed=1)
-    prep = preprocess(ds, sig_len=128, sketch_words=8, seed=9)
-    assert (128 + 128) * ds.d > _UNIVERSE_CELL_CAP
+    prep = preprocess(ds, sig_len=256, sketch_words=8, seed=9)
+    assert 256 * ds.d > _UNIVERSE_CELL_CAP
     _check_against_families(prep)
+
+
+def _ranked_functions(monkeypatch):
+    """The number of functions each `_rank_tables` call ranks, as a list
+    that `preprocess` calls append to."""
+    ranked, rank_tables = [], prep_module._rank_tables
+
+    def spy(tables, *args, **kwargs):
+        ranked.append(len(tables))
+        return rank_tables(tables, *args, **kwargs)
+
+    monkeypatch.setattr(prep_module, "_rank_tables", spy)
+    return ranked
+
+
+@pytest.mark.parametrize("sig_len, words", [(32, 8), (128, 1), (64, 4)],
+                         ids=["sketch-wider", "signature-wider", "equal"])
+def test_one_family_of_the_wider_size_serves_both(sig_len, words, monkeypatch):
+    ranked = _ranked_functions(monkeypatch)
+    data = _mixed()
+    p = preprocess(data, sig_len=sig_len, sketch_words=words, seed=21)
+    assert sum(ranked) == max(sig_len, 16 * words)
+    assert p.sig.shape == (data.n, sig_len) and p.sig.dtype == np.uint32
+    assert p.sketches.shape == (data.n, words) and p.sketches.dtype == np.uint64
+    assert p.sketch_minhashes == 16 * words
+    _check_against_families(p)
+
+
+def test_signatures_do_not_depend_on_the_sketch_size():
+    for data in (_tokens(), _mixed()):
+        sigs = [preprocess(data, sig_len=64, sketch_words=words, seed=22).sig
+                for words in (1, 2, 4, 8, 16)]
+        assert all(np.array_equal(sig, sigs[0]) for sig in sigs[1:])
+
+
+def _threshold_pairs(n, seed):
+    """n pairs of 30-token sets sharing 20 tokens (Jaccard 0.5) as records 2i
+    and 2i + 1, each pair over 40 tokens of its own."""
+    tokens = np.random.default_rng(seed).permutation(40 * n).reshape(n, 40)
+    return Dataset.from_records([rec for t in tokens for rec in (t[:30], t[10:])],
+                                canonical=False)
+
+
+def _co_bucketed(sig, threshold, depth, trials, seed):
+    """Per pair (records 2i, 2i + 1), the buckets CPSJoin's own split at key
+    width 3 holds it in together after `depth` splits, summed over `trials`
+    root buckets of the pair under seeds of their own."""
+    n = len(sig) // 2
+    ids = np.tile(np.arange(2 * n), trials)
+    sizes = np.full(n * trials, 2)
+    seeds = splitmix64_array(seed, np.arange(n * trials, dtype=np.uint64))
+    for _ in range(depth):
+        ids, sizes, seeds = cpsjoin._split(sig, threshold, ids, sizes, seeds, 3)
+    return np.bincount(ids[::2] // 2, minlength=n)
+
+
+def test_the_shared_family_misses_no_more_co_bucketed_threshold_pairs():
+    # Sketches packed from the signature's own MinHashes agree wherever a
+    # co-bucketed pair's signatures agree on its keys, so the filter should
+    # drop fewer of those pairs than sketches of a family drawn apart from
+    # the signature do. `apart` is such a family: the sketches of another
+    # seed's family, independent of `shared`'s signatures. Each pair counts
+    # once per bucket it shares, after one split and after two. At the
+    # default delta of 0.05 the filter drops too few threshold pairs to
+    # compare, so the cut is set at delta 0.9, where it drops about a fifth.
+    threshold = 0.5
+    data = _threshold_pairs(3000, seed=2611)
+    shared = preprocess(data, seed=2612)
+    apart = preprocess(data, seed=2613).sketches
+    cut = max_hamming(filter_threshold(threshold, shared.sketch_minhashes, 0.9),
+                      shared.sketch_bits)
+
+    def missed(sketches):
+        return np.bitwise_count(sketches[0::2] ^ sketches[1::2]).sum(axis=1) > cut
+
+    for depth in (1, 2):
+        weight = _co_bucketed(shared.sig, threshold, depth, trials=8, seed=2614)
+        rate_shared, rate_apart = (np.average(missed(s), weights=weight)
+                                   for s in (shared.sketches, apart))
+        ess = weight.sum() ** 2 / (weight ** 2).sum()  # effective number of pairs
+        se_apart = np.sqrt(rate_apart * (1 - rate_apart) / ess)
+        se = np.sqrt(rate_shared * (1 - rate_shared) / ess + se_apart ** 2)
+        # co-bucketing tells nothing about sketches of an independent family
+        assert abs(rate_apart - missed(apart).mean()) < 3 * se_apart
+        assert rate_shared + 3 * se < rate_apart
 
 
 def test_prepared_shapes_and_metadata():
@@ -85,14 +175,14 @@ _CHUNKED = {"_UNIVERSE_CELL_CAP": 2000}
 
 # (sha256 of sig.tobytes(), sha256 of sketches.tobytes()). The signature
 # digests were computed with the per-record argmin embedding before the
-# rank-table path existed; the sketch digests when sketches took 4 bits per
-# MinHash.
+# rank-table path existed; the sketch digests when sketches came to pack the
+# signature family's first MinHashes rather than a family of their own.
 _TOKENS_DIGEST = ("9747ec7a754d1049e6e7ae8d20a9b88cb97e158df16cd45483ccb41d930095b8",
-                  "4a499ebdf2287335ef6eaa5239f28b13d1c929b9173a7108b03d71c5647c921f")
+                  "53c131ade1b0996d02d6ac469c01d72bf2f288b6b0dec3fa52c0cb49f4bde59a")
 _MIXED_DIGEST = ("1347a7801de4945857fd2567ed622a2d757929264177c2b1204fc1449c5d93c1",
-                 "1f7e9f0a79da9c861eb3b8905cafe0b2dda4312d08cf0164323a11575d0a592d")
+                 "307a99ca2e9042e86303b5c1e23e478a05472d97cdca4b71ec2f0ff7a9b657be")
 _WIDE_DIGEST = ("7faaa0b781b4421260c1b22e01b4afe6e81df6cfb1281d7e087c0a1a197efdb3",
-                "504baaa1487fcd5cb8128e351bb7f388509b8711642365ad73ce7d5940553c35")
+                "d48e4dced2678b19f47137c498dbc4117154fb0892313cc3eea4a104895fd8ae")
 
 
 @pytest.mark.parametrize("dataset, dims, patch, want", [
@@ -111,7 +201,7 @@ def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     data = dataset()
     sig_len, words, seed = dims
     if not patch:
-        assert (sig_len + 16 * words) * data.d <= _UNIVERSE_CELL_CAP
+        assert max(sig_len, 16 * words) * data.d <= _UNIVERSE_CELL_CAP
     p = preprocess(data, sig_len=sig_len, sketch_words=words, seed=seed)
     assert p.sig.shape == (data.n, sig_len) and p.sig.dtype == np.uint32
     assert p.sketches.shape == (data.n, words) and p.sketches.dtype == np.uint64
@@ -295,13 +385,13 @@ def test_ranks_are_hashed_per_chunk_of_functions_not_per_record(monkeypatch):
     monkeypatch.setattr(prep_module, "hash_keys", counting_hash_keys)
     # canonical, and F * d past the cap: [0, d) is ranked byte table by byte table
     dense = gen_uniform(150, 600, 200000, seed=1)
-    assert (128 + 128) * dense.d > _UNIVERSE_CELL_CAP
-    preprocess(dense)
+    assert 256 * dense.d > _UNIVERSE_CELL_CAP
+    preprocess(dense, sig_len=256)
     assert calls == []
     # sparse ids: only the tokens that occur are hashed, a chunk of functions at a time
     sparse = _wide()
     preprocess(sparse)
-    assert sum(calls) == 128 + 128
+    assert sum(calls) == 128
     assert 0 < len(calls) < sparse.n
 
 
@@ -332,12 +422,14 @@ def test_folded_rank_keys_at_byte_boundaries(u):
 
 def test_clusters_shaped_preprocess_keeps_its_peak_under_32_mib():
     # Uniform sets of about 30 tokens over d = 10^4, shaped like the `clusters`
-    # benchmark's background: every block gathers, so the one chunk of 256
-    # functions builds `order` and its inverse. The peak reads 28.7 MB; rank
-    # tables built with a separate uint64 rank array, masked keys and an intp
-    # scatter index peak at 35.9 MB, above the bound.
+    # benchmark's background: every block gathers, so the one chunk of 128
+    # functions builds `order` and its inverse. The peak reads 19.9 MiB, and
+    # 28.7 MiB with the 128 functions of a separate sketch family stacked on;
+    # rank tables of those 256 functions built with a separate uint64 rank
+    # array, masked keys and an intp scatter index peak at 35.9 MiB, above the
+    # bound.
     data = gen_uniform(2000, 30, 10_000, seed=0)
-    assert data.d <= data.tokens.size and (128 + 128) * data.d <= _UNIVERSE_CELL_CAP
+    assert data.d <= data.tokens.size and 128 * data.d <= _UNIVERSE_CELL_CAP
     tracemalloc.start()
     try:
         preprocess(data)
