@@ -95,8 +95,8 @@ class Prepared:
     @property
     def sketch_minhashes(self) -> int:
         """MinHashes behind each sketch, which the filter's tail bound counts:
-        the first 16 * sketch_words of the signature family, independent of
-        each other but shared with the signature, not drawn apart from it."""
+        the signature family's first 16 * sketch_words, independent of each
+        other, not of the signature."""
         return self.sketch_bits // BITS_PER_MINHASH
 
 

@@ -50,10 +50,10 @@ class SketchFamily:
 
     `bit_tables` (b/4, 4, 256) uint8 holds the low 4 bits of each bit
     function's tabulation tables: bits 0-3 of a tabulation hash are the XOR of
-    bits 0-3 of its four byte-table entries. `minhashes` is a MinHash family
-    of b/4 functions of the sketch's own, which only `sketch` reads; it is
-    built on first use. `prep.preprocess` packs the signature family's first
-    b/4 MinHashes instead, through `from_minhashes`.
+    bits 0-3 of its four byte-table entries. `minhashes`, the sketch's own
+    family of b/4 MinHash functions, is read only by `sketch` and built on
+    first use; `prep.preprocess` packs the signature family's first b/4
+    MinHashes instead, through `from_minhashes`.
     """
 
     __slots__ = ("words", "bits", "seed", "bit_tables", "_minhashes")

@@ -50,9 +50,9 @@ def test_per_record_path_matches_reference_families():
     _check_against_families(prep)
 
 
-def _ranked_functions(monkeypatch):
-    """The number of functions each `_rank_tables` call ranks, as a list
-    that `preprocess` calls append to."""
+@pytest.mark.parametrize("sig_len, words", [(32, 8), (128, 1), (64, 4)],
+                         ids=["sketch-wider", "signature-wider", "equal"])
+def test_one_family_of_the_wider_size_serves_both(sig_len, words, monkeypatch):
     ranked, rank_tables = [], prep_module._rank_tables
 
     def spy(tables, *args, **kwargs):
@@ -60,13 +60,6 @@ def _ranked_functions(monkeypatch):
         return rank_tables(tables, *args, **kwargs)
 
     monkeypatch.setattr(prep_module, "_rank_tables", spy)
-    return ranked
-
-
-@pytest.mark.parametrize("sig_len, words", [(32, 8), (128, 1), (64, 4)],
-                         ids=["sketch-wider", "signature-wider", "equal"])
-def test_one_family_of_the_wider_size_serves_both(sig_len, words, monkeypatch):
-    ranked = _ranked_functions(monkeypatch)
     data = _mixed()
     p = preprocess(data, sig_len=sig_len, sketch_words=words, seed=21)
     assert sum(ranked) == max(sig_len, 16 * words)
