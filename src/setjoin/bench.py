@@ -166,11 +166,11 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
                 extra = {"limit": spec.limit, "eps": spec.eps, "reps": cfg.reps}
             else:
                 stop = lambda kernel: False
-                run_rep = lambda r, kernel: mlsh.repetition_codes(prep, cfg, r, kernel)
+                lsh_plan, run_rep = mlsh.repetition_steps(prep, cfg)
                 extra = {}
 
                 def plan(kernel):
-                    extra["k"], extra["reps"] = mlsh.resolve_params(prep, cfg)
+                    extra["k"], extra["reps"] = lsh_plan(kernel)
                     return extra["k"], extra["reps"]
             if exact is not None:
                 stop = lambda kernel: _recall(kernel.codes(), exact) >= target

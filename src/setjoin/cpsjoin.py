@@ -332,23 +332,29 @@ def _split(sig: np.ndarray, threshold: float, ids: np.ndarray, sizes: np.ndarray
     """Split the buckets laid end to end in `ids`, with sizes `sizes` and
     seeds `seeds`, by the records' signatures `sig`, into the next depth's
     (ids, sizes, seeds): each bucket samples coordinates at
-    `coordinate_mask`'s rate for `width`, and `split_rows` keys one row per
-    (bucket, sampled coordinate)."""
+    `coordinate_mask`'s rate for `width`, `split_rows` keys one row per
+    (bucket, sampled coordinate) under the bucket's seed, and each child's
+    seed comes from its row's seed, coordinate and key value."""
     node, coord = np.nonzero(coordinate_mask(
         splitmix64_array(seeds, _MASK_TAG)[:, None], sig.shape[1], threshold, width))
-    return split_rows(sig, ids, sizes, seeds, node, coord, width)
+    row_seeds = seeds[node]
+    ids, sizes, row, key = split_rows(sig, ids, sizes, row_seeds, node, coord, width)
+    return ids, sizes, splitmix64_array(
+        splitmix64_array(row_seeds[row], _CHILD_TAG_BASE + coord[row]), key)
 
 
 def split_rows(sig: np.ndarray, ids: np.ndarray, sizes: np.ndarray, seeds: np.ndarray,
                node: np.ndarray, coord: np.ndarray, width: int):
-    """The children, laid end to end as (ids, sizes, seeds), of the rows
-    (node[r], coord[r]) of the buckets laid end to end in `ids`, with sizes
-    `sizes` and seeds `seeds`: row r holds bucket node[r]'s records in
-    order, one stable sort by (row, key value) groups them, and each group of
-    two or more records is a child. Row r's key is `width` coordinates,
-    coord[r] and `width - 1` more drawn from (bucket seed, coord[r]) by
-    `_key_coords`, folded by `bucket_keys`. Both approximate joins group
-    records by key here and nowhere else.
+    """The children, laid end to end as (ids, sizes, rows, keys), of the rows
+    (node[r], coord[r], seeds[r]) of the buckets laid end to end in `ids`,
+    with sizes `sizes`: row r holds bucket node[r]'s records in order, one
+    stable sort by (row, key value) groups them, and each group of two or
+    more records is a child, of row `rows[c]` and key value `keys[c]`. The
+    children of one row therefore come out in the order a call with that
+    row alone gives. Row r's key is `width` coordinates, coord[r] and
+    `width - 1` more drawn from (seeds[r], coord[r]) by `_key_coords`,
+    folded by `bucket_keys`. Both approximate joins group records by key
+    here and nowhere else.
     """
     row_sizes = sizes[node]
     shift = (np.cumsum(sizes) - sizes)[node] - (np.cumsum(row_sizes) - row_sizes)
@@ -356,7 +362,7 @@ def split_rows(sig: np.ndarray, ids: np.ndarray, sizes: np.ndarray, seeds: np.nd
     at = ids * sig.shape[1]  # each entry's signature, in the flat signature array
     flat = sig.reshape(-1)
     key = bucket_keys([flat[at + np.repeat(c, row_sizes)]
-                       for c in _key_coords(seeds[node], coord, width, sig.shape[1]).T])
+                       for c in _key_coords(seeds, coord, width, sig.shape[1]).T])
     # key values fit 32 bits, so (row, value) fits one sort key
     key |= np.repeat(np.arange(node.size, dtype=np.uint64) << np.uint64(32), row_sizes)
     order = _stable_order(key, 32 + int(node.size - 1).bit_length())
@@ -364,12 +370,9 @@ def split_rows(sig: np.ndarray, ids: np.ndarray, sizes: np.ndarray, seeds: np.nd
     first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
     sizes = np.diff(np.append(first, ids.size))
     child = sizes >= 2
-    first = first[child]
-    child_row = key[first] >> np.uint64(32)
-    child_seeds = splitmix64_array(
-        splitmix64_array(seeds[node[child_row]], _CHILD_TAG_BASE + coord[child_row]),
-        key[first] & np.uint64(0xFFFFFFFF))
-    return ids[np.repeat(child, sizes)], sizes[child], child_seeds
+    key = key[first[child]]
+    return (ids[np.repeat(child, sizes)], sizes[child], (key >> np.uint64(32)).astype(np.intp),
+            key & np.uint64(0xFFFFFFFF))
 
 
 def _stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
@@ -466,7 +469,7 @@ def choose_key_width(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel) ->
                 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     costs = []
     for k in widths:
-        ids, sizes, _ = split_rows(prep.sig, *root, k)
+        ids, sizes, *_ = split_rows(prep.sig, *root, k)
         costs.append(min(sig_len, cfg.threshold ** -k)
                      * _row_cost(kernel, ids, sizes, k, cfg.limit, uniforms))
     return widths[int(np.argmin(costs))]

@@ -7,7 +7,15 @@ kernel both joins share. Two records whose signatures agree on a fraction s
 of the coordinates share a bucket with probability exactly s^k, so
 L = ceil(ln(1/(1-recall)) / threshold^k) repetitions give the target
 per-pair recall at the threshold. k trades the repetition count against
-bucket sizes; `choose_k` tunes it by costing one root row per candidate.
+bucket sizes; `choose_k` tunes it by costing one root row per candidate,
+and stops once no wider k can cost less.
+
+Much of a `split_rows` call's cost is fixed: a one-row call takes 80 µs
+at k = 4 on 10 records, 210 µs on 2,963 (2 vCPUs). So the rows of a block
+of repetitions, up to `_BLOCK_ENTRIES` entries in all, are bucketed in one
+call (`repetition_steps`); the kernel still runs and closes one repetition
+at a time, so the pairs, counters and per-repetition statistics are those
+of one call per repetition.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ from .cpsjoin import CandidateKernel, run_repetitions, split_rows
 from .datasets import Dataset
 from .prep import Prepared, check_join_params, preprocess
 from .stats import unique_pairs  # noqa: F401
-from .tabulation import derive_seed, splitmix64
+from .tabulation import derive_seed, splitmix64_array
 
 _POS_TAG = 0x706F73
 _TUNE_TAG = 0x74756E
+_BLOCK_ENTRIES = 2 ** 18  # root-row entries bucketed per `split_rows` call
 
 K_RANGE = range(2, 11)
 
@@ -64,14 +73,17 @@ def repetitions_for_recall(threshold: float, k: int, recall_target: float) -> in
     return math.ceil(math.log(1.0 / (1.0 - recall_target)) / threshold ** k)
 
 
-def _buckets(prep: Prepared, seed: int, k: int):
-    """(ids, sizes) of the buckets of two or more records of the root row
-    keyed on k coordinates drawn from `seed`, the first seed % sig_len."""
+def _root_buckets(prep: Prepared, seeds: np.ndarray, k: int):
+    """(ids, sizes, rows) of the buckets of two or more records of one root
+    row per seed, from one `split_rows` call: row r is keyed on k coordinates
+    drawn from seeds[r], the first seeds[r] % sig_len, and its buckets come
+    out as a call with that row alone gives them."""
     n = prep.data.n
-    ids, sizes, _ = split_rows(prep.sig, np.arange(n, dtype=np.int64), np.array([n]),
-                               np.array([seed], dtype=np.uint64), np.zeros(1, dtype=np.intp),
-                               np.array([seed % prep.sig_len]), k)
-    return ids, sizes
+    ids, sizes, rows, _ = split_rows(
+        prep.sig, np.arange(n, dtype=np.int64), np.array([n]), seeds,
+        np.zeros(seeds.size, dtype=np.intp),
+        (seeds % np.uint64(prep.sig_len)).astype(np.intp), k)
+    return ids, sizes, rows
 
 
 def choose_k(prep: Prepared, threshold: float, recall_target: float,
@@ -80,14 +92,23 @@ def choose_k(prep: Prepared, threshold: float, recall_target: float,
     coordinates drawn from the tune seed (the key of k coordinates is the key
     of k - 1 plus one): repetitions(k) times (the pairs inside the row's
     buckets plus n). Ties go to the smaller k. Only k up to the signature
-    length are costed; if none of `ks` is, k is the signature length."""
+    length are costed; if none of `ks` is, k is the signature length.
+
+    Candidates are costed in increasing order, and the scan stops at the
+    first k with repetitions(k) * n at or above the least cost so far: every
+    cost is at least repetitions(k) * n, and repetitions(k) does not fall as
+    k grows, so no wider k can cost less, and the choice is that of a full
+    scan. At records seed 21 this costs k = 2..5 of 2..10 on `tokens` and
+    2..7 on `clusters`."""
     n = prep.data.n
-    tune_seed = derive_seed(seed, _TUNE_TAG)
+    tune_seed = np.array([derive_seed(seed, _TUNE_TAG)], dtype=np.uint64)
     best_k, best_cost = None, None
-    for k in [k for k in ks if k <= prep.sig_len] or [prep.sig_len]:
-        _, sizes = _buckets(prep, tune_seed, k)
-        pairs = int((sizes * (sizes - 1) // 2).sum())
-        cost = repetitions_for_recall(threshold, k, recall_target) * (pairs + n)
+    for k in sorted(k for k in ks if k <= prep.sig_len) or [prep.sig_len]:
+        reps = repetitions_for_recall(threshold, k, recall_target)
+        if best_cost is not None and reps * n >= best_cost:
+            break
+        _, sizes, _ = _root_buckets(prep, tune_seed, k)
+        cost = reps * (int((sizes * (sizes - 1) // 2).sum()) + n)
         if best_cost is None or cost < best_cost:
             best_k, best_cost = k, cost
     return best_k
@@ -104,24 +125,54 @@ def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
     return k, reps
 
 
-def repetition_codes(prep: Prepared, cfg: LshConfig, rep: int,
-                     kernel: CandidateKernel) -> np.ndarray:
-    """One bucketing repetition through the join's kernel, on keys of
-    `JoinStats.key_width` coordinates (the k of `resolve_params`, through
-    `run_repetitions`); returns the sorted codes of the distinct similar
-    pairs it found, new or found before."""
-    ids, sizes = _buckets(prep, splitmix64(derive_seed(cfg.seed, _POS_TAG), rep),
-                          kernel.stats.key_width)
-    kernel.run_segments(ids, np.concatenate([[0], np.cumsum(sizes)]))
+def repetition_codes(buckets, rep: int, kernel: CandidateKernel) -> np.ndarray:
+    """One bucketing repetition through the join's kernel: every pair inside
+    the buckets `buckets(rep)` gives, as (ids, segment bounds); returns the
+    sorted codes of the distinct similar pairs it found, new or found
+    before."""
+    kernel.run_segments(*buckets(rep))
     return kernel.end_repetition()
+
+
+def repetition_steps(prep: Prepared, cfg: LshConfig):
+    """The (plan, one_repetition) pair `run_repetitions` takes for an LSH
+    join, which `lsh_join_prepared` and `bench` both run. `plan(kernel)`
+    returns the join's (k, repetitions) (`resolve_params`).
+    `one_repetition(rep, kernel)` runs `repetition_codes` on repetition
+    `rep`'s root row: k coordinates drawn from its own seed,
+    splitmix64(derive_seed(cfg.seed, _POS_TAG), rep). The rows of a block of
+    max(1, _BLOCK_ENTRIES // n) repetitions, never past the last, are
+    bucketed in one `split_rows` call when the block's first repetition
+    starts, so a join that stops early buckets at most one block more than
+    it runs, and no call lays out more than max(n, _BLOCK_ENTRIES) entries."""
+    per_block = max(1, _BLOCK_ENTRIES // max(prep.data.n, 1))
+    k = reps = ids = bounds = first = None
+    block = range(0)  # the repetitions bucketed in ids, bounds and first
+
+    def plan(kernel):
+        nonlocal k, reps
+        k, reps = resolve_params(prep, cfg)
+        return k, reps
+
+    def buckets(rep):
+        nonlocal block, ids, bounds, first
+        if rep not in block:
+            block = range(rep, min(reps, rep + per_block))
+            seeds = splitmix64_array(derive_seed(cfg.seed, _POS_TAG),
+                                     np.arange(block.start, block.stop, dtype=np.uint64))
+            ids, sizes, rows = _root_buckets(prep, seeds, k)
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            first = np.searchsorted(rows, np.arange(len(block) + 1))  # each row's first bucket
+        c0, c1 = first[rep - block.start], first[rep - block.start + 1]
+        return ids[bounds[c0]:bounds[c1]], bounds[c0:c1 + 1] - bounds[c0]
+
+    return plan, lambda rep, kernel: repetition_codes(buckets, rep, kernel)
 
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats).
     Runs the repetitions of `resolve_params` whatever the recall estimate reads."""
-    return run_repetitions(prep, cfg, lambda kernel: resolve_params(prep, cfg),
-                           lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
-                           lambda kernel: False)
+    return run_repetitions(prep, cfg, *repetition_steps(prep, cfg), lambda kernel: False)
 
 
 def lsh_join(data: Dataset, cfg: LshConfig):

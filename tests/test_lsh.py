@@ -115,8 +115,8 @@ def test_bucket_keys_depend_only_on_selected_columns():
     noisy = sig.copy()
     for c in set(range(8)) - used:
         noisy[:, c] = rng.integers(0, 2**32, size=50, dtype=np.uint32)
-    ids, sizes, _ = split_rows(sig, *_root(50, 8, seed), 2)
-    noisy_ids, noisy_sizes, _ = split_rows(noisy, *_root(50, 8, seed), 2)
+    ids, sizes, *_ = split_rows(sig, *_root(50, 8, seed), 2)
+    noisy_ids, noisy_sizes, *_ = split_rows(noisy, *_root(50, 8, seed), 2)
     assert sizes.size > 2
     assert np.array_equal(ids, noisy_ids) and np.array_equal(sizes, noisy_sizes)
 
@@ -280,20 +280,85 @@ def test_a_pair_shares_a_bucket_at_the_law_s_to_the_k():
     assert abs(stats.pre_candidates - reps * p) <= 4 * math.sqrt(reps * p * (1 - p))
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_a_repetitions_buckets_are_a_one_row_split_of_the_root(monkeypatch, k):
-    prep = preprocess(gen_uniform(400, 10, 40, seed=9), seed=13)
-    cfg = LshConfig(threshold=0.5, k=k, reps=3, seed=13)
-    segments = []
-    run_segments = CandidateKernel.run_segments
+def _spy_blocks(monkeypatch):
+    """Record the seeds of every `split_rows` call of `lsh` and the
+    (ids, bounds) of every `run_segments` call; returns both lists."""
+    blocks, segments = [], []
+    split_rows, run_segments = lsh.split_rows, CandidateKernel.run_segments
+    monkeypatch.setattr(lsh, "split_rows", lambda sig, ids, sizes, seeds, *rest: (
+        blocks.append((seeds, sizes[rest[0]].sum())), split_rows(sig, ids, sizes, seeds, *rest))[1])
     monkeypatch.setattr(CandidateKernel, "run_segments", lambda kernel, ids, bounds: (
         segments.append((ids, bounds)), run_segments(kernel, ids, bounds)))
-    lsh_join_prepared(prep, cfg)
-    assert len(segments) == cfg.reps
-    for rep, (ids, bounds) in enumerate(segments):
-        seed = splitmix64(derive_seed(cfg.seed, _POS_TAG), rep)
-        root = _root(prep.data.n, prep.sig_len, seed)
-        want_ids, want_sizes, _ = split_rows(prep.sig, *root, k)
-        assert want_sizes.size > 1 and (want_sizes >= 2).all()
-        assert np.array_equal(ids, want_ids)
-        assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(want_sizes)]))
+    return blocks, segments
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_repetitions_buckets_are_a_one_row_split_of_the_root(monkeypatch, k):
+    # once with the 5 repetitions in one block, once in blocks of 2, 2 and 1
+    prep = preprocess(gen_uniform(400, 10, 40, seed=9), seed=13)
+    cfg = LshConfig(threshold=0.5, k=k, reps=5, seed=13)
+    runs = []
+    for block_entries, block_reps in ((lsh._BLOCK_ENTRIES, [5]), (2 * prep.data.n, [2, 2, 1])):
+        with monkeypatch.context() as patch:
+            patch.setattr(lsh, "_BLOCK_ENTRIES", block_entries)
+            blocks, segments = _spy_blocks(patch)
+            runs.append(lsh_join_prepared(prep, cfg))
+        assert [seeds.size for seeds, _ in blocks] == block_reps
+        assert np.array_equal(np.concatenate([seeds for seeds, _ in blocks]), _rep_seeds(5, 13))
+        assert len(segments) == cfg.reps
+        for rep, (ids, bounds) in enumerate(segments):
+            seed = splitmix64(derive_seed(cfg.seed, _POS_TAG), rep)
+            root = _root(prep.data.n, prep.sig_len, seed)
+            want_ids, want_sizes, *_ = split_rows(prep.sig, *root, k)
+            assert want_sizes.size > 1 and (want_sizes >= 2).all()
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(want_sizes)]))
+    (pairs, stats), (block_pairs, block_stats) = runs
+    assert np.array_equal(block_pairs, pairs)
+    for name in ("pre_candidates", "candidates", "results", "key_width",
+                 "new_results_per_rep", "recall_estimate_per_rep"):
+        assert getattr(block_stats, name) == getattr(stats, name), name
+
+
+def test_no_bucketing_call_lays_out_more_than_a_block(monkeypatch):
+    # k = 10 at threshold 0.5 runs 2,358 repetitions; a block of 300 records
+    # holds 873 of them, so they are bucketed in blocks of 873, 873 and 612
+    prep = preprocess(gen_uniform(300, 10, 40, seed=9), seed=13)
+    blocks, _ = _spy_blocks(monkeypatch)
+    _, stats = lsh_join_prepared(prep, LshConfig(threshold=0.5, k=10))
+    assert len(stats.repetition_s) == repetitions_for_recall(0.5, 10, 0.9) == 2358
+    assert [seeds.size for seeds, _ in blocks] == [873, 873, 612]
+    assert max(entries for _, entries in blocks) <= max(prep.data.n, lsh._BLOCK_ENTRIES)
+
+
+def _choose_k_unpruned(prep, threshold, target, seed, ks):
+    """(k, widths costed) of choose_k's cost model over every k of `ks` up
+    to the signature length, with the costed count of the pruned scan, which
+    stops at the first k whose repetitions times n reach the best cost."""
+    n = prep.data.n
+    ks = sorted(k for k in ks if k <= prep.sig_len) or [prep.sig_len]
+    chain = _key(np.array([derive_seed(seed, _TUNE_TAG)], dtype=np.uint64), ks[-1],
+                 prep.sig_len)[0]
+    costs, costed = [], None
+    for k in ks:
+        reps = repetitions_for_recall(threshold, k, target)
+        if costed is None and costs and reps * n >= min(costs):
+            costed = len(costs)
+        _, counts = np.unique(prep.sig[:, chain[:k]], axis=0, return_counts=True)
+        costs.append(reps * (int((counts * (counts - 1) // 2).sum()) + n))
+    return ks[int(np.argmin(costs))], len(ks) if costed is None else costed
+
+
+def test_pruned_choose_k_matches_a_full_scan(monkeypatch):
+    prep = preprocess(gen_uniform(300, 10, 50, seed=3), 128, 8, seed=5)
+    blocks, _ = _spy_blocks(monkeypatch)
+    pruned = 0
+    for threshold in (0.3, 0.5, 0.7, 0.9):
+        for seed in (11, 12, 13):
+            for ks in (K_RANGE, (7, 3, 5), range(1, 14), (4,)):
+                want, costed = _choose_k_unpruned(prep, threshold, 0.9, seed, ks)
+                blocks.clear()
+                assert choose_k(prep, threshold, 0.9, seed, ks) == want
+                assert len(blocks) == costed
+                pruned += costed < len(ks)
+    assert pruned > 24  # 36 of these 48 scans stop early
