@@ -56,7 +56,7 @@ class Dataset:
     """Immutable collection of token sets in CSR-like layout."""
 
     __slots__ = ("tokens", "indptr", "n", "d", "canonical", "provenance",
-                 "_token_freq", "_bitset", "_bitset_words")
+                 "_token_freq", "_bitset", "_bitset_words", "_memo")
 
     def __init__(self, tokens: np.ndarray, indptr: np.ndarray, d: int,
                  canonical: bool, provenance: dict | None = None):
@@ -69,6 +69,7 @@ class Dataset:
         self._token_freq = None
         self._bitset = None
         self._bitset_words = None
+        self._memo = {}
 
     def record(self, i: int) -> np.ndarray:
         return self.tokens[self.indptr[i]:self.indptr[i + 1]]
@@ -137,6 +138,15 @@ class Dataset:
             self._bitset_words = (np.searchsorted(run_starts, self.indptr), cols[run_starts],
                                   np.bitwise_or.reduceat(vals, run_starts))
         return self._bitset_words
+
+    def memo(self, key: str, build):
+        """`build()`, called on the first read of `key` and then held as long
+        as the dataset: the place for another module's view of the records
+        (`exact` keeps its sparse matrix here), which this module then need
+        not know how to build."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @staticmethod
     def from_records(records, canonical: bool = True) -> "Dataset":

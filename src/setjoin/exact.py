@@ -56,6 +56,13 @@ _PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one recor
 _VERIFY_BLOCK = 2 ** 16
 _CSR_VERIFY_BLOCK = 2 ** 18  # CSR entries a verify block gathers per side; see verify_pairs
 _GATHER_COST = 4  # the word route runs where tokens * this < n * ceil(d/64); see the docstring
+_DENSE_SIZE_CAP = 2 ** 17  # largest record of the oracle's dense route; see brute_force_join_multi
+_BOUND_STEP = 2.0 ** -6  # grid of the oracle's per-record bound terms
+_CUT_STEPS = 64  # cuts the oracle's cut rule prices, evenly spaced over the columns
+_CUT_SAMPLE = 2 ** 9  # pairs the cut rule samples
+_CUT_SEED = 28  # seed of the cut rule's sample
+_VERIFY_COST = 4000  # a verified survivor, in dense product cells; see _choose_cut
+_SPARSE_COST = 3500  # a sparse product term, in dense product cells; see _choose_cut
 
 
 def jaccard(x, y) -> float:
@@ -86,17 +93,32 @@ def verify(x, y, threshold: float) -> bool:
 
 
 def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
-    """Vectorized exact check for batches of candidate pairs.
+    """Vectorized exact check for batches of candidate pairs: each pair's
+    intersection count from `_intersection_counts`, then `_jaccard_at_least`,
+    the predicate every exact route decides by."""
+    a_ids = np.asarray(a_ids, dtype=np.int64)
+    b_ids = np.asarray(b_ids, dtype=np.int64)
+    sizes = data.sizes
+    return _jaccard_at_least(_intersection_counts(data, a_ids, b_ids), sizes[a_ids],
+                             sizes[b_ids], threshold)
 
-    Counts each pair's intersection c on one of three routes, then keeps
-    c / (|a| + |b| - c) >= threshold:
+
+def _jaccard_at_least(c, size_a, size_b, threshold: float) -> np.ndarray:
+    """c / (|a| + |b| - c) >= threshold, on int64 counts and sizes: the
+    division is one float64 rounding of exact integers."""
+    return c / (size_a + size_b - c) >= threshold
+
+
+def _intersection_counts(data: Dataset, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
+    """|x_a & x_b| for each pair, int64, on one of three routes:
 
     - dense: popcounts of the ANDed bitset rows, all ceil(d/64) words;
     - words: where tokens * `_GATHER_COST` < n * ceil(d/64), popcounts of
       only the lower id's non-zero bitset words, each ANDed with the word at
       the same index in the other record's row;
     - CSR: without a bitset, the sums of the elementwise products of the
-      pairs' rows in the records' CSR matrix.
+      pairs' rows in the records' CSR matrix (`_csr_view`, built once per
+      dataset).
 
     A block holds `_VERIFY_BLOCK` over the route's mean row (bitset words or
     non-zero words per record) pairs, so it gathers about `_VERIFY_BLOCK` of
@@ -107,11 +129,9 @@ def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
     and on `clusters` 0.165/0.152/0.143/0.151/0.152 s (medians of 4, 2
     vCPUs).
     """
-    a_ids = np.asarray(a_ids, dtype=np.int64)
-    b_ids = np.asarray(b_ids, dtype=np.int64)
     bits = data.bitset()
     if bits is None:
-        x = _csr(data, data.tokens, data.d)
+        x = _csr_view(data)
         # np.asarray: a sparse matrix sums to an (m, 1) matrix, an array to (m,)
         count = lambda a, b: np.asarray(x[a].multiply(x[b]).sum(axis=1)).reshape(-1)
         entries, block = data.tokens.size, _CSR_VERIFY_BLOCK
@@ -127,8 +147,7 @@ def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
     for v0 in range(0, a_ids.size, step):
         v = slice(v0, v0 + step)
         c[v] = count(a_ids[v], b_ids[v])
-    sizes = data.sizes
-    return c / (sizes[a_ids] + sizes[b_ids] - c) >= threshold
+    return c
 
 
 def _word_intersections(starts, cols, words, bits, a, b) -> np.ndarray:
@@ -153,42 +172,71 @@ def _csr(data: Dataset, cols: np.ndarray, d: int):
                       shape=(data.n, d))
 
 
-def _intersection_blocks(data: Dataset):
-    """Yield (i0, counts) with counts[r, c] = |x_{i0+r} & x_{i0+c}|: row blocks
-    of the upper triangle, each rows [i0, i1) against columns [i0, n).
+def _csr_view(data: Dataset):
+    """The records' CSR matrix over the token ids, built on first use and
+    held by the dataset."""
+    return data.memo("csr", lambda: _csr(data, data.tokens, data.d))
+
+
+def _universe(data: Dataset) -> np.ndarray | None:
+    """The ids that occur, ascending, where the universe is wider than the
+    record tokens: the oracle's matrix columns then renumber them, so no
+    array spans an unused universe. None where the columns are the ids."""
+    return np.unique(data.tokens) if data.d > data.tokens.size else None
+
+
+def _dense_route(data: Dataset, d: int) -> bool:
+    """Whether the oracle multiplies an (n, d) float32 matrix: n * d within
+    `_DENSE_CELL_CAP`, and no record past `_DENSE_SIZE_CAP` tokens, below
+    which every count and every cell of the bound is an exact float32."""
+    return data.n * d <= _DENSE_CELL_CAP and int(data.sizes.max(initial=0)) <= _DENSE_SIZE_CAP
+
+
+def _intersection_blocks(data: Dataset, cut: int = 0, universe: np.ndarray | None = None):
+    """Yield (i0, counts) with counts[r, c] the number of tokens records
+    i0 + r and i0 + c share in matrix columns [cut, d): row blocks of the
+    upper triangle, each rows [i0, i1) against columns [i0, n).
 
     A block has `_BLOCK_CELLS // (n - i0)` rows (at least one), so the blocks
     tile the triangle in about `_BLOCK_CELLS` cells each and grow taller as
     the triangle narrows. The counts are exact integers: float32 from a dense
-    product, int32 from a sparse one. The matrix columns are the token ids,
-    or, where the universe is wider than the record tokens, the ids that
-    occur, so no array spans an unused universe.
+    product (`_dense_route`), int32 from a sparse one. The matrix columns are
+    the token ids, or, where the universe is wider than the record tokens,
+    their ranks in `universe` (`_universe(data)`, computed here if not
+    given), so no array spans an unused universe.
 
     The dense matrix is built with no array wider than 4 bytes per token:
     each token's row offset into the flat matrix is an int32, which
     n * d <= `_DENSE_CELL_CAP` allows, and the columns are renumbered and
     the cells set `_FILL_CHUNK` tokens at a time.
     """
-    n, d = data.n, data.d
-    universe = np.unique(data.tokens) if d > data.tokens.size else None
-    if universe is not None:
-        d = universe.size
+    n = data.n
+    if universe is None:
+        universe = _universe(data)
+    d = data.d if universe is None else universe.size
 
     def columns(t0, t1):  # the matrix columns of tokens t0 to t1
         chunk = data.tokens[t0:t1]
         return chunk if universe is None else np.searchsorted(universe, chunk)
 
-    if n * d <= _DENSE_CELL_CAP:
-        x = np.zeros((n, d), dtype=np.float32)
-        rows = np.repeat(np.arange(n, dtype=np.int32) * d, np.diff(data.indptr))
+    if _dense_route(data, d):
+        width = d - cut
+        x = np.zeros((n, width), dtype=np.float32)
+        rows = np.repeat(np.arange(n, dtype=np.int32) * width, np.diff(data.indptr))
         flat = x.reshape(-1)
         for t0 in range(0, rows.size, _FILL_CHUNK):
             t1 = t0 + _FILL_CHUNK
-            flat[rows[t0:t1] + columns(t0, t1)] = 1.0
+            at, cols = rows[t0:t1], columns(t0, t1)
+            if cut:
+                kept = cols >= cut
+                at, cols = at[kept], cols[kept] - cut
+            flat[at + cols] = 1.0
         del rows
         product = lambda i0, i1: x[i0:i1] @ x[i0:].T
     else:
-        x = _csr(data, columns(0, data.tokens.size), d)
+        x = _csr_view(data) if universe is None else _csr(data, columns(0, data.tokens.size), d)
+        if cut:
+            x = x[:, cut:]
         xt = x.T.tocsc()
         product = lambda i0, i1: (x[i0:i1] @ xt[:, i0:]).toarray()
     i0 = 0
@@ -198,17 +246,105 @@ def _intersection_blocks(data: Dataset):
         i0 = i1
 
 
-def brute_force_join_multi(data: Dataset, thresholds) -> dict:
-    """One intersection-count pass over the upper triangle, evaluated at
-    several thresholds.
+def _bound_terms(sizes: np.ndarray, below: np.ndarray, coef: float) -> np.ndarray:
+    """Each record's term coef * s - b / 2 of the oracle's bound, with b its
+    tokens below the cut, rounded down to a multiple of `_BOUND_STEP` and
+    lowered one step more: a slack of at least one step per record."""
+    return (np.floor((coef * sizes - 0.5 * below) / _BOUND_STEP) - 1) * _BOUND_STEP
 
-    Each block's Jaccard values are one float64 division of its exact counts
-    by the unions, so a pair (i, j), i < j, is a result where `verify_pairs`'
-    predicate holds. `candidates`, the pairs passing the size filter
-    threshold * max(s_i, s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted
-    over the sorted sizes. The filter needs no test at the hits: c / u >=
-    threshold in float64 gives threshold * max <= min * (1 + 2^-52), which
-    is within the slack for records under 2^21 tokens.
+
+def _tokens_below(data: Dataset, universe: np.ndarray | None, cut: int) -> np.ndarray:
+    """Each record's tokens in matrix columns below `cut`."""
+    if cut == 0:
+        return np.zeros(data.n, dtype=np.int64)
+    # the columns keep the ids' order, so column < cut is id < the cut's id
+    top = cut if universe is None else (universe[cut] if cut < universe.size else data.d)
+    # every record holds tokens, so each segment of the sum is its own
+    return np.add.reduceat((data.tokens < top).view(np.uint8), data.indptr[:-1], dtype=np.int64)
+
+
+def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
+    """The oracle's cut: the matrix columns below it are bounded, not
+    multiplied. 0 where no cut is priced below multiplying every column.
+
+    The rule prices `_CUT_STEPS` evenly spaced cuts. A cut costs the product
+    over the columns from it on, each at n(n-1)/2 cells on the dense route
+    and at f(f-1)/2 * `_SPARSE_COST` cells (f its records) on the sparse
+    one, plus `_VERIFY_COST` cells per pair the bound keeps. That share is
+    read off `_CUT_SAMPLE` pairs drawn with a fixed seed: their common and
+    own tokens per step are counted from the records' sorted tokens, and a
+    pair is kept at a cut exactly where the oracle's block would keep it.
+    """
+    n = data.n
+    pairs = n * (n - 1) // 2
+    d = data.d if universe is None else universe.size
+    steps = min(d, _CUT_STEPS)
+    if pairs == 0 or steps == 0:
+        return 0
+    m = min(pairs, _CUT_SAMPLE)
+    rng = np.random.default_rng(_CUT_SEED)
+    a = rng.integers(0, n, size=m)
+    b = rng.integers(0, n - 1, size=m)
+    b += b >= a  # a uniform pair of distinct records
+    sizes = data.sizes
+    step_of = np.arange(d) * steps // d  # the step each column lies in
+
+    def side(ids):  # each pair's tokens of one side: (pair * d + column, pair * steps + step)
+        k = sizes[ids]
+        first = np.cumsum(k) - k
+        at = np.repeat(data.indptr[ids] - first, k) + np.arange(first[-1] + k[-1])
+        cols = data.tokens[at].astype(np.int64)
+        if universe is not None:
+            cols = np.searchsorted(universe, cols)
+        pair = np.repeat(np.arange(m, dtype=np.int64), k)
+        return pair * d + cols, pair * steps + step_of[cols]
+
+    (ka, sa), (kb, sb) = side(a), side(b)
+    shared = sa[np.isin(ka, kb, assume_unique=True)]
+    hist = np.bincount(np.concatenate((sa, sb + m * steps, shared + 2 * m * steps)),
+                       minlength=3 * m * steps).reshape(3, m, steps)
+    below = np.zeros((3, m, steps + 1), dtype=np.int64)  # a's, b's and common tokens below each cut
+    np.cumsum(hist, axis=2, out=below[:, :, 1:])
+    c_above = below[2, :, -1:] - below[2]  # common tokens from each cut on
+    kept = c_above >= (_bound_terms(sizes[a, None], below[0], coef)
+                       + _bound_terms(sizes[b, None], below[1], coef))
+    cuts = -(-np.arange(steps + 1) * d // steps)  # ceil(g * d / steps)
+    if _dense_route(data, d):
+        weight = np.full(d, float(pairs))
+    else:
+        freq = np.bincount(np.searchsorted(universe, data.tokens) if universe is not None
+                           else data.tokens, minlength=d).astype(np.float64)
+        weight = freq * (freq - 1) / 2 * _SPARSE_COST
+    product = np.concatenate((np.cumsum(weight[::-1])[::-1], [0.0]))  # columns from c on
+    cost = product[cuts] + _VERIFY_COST * pairs * kept.mean(axis=0)
+    return int(cuts[np.argmin(cost)])
+
+
+def brute_force_join_multi(data: Dataset, thresholds) -> dict:
+    """One pass over the upper triangle, evaluated at several thresholds.
+
+    A pair (i, j), i < j, is a result where `_jaccard_at_least` holds. The
+    matrix columns, ascending ids, in canonical data ascending frequency,
+    are split at a cut (`_choose_cut`): [0, cut) are bounded and [cut, d)
+    multiplied. A pair can reach threshold lam only if c_A + (b_i + b_j) / 2
+    >= lam / (1 + lam) * (s_i + s_j), where c_A is its count over the
+    multiplied columns (`_intersection_blocks`) and b a record's tokens
+    below the cut, since the bounded columns hold at most min(b_i, b_j)
+    common tokens. So each block keeps the cells with c_A >= t_i + t_j,
+    one per-record term per side (`_bound_terms`), taken at the least
+    threshold. The terms are multiples of `_BOUND_STEP` = 2^-6, each lowered
+    by a step, which covers the float64 rounding of c / u >= lam and of the
+    terms; on the dense route, whose records hold at most
+    `_DENSE_SIZE_CAP` = 2^17 tokens, |c_A - t_i| stays below 2^18 and every
+    cell's difference is an exact float32, and the sparse route compares in
+    float64. Only the kept pairs get exact counts, from `_intersection_counts`,
+    and each threshold's predicate is applied to them.
+
+    `candidates`, the pairs passing the size filter threshold * max(s_i,
+    s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted over the sorted
+    sizes. The filter needs no test at the hits: c / u >= threshold in
+    float64 gives threshold * max <= min * (1 + 2^-52), which is within the
+    slack for records under 2^21 tokens.
 
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
@@ -217,21 +353,29 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
         _check_threshold(lam)
     n = data.n
     t0 = time.perf_counter()
-    asc = np.sort(data.sizes.astype(np.int64))
+    sizes = data.sizes
+    asc = np.sort(sizes)
     # per size in ascending order, the sizes k with lam * asc[k] <= asc[i] + eps,
     # less the i + 1 at or before it, which always pass: its partners after it
     cand_counts = {lam: int((np.searchsorted(lam * asc, asc + _EPS, side="right")
                              - np.arange(1, n + 1)).sum()) for lam in thresholds}
     out_codes = {lam: [] for lam in thresholds}
-    for i0, counts in _intersection_blocks(data):
-        sizes = data.sizes.astype(counts.dtype)
-        union = sizes[i0:i0 + counts.shape[0], None] + sizes[None, i0:]
-        union -= counts
-        sim = np.divide(counts, union, dtype=np.float64)
+    least = min(thresholds)
+    coef = least / (1.0 + least)
+    universe = _universe(data)
+    cut = _choose_cut(data, universe, coef)
+    terms = _bound_terms(sizes, _tokens_below(data, universe, cut), coef)
+    for i0, counts in _intersection_blocks(data, cut, universe):
+        t = terms.astype(np.result_type(counts.dtype, np.float32))  # float32 on the dense route
+        i1 = i0 + counts.shape[0]
+        kept = np.subtract(counts, t[i0:i1, None], dtype=t.dtype) >= t[i0:]
+        ri, ci = np.divmod(np.flatnonzero(kept), kept.shape[1])
+        upper = ci > ri
+        a, b = ri[upper] + i0, ci[upper] + i0
+        c = _intersection_counts(data, a, b)
         for lam in thresholds:
-            ri, ci = np.divmod(np.flatnonzero(sim >= lam), sim.shape[1])
-            upper = ci > ri
-            out_codes[lam].append(encode_pairs(ri[upper] + i0, ci[upper] + i0))
+            hit = _jaccard_at_least(c, sizes[a], sizes[b], lam)
+            out_codes[lam].append(encode_pairs(a[hit], b[hit]))
     elapsed = time.perf_counter() - t0
     result = {}
     for lam in thresholds:

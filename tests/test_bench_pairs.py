@@ -41,6 +41,7 @@ def test_pairs_alternate_which_revision_runs_first(monkeypatch, tmp_path):
     assert tokens["head"]["quartiles"]["cps_join_s"] == [0.5, 0.5]
     assert tokens["head"]["fingerprints"] == [{"cpsjoin": "head"}]
     assert tokens["fingerprints_equal"] is False
+    assert tokens["fingerprints_equal_by_join"] == {"cpsjoin": False}
 
 
 def test_rejects_an_empty_run(tmp_path):
@@ -76,12 +77,19 @@ def test_fingerprints_are_equal_only_when_both_sides_report_the_same_set():
         return {side: [{"metrics": {"setup_s": 1.0}, "failed": 0, "fingerprints": f} for f in fps]
                 for side, fps in (("base", base), ("head", head))}
 
-    same = {"cpsjoin": "ab12", "lsh": "cd34"}
-    moved = {"cpsjoin": "ab12", "lsh": "ef56"}
-    assert bench_pairs.summarize(runs([same, same], [same, same]),
-                                 {"setup_s": "lower"})["fingerprints_equal"] is True
-    assert bench_pairs.summarize(runs([same, same], [same, moved]),
-                                 {"setup_s": "lower"})["fingerprints_equal"] is False
+    same = {"cpsjoin": "ab12", "lsh": "cd34", "oracle": "0a0a"}
+    moved = {"cpsjoin": "ab12", "lsh": "ef56", "oracle": "0a0a"}
+    kept = bench_pairs.summarize(runs([same, same], [same, same]), {"setup_s": "lower"})
+    assert kept["fingerprints_equal"] is True
+    assert kept["fingerprints_equal_by_join"] == {"cpsjoin": True, "lsh": True, "oracle": True}
+    # one head run moved lsh alone: the workload differs, and only lsh does
+    out = bench_pairs.summarize(runs([same, same], [same, moved]), {"setup_s": "lower"})
+    assert out["fingerprints_equal"] is False
+    assert out["fingerprints_equal_by_join"] == {"cpsjoin": True, "lsh": False, "oracle": True}
+    # a join one side never reported differs too
+    out = bench_pairs.summarize(runs([same], [{"cpsjoin": "ab12", "lsh": "cd34"}]),
+                                {"setup_s": "lower"})
+    assert out["fingerprints_equal_by_join"] == {"cpsjoin": True, "lsh": True, "oracle": False}
 
 
 _SPREAD = [1.0, 1.1, 1.2, 0.9, 1.0, 1.1, 0.9, 1.2, 1.0, 1.1]  # median 1.05, IQR 0.1

@@ -20,13 +20,14 @@ import gc
 import time
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setjoin import datasets, exact
+from setjoin import LshConfig, datasets, exact, lsh_join
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
 from setjoin.errors import CanonicalOrderError
 from setjoin.exact import (
@@ -254,6 +255,35 @@ def test_word_lists_are_built_once_and_die_with_their_dataset():
     del ds, lists, pairs
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("join", ["allpairs", "lsh", "bruteforce"])
+def test_a_join_builds_the_csr_view_once(monkeypatch, join):
+    # no bitset: every verify block reads the records' CSR matrix, which the
+    # dataset holds from the first read, and the oracle's sparse blocks on
+    # canonical data multiply that same matrix
+    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    monkeypatch.setattr(exact, "_DENSE_CELL_CAP", 0)
+    monkeypatch.setattr(exact, "_PAIR_BLOCK", 2 ** 10)
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", 2 ** 14)
+    ds = gen_uniform(400, 10, 200, seed=25)
+    assert ds.bitset() is None
+    built, calls = [], []
+    csr, counts = exact._csr, exact._intersection_counts
+    monkeypatch.setattr(exact, "_csr", lambda *args: built.append(args[2]) or csr(*args))
+    monkeypatch.setattr(exact, "_intersection_counts",
+                        lambda *args: calls.append(args[1].size) or counts(*args))
+    run = {"allpairs": lambda: allpairs_join(ds, 0.3),
+           "lsh": lambda: lsh_join(ds, LshConfig(threshold=0.5, seed=3)),
+           "bruteforce": lambda: brute_force_join(ds, 0.3)}[join]
+    run()
+    assert len(calls) > 1 and built == [ds.d]
+    run()
+    assert built == [ds.d]
+    view = weakref.ref(exact._csr_view(ds))
+    del ds, run
+    gc.collect()
+    assert view() is None  # it dies with its dataset
 
 
 def _random_dataset(rng):
@@ -499,6 +529,111 @@ def test_brute_force_candidates_over_many_sizes_in_no_order():
         hit = verify_pairs(ds, i, j, lam)
         assert np.array_equal(pairs, np.stack([i[hit], j[hit]], axis=1))
     assert multi[0.5][1].results > 0
+
+
+@st.composite
+def _oracle_records(draw):
+    """Up to 18 records over 51 ids, at times with the 27-in-42 pair whose
+    Jaccard is exactly 9/14; raw records may spread their ids 1,000 apart,
+    so the oracle renumbers a universe wider than the tokens."""
+    recs = draw(st.lists(st.sets(st.integers(0, 50), min_size=2, max_size=30),
+                         min_size=2, max_size=18))
+    if draw(st.booleans()):
+        recs += [set(range(27)), set(range(42))]
+    spread = draw(st.sampled_from([1, 1000]))
+    return [np.array(sorted(r)) * spread for r in recs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_records(), st.booleans(), st.sampled_from(["dense", "sparse"]),
+       st.sampled_from(["none", "mid", "all"]))
+def test_the_oracle_bound_is_lossless_at_any_cut(records, canonical, route, cut):
+    ds = Dataset.from_records(records, canonical=canonical)
+    universe = exact._universe(ds)
+    width = ds.d if universe is None else universe.size
+    forced = {"none": 0, "mid": width // 2, "all": width}[cut]
+    lams = (0.2, 1 / 3, 0.5, 9 / 14, 0.8, 1.0)
+    with mock.patch.object(exact, "_choose_cut", lambda *args: forced), \
+            mock.patch.object(exact, "_DENSE_CELL_CAP", 0 if route == "sparse" else 2 ** 26):
+        multi = brute_force_join_multi(ds, lams)
+    for lam in lams:
+        pairs, stats = multi[lam]
+        want_pairs, want_candidates = _per_pair_scan(ds, lam)
+        assert [tuple(p) for p in pairs.tolist()] == want_pairs
+        assert (stats.pre_candidates, stats.candidates, stats.results) == \
+            (ds.n * (ds.n - 1) // 2, want_candidates, len(want_pairs))
+
+
+def _verified_pairs(monkeypatch, ds, lam, cut=None):
+    """The pairs the oracle gives exact counts at `lam`, with the cut its
+    rule picks or, if given, `cut`."""
+    verified = []
+    counts = exact._intersection_counts
+    monkeypatch.setattr(exact, "_intersection_counts",
+                        lambda data, a, b: verified.append(a.size) or counts(data, a, b))
+    if cut is not None:
+        monkeypatch.setattr(exact, "_choose_cut", lambda *args: cut)
+    brute_force_join(ds, lam)
+    monkeypatch.undo()
+    return sum(verified)
+
+
+def test_the_cut_rule_bounds_the_rare_columns_of_the_benchmark_tokens_recipe(monkeypatch):
+    ds = gen_tokens(TokensSpec(
+        d=800, max_freq=700, background_similarity=0.12,
+        planted=((0.55, 10), (0.65, 10), (0.75, 10), (0.85, 10), (0.95, 10)), seed=21))
+    cut = exact._choose_cut(ds, None, 0.5 / 1.5)
+    assert 0.3 * ds.d < cut < ds.d
+    # the product skips the rare columns for a few more verified pairs
+    want = brute_force_join(ds, 0.5)
+    assert want[1].results > 4000
+    assert want[1].results < _verified_pairs(monkeypatch, ds, 0.5) < 20 * want[1].results
+    pairs, stats = brute_force_join(ds, 0.5)
+    with mock.patch.object(exact, "_choose_cut", lambda *args: 0):
+        assert np.array_equal(brute_force_join(ds, 0.5)[0], pairs)
+
+
+def test_the_cut_rule_keeps_every_column_where_the_bound_cannot_prune(monkeypatch):
+    # 12 ids, each in about half the records: bounding even the rarest
+    # column keeps thousands more pairs than it saves cells
+    ds = gen_uniform(500, 6, 12, seed=1)
+    assert exact._choose_cut(ds, None, 0.5 / 1.5) == 0
+    exact_only = _verified_pairs(monkeypatch, ds, 0.5)
+    assert exact_only == _verified_pairs(monkeypatch, ds, 0.5, cut=0)
+    assert _verified_pairs(monkeypatch, ds, 0.5, cut=1) > exact_only + 3000
+
+
+def test_the_int64_predicate_rejects_what_float32_sizes_accept():
+    # records arange(2^24 + 1), arange(2^24) and arange(1, 2^24 + 2) at
+    # lam = (s - 1) / (s + 1), s = 2^24 + 1: records 1 and 2 share 2^24 - 1
+    # tokens of a union of 2^24 + 2, under the threshold; float32 sizes and
+    # unions round that to 2^24 - 1 of 2^24 + 1 and accept it
+    s = 2 ** 24 + 1
+    lam = (s - 1) / (s + 1)
+    c, size_a, size_b = np.int64(2 ** 24 - 1), np.int64(2 ** 24), np.int64(2 ** 24 + 1)
+    assert not exact._jaccard_at_least(c, size_a, size_b, lam)
+    as32 = np.float32
+    union32 = as32(size_a) + as32(size_b) - as32(c)
+    assert np.divide(as32(c), union32, dtype=np.float64) >= lam  # what the float32 route said
+
+
+def test_the_dense_oracle_route_stops_where_float32_stops_being_exact(monkeypatch):
+    # every cell of the bound, c_A - t_i with |t| <= s / 2 + 2 steps, is a
+    # multiple of the step under 2^24 steps at the cap
+    cap, step = exact._DENSE_SIZE_CAP, exact._BOUND_STEP
+    assert (cap + cap // 2 + 2) / step <= 2 ** 24
+    big = Dataset.from_records([np.arange(s) for s in (cap, cap + 1)], canonical=False)
+    assert exact._dense_route(Dataset.from_records([np.arange(cap)]), cap)
+    assert not exact._dense_route(big, big.d)
+    # the same rule at a cap of 40 tokens: records past it take the int32
+    # sparse blocks, and the results stand
+    monkeypatch.setattr(exact, "_DENSE_SIZE_CAP", 40)
+    ds = Dataset.from_records(_tiling_records())
+    assert ds.sizes.max() > 40
+    assert next(exact._intersection_blocks(ds))[1].dtype == np.int32
+    for lam in (1 / 3, 9 / 14):
+        assert [tuple(p) for p in brute_force_join(ds, lam)[0].tolist()] == \
+            _per_pair_scan(ds, lam)[0]
 
 
 def test_brute_force_memory_stays_bounded():

@@ -14,7 +14,9 @@ side always runs on the heap and caches the other left behind.
 The output file holds, per workload and revision, every end-to-end sample,
 their medians and quartiles and the join fingerprints the runs reported;
 per workload, whether both revisions reported the same fingerprints
-(`fingerprints_equal`, which a change meant to keep behaviour must show);
+(`fingerprints_equal`, which a change meant to keep behaviour must show),
+and the same per join (`fingerprints_equal_by_join`, which names the joins
+whose pairs or counters a change moved);
 per metric, the relative change of the medians (head against base), the number
 of pairs in which head was better, in the direction `BENCHMARK.json` gives,
 whether head shows a gain: it was better in at least nine tenths of the
@@ -83,7 +85,7 @@ def quartiles(values: list) -> list:
 
 def summarize(runs: dict, metrics: dict, bounds: dict | None = None) -> dict:
     """Samples, medians, quartiles and fingerprints per side; whether the
-    sides' fingerprints are equal; per metric the change of the medians, the
+    sides' fingerprints are equal, in all and per join; per metric the change of the medians, the
     pairs head won and whether that is a gain; per metric of `bounds` (name
     to relative bound), the regression verdict."""
     out = {}
@@ -97,6 +99,10 @@ def summarize(runs: dict, metrics: dict, bounds: dict | None = None) -> dict:
                      "fingerprints": [json.loads(f) for f in fingerprints]}
     base, head = out["base"], out["head"]
     out["fingerprints_equal"] = base["fingerprints"] == head["fingerprints"]
+    by_join = lambda side, join: sorted({f[join] for f in side["fingerprints"] if join in f})
+    joins = sorted({join for side in (base, head) for f in side["fingerprints"] for join in f})
+    out["fingerprints_equal_by_join"] = {join: by_join(base, join) == by_join(head, join)
+                                         for join in joins}
     out["change"] = {m: head["median"][m] / base["median"][m] - 1 if base["median"][m] else None
                      for m in metrics}
     out["head_better_pairs"] = {
