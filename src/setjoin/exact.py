@@ -1,38 +1,48 @@
 """Exact joins and exact verification.
 
-Both joins report exactly the pairs with Jaccard similarity >= threshold: the
-brute-force oracle counts every pair's intersection through a dense or sparse
-matrix product, over the upper triangle only, in row blocks of about
-`_BLOCK_CELLS` cells, keeps the pairs that pass the one Jaccard predicate and
-counts its size-filter candidates with one searchsorted over the sorted
-sizes; AllPairs probes an inverted index over prefix tokens as
-whole-array passes (sort, searchsorted, blocked pair dedup). Its positional
-filter bounds the overlap of a pair met at a prefix token by 1 + min(rest_i,
-rest_j), the tokens from there on in the shorter tail, and keeps it only where
-that reaches `min_overlap`: a second searchsorted ends each entry's postings at
-the largest partner size its own tail allows, and one gather and compare per
-built pair applies the partner's tail. AllPairs' `candidates` are the distinct
-pairs that pass it, which are the pairs it verifies.
+Both joins report exactly the pairs with Jaccard similarity >= threshold.
+The brute-force oracle splits its matrix columns at a cut (`_choose_cut`):
+in canonical data ascending ids are ascending frequency, so the columns
+below the cut are the rare ones. It multiplies only the columns from the cut
+on, over the upper triangle only, in row blocks of about `_BLOCK_CELLS`
+cells, charges each record's tokens below the cut to a per-record bound,
+and gives exact counts only to the pairs the bound keeps (the prefix-filter
+idea of AllPairs, Bayardo et al., WWW 2007, in dense form). Its size-filter
+candidates are one searchsorted over the sorted sizes. AllPairs probes an
+inverted index over prefix tokens as whole-array passes (sort,
+searchsorted, blocked pair dedup). Its positional filter bounds the overlap
+of a pair met at a prefix token by 1 + min(rest_i, rest_j), the tokens from
+there on in the shorter tail, and keeps it only where that reaches
+`min_overlap`: a second searchsorted ends each entry's postings at the
+largest partner size its own tail allows, and one gather and compare per
+built pair applies the partner's tail. AllPairs' `candidates` are the
+distinct pairs that pass it, which are the pairs it verifies.
 
-`verify_pairs`, which AllPairs and both approximate joins end in, counts
+`_intersection_counts`, which `verify_pairs` (so AllPairs and both
+approximate joins) and the oracle's kept pairs go through, counts
 intersections on one of three routes. Past the bitset's memory cap it takes
-elementwise row products of the records' CSR matrix, the one `_csr` also
-builds for the oracle's sparse route. With a bitset, it popcounts the ANDed
-rows, all ceil(d/64) words of them (the dense route), unless the bitset is
-sparse: where tokens * `_GATHER_COST` < n * ceil(d/64), it popcounts only the
-lower id's non-zero words, each ANDed with the word at the same index in the
-other row (the word route). The token count bounds the non-zero words from
-above, so the rule costs nothing and a dense dataset never builds its word
-lists. `_GATHER_COST` = 4 is the measured cost of a gathered word against a
-dense one: on `gen_uniform(4000, avg, 10^4)` with 100k sorted random pairs,
-2 vCPUs, a word took 12-17 ns gathered and 3.1-3.5 ns dense. The word route
-won 2.5x at tokens / (n * ceil(d/64)) = 0.10, 1.5x at 0.19 and 1.13x at 0.25,
-broke even between 0.32 and 0.38 and lost at 0.51 (0.73x); the rule switches
-at 0.25. One float predicate (float64 intersection/union >= threshold)
-decides membership everywhere, so every route agrees bit-for-bit.
+elementwise row products of the records' CSR matrix (`_csr_view`, built on
+first use and held by the dataset, so a join builds it once; the oracle's
+sparse blocks multiply the same matrix). With a bitset, it popcounts the
+ANDed rows, all ceil(d/64) words of them (the dense route), unless the
+bitset is sparse: where tokens * `_GATHER_COST` < n * ceil(d/64), it
+popcounts only the lower id's non-zero words, each ANDed with the word at
+the same index in the other row (the word route). The token count bounds
+the non-zero words from above, so the rule costs nothing and a dense
+dataset never builds its word lists. `_GATHER_COST` = 4 is the measured
+cost of a gathered word against a dense one: on `gen_uniform(4000, avg,
+10^4)` with 100k sorted random pairs, 2 vCPUs, a word took 12-17 ns
+gathered and 3.1-3.5 ns dense. The word route won 2.5x at tokens / (n *
+ceil(d/64)) = 0.10, 1.5x at 0.19 and 1.13x at 0.25, broke even between 0.32
+and 0.38 and lost at 0.51 (0.73x); the rule switches at 0.25. One predicate,
+`_jaccard_at_least` (int64 intersection over int64 union, one float64
+division, >= threshold), decides membership everywhere, so every route
+agrees bit-for-bit.
 
-All cheap pruning bounds carry a 1e-9 slack in the keep direction: float
-rounding can only add candidates, never drop a true pair.
+All cheap pruning bounds carry a slack in the keep direction, so float
+rounding can only add candidates, never drop a true pair: 1e-9 for the size,
+prefix and positional filters, and one `_BOUND_STEP` per record for the
+oracle's bound.
 """
 
 from __future__ import annotations
@@ -60,7 +70,6 @@ _DENSE_SIZE_CAP = 2 ** 17  # largest record of the oracle's dense route; see bru
 _BOUND_STEP = 2.0 ** -6  # grid of the oracle's per-record bound terms
 _CUT_STEPS = 64  # cuts the oracle's cut rule prices, evenly spaced over the columns
 _CUT_SAMPLE = 2 ** 9  # pairs the cut rule samples
-_CUT_SEED = 28  # seed of the cut rule's sample
 _VERIFY_COST = 4000  # a verified survivor, in dense product cells; see _choose_cut
 _SPARSE_COST = 3500  # a sparse product term, in dense product cells; see _choose_cut
 
@@ -93,9 +102,14 @@ def verify(x, y, threshold: float) -> bool:
 
 
 def verify_pairs(data: Dataset, a_ids, b_ids, threshold: float) -> np.ndarray:
-    """Vectorized exact check for batches of candidate pairs: each pair's
-    intersection count from `_intersection_counts`, then `_jaccard_at_least`,
-    the predicate every exact route decides by."""
+    """Vectorized exact check for batches of candidate pairs.
+
+    Counts each pair's intersection with `_intersection_counts` (bitset
+    rows, non-zero bitset words or CSR rows, as the dataset's shape picks)
+    and keeps c / (|a| + |b| - c) >= threshold by `_jaccard_at_least`:
+    int64 counts and sizes and one float64 division, exact at any record
+    size. The brute-force oracle decides its kept pairs by the same two
+    functions, so every route agrees bit for bit."""
     a_ids = np.asarray(a_ids, dtype=np.int64)
     b_ids = np.asarray(b_ids, dtype=np.int64)
     sizes = data.sizes
@@ -265,15 +279,30 @@ def _tokens_below(data: Dataset, universe: np.ndarray | None, cut: int) -> np.nd
 
 def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     """The oracle's cut: the matrix columns below it are bounded, not
-    multiplied. 0 where no cut is priced below multiplying every column.
+    multiplied; 0 where no cut is priced below multiplying every column.
 
-    The rule prices `_CUT_STEPS` evenly spaced cuts. A cut costs the product
-    over the columns from it on, each at n(n-1)/2 cells on the dense route
-    and at f(f-1)/2 * `_SPARSE_COST` cells (f its records) on the sparse
-    one, plus `_VERIFY_COST` cells per pair the bound keeps. That share is
-    read off `_CUT_SAMPLE` pairs drawn with a fixed seed: their common and
-    own tokens per step are counted from the records' sorted tokens, and a
-    pair is kept at a cut exactly where the oracle's block would keep it.
+    The rule prices `_CUT_STEPS` evenly spaced cuts, 0 and d included. A cut
+    costs the product over the columns from it on plus `_VERIFY_COST` per
+    pair the bound keeps, in units of one dense product cell (one pair, one
+    column). A column costs n(n-1)/2 cells on the dense route and f(f-1)/2 *
+    `_SPARSE_COST` on the sparse one, f its records. The share of pairs kept
+    at each cut is read off `_CUT_SAMPLE` pairs drawn with a fixed seed:
+    their own and common tokens below each cut are counted from the
+    records' sorted tokens, with no matrix, and a sampled pair is kept where
+    the oracle's block would keep it. On the benchmark's `tokens` records
+    the rule takes about 3.5 ms, and at 256 to 2,048 sampled pairs and ten
+    sample seeds its cut cost at most 0.7 ms more than the best of the 64.
+
+    The weights were measured with one BLAS thread on 2 vCPUs (minimum of
+    7 runs, forced cuts). Dense route: from cut 0 to cut 400 the product
+    fell from 63 to 33 ms on the `tokens` records (seed 21, n 2,963, d 800)
+    and from 583 to 131 ms on `gen_uniform(10^4, 10, 500)`, 17-23 ps per
+    cell. A kept pair added 65 ns of oracle time on `tokens` (8.6k kept at
+    cut 300 against 606k at cut 425) and 89 ns on the uniform set (1.2k at
+    cut 100 against 12.3M at cut 300), 3,000-5,200 cells, hence 4,000.
+    Sparse route, `gen_uniform(10^4, 30, 10^4)`: the product fell from 313
+    to 92 ms as the sum of f(f-1)/2 over the multiplied columns fell from
+    4.5M to 1.4M, 71 ns a term, about 3,500 cells at 20 ps.
     """
     n = data.n
     pairs = n * (n - 1) // 2
@@ -282,7 +311,7 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     if pairs == 0 or steps == 0:
         return 0
     m = min(pairs, _CUT_SAMPLE)
-    rng = np.random.default_rng(_CUT_SEED)
+    rng = np.random.default_rng(28)  # a fixed sample: the same data gets the same cut
     a = rng.integers(0, n, size=m)
     b = rng.integers(0, n - 1, size=m)
     b += b >= a  # a uniform pair of distinct records
@@ -312,8 +341,9 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     if _dense_route(data, d):
         weight = np.full(d, float(pairs))
     else:
-        freq = np.bincount(np.searchsorted(universe, data.tokens) if universe is not None
-                           else data.tokens, minlength=d).astype(np.float64)
+        freq = (data.token_freq if universe is None
+                else np.bincount(np.searchsorted(universe, data.tokens), minlength=d))
+        freq = freq.astype(np.float64)
         weight = freq * (freq - 1) / 2 * _SPARSE_COST
     product = np.concatenate((np.cumsum(weight[::-1])[::-1], [0.0]))  # columns from c on
     cost = product[cuts] + _VERIFY_COST * pairs * kept.mean(axis=0)
@@ -323,22 +353,28 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
 def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     """One pass over the upper triangle, evaluated at several thresholds.
 
-    A pair (i, j), i < j, is a result where `_jaccard_at_least` holds. The
-    matrix columns, ascending ids, in canonical data ascending frequency,
-    are split at a cut (`_choose_cut`): [0, cut) are bounded and [cut, d)
-    multiplied. A pair can reach threshold lam only if c_A + (b_i + b_j) / 2
-    >= lam / (1 + lam) * (s_i + s_j), where c_A is its count over the
-    multiplied columns (`_intersection_blocks`) and b a record's tokens
-    below the cut, since the bounded columns hold at most min(b_i, b_j)
-    common tokens. So each block keeps the cells with c_A >= t_i + t_j,
-    one per-record term per side (`_bound_terms`), taken at the least
-    threshold. The terms are multiples of `_BOUND_STEP` = 2^-6, each lowered
-    by a step, which covers the float64 rounding of c / u >= lam and of the
-    terms; on the dense route, whose records hold at most
-    `_DENSE_SIZE_CAP` = 2^17 tokens, |c_A - t_i| stays below 2^18 and every
-    cell's difference is an exact float32, and the sparse route compares in
-    float64. Only the kept pairs get exact counts, from `_intersection_counts`,
-    and each threshold's predicate is applied to them.
+    A pair (i, j), i < j, is a result where `_jaccard_at_least` holds on its
+    exact count. The matrix columns are split at a cut (`_choose_cut`):
+    [cut, d) are multiplied (`_intersection_blocks`) and [0, cut) bounded.
+    With c_A a pair's count over the multiplied columns and b a record's
+    tokens below the cut, the bounded columns hold at most min(b_i, b_j) <=
+    (b_i + b_j) / 2 common tokens, so the pair can reach threshold lam only
+    if
+
+        c_A >= t_i + t_j,  t = lam / (1 + lam) * s - b / 2.
+
+    Each block keeps the cells that pass, with one term per record and side
+    (`_bound_terms`) at the least threshold; at cut 0 it keeps little more
+    than the results. Only the kept pairs get exact int64 counts, from
+    `_intersection_counts`, and each threshold's predicate decides on them.
+
+    Exactness: each term is rounded down to a multiple of `_BOUND_STEP` =
+    2^-6 and lowered one step more, which covers the float64 rounding of
+    c / u >= lam and of the terms for records under 2^40 tokens. The dense
+    route runs only where no record passes `_DENSE_SIZE_CAP` = 2^17 tokens
+    (`_dense_route`): there its float32 counts are exact, and so is every
+    c_A - t_i, a multiple of 2^-6 below 2^18. The sparse route's int32
+    counts meet the terms in float64.
 
     `candidates`, the pairs passing the size filter threshold * max(s_i,
     s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted over the sorted
