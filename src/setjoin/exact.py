@@ -41,8 +41,8 @@ agrees bit-for-bit.
 
 All cheap pruning bounds carry a slack in the keep direction, so float
 rounding can only add candidates, never drop a true pair: 1e-9 for the size,
-prefix and positional filters, and one `_BOUND_STEP` per record for the
-oracle's bound.
+prefix and positional filters, and the rounding down of the oracle's
+per-record terms to multiples of `_BOUND_STEP`.
 """
 
 from __future__ import annotations
@@ -262,9 +262,8 @@ def _intersection_blocks(data: Dataset, cut: int = 0, universe: np.ndarray | Non
 
 def _bound_terms(sizes: np.ndarray, below: np.ndarray, coef: float) -> np.ndarray:
     """Each record's term coef * s - b / 2 of the oracle's bound, with b its
-    tokens below the cut, rounded down to a multiple of `_BOUND_STEP` and
-    lowered one step more: a slack of at least one step per record."""
-    return (np.floor((coef * sizes - 0.5 * below) / _BOUND_STEP) - 1) * _BOUND_STEP
+    tokens below the cut, rounded down to a multiple of `_BOUND_STEP`."""
+    return np.floor((coef * sizes - 0.5 * below) / _BOUND_STEP) * _BOUND_STEP
 
 
 def _tokens_below(data: Dataset, universe: np.ndarray | None, cut: int) -> np.ndarray:
@@ -369,12 +368,15 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     `_intersection_counts`, and each threshold's predicate decides on them.
 
     Exactness: each term is rounded down to a multiple of `_BOUND_STEP` =
-    2^-6 and lowered one step more, which covers the float64 rounding of
-    c / u >= lam and of the terms for records under 2^40 tokens. The dense
-    route runs only where no record passes `_DENSE_SIZE_CAP` = 2^17 tokens
-    (`_dense_route`): there its float32 counts are exact, and so is every
-    c_A - t_i, a multiple of 2^-6 below 2^18. The sparse route's int32
-    counts meet the terms in float64.
+    2^-6. For a result, c_A is at least the exact t_i + t_j less the float64
+    error of c / u >= lam, and the computed terms exceed the exact ones by at
+    most their own float64 error; for records under 2^40 tokens the two stay
+    under 2^-6, and c_A and the rounded sum both lie on the 2^-6 grid, so
+    the rounded sum is at most c_A. The dense route runs only where no
+    record passes `_DENSE_SIZE_CAP` = 2^17 tokens (`_dense_route`): there
+    its float32 counts are exact, and so is every c_A - t_i, a multiple of
+    2^-6 below 2^18. The sparse route's int32 counts meet the terms in
+    float64.
 
     `candidates`, the pairs passing the size filter threshold * max(s_i,
     s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted over the sorted

@@ -618,10 +618,10 @@ def test_the_int64_predicate_rejects_what_float32_sizes_accept():
 
 
 def test_the_dense_oracle_route_stops_where_float32_stops_being_exact(monkeypatch):
-    # every cell of the bound, c_A - t_i with |t| <= s / 2 + 2 steps, is a
+    # every cell of the bound, c_A - t_i with |t| <= s / 2 + 1 step, is a
     # multiple of the step under 2^24 steps at the cap
     cap, step = exact._DENSE_SIZE_CAP, exact._BOUND_STEP
-    assert (cap + cap // 2 + 2) / step <= 2 ** 24
+    assert (cap + cap // 2 + 1) / step <= 2 ** 24
     big = Dataset.from_records([np.arange(s) for s in (cap, cap + 1)], canonical=False)
     assert exact._dense_route(Dataset.from_records([np.arange(cap)]), cap)
     assert not exact._dense_route(big, big.d)
