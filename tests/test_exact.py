@@ -558,7 +558,7 @@ def test_the_oracle_bound_is_lossless_at_any_cut(records, canonical, route, cut)
     forced = {"none": 0, "mid": width // 2, "all": width}[cut]
     lams = (0.2, 1 / 3, 0.5, 9 / 14, 0.8, 1.0)
     with mock.patch.object(exact, "_choose_cut", lambda *args: forced), \
-            mock.patch.object(exact, "_DENSE_CELL_CAP", 0 if route == "sparse" else 2 ** 26):
+            mock.patch.object(exact, "_DENSE_CELL_CAP", 0 if route == "sparse" else exact._DENSE_CELL_CAP):
         multi = brute_force_join_multi(ds, lams)
     for lam in lams:
         pairs, stats = multi[lam]
