@@ -5,39 +5,41 @@ The brute-force oracle splits its matrix columns at a cut (`_choose_cut`):
 in canonical data ascending ids are ascending frequency, so the columns
 below the cut are the rare ones. It multiplies only the columns from the cut
 on, over the upper triangle only, in row blocks of about `_BLOCK_CELLS`
-cells, charges each record's tokens below the cut to a per-record bound,
-and gives exact counts only to the pairs the bound keeps (the prefix-filter
-idea of AllPairs, Bayardo et al., WWW 2007, in dense form). Its size-filter
+cells, charges each record's tokens below the cut to a per-record bound, and
+gives exact counts only to the pairs the bound keeps (the prefix-filter idea
+of AllPairs, Bayardo et al., WWW 2007, in dense form). Its size-filter
 candidates are one searchsorted over the sorted sizes. AllPairs probes an
-inverted index over prefix tokens as whole-array passes (sort,
-searchsorted, blocked pair dedup). Its positional filter bounds the overlap
-of a pair met at a prefix token by 1 + min(rest_i, rest_j), the tokens from
-there on in the shorter tail, and keeps it only where that reaches
-`min_overlap`: a second searchsorted ends each entry's postings at the
-largest partner size its own tail allows, and one gather and compare per
-built pair applies the partner's tail. AllPairs' `candidates` are the
-distinct pairs that pass it, which are the pairs it verifies.
+inverted index over prefix tokens as whole-array passes: one packed sort
+builds the postings, two searchsorted calls take their queries in posting
+order, and each block of records dedups its pairs on keys of 32 bits where
+they fit. Its positional filter bounds the overlap of a pair met at a prefix
+token by 1 + min(rest_i, rest_j), the tokens from there on in the shorter
+tail, and keeps it only where that reaches `min_overlap`: the second
+searchsorted ends each entry's postings at the largest partner size its own
+tail allows, and one gather and compare per built pair applies the partner's
+tail. AllPairs' `candidates` are the distinct pairs that pass it, which are
+the pairs it verifies.
 
 `_intersection_counts`, which `verify_pairs` (so AllPairs and both
 approximate joins) and the oracle's kept pairs go through, counts
 intersections on one of three routes. Past the bitset's memory cap it takes
 elementwise row products of the records' CSR matrix (`_csr_view`, built on
 first use and held by the dataset, so a join builds it once; the oracle's
-sparse blocks multiply the same matrix). With a bitset, it popcounts the
-ANDed rows, all ceil(d/64) words of them (the dense route), unless the
+sparse blocks multiply the same matrix by its transpose, built once per call
+as CSR, so no block's column slice converts it). With a bitset, it popcounts
+the ANDed rows, all ceil(d/64) words of them (the dense route), unless the
 bitset is sparse: where tokens * `_GATHER_COST` < n * ceil(d/64), it
 popcounts only the lower id's non-zero words, each ANDed with the word at
-the same index in the other row (the word route). The token count bounds
-the non-zero words from above, so the rule costs nothing and a dense
-dataset never builds its word lists. `_GATHER_COST` = 4 is the measured
-cost of a gathered word against a dense one: on `gen_uniform(4000, avg,
-10^4)` with 100k sorted random pairs, 2 vCPUs, a word took 12-17 ns
-gathered and 3.1-3.5 ns dense. The word route won 2.5x at tokens / (n *
-ceil(d/64)) = 0.10, 1.5x at 0.19 and 1.13x at 0.25, broke even between 0.32
-and 0.38 and lost at 0.51 (0.73x); the rule switches at 0.25. One predicate,
-`_jaccard_at_least` (int64 intersection over int64 union, one float64
-division, >= threshold), decides membership everywhere, so every route
-agrees bit-for-bit.
+the same index in the other row (the word route). The token count bounds the
+non-zero words from above, so the rule costs nothing and a dense dataset
+never builds its word lists. `_GATHER_COST` = 4 is the measured cost of a
+gathered word against a dense one: on `gen_uniform(4000, avg, 10^4)` with
+100k sorted random pairs, 2 vCPUs, a word took 12-17 ns gathered and 3.1-3.5
+ns dense. The word route won 2.5x at tokens / (n * ceil(d/64)) = 0.10, 1.5x
+at 0.19 and 1.13x at 0.25, broke even between 0.32 and 0.38 and lost at 0.51
+(0.73x); the rule switches at 0.25. One predicate, `_jaccard_at_least`
+(int64 intersection over int64 union, one float64 division, >= threshold),
+decides membership everywhere, so every route agrees bit-for-bit.
 
 All cheap pruning bounds carry a slack in the keep direction, so float
 rounding can only add candidates, never drop a true pair: 1e-9 for the size,
@@ -54,13 +56,15 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CanonicalOrderError
-from .stats import JoinStats, decode_pairs, encode_pairs, unique_pairs
+from .stats import JoinStats, decode_pairs, encode_pairs, stable_order
 
 _EPS = 1e-9
 _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
 _BLOCK_CELLS = 2 ** 19  # target cells per intersection-count block
 _FILL_CHUNK = 2 ** 18  # tokens renumbered, or set in the oracle's dense matrix, per step
-_PAIR_BLOCK = 2 ** 18  # AllPairs (j, i) pairs built per block, unless one record has more
+# AllPairs (j, i) pairs built per block, unless one record has more; a block of
+# records [r0, r1) dedups them on 32-bit keys where (r1 - r0) * r1 < 2^32.
+_PAIR_BLOCK = 2 ** 18
 # Bitset words a verify block gathers per side, on average: 512 KB of uint64,
 # so both sides and their AND fit a 2 MB L2 cache.
 _VERIFY_BLOCK = 2 ** 16
@@ -71,7 +75,7 @@ _BOUND_STEP = 2.0 ** -6  # grid of the oracle's per-record bound terms
 _CUT_STEPS = 64  # cuts the oracle's cut rule prices, evenly spaced over the columns
 _CUT_SAMPLE = 2 ** 9  # pairs the cut rule samples
 _VERIFY_COST = 4000  # a verified survivor, in dense product cells; see _choose_cut
-_SPARSE_COST = 3500  # a sparse product term, in dense product cells; see _choose_cut
+_SPARSE_COST = 1400  # a sparse product term, in dense product cells; see _choose_cut
 
 
 def jaccard(x, y) -> float:
@@ -219,6 +223,12 @@ def _intersection_blocks(data: Dataset, cut: int = 0, universe: np.ndarray | Non
     their ranks in `universe` (`_universe(data)`, computed here if not
     given), so no array spans an unused universe.
 
+    The sparse route multiplies each block's CSR rows by the columns [i0, n)
+    of the transpose, built once as a CSR matrix: scipy slices a CSR
+    matrix's columns directly, where a CSC one was converted and copied for
+    every block (71 against 28-30 ns a product term on `gen_uniform(10^4,
+    30, 10^4)`; see `_choose_cut`).
+
     The dense matrix is built with no array wider than 4 bytes per token:
     each token's row offset into the flat matrix is an int32, which
     n * d <= `_DENSE_CELL_CAP` allows, and the columns are renumbered and
@@ -251,7 +261,7 @@ def _intersection_blocks(data: Dataset, cut: int = 0, universe: np.ndarray | Non
         x = _csr_view(data) if universe is None else _csr(data, columns(0, data.tokens.size), d)
         if cut:
             x = x[:, cut:]
-        xt = x.T.tocsc()
+        xt = x.T.tocsr()
         product = lambda i0, i1: (x[i0:i1] @ xt[:, i0:]).toarray()
     i0 = 0
     while i0 < n:
@@ -299,9 +309,11 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     cell. A kept pair added 65 ns of oracle time on `tokens` (8.6k kept at
     cut 300 against 606k at cut 425) and 89 ns on the uniform set (1.2k at
     cut 100 against 12.3M at cut 300), 3,000-5,200 cells, hence 4,000.
-    Sparse route, `gen_uniform(10^4, 30, 10^4)`: the product fell from 313
-    to 92 ms as the sum of f(f-1)/2 over the multiplied columns fell from
-    4.5M to 1.4M, 71 ns a term, about 3,500 cells at 20 ps.
+    Sparse route, `gen_uniform(10^4, 30, 10^4)`: the product fell from 141
+    to 56 ms as the sum of f(f-1)/2 over the multiplied columns fell from
+    4.5M to 1.7M, 28-30 ns a term (a line fit over five cuts: 28 ns), about
+    1,400 cells at 20 ps. Before `xt` was built as CSR, when each block's
+    column slice converted and copied it, a term cost 71 ns.
     """
     n = data.n
     pairs = n * (n - 1) // 2
@@ -443,10 +455,14 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     that shares one of its prefix tokens and whose size passes the size
     filter (s_j >= threshold * s_i). The join runs as array passes, with no
     per-record loop: the (record, token) prefix entries, stably sorted by
-    token, are every token's postings in record order, so an entry's own
-    position ends the postings of the earlier records, and one searchsorted
-    on (token, size) keys starts them past the records the size filter
-    drops. Pre-candidates are the lengths of those ranges.
+    token (one packed uint64 sort, `stats.stable_order`), are every token's
+    postings in record order, so an entry's own position ends the postings
+    of the earlier records, and one searchsorted on (token, size) keys
+    starts them past the records the size filter drops. Pre-candidates are
+    the lengths of those ranges. Both searchsorted calls take the entries in
+    posting order, where the size filter's (token, min_size) queries ascend,
+    so the searches walk the keys in order, and their answers are scattered
+    back to record order.
 
     The positional filter (Xiao et al., WWW 2008) then drops an occurrence,
     prefix token t of record i met in a posting of record j, unless
@@ -464,7 +480,10 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
 
     Candidates are the distinct (j, i) pairs that pass the positional
     filter, built and deduplicated in blocks cut at record boundaries, then
-    verified exactly. `prefix_filter=False` uses whole records as prefixes;
+    verified exactly. A block of records [r0, r1) holds only j < i < r1, so
+    it dedups its pairs on the key (i - r0) * r1 + j, 32 bits wide where it
+    fits (`_distinct_block_pairs`); only the pairs that pass are encoded
+    into the uint64 codes of the final merge. `prefix_filter=False` uses whole records as prefixes;
     results must not change (used to test that the filter is lossless).
     """
     _check_threshold(threshold)
@@ -495,20 +514,25 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     entry_tok = data.tokens[at].astype(np.int64)
     # 1 + rest, the entry's token and those after it, is indptr[r + 1] - at
     reach = max_sum[data.indptr[1:][entry_rec] - at] - sizes[entry_rec]
-    # Postings: entries stably sorted by token, so records (and, in canonical
-    # order, sizes) ascend along each token's list.
-    order = np.argsort(entry_tok, kind="stable")
+    # Postings: entries stably sorted by token, one packed sort, so records
+    # (and, in canonical order, sizes) ascend along each token's list.
+    order = stable_order(entry_tok.astype(np.uint64), int(data.d).bit_length())
     post_rec = entry_rec[order]
     post_reach = reach[order]
-    hi = np.empty(order.size, dtype=np.int64)
-    hi[order] = np.arange(order.size)
-    keys = entry_tok[order] * base + sizes[post_rec]
-    lo = np.searchsorted(keys, entry_tok * base + min_size[entry_rec], side="left")
-    stats.pre_candidates = int((hi - lo).sum())  # >= 0: min_size <= size, so lo <= hi
+    post_tok = entry_tok[order]
+    keys = post_tok * base + sizes[post_rec]
+    # Both searches take their queries in posting order, where the size
+    # filter's (token, min_size) ascend, so the binary searches walk the keys
+    # in order; the ranges go back to entry order by one scatter each.
+    pos = np.arange(order.size)  # an entry's own position ends its postings
+    start = np.searchsorted(keys, post_tok * base + min_size[post_rec], side="left")
+    stats.pre_candidates = int((pos - start).sum())  # >= 0: min_size <= size, so start <= pos
     # The i-side cut; the entry's own position caps it, so a reach past the
     # largest size never runs into the next token's postings.
-    cut = np.searchsorted(keys, entry_tok * base + reach, side="right")
-    counts = np.clip(cut, lo, hi) - lo
+    cut = np.searchsorted(keys, post_tok * base + post_reach, side="right")
+    lo, counts = np.empty_like(start), np.empty_like(start)
+    lo[order] = start
+    counts[order] = np.clip(cut, start, pos) - start
 
     # Pairs before each record boundary; blocks end only on those boundaries,
     # so every duplicate of a pair is built in the same block.
@@ -524,18 +548,35 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
         idx = np.repeat(lo[e0:e1] - first, c) + np.arange(pairs_before[r1] - pairs_before[r0])
         i = np.repeat(entry_rec[e0:e1], c)
         ok = post_reach[idx] >= sizes[i]  # the j side
-        cand = unique_pairs([encode_pairs(post_rec[idx[ok]], i[ok])])
-        stats.candidates += cand.size
-        pairs = decode_pairs(cand)
-        ok = verify_pairs(data, pairs[:, 0], pairs[:, 1], threshold)
+        i, j = _distinct_block_pairs(i[ok], post_rec[idx[ok]], r0, r1)
+        stats.candidates += i.size
+        ok = verify_pairs(data, j, i, threshold)
         if ok.any():
-            kept.append(cand[ok])
+            kept.append(encode_pairs(j[ok], i[ok]))
         r0 = r1
 
     merged = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.uint64)
     stats.results = merged.size
     stats.join_s = time.perf_counter() - t0
     return decode_pairs(merged), stats
+
+
+def _distinct_block_pairs(i: np.ndarray, j: np.ndarray, r0: int, r1: int):
+    """The distinct pairs among (i, j), ascending by i and then j, of an
+    AllPairs block of records [r0, r1): r0 <= i < r1 and 0 <= j < r1. A pair
+    is the key (i - r0) * r1 + j, held as uint32 where (r1 - r0) * r1 < 2^32
+    and as uint64 otherwise; one sort and a neighbour mask dedup the keys,
+    and i and j are read back off them as int64."""
+    dtype = np.uint32 if (r1 - r0) * r1 < 2 ** 32 else np.uint64
+    key = (i - r0).astype(dtype)
+    key *= dtype(r1)
+    key += j.astype(dtype)
+    key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    i, j = np.divmod(key[keep], dtype(r1))
+    return i.astype(np.int64) + r0, j.astype(np.int64)
 
 
 def _check_threshold(threshold: float):

@@ -1,4 +1,5 @@
-"""Join counters and pair-set helpers shared by every join algorithm."""
+"""Join counters, pair-set helpers and the packed stable sort shared by the
+joins."""
 
 from __future__ import annotations
 
@@ -81,3 +82,17 @@ def unique_pairs(code_chunks) -> np.ndarray:
     keep[0] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
+
+
+def stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
+    """`np.argsort(key, kind="stable")` for uint64 keys below 2**key_bits.
+    Where each key's position fits the bits the keys leave free, it is one
+    sort of (key << bits) | position, whose values are distinct, so any sort
+    is stable; numpy sorts uint64 values 7-10x faster than it stably
+    argsorts them (40k keys: 0.35 against 3.6 ms on 2 vCPUs)."""
+    bits = int(key.size - 1).bit_length() if key.size else 0
+    if key_bits + bits > 64:
+        return np.argsort(key, kind="stable")
+    packed = (key << np.uint64(bits)) | np.arange(key.size, dtype=np.uint64)
+    packed.sort()
+    return (packed & np.uint64((1 << bits) - 1)).astype(np.intp)

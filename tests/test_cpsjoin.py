@@ -29,7 +29,7 @@ from setjoin.exact import brute_force_join, jaccard, verify
 from setjoin.lsh import LshConfig, lsh_join
 from setjoin.prep import Prepared, preprocess
 from setjoin.sketch import estimate_similarity, filter_threshold, pooled_sketch
-from setjoin.stats import JoinStats, encode_pairs
+from setjoin.stats import JoinStats, encode_pairs, stable_order
 from setjoin.tabulation import derive_seed, splitmix64
 
 
@@ -788,7 +788,7 @@ def test_stable_order_is_the_stable_argsort():
     rng = np.random.default_rng(2)
     for size, bits in ((0, 40), (1, 40), (7, 40), (5000, 40), (3000, 63)):  # 63: no room, argsort
         key = rng.integers(0, 2 ** min(bits, 62), size).astype(np.uint64) >> np.uint64(30)
-        assert np.array_equal(cpsjoin._stable_order(key, bits), np.argsort(key, kind="stable"))
+        assert np.array_equal(stable_order(key, bits), np.argsort(key, kind="stable"))
 
 
 def _count_costed_widths(monkeypatch):

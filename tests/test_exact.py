@@ -9,8 +9,8 @@ whole bitset rows, the non-zero bitset words and the bitset-free CSR rows.
 The route follows the bitset's fill, and the word lists are built once per
 dataset and freed with it. The array-pass AllPairs is also checked against a
 per-record loop reference, pairs and counters alike, and its positional
-filter at its exact bound and against brute force on near-duplicates. The
-quadratic join's upper-triangle blocks are checked against a per-pair scan,
+filter at its exact bound and against brute force on near-duplicates; its
+block pair keys round-trip every pair on both key widths. The quadratic join's upper-triangle blocks are checked against a per-pair scan,
 on both product routes and at block sizes down to one row, its candidates on
 300 distinct sizes in no order, and the float fact that lets it skip a size
 test at its hits is a property test. Its bound over the columns below a cut
@@ -803,3 +803,17 @@ def test_allpairs_matches_loop_when_one_record_overflows_a_block(monkeypatch, pr
         want = _allpairs_loop(ds, lam, prefix_filter)
         assert np.bincount(want[0][:, 1]).max() > exact._PAIR_BLOCK
         _assert_same_join(got, want)
+
+
+# (r1 - r0) * r1 = 2^32 - 1 takes uint32 keys and 2^32 uint64 ones; at 2^40 a
+# uint32 key would wrap
+@pytest.mark.parametrize("r0, r1", [(2, 2 ** 16 + 1), (0, 2 ** 16), (0, 2 ** 20)])
+def test_block_pair_keys_round_trip_every_pair_in_i_j_order(r0, r1):
+    rng = np.random.default_rng(29)
+    i = np.concatenate([[max(r0, 1), r1 - 1, r1 - 1], rng.integers(max(r0, 1), r1, 2000)])
+    j = np.concatenate([[0, 0, r1 - 2], rng.integers(0, i[3:])])  # every j < i
+    twice = rng.permutation(np.concatenate([np.arange(i.size)] * 2))
+    got_i, got_j = exact._distinct_block_pairs(i[twice], j[twice], r0, r1)
+    want = np.unique(np.column_stack([i, j]), axis=0)  # ascending by i, then j
+    assert got_i.dtype == got_j.dtype == np.int64
+    assert np.array_equal(np.column_stack([got_i, got_j]), want)
