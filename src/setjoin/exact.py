@@ -5,9 +5,9 @@ The brute-force oracle splits its matrix columns at a cut (`_choose_cut`):
 in canonical data ascending ids are ascending frequency, so the columns
 below the cut are the rare ones. It multiplies only the columns from the cut
 on, over the upper triangle only, in row blocks of about `_BLOCK_CELLS`
-cells, charges each record's tokens below the cut to a per-record bound, and
-gives exact counts only to the pairs the bound keeps (the prefix-filter idea
-of AllPairs, Bayardo et al., WWW 2007, in dense form). Its size-filter
+cells, charges each record's tokens below the cut to a per-record bound,
+and gives exact counts only to the pairs the bound keeps (the prefix-filter
+idea of AllPairs, Bayardo et al., WWW 2007, in dense form). Its size-filter
 candidates are one searchsorted over the sorted sizes. AllPairs probes an
 inverted index over prefix tokens as whole-array passes: one packed sort
 builds the postings, two searchsorted calls take their queries in posting
@@ -16,9 +16,9 @@ they fit. Its positional filter bounds the overlap of a pair met at a prefix
 token by 1 + min(rest_i, rest_j), the tokens from there on in the shorter
 tail, and keeps it only where that reaches `min_overlap`: the second
 searchsorted ends each entry's postings at the largest partner size its own
-tail allows, and one gather and compare per built pair applies the partner's
-tail. AllPairs' `candidates` are the distinct pairs that pass it, which are
-the pairs it verifies.
+tail allows, and one gather and compare per built pair applies the
+partner's tail. AllPairs' `candidates` are the distinct pairs that pass
+it, which are the pairs it verifies.
 
 `_intersection_counts`, which `verify_pairs` (so AllPairs and both
 approximate joins) and the oracle's kept pairs go through, counts
@@ -30,16 +30,17 @@ as CSR, so no block's column slice converts it). With a bitset, it popcounts
 the ANDed rows, all ceil(d/64) words of them (the dense route), unless the
 bitset is sparse: where tokens * `_GATHER_COST` < n * ceil(d/64), it
 popcounts only the lower id's non-zero words, each ANDed with the word at
-the same index in the other row (the word route). The token count bounds the
-non-zero words from above, so the rule costs nothing and a dense dataset
-never builds its word lists. `_GATHER_COST` = 4 is the measured cost of a
-gathered word against a dense one: on `gen_uniform(4000, avg, 10^4)` with
-100k sorted random pairs, 2 vCPUs, a word took 12-17 ns gathered and 3.1-3.5
-ns dense. The word route won 2.5x at tokens / (n * ceil(d/64)) = 0.10, 1.5x
-at 0.19 and 1.13x at 0.25, broke even between 0.32 and 0.38 and lost at 0.51
-(0.73x); the rule switches at 0.25. One predicate, `_jaccard_at_least`
-(int64 intersection over int64 union, one float64 division, >= threshold),
-decides membership everywhere, so every route agrees bit-for-bit.
+the same index in the other row (the word route). The token count bounds
+the non-zero words from above, so the rule costs nothing and a dense
+dataset never builds its word lists. `_GATHER_COST` = 4 is the measured
+cost of a gathered word against a dense one: on `gen_uniform(4000, avg,
+10^4)` with 100k sorted random pairs, 2 vCPUs, a word took 12-17 ns
+gathered and 3.1-3.5 ns dense. The word route won 2.5x at tokens / (n *
+ceil(d/64)) = 0.10, 1.5x at 0.19 and 1.13x at 0.25, broke even between 0.32
+and 0.38 and lost at 0.51 (0.73x); the rule switches at 0.25. One predicate,
+`_jaccard_at_least` (int64 intersection over int64 union, one float64
+division, >= threshold), decides membership everywhere, so every route
+agrees bit-for-bit.
 
 All cheap pruning bounds carry a slack in the keep direction, so float
 rounding can only add candidates, never drop a true pair: 1e-9 for the size,
@@ -312,8 +313,7 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     Sparse route, `gen_uniform(10^4, 30, 10^4)`: the product fell from 141
     to 56 ms as the sum of f(f-1)/2 over the multiplied columns fell from
     4.5M to 1.7M, 28-30 ns a term (a line fit over five cuts: 28 ns), about
-    1,400 cells at 20 ps. Before `xt` was built as CSR, when each block's
-    column slice converted and copied it, a term cost 71 ns.
+    1,400 cells at 20 ps.
     """
     n = data.n
     pairs = n * (n - 1) // 2
@@ -483,8 +483,9 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     verified exactly. A block of records [r0, r1) holds only j < i < r1, so
     it dedups its pairs on the key (i - r0) * r1 + j, 32 bits wide where it
     fits (`_distinct_block_pairs`); only the pairs that pass are encoded
-    into the uint64 codes of the final merge. `prefix_filter=False` uses whole records as prefixes;
-    results must not change (used to test that the filter is lossless).
+    into the uint64 codes of the final merge. `prefix_filter=False` uses
+    whole records as prefixes; results must not change (used to test that
+    the filter is lossless).
     """
     _check_threshold(threshold)
     if not data.canonical:
@@ -519,17 +520,16 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     order = stable_order(entry_tok.astype(np.uint64), int(data.d).bit_length())
     post_rec = entry_rec[order]
     post_reach = reach[order]
-    post_tok = entry_tok[order]
-    keys = post_tok * base + sizes[post_rec]
-    # Both searches take their queries in posting order, where the size
-    # filter's (token, min_size) ascend, so the binary searches walk the keys
-    # in order; the ranges go back to entry order by one scatter each.
+    tok_key = entry_tok[order] * base
+    keys = tok_key + sizes[post_rec]
+    # Both searches run in posting order, where the (token, min_size) queries
+    # ascend; the ranges are scattered back to entry order.
     pos = np.arange(order.size)  # an entry's own position ends its postings
-    start = np.searchsorted(keys, post_tok * base + min_size[post_rec], side="left")
+    start = np.searchsorted(keys, tok_key + min_size[post_rec], side="left")
     stats.pre_candidates = int((pos - start).sum())  # >= 0: min_size <= size, so start <= pos
     # The i-side cut; the entry's own position caps it, so a reach past the
     # largest size never runs into the next token's postings.
-    cut = np.searchsorted(keys, post_tok * base + post_reach, side="right")
+    cut = np.searchsorted(keys, tok_key + post_reach, side="right")
     lo, counts = np.empty_like(start), np.empty_like(start)
     lo[order] = start
     counts[order] = np.clip(cut, start, pos) - start
