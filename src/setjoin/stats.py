@@ -13,8 +13,11 @@ class JoinStats:
     """Work counters for one join run.
 
     pre_candidates counts every pair an algorithm looked at, candidates the
-    pairs surviving its cheap filters (and therefore exactly verified), and
-    results the unique reported pairs. The chain
+    pairs surviving its cheap filters, and results the unique reported
+    pairs. The approximate joins verify every candidate exactly; AllPairs'
+    candidates are the distinct pairs that pass its positional filter, and
+    where its fold rule holds it verifies only those whose one-word bitmap
+    bound reaches the threshold. The chain
     pre_candidates >= candidates >= results holds on every run. The
     approximate joins also fill new_results_per_rep: per repetition, the
     pairs that passed verification for the first time in the join, so that

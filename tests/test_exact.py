@@ -805,6 +805,97 @@ def test_allpairs_matches_loop_when_one_record_overflows_a_block(monkeypatch, pr
         _assert_same_join(got, want)
 
 
+def test_the_fold_bound_is_never_below_the_intersection():
+    rng = np.random.default_rng(30)
+    top = 0xFFFFFFFF
+    recs = []
+    for kind, s in zip(rng.integers(3, size=150), rng.integers(2, 40, size=150)):
+        if kind == 0:
+            recs.append(rng.choice(200, size=s, replace=False))  # small ids
+        elif kind == 1:
+            recs.append(top - rng.choice(200, size=s, replace=False))  # 32-bit ids
+        else:
+            recs.append(rng.choice(400, size=s + 150, replace=False))  # mostly saturated
+    recs += [np.arange(64), np.arange(64, 128), top - np.arange(70)]  # saturated
+    # near-duplicates, each with a token at the residue of the one it drops
+    recs += [np.union1d(r[1:], [r[0] ^ 64, top]) for r in recs[:40]]
+    ds = Dataset.from_records(recs, canonical=False)
+    folds = exact._folds(ds)
+    want = [np.bitwise_or.reduce(np.uint64(1) << (ds.record(r).astype(np.uint64) % np.uint64(64)))
+            for r in range(ds.n)]
+    assert folds.dtype == np.uint64 and np.array_equal(folds, want)
+    assert ds.tokens.max() == top and (np.bitwise_count(folds) == 64).sum() > 3
+    ids, cols = np.unique(ds.tokens, return_inverse=True)
+    x = np.zeros((ds.n, ids.size))
+    x[np.repeat(np.arange(ds.n), ds.sizes), cols] = 1
+    a, b = np.triu_indices(ds.n, 1)
+    c = (x @ x.T)[a, b].astype(np.int64)
+    sizes = ds.sizes.astype(np.int64)
+    bound = exact._fold_overlap_bound(folds[a], folds[b], sizes[a], sizes[b])
+    assert (bound >= c).all()
+    assert (bound == c).any()  # tight, and below the smaller size, on some pairs
+    assert (bound < np.minimum(sizes[a], sizes[b])).mean() > 0.5
+
+
+@pytest.mark.parametrize("route", ["dense", "words", "csr"])
+@pytest.mark.parametrize("fold", [True, False])
+def test_allpairs_matches_brute_force_with_the_fold_filter_on_and_off(monkeypatch, fold, route):
+    _force_route(monkeypatch, route)
+    monkeypatch.setattr(exact, "_fold_filter_pays", lambda *args: fold)
+    rng = np.random.default_rng(31)
+    for ds in [Dataset.from_records(_near_duplicate_records(rng)) for _ in range(3)] \
+            + [_random_dataset(rng) for _ in range(3)]:
+        assert (ds.bitset() is None) == (route == "csr")
+        for lam in (0.3, 0.7, 1.0):
+            got = allpairs_join(ds, lam)
+            assert np.array_equal(got[0], brute_force_join(ds, lam)[0])
+            _assert_same_join(got, _allpairs_loop(ds, lam, True))
+
+
+def _spy_verified(monkeypatch) -> list:
+    """The number of pairs each `verify_pairs` call gets."""
+    verified = []
+    verify_pairs = exact.verify_pairs
+    monkeypatch.setattr(exact, "verify_pairs",
+                        lambda data, a, b, lam: verified.append(len(a)) or verify_pairs(data, a, b, lam))
+    return verified
+
+
+def test_the_fold_filter_drops_candidates_on_clustered_sets(monkeypatch):
+    # the benchmark's clusters recipe at its small size: uniform background
+    # sets plus clusters of near-duplicates
+    rng = np.random.default_rng(32)
+    recs = [rng.choice(1000, size=int(s), replace=False)
+            for s in np.maximum(2, rng.poisson(30, size=500))]
+    for _ in range(2):
+        center = rng.choice(1000, size=40, replace=False)
+        for _ in range(30):
+            rec = center.copy()
+            rec[rng.choice(40, size=2, replace=False)] = rng.integers(0, 1000, size=2)
+            recs.append(rec)
+    ds = Dataset.from_records(recs)
+    assert exact._fold_filter_pays(ds, exact._folds(ds), 0.7)
+    verified = _spy_verified(monkeypatch)
+    pairs, stats = allpairs_join(ds, 0.7)
+    assert np.array_equal(pairs, brute_force_join(ds, 0.7)[0])
+    assert 0 < stats.results <= sum(verified) < stats.candidates / 2
+
+
+def test_the_fold_filter_skips_saturated_folds(monkeypatch):
+    # the acceptance gate's tokens recipe at a small size: every fold is
+    # (nearly) full, so the bound prunes nothing
+    ds = gen_tokens(TokensSpec(d=1000, max_freq=100, planted=((0.55, 3), (0.75, 3), (0.95, 3)),
+                               seed=41))
+    folds = exact._folds(ds)
+    assert np.bitwise_count(folds).mean() > 63
+    verified = _spy_verified(monkeypatch)
+    for lam in (0.5, 0.7, 0.9):
+        assert not exact._fold_filter_pays(ds, folds, lam)
+        verified.clear()
+        pairs, stats = allpairs_join(ds, lam)
+        assert stats.results > 0 and sum(verified) == stats.candidates
+
+
 # (r1 - r0) * r1 = 2^32 - 1 takes uint32 keys and 2^32 uint64 ones; at 2^40 a
 # uint32 key would wrap
 @pytest.mark.parametrize("r0, r1", [(2, 2 ** 16 + 1), (0, 2 ** 16), (0, 2 ** 20)])
