@@ -504,6 +504,9 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     t0 = time.perf_counter()
     sizes = data.sizes.astype(np.int64)
     base = int(sizes.max(initial=0)) + 1
+    folds = _folds(data)  # first, so its temporaries meet none of the index arrays
+    if not _fold_filter_pays(data, folds, threshold):
+        folds = None
     # Smallest size that passes the size filter: for an integer size,
     # size >= threshold * s - eps exactly when size >= ceil(threshold * s - eps).
     min_size = np.ceil(threshold * sizes - _EPS).astype(np.int64)
@@ -546,9 +549,6 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     # Pairs before each record boundary; blocks end only on those boundaries,
     # so every duplicate of a pair is built in the same block.
     pairs_before = np.concatenate(([0], np.cumsum(counts)))[entry_bounds]
-    folds = _folds(data)
-    if not _fold_filter_pays(data, folds, threshold):
-        folds = None
     kept = []
     r0 = 0
     while r0 < n:
@@ -563,9 +563,8 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
         i, j = _distinct_block_pairs(i[ok], post_rec[idx[ok]], r0, r1)
         stats.candidates += i.size
         if folds is not None:
-            si, sj = sizes[i], sizes[j]
-            ok = _jaccard_at_least(_fold_overlap_bound(folds[i], folds[j], si, sj), si, sj,
-                                   threshold)
+            ok = _jaccard_at_least(_fold_overlap_bound(folds[i], folds[j], sizes[i], sizes[j]),
+                                   sizes[i], sizes[j], threshold)
             i, j = i[ok], j[ok]
         ok = verify_pairs(data, j, i, threshold)
         if ok.any():
@@ -599,7 +598,8 @@ def _distinct_block_pairs(i: np.ndarray, j: np.ndarray, r0: int, r1: int):
 def _folds(data: Dataset) -> np.ndarray:
     """Each record's fold: the OR of 1 << (t & 63) over its tokens t, one
     uint64 per record."""
-    bits = np.uint64(1) << (data.tokens & 63).astype(np.uint64)
+    bits = (data.tokens & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
     return np.bitwise_or.reduceat(bits, data.indptr[:-1]) if data.n else bits
 
 

@@ -10,7 +10,11 @@ The route follows the bitset's fill, and the word lists are built once per
 dataset and freed with it. The array-pass AllPairs is also checked against a
 per-record loop reference, pairs and counters alike, and its positional
 filter at its exact bound and against brute force on near-duplicates; its
-block pair keys round-trip every pair on both key widths. The quadratic join's upper-triangle blocks are checked against a per-pair scan,
+block pair keys round-trip every pair on both key widths. Its fold bound is
+never below the true overlap, 32-bit ids and saturated folds included; with
+the fold filter forced on and off it matches brute force on every verify
+route, and its rule drops candidates on clustered sets and skips saturated
+folds. The quadratic join's upper-triangle blocks are checked against a per-pair scan,
 on both product routes and at block sizes down to one row, its candidates on
 300 distinct sizes in no order, and the float fact that lets it skip a size
 test at its hits is a property test. Its bound over the columns below a cut
