@@ -492,9 +492,9 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     bound (`_fold_overlap_bound`, one uint64 per record); the bound is never
     below the true overlap and the predicate is monotone in it, so no
     result is dropped. Elsewhere every candidate is verified. Only the pairs
-    that pass are encoded into the uint64 codes of the final merge. `prefix_filter=False` uses
-    whole records as prefixes; results must not change (used to test that
-    the filter is lossless).
+    that pass are encoded into the uint64 codes of the final merge.
+    `prefix_filter=False` uses whole records as prefixes; results must not
+    change (used to test that the filter is lossless).
     """
     _check_threshold(threshold)
     if not data.canonical:
@@ -600,7 +600,7 @@ def _folds(data: Dataset) -> np.ndarray:
     uint64 per record."""
     bits = (data.tokens & 63).astype(np.uint64)
     np.left_shift(np.uint64(1), bits, out=bits)
-    return np.bitwise_or.reduceat(bits, data.indptr[:-1]) if data.n else bits
+    return np.bitwise_or.reduceat(bits, data.indptr[:-1])
 
 
 def _fold_overlap_bound(fold_a, fold_b, size_a, size_b) -> np.ndarray:
@@ -624,18 +624,19 @@ def _fold_filter_pays(data: Dataset, folds: np.ndarray, threshold: float) -> boo
     a result needs. Saturated folds (f near 1) prune nothing and cost a pass.
 
     Measured basis (2 vCPUs, AllPairs with the filter forced on against
-    forced off, best of 6 alternating, pairs and counters equal). On
-    `gen_uniform(n, avg, d)` at 0.5 / 0.7 / 0.9 it changed the join by
-    -34 / -34 / -38% at (4000, 30, 300), -57 / -53 / -45% at (4000, 30,
-    3000), +21 / -32 / -39% at (3000, 60, 600), +17 / +11 / -49% at (2000,
-    100, 3000) and -5 / +4 / -11% at (2000, 150, 10^4); the rule picks the
-    faster side in all but the last at 0.9 (5.5 against 7.9). On the
-    benchmark's `clusters` records (seed 21, 15.2 against 5.5 at 0.7) 50,880
-    of 154,284 candidates survive, exactly the results, and the join fell
-    from 54 to 30 ms (medians of 30). The acceptance gate's `tokens` set
-    (343 tokens a record) reads 0.1 against 114.5, 60.6 and 18.1 at 0.5, 0.7
-    and 0.9, so it skips: forced on, the filter had slowed those joins by
-    5-30%.
+    forced off, best of 6 in 3 alternating rounds, pairs and counters
+    equal). On `gen_uniform(n, avg, d)` at 0.5 / 0.7 / 0.9 it changed the
+    join by -34 / -34 / -38% at (4000, 30, 300), -57 / -53 / -45% at (4000,
+    30, 3000), +21 / -32 / -39% at (3000, 60, 600), +17 / +11 / -49% at
+    (2000, 100, 3000) and -5 / +4 / -11% at (2000, 150, 10^4); the rule
+    picks the faster side in all but the last at 0.9 (5.5 against 7.9). On
+    the benchmark's `clusters` records (seed 21, 15.2 against 5.5 at 0.7)
+    50,880 of 154,284 candidates survive, exactly the results, and the
+    join's median fell from 51-72 to 28-39 ms (four alternating rounds of 30
+    joins). The acceptance gate's `tokens` set (343 tokens a record) reads
+    0.1 against 114.5, 60.6 and 18.1 at 0.5, 0.7 and 0.9, so it skips:
+    forced on, the filter slowed those joins by 8, 2 and 12% (best of 2
+    alternating, one BLAS thread).
     """
     if folds.size == 0:
         return False
