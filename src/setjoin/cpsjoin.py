@@ -46,7 +46,8 @@ from .datasets import Dataset
 from .exact import verify_pairs
 from .prep import Prepared, check_join_params, preprocess
 from .sketch import estimate_rows, filter_threshold, max_hamming, pooled_sketch
-from .stats import JoinStats, decode_pairs, encode_pairs, stable_order, unique_pairs
+from .stats import (JoinStats, concatenated_ranges, decode_pairs, encode_pairs, stable_order,
+                    unique_pairs)
 from .tabulation import derive_seed, splitmix64, splitmix64_array
 
 _EPS = 1e-9
@@ -145,14 +146,14 @@ class CandidateKernel:
     their codes. A flush, whenever the buffer reaches _PAIR_BLOCK codes and
     at the end of each repetition, deduplicates the buffer, drops the codes
     this join has already verified (passed or failed), verifies the rest
-    exactly and merges the outcomes into two sorted arrays, one of passed and
-    one of failed codes.
+    exactly and merges them into one sorted array of verified codes, by the
+    positions of one searchsorted, which also finds the codes met before.
 
-    Next to each passed code it counts the repetitions that found it and
-    stamps the last repetition that counted it. A flush adds one hit to each
-    passed code it meets whose stamp is an earlier repetition, from the
-    lookup it already makes, so a pair that several flushes of one
-    repetition meet counts once; a new pass enters with one hit.
+    Next to each verified code it counts the repetitions that found it,
+    0 for a failed pair, and stamps the last repetition that counted it. A
+    flush adds one hit to each passed code it meets whose stamp is an
+    earlier repetition, so a pair that several flushes of one repetition
+    meet counts once; a new pass enters with one hit.
     `end_repetition()` flushes, appends the first-time passes to
     `stats.new_results_per_rep` and the hits' `estimated_recall` to
     `stats.recall_estimate_per_rep`, and returns the sorted codes of the
@@ -167,8 +168,8 @@ class CandidateKernel:
     """
 
     __slots__ = ("data", "sketches", "columns", "sizes", "threshold", "max_h", "stats",
-                 "_hamming_dtype", "_buffer", "_buffered", "_passed", "_hits", "_stamp",
-                 "_failed", "_rep_new")
+                 "_hamming_dtype", "_buffer", "_buffered", "_codes", "_hits", "_stamp",
+                 "_rep_new")
 
     def __init__(self, prep: Prepared, threshold: float, delta: float, stats: JoinStats):
         self.data = prep.data
@@ -183,10 +184,9 @@ class CandidateKernel:
         self.stats = stats
         self._buffer = []  # code arrays of candidates not yet flushed
         self._buffered = 0
-        self._passed = np.zeros(0, dtype=np.uint64)  # sorted, verified similar
-        self._hits = np.zeros(0, dtype=np.int64)  # repetitions that found each passed code
+        self._codes = np.zeros(0, dtype=np.uint64)  # sorted, verified
+        self._hits = np.zeros(0, dtype=np.int64)  # repetitions that found each; 0: failed
         self._stamp = np.zeros(0, dtype=np.int64)  # last repetition that counted each
-        self._failed = np.zeros(0, dtype=np.uint64)  # sorted, verified not similar
         self._rep_new = 0
 
     def filter_pairs(self, a_ids: np.ndarray, b_ids: np.ndarray):
@@ -238,56 +238,40 @@ class CandidateKernel:
         codes = unique_pairs(self._buffer)
         self._buffer, self._buffered = [], 0
         rep = len(self.stats.new_results_per_rep)
-        idx, passed = _lookup(self._passed, codes)
-        met = idx[passed]  # distinct, as the codes are
+        at = np.searchsorted(self._codes, codes)
+        known = np.zeros(codes.size, dtype=bool)
+        if self._codes.size:
+            known = self._codes.take(at, mode="clip") == codes
+        met = at[known]  # distinct, as the codes are
+        met = met[self._hits[met] > 0]
         self._hits[met] += self._stamp[met] != rep
         self._stamp[met] = rep
-        fresh = ~(passed | _lookup(self._failed, codes)[1])
-        new = codes[fresh]
+        at, new = at[~known], codes[~known]
         a, b = decode_pairs(new).T
         ok = verify_pairs(self.data, a, b, self.threshold)
-        new_passed = new[ok]
-        if new_passed.size:
-            at = np.searchsorted(self._passed, new_passed)
-            self._passed = np.insert(self._passed, at, new_passed)
-            self._hits = np.insert(self._hits, at, 1)
+        if new.size:
+            self._codes = np.insert(self._codes, at, new)
+            self._hits = np.insert(self._hits, at, ok)
             self._stamp = np.insert(self._stamp, at, rep)
-        self._failed = _insert_sorted(self._failed, new[~ok])
-        self._rep_new += new_passed.size
+        self._rep_new += int(np.count_nonzero(ok))
 
     def end_repetition(self) -> np.ndarray:
         """Close a repetition; returns the sorted codes of the distinct pairs
         it found that pass, whether first found in it or earlier."""
         self._flush()
-        found = self._passed[self._stamp == len(self.stats.new_results_per_rep)]
+        passed = self._hits > 0
+        found = self._codes[passed & (self._stamp == len(self.stats.new_results_per_rep))]
         self.stats.new_results_per_rep.append(self._rep_new)
         self._rep_new = 0
         self.stats.recall_estimate_per_rep.append(
-            estimated_recall(self._hits, len(self.stats.new_results_per_rep)))
+            estimated_recall(self._hits[passed], len(self.stats.new_results_per_rep)))
         return found
 
     def codes(self) -> np.ndarray:
         """Sorted codes of every distinct pair passed so far in the join."""
         if self._buffer:
             self._flush()
-        return self._passed
-
-
-def _lookup(sorted_codes: np.ndarray, codes: np.ndarray):
-    """(index, found): where each of `codes` sits in the sorted array
-    `sorted_codes`, and whether it is there."""
-    if sorted_codes.size == 0:
-        return np.zeros(codes.size, dtype=np.intp), np.zeros(codes.size, dtype=bool)
-    idx = np.searchsorted(sorted_codes, codes)
-    np.minimum(idx, sorted_codes.size - 1, out=idx)
-    return idx, sorted_codes[idx] == codes
-
-
-def _insert_sorted(sorted_codes: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Merge sorted codes absent from `sorted_codes` into it, keeping it sorted."""
-    if new.size == 0:
-        return sorted_codes
-    return np.insert(sorted_codes, np.searchsorted(sorted_codes, new), new)
+        return self._codes[self._hits > 0]
 
 
 def coordinate_mask(seed, sig_len: int, threshold: float, width: int = 1) -> np.ndarray:
@@ -357,8 +341,8 @@ def split_rows(sig: np.ndarray, ids: np.ndarray, sizes: np.ndarray, seeds: np.nd
     here and nowhere else.
     """
     row_sizes = sizes[node]
-    shift = (np.cumsum(sizes) - sizes)[node] - (np.cumsum(row_sizes) - row_sizes)
-    ids = ids[np.arange(row_sizes.sum()) + np.repeat(shift, row_sizes)]  # node[r]'s, in row r
+    # node[r]'s records, in row r
+    ids = ids[concatenated_ranges((np.cumsum(sizes) - sizes)[node], row_sizes)]
     at = ids * sig.shape[1]  # each entry's signature, in the flat signature array
     flat = sig.reshape(-1)
     key = bucket_keys([flat[at + np.repeat(c, row_sizes)]

@@ -32,6 +32,9 @@ otherwise:
 A raw (non-canonical) build stops after pass 2 and keeps the original ids,
 `d = max id + 1` and input order.
 
+A Dataset caches every view derived from its records in `Dataset.memo`; its
+column view (`Dataset.columns`) is the one place token ids are renumbered.
+
 Wire format: UTF-8 text, one record per line, space-separated decimal tokens.
 `load` parses a chunk of lines at a time with one conversion of all its tokens;
 only when that fails does it scan the chunk token by token, to name the line
@@ -40,6 +43,7 @@ of the first bad token.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -50,13 +54,19 @@ from .errors import CapacityExceededError, ParseError, TokenOverflowError
 _MAX_TOKEN = 0xFFFFFFFF
 _BITSET_BYTE_CAP = 512 * 1024 * 1024
 _LOAD_LINES = 2 ** 16  # lines parsed at a time, bounding the token strings held
+_RENUMBER_CHUNK = 2 ** 18  # tokens the column view renumbers at a time
+
+
+def _memoised(build):
+    """A Dataset method whose value `build(self)` is built on its first call
+    and held in `Dataset.memo` under the method's name."""
+    return functools.wraps(build)(lambda self: self.memo(build.__name__, lambda: build(self)))
 
 
 class Dataset:
     """Immutable collection of token sets in CSR-like layout."""
 
-    __slots__ = ("tokens", "indptr", "n", "d", "canonical", "provenance",
-                 "_token_freq", "_bitset", "_bitset_words", "_memo")
+    __slots__ = ("tokens", "indptr", "n", "d", "canonical", "provenance", "_memo")
 
     def __init__(self, tokens: np.ndarray, indptr: np.ndarray, d: int,
                  canonical: bool, provenance: dict | None = None):
@@ -66,9 +76,6 @@ class Dataset:
         self.d = d
         self.canonical = canonical
         self.provenance = provenance or {}
-        self._token_freq = None
-        self._bitset = None
-        self._bitset_words = None
         self._memo = {}
 
     def record(self, i: int) -> np.ndarray:
@@ -79,11 +86,10 @@ class Dataset:
             yield self.record(i)
 
     @property
+    @_memoised
     def token_freq(self) -> np.ndarray:
         """Records holding each id in [0, d), counted on first read."""
-        if self._token_freq is None:
-            self._token_freq = np.bincount(self.tokens, minlength=self.d)
-        return self._token_freq
+        return np.bincount(self.tokens, minlength=self.d)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -106,44 +112,64 @@ class Dataset:
             "sets_per_token": self.sets_per_token,
         }
 
+    @_memoised
+    def columns(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The records' column view (universe, cols), built on first call:
+        (None, tokens), no copy, where d is no wider than the tokens (always,
+        for canonical data); else the ids that occur, ascending, and each
+        token's uint32 position among them, searched a `_RENUMBER_CHUNK` at a
+        time, where `np.unique(return_inverse=True)` makes a token-long intp."""
+        if self.d <= self.tokens.size:
+            return None, self.tokens
+        universe = np.unique(self.tokens)
+        cols = np.empty(self.tokens.size, dtype=np.uint32)
+        for t0 in range(0, cols.size, _RENUMBER_CHUNK):
+            chunk = slice(t0, t0 + _RENUMBER_CHUNK)
+            cols[chunk] = np.searchsorted(universe, self.tokens[chunk])
+        return universe, cols
+
+    @property
+    def width(self) -> int:
+        """The column view's columns: d, or the number of ids that occur."""
+        universe = self.columns()[0]
+        return self.d if universe is None else universe.size
+
+    @_memoised
     def bitset(self) -> np.ndarray | None:
         """Packed indicator matrix (n, ceil(d/64)) uint64, or None when the
         universe is too large to justify the memory. Its non-zero words are
         those of `bitset_words()`, scattered into place."""
-        if self._bitset is None:
-            words = (self.d + 63) >> 6
-            if self.n * words * 8 > _BITSET_BYTE_CAP:
-                return None
-            bits = np.zeros((self.n, words), dtype=np.uint64)
-            starts, cols, runs = self.bitset_words()
-            bits[np.repeat(np.arange(self.n), np.diff(starts)), cols] = runs
-            self._bitset = bits
-        return self._bitset
+        words = (self.d + 63) >> 6
+        if self.n * words * 8 > _BITSET_BYTE_CAP:
+            return None
+        bits = np.zeros((self.n, words), dtype=np.uint64)
+        starts, cols, runs = self.bitset_words()
+        bits[np.repeat(np.arange(self.n), np.diff(starts)), cols] = runs
+        return bits
 
+    @_memoised
     def bitset_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each record's non-zero `bitset()` words, built on first call:
         (starts, cols, words), record i owning the word indices
         cols[starts[i]:starts[i + 1]], ascending, and their values in the
-        same slice of `words`. Held here, so they live as long as the
-        dataset and no longer."""
-        if self._bitset_words is None:
-            cols = (self.tokens >> np.uint32(6)).astype(np.intp)
-            vals = np.uint64(1) << (self.tokens.astype(np.uint64) & np.uint64(63))
-            # A run of one record's tokens in one word starts where the word
-            # index changes or a record starts (records hold tokens, ascending).
-            run = np.empty(cols.size, dtype=bool)
-            np.not_equal(cols[1:], cols[:-1], out=run[1:])
-            run[self.indptr[:-1]] = True
-            run_starts = np.flatnonzero(run)
-            self._bitset_words = (np.searchsorted(run_starts, self.indptr), cols[run_starts],
-                                  np.bitwise_or.reduceat(vals, run_starts))
-        return self._bitset_words
+        same slice of `words`."""
+        cols = (self.tokens >> np.uint32(6)).astype(np.intp)
+        vals = np.uint64(1) << (self.tokens.astype(np.uint64) & np.uint64(63))
+        # A run of one record's tokens in one word starts where the word
+        # index changes or a record starts (records hold tokens, ascending).
+        run = np.empty(cols.size, dtype=bool)
+        np.not_equal(cols[1:], cols[:-1], out=run[1:])
+        run[self.indptr[:-1]] = True
+        run_starts = np.flatnonzero(run)
+        return (np.searchsorted(run_starts, self.indptr), cols[run_starts],
+                np.bitwise_or.reduceat(vals, run_starts))
 
     def memo(self, key: str, build):
         """`build()`, called on the first read of `key` and then held as long
-        as the dataset: the place for another module's view of the records
-        (`exact` keeps its sparse matrix here), which this module then need
-        not know how to build."""
+        as the dataset, and no longer: the one cache of the views derived from
+        the records, this module's (`token_freq`, `columns`, `bitset`,
+        `bitset_words`) and another module's (`exact` keeps its CSR matrix
+        here), which this module then need not know how to build."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]

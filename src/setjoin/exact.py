@@ -7,31 +7,32 @@ below the cut are the rare ones. It multiplies only the columns from the cut
 on, over the upper triangle only, in row blocks of about `_BLOCK_CELLS`
 cells, charges each record's tokens below the cut to a per-record bound,
 and gives exact counts only to the pairs the bound keeps (the prefix-filter
-idea of AllPairs, Bayardo et al., WWW 2007, in dense form). Its size-filter
-candidates are one searchsorted over the sorted sizes. AllPairs probes an
-inverted index over prefix tokens as whole-array passes: one packed sort
-builds the postings, two searchsorted calls take their queries in posting
-order, and each block of records dedups its pairs on keys of 32 bits where
-they fit. Its positional filter bounds the overlap of a pair met at a prefix
-token by 1 + min(rest_i, rest_j), the tokens from there on in the shorter
-tail, and keeps it only where that reaches `min_overlap`: the second
-searchsorted ends each entry's postings at the largest partner size its own
-tail allows, and one gather and compare per built pair applies the
-partner's tail. AllPairs' `candidates` are the distinct pairs that pass
-it. Where a cost rule finds the records' folds informative
-(`_fold_filter_pays`), it verifies only the candidates whose fold bound
-reaches the threshold: a record's fold is the OR of 1 << (t & 63) over its
-tokens, and |x & y| <= (s_x + s_y - popcount(fold_x ^ fold_y)) // 2 (the
-bitmap filter of Sandes, Teodoro and Melo); elsewhere it verifies every
-candidate.
+idea of AllPairs, Bayardo et al., WWW 2007, in dense form). Its matrix
+columns are the records' column view (`Dataset.columns`), which renumbers a
+wide universe once per dataset. Its size-filter candidates are one
+searchsorted over the sorted sizes. AllPairs probes an inverted index over
+prefix tokens as whole-array passes: one packed sort builds the postings,
+two searchsorted calls take their queries in posting order, and each block
+of records dedups its pairs on keys of 32 bits where they fit. Its
+positional filter bounds the overlap of a pair met at a prefix token by
+1 + min(rest_i, rest_j), the tokens from there on in the shorter tail, and
+keeps it only where that reaches `min_overlap`: the second searchsorted
+ends each entry's postings at the largest partner size its own tail
+allows, and one gather and compare per built pair applies the partner's
+tail. AllPairs' `candidates` are the distinct pairs that pass it. Where a
+cost rule finds the records' folds informative (`_fold_filter_pays`), it
+verifies only the candidates whose fold bound reaches the threshold: a
+record's fold is the OR of 1 << (t & 63) over its tokens, and
+|x & y| <= (s_x + s_y - popcount(fold_x ^ fold_y)) // 2 (the bitmap filter
+of Sandes, Teodoro and Melo); elsewhere it verifies every candidate.
 
 `_intersection_counts`, which `verify_pairs` (so AllPairs and both
 approximate joins) and the oracle's kept pairs go through, counts
 intersections on one of three routes. Past the bitset's memory cap it takes
-elementwise row products of the records' CSR matrix (`_csr_view`, built on
-first use and held by the dataset, so a join builds it once; the oracle's
-sparse blocks multiply the same matrix by its transpose, built once per call
-as CSR, so no block's column slice converts it). With a bitset, it popcounts
+elementwise row products of the records' CSR matrix (`_csr`, built on first
+use and held by the dataset, so a join builds it once; the oracle's sparse
+blocks multiply the same matrix by its transpose, built once per call as
+CSR, so no block's column slice converts it). With a bitset, it popcounts
 the ANDed rows, all ceil(d/64) words of them (the dense route), unless the
 bitset is sparse: where tokens * `_GATHER_COST` < n * ceil(d/64), it
 popcounts only the lower id's non-zero words, each ANDed with the word at
@@ -62,12 +63,12 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import CanonicalOrderError
-from .stats import JoinStats, decode_pairs, encode_pairs, stable_order
+from .stats import JoinStats, concatenated_ranges, decode_pairs, encode_pairs, stable_order
 
 _EPS = 1e-9
 _DENSE_CELL_CAP = 2 ** 26  # n*d above this switches the oracle to sparse blocks
 _BLOCK_CELLS = 2 ** 19  # target cells per intersection-count block
-_FILL_CHUNK = 2 ** 18  # tokens renumbered, or set in the oracle's dense matrix, per step
+_FILL_CHUNK = 2 ** 18  # tokens set in the oracle's dense matrix per step
 # AllPairs (j, i) pairs built per block, unless one record has more; a block of
 # records [r0, r1) dedups them on 32-bit keys where (r1 - r0) * r1 < 2^32.
 _PAIR_BLOCK = 2 ** 18
@@ -141,7 +142,7 @@ def _intersection_counts(data: Dataset, a_ids: np.ndarray, b_ids: np.ndarray) ->
       only the lower id's non-zero bitset words, each ANDed with the word at
       the same index in the other record's row;
     - CSR: without a bitset, the sums of the elementwise products of the
-      pairs' rows in the records' CSR matrix (`_csr_view`, built once per
+      pairs' rows in the records' CSR matrix (`_csr`, built once per
       dataset).
 
     A block holds `_VERIFY_BLOCK` over the route's mean row (bitset words or
@@ -155,7 +156,7 @@ def _intersection_counts(data: Dataset, a_ids: np.ndarray, b_ids: np.ndarray) ->
     """
     bits = data.bitset()
     if bits is None:
-        x = _csr_view(data)
+        x = _csr(data)
         # np.asarray: a sparse matrix sums to an (m, 1) matrix, an array to (m,)
         count = lambda a, b: np.asarray(x[a].multiply(x[b]).sum(axis=1)).reshape(-1)
         entries, block = data.tokens.size, _CSR_VERIFY_BLOCK
@@ -181,32 +182,23 @@ def _word_intersections(starts, cols, words, bits, a, b) -> np.ndarray:
     a, b = np.minimum(a, b), np.maximum(a, b)
     k = starts[a + 1] - starts[a]  # >= 1: every record holds two tokens or more
     firsts = np.cumsum(k) - k
-    at = np.repeat(starts[a] - firsts, k) + np.arange(firsts[-1] + k[-1])
+    at = concatenated_ranges(starts[a], k, firsts)
     row = np.repeat(b * bits.shape[1], k)
     hits = np.bitwise_count(words[at] & bits.reshape(-1)[row + cols[at]])
     return np.add.reduceat(hits, firsts, dtype=np.int64)
 
 
-def _csr(data: Dataset, cols: np.ndarray, d: int):
-    """The records as an (n, d) int32 CSR matrix of ones at columns `cols`,
-    which are `data.tokens` or a renumbering of them in the same order."""
-    from scipy.sparse import csr_matrix
+def _csr(data: Dataset):
+    """The records as an int32 CSR matrix of ones over their column view
+    (`Dataset.columns`), built on first use and held by the dataset, for
+    verification's CSR route and the oracle's sparse blocks alike."""
+    def build():
+        from scipy.sparse import csr_matrix
 
-    return csr_matrix((np.ones(cols.size, dtype=np.int32), cols.astype(np.int64), data.indptr),
-                      shape=(data.n, d))
-
-
-def _csr_view(data: Dataset):
-    """The records' CSR matrix over the token ids, built on first use and
-    held by the dataset."""
-    return data.memo("csr", lambda: _csr(data, data.tokens, data.d))
-
-
-def _universe(data: Dataset) -> np.ndarray | None:
-    """The ids that occur, ascending, where the universe is wider than the
-    record tokens: the oracle's matrix columns then renumber them, so no
-    array spans an unused universe. None where the columns are the ids."""
-    return np.unique(data.tokens) if data.d > data.tokens.size else None
+        cols = data.columns()[1]
+        return csr_matrix((np.ones(cols.size, dtype=np.int32), cols.astype(np.int64),
+                           data.indptr), shape=(data.n, data.width))
+    return data.memo("csr", build)
 
 
 def _dense_route(data: Dataset, d: int) -> bool:
@@ -216,7 +208,7 @@ def _dense_route(data: Dataset, d: int) -> bool:
     return data.n * d <= _DENSE_CELL_CAP and int(data.sizes.max(initial=0)) <= _DENSE_SIZE_CAP
 
 
-def _intersection_blocks(data: Dataset, cut: int = 0, universe: np.ndarray | None = None):
+def _intersection_blocks(data: Dataset, cut: int = 0):
     """Yield (i0, counts) with counts[r, c] the number of tokens records
     i0 + r and i0 + c share in matrix columns [cut, d): row blocks of the
     upper triangle, each rows [i0, i1) against columns [i0, n).
@@ -225,46 +217,40 @@ def _intersection_blocks(data: Dataset, cut: int = 0, universe: np.ndarray | Non
     tile the triangle in about `_BLOCK_CELLS` cells each and grow taller as
     the triangle narrows. The counts are exact integers: float32 from a dense
     product (`_dense_route`), int32 from a sparse one. The matrix columns are
-    the token ids, or, where the universe is wider than the record tokens,
-    their ranks in `universe` (`_universe(data)`, computed here if not
-    given), so no array spans an unused universe.
+    the records' column view's (`Dataset.columns`), so none is an unused id.
 
-    The sparse route multiplies each block's CSR rows by the columns [i0, n)
-    of the transpose, built once as a CSR matrix: scipy slices a CSR
-    matrix's columns directly, where a CSC one was converted and copied for
-    every block (71 against 28-30 ns a product term on `gen_uniform(10^4,
-    30, 10^4)`; see `_choose_cut`).
+    The sparse route multiplies each block's rows of the records' CSR matrix
+    (`_csr`) by the columns [i0, n) of the transpose, built once as a CSR
+    matrix: scipy slices a CSR matrix's columns directly, where a CSC one
+    was converted and copied for every block (71 against 28-30 ns a product
+    term on `gen_uniform(10^4, 30, 10^4)`; see `_choose_cut`).
 
-    The dense matrix is built with no array wider than 4 bytes per token:
-    each token's row offset into the flat matrix is an int32, which
-    n * d <= `_DENSE_CELL_CAP` allows, and the columns are renumbered and
-    the cells set `_FILL_CHUNK` tokens at a time.
+    The dense matrix is built with no token-long array beside the column
+    view: its cells are set a run of whole records of about `_FILL_CHUNK`
+    tokens at a time, through int32 offsets into the flat matrix, which
+    n * d <= `_DENSE_CELL_CAP` allows.
     """
     n = data.n
-    if universe is None:
-        universe = _universe(data)
-    d = data.d if universe is None else universe.size
-
-    def columns(t0, t1):  # the matrix columns of tokens t0 to t1
-        chunk = data.tokens[t0:t1]
-        return chunk if universe is None else np.searchsorted(universe, chunk)
-
+    d = data.width
     if _dense_route(data, d):
         width = d - cut
         x = np.zeros((n, width), dtype=np.float32)
-        rows = np.repeat(np.arange(n, dtype=np.int32) * width, np.diff(data.indptr))
         flat = x.reshape(-1)
-        for t0 in range(0, rows.size, _FILL_CHUNK):
-            t1 = t0 + _FILL_CHUNK
-            at, cols = rows[t0:t1], columns(t0, t1)
+        view, indptr, sizes = data.columns()[1], data.indptr, data.sizes
+        r0 = 0
+        while r0 < n:
+            r1 = int(np.searchsorted(indptr, indptr[r0] + _FILL_CHUNK, side="right")) - 1
+            r1 = max(r1, r0 + 1)  # a record past the chunk gets one of its own
+            at = np.repeat(np.arange(r0, r1, dtype=np.int32) * np.int32(width), sizes[r0:r1])
+            cols = view[indptr[r0]:indptr[r1]]
             if cut:
                 kept = cols >= cut
                 at, cols = at[kept], cols[kept] - cut
             flat[at + cols] = 1.0
-        del rows
+            r0 = r1
         product = lambda i0, i1: x[i0:i1] @ x[i0:].T
     else:
-        x = _csr_view(data) if universe is None else _csr(data, columns(0, data.tokens.size), d)
+        x = _csr(data)
         if cut:
             x = x[:, cut:]
         xt = x.T.tocsr()
@@ -282,17 +268,16 @@ def _bound_terms(sizes: np.ndarray, below: np.ndarray, coef: float) -> np.ndarra
     return np.floor((coef * sizes - 0.5 * below) / _BOUND_STEP) * _BOUND_STEP
 
 
-def _tokens_below(data: Dataset, universe: np.ndarray | None, cut: int) -> np.ndarray:
+def _tokens_below(data: Dataset, cut: int) -> np.ndarray:
     """Each record's tokens in matrix columns below `cut`."""
     if cut == 0:
         return np.zeros(data.n, dtype=np.int64)
-    # the columns keep the ids' order, so column < cut is id < the cut's id
-    top = cut if universe is None else (universe[cut] if cut < universe.size else data.d)
     # every record holds tokens, so each segment of the sum is its own
-    return np.add.reduceat((data.tokens < top).view(np.uint8), data.indptr[:-1], dtype=np.int64)
+    return np.add.reduceat((data.columns()[1] < cut).view(np.uint8), data.indptr[:-1],
+                           dtype=np.int64)
 
 
-def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
+def _choose_cut(data: Dataset, coef: float) -> int:
     """The oracle's cut: the matrix columns below it are bounded, not
     multiplied; 0 where no cut is priced below multiplying every column.
 
@@ -322,7 +307,8 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     """
     n = data.n
     pairs = n * (n - 1) // 2
-    d = data.d if universe is None else universe.size
+    view = data.columns()[1]
+    d = data.width
     steps = min(d, _CUT_STEPS)
     if pairs == 0 or steps == 0:
         return 0
@@ -336,11 +322,7 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
 
     def side(ids):  # each pair's tokens of one side: (pair * d + column, pair * steps + step)
         k = sizes[ids]
-        first = np.cumsum(k) - k
-        at = np.repeat(data.indptr[ids] - first, k) + np.arange(first[-1] + k[-1])
-        cols = data.tokens[at].astype(np.int64)
-        if universe is not None:
-            cols = np.searchsorted(universe, cols)
+        cols = view[concatenated_ranges(data.indptr[ids], k)].astype(np.int64)
         pair = np.repeat(np.arange(m, dtype=np.int64), k)
         return pair * d + cols, pair * steps + step_of[cols]
 
@@ -357,9 +339,7 @@ def _choose_cut(data: Dataset, universe: np.ndarray | None, coef: float) -> int:
     if _dense_route(data, d):
         weight = np.full(d, float(pairs))
     else:
-        freq = (data.token_freq if universe is None
-                else np.bincount(np.searchsorted(universe, data.tokens), minlength=d))
-        freq = freq.astype(np.float64)
+        freq = np.bincount(view, minlength=d).astype(np.float64)
         weight = freq * (freq - 1) / 2 * _SPARSE_COST
     product = np.concatenate((np.cumsum(weight[::-1])[::-1], [0.0]))  # columns from c on
     cost = product[cuts] + _VERIFY_COST * pairs * kept.mean(axis=0)
@@ -417,10 +397,9 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     out_codes = {lam: [] for lam in thresholds}
     least = min(thresholds)
     coef = least / (1.0 + least)
-    universe = _universe(data)
-    cut = _choose_cut(data, universe, coef)
-    terms = _bound_terms(sizes, _tokens_below(data, universe, cut), coef)
-    for i0, counts in _intersection_blocks(data, cut, universe):
+    cut = _choose_cut(data, coef)
+    terms = _bound_terms(sizes, _tokens_below(data, cut), coef)
+    for i0, counts in _intersection_blocks(data, cut):
         t = terms.astype(np.result_type(counts.dtype, np.float32))  # float32 on the dense route
         i1 = i0 + counts.shape[0]
         kept = np.subtract(counts, t[i0:i1, None], dtype=t.dtype) >= t[i0:]
@@ -523,7 +502,7 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     # entry_bounds[r] to entry_bounds[r + 1].
     entry_bounds = np.concatenate(([0], np.cumsum(plen)))
     entry_rec = np.repeat(np.arange(n), plen)
-    at = np.arange(entry_rec.size) + np.repeat(data.indptr[:-1] - entry_bounds[:-1], plen)
+    at = concatenated_ranges(data.indptr[:-1], plen, entry_bounds[:-1])
     entry_tok = data.tokens[at].astype(np.int64)
     # 1 + rest, the entry's token and those after it, is indptr[r + 1] - at
     reach = max_sum[data.indptr[1:][entry_rec] - at] - sizes[entry_rec]
@@ -556,8 +535,7 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
         r1 = max(r1, r0 + 1)  # a record with more pairs than a block gets one of its own
         e0, e1 = entry_bounds[r0], entry_bounds[r1]
         c = counts[e0:e1]
-        first = np.cumsum(c) - c
-        idx = np.repeat(lo[e0:e1] - first, c) + np.arange(pairs_before[r1] - pairs_before[r0])
+        idx = concatenated_ranges(lo[e0:e1], c)
         i = np.repeat(entry_rec[e0:e1], c)
         ok = post_reach[idx] >= sizes[i]  # the j side
         i, j = _distinct_block_pairs(i[ok], post_rec[idx[ok]], r0, r1)

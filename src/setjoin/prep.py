@@ -10,18 +10,20 @@ signatures do not depend on the sketch's.
 
 Each function's ranks over the universe are sorted into rank tables:
 `order[f, r]` is the universe position at rank position r under function f
-and `pos[t, f]` the rank position of universe position t. The universe is
-[0, d) when it is no wider than the record tokens (always, for canonical
-data), and otherwise the distinct tokens that occur, which records then
-index by position. The sort runs on keys that hold a rank's high bits and
-the universe position in its low ones. Over [0, d) they come straight out
-of the byte-at-a-time expansion of the hash tables, once the tables' low
-bits are cleared, each byte's share of the position is ORed into its table,
-and every byte that is 0 over the whole universe is folded into byte 0's
-table; only a function whose keys tie on their high bits is ranked again in
-full. A record's MinHash under f is `order[f, r*]`, where r* is the least
-rank position it holds. Records of equal size are taken in blocks, and one
-rule (`_first_hit_window`) picks the kernel that finds r*, for every block
+and `pos[t, f]` the rank position of universe position t. The universe and
+the records' positions in it are the dataset's column view
+(`Dataset.columns`): [0, d) and the tokens themselves where d is no wider
+than the record tokens (always, for canonical data), and otherwise the
+distinct tokens that occur and each token's position among them. The sort
+runs on keys that hold a rank's high bits and the universe position in its
+low ones. Over [0, d) they come straight out of the byte-at-a-time
+expansion of the hash tables, once the tables' low bits are cleared, each
+byte's share of the position is ORed into its table, and every byte that is
+0 over the whole universe is folded into byte 0's table; only a function
+whose keys tie on their high bits is ranked again in full. A record's
+MinHash under f is `order[f, r*]`, where r* is the least rank position it
+holds. Records of equal size are taken in blocks, and one rule
+(`_first_hit_window`) picks the kernel that finds r*, for every block
 before a chunk of functions builds its tables, so that `pos` is built only
 for a chunk in which some block gathers:
 
@@ -123,9 +125,8 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
 
 def _minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
     """MinHash values (F, n) of every record, from rank tables built a chunk of
-    functions at a time. The tables rank [0, d) when it is no wider than the
-    record tokens, and otherwise the tokens that occur, which records then
-    index by position.
+    functions at a time over the dataset's column view (`Dataset.columns`):
+    [0, d), or the tokens that occur, which records then index by position.
 
     Each block of equal-size records writes, per function, the least rank
     position it holds, from the first-hit kernel (`_first_hits`) where
@@ -134,11 +135,8 @@ def _minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
     canonical data, is read and written as slices. One `take` per function
     row then turns positions into universe positions through `order`, and
     those into tokens through the universe, if any."""
-    if data.d <= data.tokens.size:
-        universe, tokens, size = None, data.tokens, data.d
-    else:
-        universe, tokens = np.unique(data.tokens, return_inverse=True)
-        size, tokens = universe.size, tokens.astype(np.uint32)
+    universe, tokens = data.columns()
+    size = data.width
     # Group records by size, keeping index order within a size (canonical data
     # is already stored this way), so each block is a dense (k, s) token matrix.
     by_size = np.argsort(data.sizes, kind="stable")

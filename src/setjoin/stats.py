@@ -1,5 +1,5 @@
-"""Join counters, pair-set helpers and the packed stable sort shared by the
-joins."""
+"""Join counters, pair-set helpers, the packed stable sort and the
+concatenated-ranges index shared by the joins."""
 
 from __future__ import annotations
 
@@ -99,3 +99,12 @@ def stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     packed = (key << np.uint64(bits)) | np.arange(key.size, dtype=np.uint64)
     packed.sort()
     return (packed & np.uint64((1 << bits) - 1)).astype(np.intp)
+
+
+def concatenated_ranges(starts: np.ndarray, counts: np.ndarray, firsts=None) -> np.ndarray:
+    """starts[k] + arange(counts[k]) for every k, laid end to end; `firsts`,
+    where each range lands (cumsum(counts) - counts), if the caller has it."""
+    if firsts is None:
+        firsts = np.cumsum(counts) - counts
+    total = int(firsts[-1] + counts[-1]) if counts.size else 0
+    return np.repeat(starts - firsts, counts) + np.arange(total)

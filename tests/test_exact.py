@@ -21,7 +21,9 @@ test at its hits is a property test. Its bound over the columns below a cut
 is a property test against the per-pair scan at forced cuts, its cut rule is
 checked where the bound prunes and where it cannot, and its float32 route is
 checked to stop where float32 stops being exact. Every join that counts on
-the CSR route builds the records' CSR matrix once per dataset.
+the CSR route builds the records' CSR matrix once per dataset, and a raw
+dataset over a wide universe is renumbered once, by its column view, for
+preprocess and every join.
 """
 
 import gc
@@ -35,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setjoin import LshConfig, datasets, exact, lsh_join
+from setjoin import CpsConfig, LshConfig, cps_join, datasets, exact, lsh_join, preprocess
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
 from setjoin.errors import CanonicalOrderError
 from setjoin.exact import (
@@ -276,22 +278,61 @@ def test_a_join_builds_the_csr_view_once(monkeypatch, join):
     monkeypatch.setattr(exact, "_BLOCK_CELLS", 2 ** 14)
     ds = gen_uniform(400, 10, 200, seed=25)
     assert ds.bitset() is None
-    built, calls = [], []
-    csr, counts = exact._csr, exact._intersection_counts
-    monkeypatch.setattr(exact, "_csr", lambda *args: built.append(args[2]) or csr(*args))
+    built, calls = _memo_builds(monkeypatch), []
+    counts = exact._intersection_counts
     monkeypatch.setattr(exact, "_intersection_counts",
                         lambda *args: calls.append(args[1].size) or counts(*args))
     run = {"allpairs": lambda: allpairs_join(ds, 0.3),
            "lsh": lambda: lsh_join(ds, LshConfig(threshold=0.5, seed=3)),
            "bruteforce": lambda: brute_force_join(ds, 0.3)}[join]
     run()
-    assert len(calls) > 1 and built == [ds.d]
+    assert len(calls) > 1 and built.count("csr") == 1 and exact._csr(ds).shape == (ds.n, ds.d)
     run()
-    assert built == [ds.d]
-    view = weakref.ref(exact._csr_view(ds))
+    assert built.count("csr") == 1
+    view = weakref.ref(exact._csr(ds))
     del ds, run
     gc.collect()
     assert view() is None  # it dies with its dataset
+
+
+def test_a_wide_universe_is_renumbered_once(monkeypatch):
+    # raw ids spread over a universe wider than the tokens, as in the sparse
+    # route test below, and no bitset: preprocess, both oracle routes, both
+    # approximate joins and their CSR verification all read the dataset's
+    # one column view and the one CSR matrix over its columns
+    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    rng = np.random.default_rng(9)
+    recs = [rng.choice(3_000_000, size=400, replace=False) for _ in range(60)]
+    recs += [recs[0][:350], recs[1][:300]]
+    ds = Dataset.from_records(recs, canonical=False)
+    assert ds.d > ds.tokens.size and ds.bitset() is None
+    built, uniques, unique = _memo_builds(monkeypatch), [], np.unique
+    monkeypatch.setattr(np, "unique", lambda ar, *args, **kwargs:
+                        uniques.append(np.size(ar)) or unique(ar, *args, **kwargs))
+    preprocess(ds)
+    for dense_cap in (exact._DENSE_CELL_CAP, 0):  # dense, then sparse intersection blocks
+        monkeypatch.setattr(exact, "_DENSE_CELL_CAP", dense_cap)
+        assert brute_force_join(ds, 0.5)[1].results >= 2
+    cps_join(ds, CpsConfig(threshold=0.5, seed=1))
+    lsh_join(ds, LshConfig(threshold=0.5, seed=1))
+    assert uniques == [ds.tokens.size]  # the one renumbering
+    assert built.count("columns") == built.count("csr") == 1
+    universe, cols = ds.columns()
+    assert np.array_equal(universe[cols], ds.tokens)
+    assert exact._csr(ds).shape == (ds.n, universe.size)
+    view = weakref.ref(cols)
+    del ds, universe, cols
+    gc.collect()
+    assert view() is None  # it dies with its dataset
+
+
+def _memo_builds(monkeypatch) -> list:
+    """The keys of the views datasets build through `Dataset.memo` from here
+    on, in build order."""
+    built, memo = [], Dataset.memo
+    monkeypatch.setattr(Dataset, "memo", lambda self, key, build:
+                        memo(self, key, lambda: built.append(key) or build()))
+    return built
 
 
 def _random_dataset(rng):
@@ -434,11 +475,10 @@ def test_brute_force_uses_sparse_route_on_large_universe(monkeypatch):
     recs += [recs[0][:350], recs[1][:300]]  # a few overlapping pairs
     ds = Dataset.from_records(recs, canonical=False)  # keep sparse original ids
     monkeypatch.setattr(exact, "_DENSE_CELL_CAP", ds.n * np.unique(ds.tokens).size - 1)
-    built = []
-    csr = exact._csr
-    monkeypatch.setattr(exact, "_csr", lambda *args: built.append(args[2]) or csr(*args))
+    built = _memo_builds(monkeypatch)
     pairs, _ = brute_force_join(ds, 0.5)
-    assert built == [np.unique(ds.tokens).size]  # one CSR matrix over the ids that occur
+    # one CSR matrix over the ids that occur
+    assert built.count("csr") == 1 and exact._csr(ds).shape[1] == np.unique(ds.tokens).size
     want = []
     for i in range(ds.n):
         for j in range(i + 1, ds.n):
@@ -557,9 +597,7 @@ def _oracle_records(draw):
        st.sampled_from(["none", "mid", "all"]))
 def test_the_oracle_bound_is_lossless_at_any_cut(records, canonical, route, cut):
     ds = Dataset.from_records(records, canonical=canonical)
-    universe = exact._universe(ds)
-    width = ds.d if universe is None else universe.size
-    forced = {"none": 0, "mid": width // 2, "all": width}[cut]
+    forced = {"none": 0, "mid": ds.width // 2, "all": ds.width}[cut]
     lams = (0.2, 1 / 3, 0.5, 9 / 14, 0.8, 1.0)
     with mock.patch.object(exact, "_choose_cut", lambda *args: forced), \
             mock.patch.object(exact, "_DENSE_CELL_CAP", 0 if route == "sparse" else exact._DENSE_CELL_CAP):
@@ -590,7 +628,7 @@ def test_the_cut_rule_bounds_the_rare_columns_of_the_benchmark_tokens_recipe(mon
     ds = gen_tokens(TokensSpec(
         d=800, max_freq=700, background_similarity=0.12,
         planted=((0.55, 10), (0.65, 10), (0.75, 10), (0.85, 10), (0.95, 10)), seed=21))
-    cut = exact._choose_cut(ds, None, 0.5 / 1.5)
+    cut = exact._choose_cut(ds, 0.5 / 1.5)
     assert 0.3 * ds.d < cut < ds.d
     # the product skips the rare columns for a few more verified pairs
     pairs, stats = brute_force_join(ds, 0.5)
@@ -604,7 +642,7 @@ def test_the_cut_rule_keeps_every_column_where_the_bound_cannot_prune(monkeypatc
     # 12 ids, each in about half the records: bounding even the rarest
     # column keeps thousands more pairs than it saves cells
     ds = gen_uniform(500, 6, 12, seed=1)
-    assert exact._choose_cut(ds, None, 0.5 / 1.5) == 0
+    assert exact._choose_cut(ds, 0.5 / 1.5) == 0
     exact_only = _verified_pairs(monkeypatch, ds, 0.5)
     assert exact_only == _verified_pairs(monkeypatch, ds, 0.5, cut=0)
     assert _verified_pairs(monkeypatch, ds, 0.5, cut=1) > exact_only + 3000
