@@ -117,8 +117,8 @@ class Dataset:
         """The records' column view (universe, cols), built on first call:
         (None, tokens), no copy, where d is no wider than the tokens (always,
         for canonical data); else the ids that occur, ascending, and each
-        token's uint32 position among them, searched a `_RENUMBER_CHUNK` at a
-        time, where `np.unique(return_inverse=True)` makes a token-long intp."""
+        token's uint32 position among them, searched `_RENUMBER_CHUNK` tokens
+        at a time so that no token-long intp array is made."""
         if self.d <= self.tokens.size:
             return None, self.tokens
         universe = np.unique(self.tokens)
