@@ -2,15 +2,16 @@
 
 The protocol for approximate algorithms mirrors how the join quality is
 reported: the exact result is computed once per threshold of a `run` or
-`sweep` call with the inverted-index join, and each trial runs the join's
-repetitions through `cpsjoin.run_repetitions` until the union of reported
-pairs reaches the recall target (or the repetition budget). The target
-defaults to the algorithm's own: `CpsConfig.recall_target` for CPSJoin,
-`LshConfig.recall_target` for LSH. Without the oracle each join keeps its own
-stop rule: CPSJoin stops where its kernel's capture-recapture estimate
-(`cpsjoin.estimated_recall`) reaches the target, LSH runs its full budget.
-Join time sums the key-width choice (CPSJoin's width, LSH's k and
-repetition count) and the per-repetition times
+`sweep` call with the inverted-index join, and each trial drives the join's
+own steps (`cpsjoin.repetitions` or `lsh.repetitions`) through
+`cpsjoin.run_repetitions`, stopping once the union of reported pairs
+reaches the recall target; CPSJoin's config then carries no target. The
+target defaults to the algorithm's own: `CpsConfig.recall_target` for
+CPSJoin, `LshConfig.recall_target` for LSH. Without the oracle each join
+keeps its own stop rule: CPSJoin stops where its kernel's capture-recapture
+estimate (`cpsjoin.estimated_recall`) reaches the target, LSH runs its full
+budget. Join time sums the key-width choice (CPSJoin's width, LSH's k and
+budget) and the per-repetition times
 (`JoinStats.key_width_s` and `repetition_s`), so it leaves out the recall
 checks; embedding/sketching time is its own column and the oracle is never
 timed into either. A row summarizes all trials: times are
@@ -150,6 +151,7 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
     # and runs every threshold on it.
     base_seed = _stable_seed(spec.seed, spec.dataset, spec.algorithm)
     target = _recall_target(spec)
+    join = cps if spec.algorithm == "cpsjoin" else mlsh
     trial_rows = [[] for _ in spec.thresholds]
     trial_params = [[] for _ in spec.thresholds]
     prep_times = []
@@ -159,22 +161,9 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
         prep_times.append(prep.elapsed_s)
         for t, (lam, exact) in enumerate(zip(spec.thresholds, exacts)):
             cfg = _approximate_config(spec, lam, trial_seed)
-            if spec.algorithm == "cpsjoin":
-                stop = cps.estimate_reaches(target)
-                run_rep = lambda r, kernel: cps.repetition_codes(prep, cfg, r, kernel)
-                plan = lambda kernel: (cps.choose_key_width(prep, cfg, kernel), cfg.reps)
-                extra = {"limit": spec.limit, "eps": spec.eps, "reps": cfg.reps}
-            else:
-                stop = lambda kernel: False
-                lsh_plan, run_rep = mlsh.repetition_steps(prep, cfg)
-                extra = {}
-
-                def plan(kernel):
-                    extra["k"], extra["reps"] = lsh_plan(kernel)
-                    return extra["k"], extra["reps"]
-            if exact is not None:
-                stop = lambda kernel: _recall(kernel.codes(), exact) >= target
-            pairs, stats = cps.run_repetitions(prep, cfg, plan, run_rep, stop)
+            stop = None if exact is None else (
+                lambda kernel: _recall(kernel.codes(), exact) >= target)
+            pairs, stats = cps.run_repetitions(prep, cfg, join.repetitions, stop)
             trial_rows[t].append(ReportRow(
                 dataset=spec.dataset, algorithm=spec.algorithm, threshold=lam,
                 join_time_s=stats.key_width_s + sum(stats.repetition_s),
@@ -184,7 +173,8 @@ def _run_approximate(spec: ExperimentSpec, exacts: list) -> list[ReportRow]:
                 candidates=stats.candidates, results=stats.results,
                 key_width=stats.key_width,
             ))
-            trial_params[t].append(extra)
+            trial_params[t].append({"limit": spec.limit, "eps": spec.eps, "reps": stats.reps}
+                                   if join is cps else {"k": stats.key_width, "reps": stats.reps})
     # Times are means over trials; recall, counters and the echoed parameters
     # the lower median, so integer columns stay integers. LSH's repetitions
     # rise with its tuned k, so both medians come from the same trials.
@@ -220,11 +210,11 @@ def _recall_target(spec: ExperimentSpec) -> float:
 def _approximate_config(spec: ExperimentSpec, threshold: float, seed: int):
     """The join config an approximate run of `spec` uses at one threshold."""
     if spec.algorithm == "cpsjoin":
-        # the runner passes its own stop rule, so the config's target stays unset
+        # with the oracle, the runner's stop rule alone ends the join
         return cps.CpsConfig(
             threshold=threshold, delta=spec.delta, eps=spec.eps, limit=spec.limit,
             reps=cps.CpsConfig.reps if spec.max_reps is None else spec.max_reps,
-            seed=seed, recall_target=None)
+            seed=seed, recall_target=None if spec.use_oracle else _recall_target(spec))
     return mlsh.LshConfig(
         threshold=threshold, recall_target=_recall_target(spec), k=spec.k,
         reps=spec.max_reps, delta=spec.delta, seed=seed)

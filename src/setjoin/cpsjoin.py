@@ -28,10 +28,11 @@ verifies each distinct pair once per join and remembers the outcome.
 The join tunes its own repetition count: the kernel counts, for every pair
 found so far, the repetitions that found it, and after each one turns the
 counts into Chao's capture-recapture estimate of the share of the result set
-found (`estimated_recall`). The join stops once some pair has been found
-and that reaches `CpsConfig.recall_target`, or after `reps`, in the one
-repetition loop (`run_repetitions`) that both approximate joins and `bench`
-drive.
+found (`estimated_recall`). The join is one generator of its steps
+(`repetitions`): it yields its key width and budget, then once per
+repetition, and ends once some pair has been found and the estimate reaches
+`CpsConfig.recall_target`, or after `reps`. `run_repetitions` times and
+drives that generator, and the LSH join's, for the joins and for `bench`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .datasets import Dataset
 from .exact import verify_pairs
 from .prep import Prepared, check_join_params, preprocess
-from .sketch import estimate_rows, filter_threshold, max_hamming, pooled_sketch
+from .sketch import DEFAULT_DELTA, estimate_rows, filter_threshold, max_hamming, pooled_sketch
 from .stats import (JoinStats, concatenated_ranges, decode_pairs, encode_pairs, stable_order,
                     unique_pairs)
 from .tabulation import derive_seed, splitmix64, splitmix64_array
@@ -67,10 +68,10 @@ _PAIR_BLOCK = 2 ** 18  # candidate pairs per block handed to the kernel, and per
 class CpsConfig:
     """Parameters of one CPSJoin run.
 
-    `reps` is the repetition budget. The stop rule `estimate_reaches` ends
-    the join after the first repetition r >= 2 whose `estimated_recall`
-    reaches `recall_target`, once some pair has been found; with None it
-    runs all `reps`. A stopped run is
+    `reps` is the repetition budget. The join (`repetitions`) stops after
+    the first repetition r >= 2 whose `estimated_recall` reaches
+    `recall_target`, once some pair has been found; with None it runs all
+    `reps`, as `bench` does when its oracle stops the join. A stopped run is
     exactly the first r repetitions of the run with `reps=r, recall_target=None`.
     The key width is not a field: the join derives it (`choose_key_width`).
 
@@ -90,7 +91,7 @@ class CpsConfig:
     """
 
     threshold: float
-    delta: float = 0.05
+    delta: float = DEFAULT_DELTA
     eps: float = 0.1
     limit: int = 250
     reps: int = 10
@@ -476,7 +477,7 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     compared pairwise, the point rule (`brute_force_step`) over the larger
     ones, and the split of what it keeps into the next depth. Every split
     keys on `JoinStats.key_width`, which the join chose before its first
-    repetition (`choose_key_width`, through `run_repetitions`).
+    repetition (`choose_key_width`, the first step of `repetitions`).
     """
     # Engineering guard far above the expected O(log n / eps) depth: at the
     # cap, what the point rule keeps is compared pairwise instead of split.
@@ -502,51 +503,57 @@ def repetition_codes(prep: Prepared, cfg: CpsConfig, rep: int,
     return kernel.end_repetition()
 
 
-def run_repetitions(prep: Prepared, cfg, plan, one_repetition, stop):
-    """Run both approximate joins and `bench` through one kernel: first
-    `plan(kernel)`, which returns the join's key width and repetition budget
-    and is timed into `key_width_s`, then `one_repetition(rep, kernel)` until
-    `stop(kernel)` holds after one, or the budget is spent, timing each call
-    into `repetition_s`; returns ((m, 2) pairs, JoinStats)."""
-    stats = JoinStats(preprocess_s=prep.elapsed_s)
+def repetitions(prep: Prepared, cfg: CpsConfig, kernel: CandidateKernel):
+    """CPSJoin's steps, which `run_repetitions` drives: yields the key width
+    (`choose_key_width`) and budget `cfg.reps`, then once after each
+    repetition (`repetition_codes`); ends after the budget, or after the
+    first repetition at which some pair has been found and the recall
+    estimate reaches `cfg.recall_target` (never if None). With no pair found
+    the estimate reads 0/0 as 1.0, which says nothing of the pairs missed,
+    so a join that finds none runs its whole budget. Two repetitions miss a
+    pair caught in about half of them a quarter of the time: the one result
+    pair of the acceptance gate's `uniform` set at 0.5 was found in 34, 40
+    and 32 of 60 one-repetition joins at key widths 1, 2 and 3."""
+    yield choose_key_width(prep, cfg, kernel), cfg.reps
+    stats = kernel.stats
+    for rep in range(cfg.reps):
+        repetition_codes(prep, cfg, rep, kernel)
+        yield
+        if (cfg.recall_target is not None and any(stats.new_results_per_rep)
+                and stats.recall_estimate_per_rep[-1] >= cfg.recall_target):
+            return
+
+
+def run_repetitions(prep: Prepared, cfg, repetitions, stop=None):
+    """Drive a join's generator of steps, `repetitions(prep, cfg, kernel)`
+    (`cpsjoin.repetitions`, `lsh.repetitions`), through one kernel, for both
+    joins and `bench`. The first step, which yields the (key width, budget),
+    is timed into `key_width_s`, each later one, a repetition, into
+    `repetition_s`. The join ends with the generator, or after a repetition
+    at which the caller's extra `stop(kernel)` holds; returns ((m, 2)
+    pairs, JoinStats)."""
+    stats = JoinStats()
     t0 = time.perf_counter()
     kernel = CandidateKernel(prep, cfg.threshold, cfg.delta, stats)
+    steps = repetitions(prep, cfg, kernel)
     t = time.perf_counter()
-    stats.key_width, reps = plan(kernel)
+    stats.key_width, stats.reps = next(steps)
     stats.key_width_s = time.perf_counter() - t
-    for rep in range(reps):
-        t = time.perf_counter()
-        one_repetition(rep, kernel)
+    t = time.perf_counter()
+    for _ in steps:
         stats.repetition_s.append(time.perf_counter() - t)
-        if stop(kernel):
+        if stop is not None and stop(kernel):
             break
+        t = time.perf_counter()
     codes = kernel.codes()
     stats.results = codes.size
     stats.join_s = time.perf_counter() - t0
     return decode_pairs(codes), stats
 
 
-def estimate_reaches(target: float | None):
-    """CPSJoin's stop rule: some pair has been found and the recall estimate
-    reaches `target` (never if None).
-
-    With no pair found the estimate reads 0/0 as 1.0, which says nothing of
-    the pairs missed, so a join that finds none runs its whole budget. Two
-    repetitions miss a pair caught in about half of them a quarter of the
-    time: the one result pair of the acceptance gate's `uniform` set at 0.5
-    was found in 34, 40 and 32 of 60 one-repetition joins at key widths 1,
-    2 and 3."""
-    return lambda kernel: (target is not None and any(kernel.stats.new_results_per_rep)
-                           and kernel.stats.recall_estimate_per_rep[-1] >= target)
-
-
 def cps_join_prepared(prep: Prepared, cfg: CpsConfig):
-    """Join an already-embedded dataset until `estimate_reaches(cfg.recall_target)`
-    or after `cfg.reps` repetitions; returns ((m, 2) pairs, JoinStats)."""
-    return run_repetitions(prep, cfg,
-                           lambda kernel: (choose_key_width(prep, cfg, kernel), cfg.reps),
-                           lambda rep, kernel: repetition_codes(prep, cfg, rep, kernel),
-                           estimate_reaches(cfg.recall_target))
+    """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats)."""
+    return run_repetitions(prep, cfg, repetitions)
 
 
 def cps_join(data: Dataset, cfg: CpsConfig):

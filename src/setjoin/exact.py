@@ -36,17 +36,18 @@ CSR, so no block's column slice converts it). With a bitset, it popcounts
 the ANDed rows, all ceil(d/64) words of them (the dense route), unless the
 bitset is sparse: where tokens * `_GATHER_COST` < n * ceil(d/64), it
 popcounts only the lower id's non-zero words, each ANDed with the word at
-the same index in the other row (the word route). The token count bounds
-the non-zero words from above, so the rule costs nothing and a dense
-dataset never builds its word lists. `_GATHER_COST` = 4 is the measured
-cost of a gathered word against a dense one: on `gen_uniform(4000, avg,
-10^4)` with 100k sorted random pairs, 2 vCPUs, a word took 12-17 ns
-gathered and 3.1-3.5 ns dense. The word route won 2.5x at tokens / (n *
-ceil(d/64)) = 0.10, 1.5x at 0.19 and 1.13x at 0.25, broke even between 0.32
-and 0.38 and lost at 0.51 (0.73x); the rule switches at 0.25. One predicate,
-`_jaccard_at_least` (int64 intersection over int64 union, one float64
-division, >= threshold), decides membership everywhere, so every route
-agrees bit-for-bit.
+the same index in the other row (the word route). The token count bounds the
+non-zero words from above, so the rule costs nothing; it spares no word
+lists, since `Dataset.bitset()` scatters its rows from them, so every
+dataset under the bitset's cap builds them with its bitset.
+`_GATHER_COST` = 4 is the measured cost of a gathered word against a dense
+one: on `gen_uniform(4000, avg, 10^4)` with 100k sorted random pairs, 2
+vCPUs, a word took 12-17 ns gathered and 3.1-3.5 ns dense. The word route
+won 2.5x at tokens / (n * ceil(d/64)) = 0.10, 1.5x at 0.19 and 1.13x at
+0.25, broke even between 0.32 and 0.38 and lost at 0.51 (0.73x); the rule
+switches at 0.25. One predicate, `_jaccard_at_least` (int64 intersection
+over int64 union, one float64 division, >= threshold), decides membership
+everywhere, so every route agrees bit-for-bit.
 
 All cheap pruning bounds carry a slack in the keep direction, so float
 rounding can only add candidates, never drop a true pair: 1e-9 for the size,
@@ -384,6 +385,8 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
     thresholds = list(dict.fromkeys(thresholds))  # a repeated threshold is one result
+    if not thresholds:
+        raise ValueError("need at least one threshold")
     for lam in thresholds:
         _check_threshold(lam)
     n = data.n

@@ -13,9 +13,10 @@ and stops once no wider k can cost less.
 Much of a `split_rows` call's cost is fixed: a one-row call takes 80 µs
 at k = 4 on 10 records, 210 µs on 2,963 (2 vCPUs). So the rows of a block
 of repetitions, up to `_BLOCK_ENTRIES` entries in all, are bucketed in one
-call (`repetition_steps`); the kernel still runs and closes one repetition
-at a time, so the pairs, counters and per-repetition statistics are those
-of one call per repetition.
+call; the kernel still runs and closes one repetition at a time, so the
+pairs, counters and per-repetition statistics are those of one call per
+repetition. The join is one generator of its steps (`repetitions`), which
+`cpsjoin.run_repetitions` times and drives, as it does CPSJoin's.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .cpsjoin import bucket_keys  # noqa: F401
 from .cpsjoin import CandidateKernel, run_repetitions, split_rows
 from .datasets import Dataset
 from .prep import Prepared, check_join_params, preprocess
+from .sketch import DEFAULT_DELTA
 from .stats import unique_pairs  # noqa: F401
 from .tabulation import derive_seed, splitmix64_array
 
@@ -52,7 +54,7 @@ class LshConfig:
     recall_target: float = 0.9
     k: int | None = None
     reps: int | None = None
-    delta: float = 0.05
+    delta: float = DEFAULT_DELTA
     seed: int = 0x15ABE7
 
     def __post_init__(self):
@@ -125,54 +127,44 @@ def resolve_params(prep: Prepared, cfg: LshConfig) -> tuple[int, int]:
     return k, reps
 
 
-def repetition_codes(buckets, rep: int, kernel: CandidateKernel) -> np.ndarray:
+def repetition_codes(ids: np.ndarray, bounds: np.ndarray, kernel: CandidateKernel) -> np.ndarray:
     """One bucketing repetition through the join's kernel: every pair inside
-    the buckets `buckets(rep)` gives, as (ids, segment bounds); returns the
-    sorted codes of the distinct similar pairs it found, new or found
-    before."""
-    kernel.run_segments(*buckets(rep))
+    the buckets ids[bounds[c]:bounds[c + 1]]; returns the sorted codes of the
+    distinct similar pairs it found, new or found before."""
+    kernel.run_segments(ids, bounds)
     return kernel.end_repetition()
 
 
-def repetition_steps(prep: Prepared, cfg: LshConfig):
-    """The (plan, one_repetition) pair `run_repetitions` takes for an LSH
-    join, which `lsh_join_prepared` and `bench` both run. `plan(kernel)`
-    returns the join's (k, repetitions) (`resolve_params`).
-    `one_repetition(rep, kernel)` runs `repetition_codes` on repetition
-    `rep`'s root row: k coordinates drawn from its own seed,
-    splitmix64(derive_seed(cfg.seed, _POS_TAG), rep). The rows of a block of
-    max(1, _BLOCK_ENTRIES // n) repetitions, never past the last, are
-    bucketed in one `split_rows` call when the block's first repetition
-    starts, so a join that stops early buckets at most one block more than
-    it runs, and no call lays out more than max(n, _BLOCK_ENTRIES) entries."""
+def repetitions(prep: Prepared, cfg: LshConfig, kernel: CandidateKernel):
+    """LSH's steps, as `run_repetitions` drives them: yields the join's
+    (k, repetitions) (`resolve_params`), then once after each repetition,
+    and ends after the last; a recall estimate cuts no repetition.
+
+    Repetition `rep` runs `repetition_codes` on its root row: k coordinates
+    drawn from its own seed, splitmix64(derive_seed(cfg.seed, _POS_TAG), rep).
+    The rows of a block of max(1, _BLOCK_ENTRIES // n) repetitions, never
+    past the last, are bucketed in one `split_rows` call when the block's
+    first repetition starts, so a join its caller stops early buckets at
+    most one block more than it runs, and no call lays out more than
+    max(n, _BLOCK_ENTRIES) entries."""
+    k, reps = resolve_params(prep, cfg)
+    yield k, reps
     per_block = max(1, _BLOCK_ENTRIES // max(prep.data.n, 1))
-    k = reps = ids = bounds = first = None
-    block = range(0)  # the repetitions bucketed in ids, bounds and first
-
-    def plan(kernel):
-        nonlocal k, reps
-        k, reps = resolve_params(prep, cfg)
-        return k, reps
-
-    def buckets(rep):
-        nonlocal block, ids, bounds, first
-        if rep not in block:
-            block = range(rep, min(reps, rep + per_block))
-            seeds = splitmix64_array(derive_seed(cfg.seed, _POS_TAG),
-                                     np.arange(block.start, block.stop, dtype=np.uint64))
-            ids, sizes, rows = _root_buckets(prep, seeds, k)
-            bounds = np.concatenate([[0], np.cumsum(sizes)])
-            first = np.searchsorted(rows, np.arange(len(block) + 1))  # each row's first bucket
-        c0, c1 = first[rep - block.start], first[rep - block.start + 1]
-        return ids[bounds[c0]:bounds[c1]], bounds[c0:c1 + 1] - bounds[c0]
-
-    return plan, lambda rep, kernel: repetition_codes(buckets, rep, kernel)
+    for start in range(0, reps, per_block):
+        seeds = splitmix64_array(derive_seed(cfg.seed, _POS_TAG),
+                                 np.arange(start, min(reps, start + per_block), dtype=np.uint64))
+        ids, sizes, rows = _root_buckets(prep, seeds, k)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        first = np.searchsorted(rows, np.arange(seeds.size + 1))  # each row's first bucket
+        for c0, c1 in zip(first[:-1], first[1:]):
+            repetition_codes(ids[bounds[c0]:bounds[c1]], bounds[c0:c1 + 1] - bounds[c0], kernel)
+            yield
 
 
 def lsh_join_prepared(prep: Prepared, cfg: LshConfig):
     """Join an already-embedded dataset; returns ((m, 2) pairs, JoinStats).
     Runs the repetitions of `resolve_params` whatever the recall estimate reads."""
-    return run_repetitions(prep, cfg, *repetition_steps(prep, cfg), lambda kernel: False)
+    return run_repetitions(prep, cfg, repetitions)
 
 
 def lsh_join(data: Dataset, cfg: LshConfig):

@@ -112,6 +112,8 @@ def check_join_params(threshold: float, delta: float):
 
 def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
                sketch_words: int = DEFAULT_SKETCH_WORDS, seed: int = 0) -> Prepared:
+    if sig_len < 1:
+        raise ValueError("sig_len must be >= 1")
     t0 = time.perf_counter()
     sk_fam = SketchFamily(sketch_words, derive_seed(seed, _SK_TAG))
     count = len(sk_fam.bit_tables)  # MinHashes per sketch

@@ -27,11 +27,12 @@ class JoinStats:
     whatever it says. key_width is the
     number of signature coordinates in each bucket key: CPSJoin's chosen
     width (`cpsjoin.choose_key_width`), LSH's k; 0 for the exact joins.
-    key_width_s holds the seconds the approximate join took to choose it
-    (and LSH its repetition count) before its first repetition, 0 for the
-    exact joins, and repetition_s the seconds each
-    repetition took; join_s also covers both, the stop rule after each
-    repetition and the kernel's set-up.
+    reps is the repetition budget chosen with it (CPSJoin's `CpsConfig.reps`,
+    LSH's `lsh.resolve_params` count; 0 for the exact joins), which a join
+    that stops early does not reach. key_width_s holds the seconds the join
+    took to choose both before its first repetition, and repetition_s the
+    seconds each repetition took; join_s also covers both, the stop rules
+    after each repetition and the kernel's set-up.
     """
 
     pre_candidates: int = 0
@@ -39,8 +40,8 @@ class JoinStats:
     results: int = 0
     max_depth: int = 0
     key_width: int = 0
+    reps: int = 0
     key_width_s: float = 0.0
-    preprocess_s: float = 0.0
     join_s: float = 0.0
     new_results_per_rep: list[int] = field(default_factory=list)
     recall_estimate_per_rep: list[float] = field(default_factory=list)

@@ -40,8 +40,9 @@ def join_pairs(spec, threshold):
     if one.algorithm in ("cpsjoin", "lsh"):
         prep = preprocess(one.data, one.sig_len, one.sketch_words, trial_seed)
         cfg = bench._approximate_config(one, threshold, trial_seed)
-        join = cps_join_prepared if one.algorithm == "cpsjoin" else lsh_join_prepared
-        return join(prep, cfg)
+        if one.algorithm == "cpsjoin":
+            return cps_join_prepared(prep, replace(cfg, recall_target=None))
+        return lsh_join_prepared(prep, cfg)
     join = allpairs_join if one.algorithm == "allpairs" else brute_force_join
     return join(one.data, threshold)
 
@@ -119,6 +120,23 @@ def test_lsh_echo_is_the_lower_median_over_trials(dense, monkeypatch):
     assert tuned == [(4, 37), (4, 37), (2, 10), (4, 37), (3, 19)]
     assert row.params.endswith(";k=4;reps=37")
     assert row.key_width == 4  # the lower median of the same trials
+
+
+@pytest.mark.parametrize("algorithm, kw", [
+    ("cpsjoin", {}), ("cpsjoin", {"max_reps": 4, "use_oracle": False}),
+    ("lsh", {}), ("lsh", {"k": 3})])
+def test_the_echoed_budget_is_the_joins_own(dense, monkeypatch, algorithm, kw):
+    budgets, original = [], bench.cps.run_repetitions
+
+    def recording(*args):
+        out = original(*args)
+        budgets.append(out[1].reps)
+        return out
+
+    monkeypatch.setattr(bench.cps, "run_repetitions", recording)
+    row, = run(_spec(dense, algorithm, **kw))
+    assert len(budgets) == 1 and row.params.endswith(f";reps={budgets[0]}")
+    assert row.reps_used <= budgets[0]
 
 
 def test_rows_report_the_key_width(dense):
@@ -339,6 +357,12 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(captured.out)))
     assert rows[1][bench.COLUMNS.index("recall")] == ""
+
+
+@pytest.mark.parametrize("sig_len", ["0", "-1"])
+def test_cli_rejects_a_signature_shorter_than_one(sig_len, capsys):
+    assert main(["--gen", "uniform:n=300,avg=10,d=30", "--minhash-t", sig_len]) == 1
+    assert capsys.readouterr().err == "setjoin-bench: sig_len must be >= 1\n"
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -176,14 +176,27 @@ def test_run_repetitions_stops_where_the_rule_says():
         seen.append(len(kernel.stats.new_results_per_rep))
         return seen[-1] == 3
 
-    pairs, stats = cpsjoin.run_repetitions(
-        prep, cfg, lambda kernel: (cpsjoin.choose_key_width(prep, cfg, kernel), cfg.reps),
-        lambda rep, kernel: cpsjoin.repetition_codes(prep, cfg, rep, kernel), stop)
+    pairs, stats = cpsjoin.run_repetitions(prep, cfg, cpsjoin.repetitions, stop)
     assert seen == [1, 2, 3]  # asked once after each repetition
     fixed_pairs, fixed = cps_join_prepared(prep, replace(cfg, reps=3))
     assert np.array_equal(pairs, fixed_pairs)
     assert stats.new_results_per_rep == fixed.new_results_per_rep
     assert stats.results == fixed.results == pairs.shape[0]
+
+
+def test_stats_record_the_budget_each_join_chose():
+    prep = preprocess(_clustered(), seed=3)
+    for cfg in (CpsConfig(threshold=0.6, seed=11, recall_target=None),
+                CpsConfig(threshold=0.6, seed=11, reps=4, recall_target=None)):
+        _, stats = cps_join_prepared(prep, cfg)
+        assert stats.reps == cfg.reps == len(stats.repetition_s)
+    # the estimate stops this join early; the budget it chose stays
+    _, stopped = cps_join_prepared(prep, CpsConfig(threshold=0.6, seed=11))
+    assert len(stopped.repetition_s) < stopped.reps == CpsConfig.reps
+    for cfg in (LshConfig(threshold=0.6, seed=9), LshConfig(threshold=0.6, seed=9, k=3, reps=4)):
+        _, stats = lsh.lsh_join_prepared(prep, cfg)
+        assert stats.reps == lsh.resolve_params(prep, cfg)[1] == len(stats.repetition_s)
+    assert JoinStats().reps == 0 and exact.brute_force_join(prep.data, 0.6)[1].reps == 0
 
 
 @pytest.mark.parametrize("join", ["cpsjoin", "lsh"])
@@ -639,19 +652,22 @@ class _RecursiveReference:
                 self.recurse(ids[order[a:b]], child_seed, depth + 1)
 
     @staticmethod
-    def join(prep, cfg):
-        def repetition(rep, kernel):
+    def repetitions(prep, cfg, kernel):
+        yield cpsjoin.choose_key_width(prep, cfg, kernel), cfg.reps
+        target = cfg.recall_target
+        for rep in range(cfg.reps):
             rep_seed = splitmix64(derive_seed(cfg.seed, cpsjoin._REP_TAG), rep)
             _RecursiveReference(prep, cfg, kernel, kernel.stats.key_width).recurse(
                 np.arange(prep.data.n, dtype=np.int64), rep_seed, 0)
-            return kernel.end_repetition()
-        def stop(kernel):
-            target = cfg.recall_target
-            return (target is not None and any(kernel.stats.new_results_per_rep)
-                    and kernel.stats.recall_estimate_per_rep[-1] >= target)
-        return cpsjoin.run_repetitions(
-            prep, cfg, lambda kernel: (cpsjoin.choose_key_width(prep, cfg, kernel), cfg.reps),
-            repetition, stop)
+            kernel.end_repetition()
+            yield
+            if (target is not None and any(kernel.stats.new_results_per_rep)
+                    and kernel.stats.recall_estimate_per_rep[-1] >= target):
+                return
+
+    @staticmethod
+    def join(prep, cfg):
+        return cpsjoin.run_repetitions(prep, cfg, _RecursiveReference.repetitions)
 
 
 def _assert_matches_recursive_reference(prep, cfg, before_each_join=lambda: None):

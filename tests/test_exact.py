@@ -444,6 +444,11 @@ def test_multi_threshold_join_rejects_each_bad_threshold(bad):
             brute_force_join_multi(ds, thresholds)
 
 
+def test_multi_threshold_join_needs_a_threshold():
+    with pytest.raises(ValueError, match="need at least one threshold"):
+        brute_force_join_multi(gen_uniform(50, 6, 30, seed=1), [])
+
+
 def test_multi_threshold_join_reports_a_repeated_threshold_once():
     ds = gen_uniform(60, 6, 30, seed=2)
     pairs, stats = brute_force_join(ds, 0.5)

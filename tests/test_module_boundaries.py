@@ -1,9 +1,13 @@
 """Module boundaries: no setjoin module reaches into another's private names,
-one function alone builds the candidate kernel, and one module alone holds
-the sparse (scipy) view of the records."""
+one function alone builds the candidate kernel, every call of that one
+repetition driver runs a join module's own generator of steps, and one
+module alone holds the sparse (scipy) view of the records."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from setjoin import cpsjoin, lsh
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "setjoin"
 
@@ -78,6 +82,40 @@ def test_only_the_repetition_loop_builds_a_candidate_kernel():
     found = {(p.name, func) for p in sorted(SRC.glob("*.py"))
              for _, func in kernel_constructions(p)}
     assert found == {("cpsjoin.py", "run_repetitions")}
+
+
+def repetition_drives(path):
+    """(line, source of the step argument) of every `run_repetitions(...)`
+    call in a module, by name or as a module attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == \
+                    "run_repetitions":
+                step = node.args[2] if len(node.args) > 2 else None
+                found.append((node.lineno, None if step is None else ast.unparse(step)))
+    return found
+
+
+def test_repetition_drives_finds_both_kinds(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import cpsjoin as cps\n"
+                    "def run(prep, cfg, join):\n"
+                    "    run_repetitions(prep, cfg, repetitions)\n"
+                    "    return cps.run_repetitions(prep, cfg, lambda k: None, None)\n")
+    assert repetition_drives(path) == [(3, "repetitions"), (4, "lambda k: None")]
+
+
+def test_every_repetition_drive_runs_a_join_modules_own_steps():
+    # a lambda or a wrapper here would wire a join's steps a second time
+    found = {(p.name, step) for p in sorted(SRC.glob("*.py"))
+             for _, step in repetition_drives(p)}
+    assert found == {("cpsjoin.py", "repetitions"), ("lsh.py", "repetitions"),
+                     ("bench.py", "join.repetitions")}  # bench's join is cpsjoin or lsh
+    assert inspect.isgeneratorfunction(cpsjoin.repetitions)
+    assert inspect.isgeneratorfunction(lsh.repetitions)
 
 
 def imported_modules(path):

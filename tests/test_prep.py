@@ -138,6 +138,13 @@ def test_prepared_shapes_and_metadata():
     assert prep.data is ds
 
 
+@pytest.mark.parametrize("sig_len", [0, -1])
+def test_preprocess_rejects_a_signature_shorter_than_one(sig_len):
+    # 0 would leave (n, 0) signatures, -1 silently 127 columns of them
+    with pytest.raises(ValueError, match="sig_len must be >= 1"):
+        preprocess(gen_uniform(25, 8, 50, seed=2), sig_len=sig_len)
+
+
 def _tokens():
     return gen_tokens(TokensSpec(d=300, max_freq=60, planted=((0.7, 3),),
                                  background_similarity=0.15, seed=4))
