@@ -8,7 +8,6 @@ are exactly verified, so reported pairs are always true positives.
 
 from .datasets import Dataset, TokensSpec, gen_tokens, gen_uniform, load, save
 from .errors import (
-    CanonicalOrderError,
     CapacityExceededError,
     EmptyBucketError,
     EmptySetError,
@@ -54,6 +53,6 @@ __all__ = [
     "JoinStats",
     "EmptySetError", "SignatureMismatchError", "SketchMismatchError",
     "EmptyBucketError", "CapacityExceededError", "TokenOverflowError",
-    "CanonicalOrderError", "ParseError",
+    "ParseError",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from . import lsh as mlsh
 from .datasets import Dataset
 from .exact import allpairs_join, brute_force_join
 from .stats import encode_pairs
-from .prep import DEFAULT_SIG_LEN, DEFAULT_SKETCH_WORDS, preprocess
+from .prep import DEFAULT_SIG_LEN, DEFAULT_SKETCH_WORDS, check_dims, preprocess
 from .tabulation import derive_seed
 
 ALGORITHMS = ("cpsjoin", "lsh", "allpairs", "bruteforce")
@@ -75,6 +75,11 @@ class ExperimentSpec:
             raise ValueError("max_reps must be >= 1")
         if self.recall_target is not None and not 0.0 < self.recall_target < 1.0:
             raise ValueError("recall_target must be in (0, 1)")
+        if self.algorithm in ("cpsjoin", "lsh"):
+            # the embedding's and the join's own checks, before any exact join runs
+            check_dims(self.sig_len, self.sketch_words)
+            for lam in self.thresholds:
+                _approximate_config(self, lam, self.seed)
 
 
 @dataclass
@@ -242,15 +247,16 @@ def sweep(spec: ExperimentSpec, param: str, values) -> list[ReportRow]:
     lam = spec.thresholds[0]
     base = replace(spec, thresholds=(lam,),
                    recall_target=max(_recall_target(spec), _SWEEP_RECALL_FLOOR))
+    specs = [replace(base, **{param: value}) for value in values]  # each checked up front
     exacts = _oracle_codes(base)
     default = getattr(ExperimentSpec, param)
     default_row = _run_approximate(replace(base, **{param: default}), exacts)[0]
     rows = []
-    for value in values:
+    for value, one in zip(values, specs):
         if value == default:
             row = ReportRow(**vars(default_row))
         else:
-            row = _run_approximate(replace(base, **{param: value}), exacts)[0]
+            row = _run_approximate(one, exacts)[0]
         row.relative_join_time = (row.join_time_s / default_row.join_time_s
                                   if default_row.join_time_s > 0 else 1.0)
         row.params += f";sweep={param}:{value}"

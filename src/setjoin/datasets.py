@@ -1,10 +1,12 @@
 """Datasets of token sets: canonical form, text IO, and synthetic generators.
 
-Canonical form, assumed by the inverted-index join and handy everywhere else:
-no duplicate records, every record has at least two tokens, token ids are
-dense in [0, d) and ordered by ascending global frequency (ties by original
-id), records sorted by size then lexicographically, tokens sorted within each
-record.
+Every Dataset is in canonical form, which the prefix filter of AllPairs and
+the brute-force oracle's cut over the rare columns need, and which the
+embedding reads as its universe: no duplicate records, every record has at
+least two tokens, token ids are dense in [0, d) and ordered by ascending
+global frequency (ties by original id), records sorted by size then
+lexicographically, tokens sorted within each record. Only `_build` makes
+one.
 
 Records are concatenated once and checked by their least and largest
 token, and laid end to end as uint32 tokens with per-record lengths; only
@@ -29,11 +31,7 @@ otherwise:
 4. Each size's records, a contiguous block, are put in lexicographic order
    by an argsort of their big-endian void values.
 
-A raw (non-canonical) build stops after pass 2 and keeps the original ids,
-`d = max id + 1` and input order.
-
-A Dataset caches every view derived from its records in `Dataset.memo`; its
-column view (`Dataset.columns`) is the one place token ids are renumbered.
+A Dataset caches every view derived from its records in `Dataset.memo`.
 
 Wire format: UTF-8 text, one record per line, space-separated decimal tokens.
 `load` parses a chunk of lines at a time with one conversion of all its tokens;
@@ -54,7 +52,6 @@ from .errors import CapacityExceededError, ParseError, TokenOverflowError
 _MAX_TOKEN = 0xFFFFFFFF
 _BITSET_BYTE_CAP = 512 * 1024 * 1024
 _LOAD_LINES = 2 ** 16  # lines parsed at a time, bounding the token strings held
-_RENUMBER_CHUNK = 2 ** 18  # tokens the column view renumbers at a time
 
 
 def _memoised(build):
@@ -64,17 +61,17 @@ def _memoised(build):
 
 
 class Dataset:
-    """Immutable collection of token sets in CSR-like layout."""
+    """Immutable collection of token sets in canonical form, in CSR-like
+    layout; built by `from_records`, `load` or a generator."""
 
-    __slots__ = ("tokens", "indptr", "n", "d", "canonical", "provenance", "_memo")
+    __slots__ = ("tokens", "indptr", "n", "d", "provenance", "_memo")
 
     def __init__(self, tokens: np.ndarray, indptr: np.ndarray, d: int,
-                 canonical: bool, provenance: dict | None = None):
+                 provenance: dict | None = None):
         self.tokens = tokens
         self.indptr = indptr
         self.n = len(indptr) - 1
         self.d = d
-        self.canonical = canonical
         self.provenance = provenance or {}
         self._memo = {}
 
@@ -88,51 +85,13 @@ class Dataset:
     @property
     @_memoised
     def token_freq(self) -> np.ndarray:
-        """Records holding each id in [0, d), counted on first read."""
+        """Records holding each id in [0, d), counted on first read; they
+        ascend with the id."""
         return np.bincount(self.tokens, minlength=self.d)
 
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    @property
-    def avg_size(self) -> float:
-        return float(self.tokens.size) / self.n if self.n else 0.0
-
-    @property
-    def sets_per_token(self) -> float:
-        return float(self.tokens.size) / self.d if self.d else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "total_tokens": int(self.tokens.size),
-            "avg_size": self.avg_size,
-            "sets_per_token": self.sets_per_token,
-        }
-
-    @_memoised
-    def columns(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The records' column view (universe, cols), built on first call:
-        (None, tokens), no copy, where d is no wider than the tokens (always,
-        for canonical data); else the ids that occur, ascending, and each
-        token's uint32 position among them, searched `_RENUMBER_CHUNK` tokens
-        at a time so that no token-long intp array is made."""
-        if self.d <= self.tokens.size:
-            return None, self.tokens
-        universe = np.unique(self.tokens)
-        cols = np.empty(self.tokens.size, dtype=np.uint32)
-        for t0 in range(0, cols.size, _RENUMBER_CHUNK):
-            chunk = slice(t0, t0 + _RENUMBER_CHUNK)
-            cols[chunk] = np.searchsorted(universe, self.tokens[chunk])
-        return universe, cols
-
-    @property
-    def width(self) -> int:
-        """The column view's columns: d, or the number of ids that occur."""
-        universe = self.columns()[0]
-        return self.d if universe is None else universe.size
 
     @_memoised
     def bitset(self) -> np.ndarray | None:
@@ -167,16 +126,16 @@ class Dataset:
     def memo(self, key: str, build):
         """`build()`, called on the first read of `key` and then held as long
         as the dataset, and no longer: the one cache of the views derived from
-        the records, this module's (`token_freq`, `columns`, `bitset`,
-        `bitset_words`) and another module's (`exact` keeps its CSR matrix
-        here), which this module then need not know how to build."""
+        the records, this module's (`token_freq`, `bitset`, `bitset_words`)
+        and another module's (`exact` keeps its CSR matrix here), which this
+        module then need not know how to build."""
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
     @staticmethod
-    def from_records(records, canonical: bool = True) -> "Dataset":
-        ds, _ = _build(*_flatten(records), canonical=canonical, provenance=None)
+    def from_records(records) -> "Dataset":
+        ds, _ = _build(*_flatten(records), provenance=None)
         return ds
 
 
@@ -271,9 +230,9 @@ def _rows(block: np.ndarray, size: int) -> np.ndarray:
     return np.ascontiguousarray(block, dtype=">u4").view(f"V{4 * size}").ravel()
 
 
-def _build(tokens: np.ndarray, lengths: np.ndarray, canonical: bool, provenance: dict | None):
-    """Assemble a Dataset from validated uint32 tokens laid end to end, record
-    i holding the next `lengths[i]`.
+def _build(tokens: np.ndarray, lengths: np.ndarray, provenance: dict | None):
+    """Assemble the canonical Dataset of validated uint32 tokens laid end to
+    end, record i holding the next `lengths[i]`; every Dataset is made here.
 
     Returns (dataset, index_map) where index_map[i] is the final index of
     input record i, or -1 if it was dropped for having fewer than 2 distinct
@@ -310,10 +269,6 @@ def _build(tokens: np.ndarray, lengths: np.ndarray, canonical: bool, provenance:
     tokens = tokens[np.repeat(is_keeper, sizes)]
     sizes = sizes[is_keeper]
 
-    if not canonical:
-        d = int(tokens.max()) + 1 if tokens.size else 0
-        return Dataset(tokens, _indptr(sizes), d, False, provenance), index_map
-
     # Pass 3: a token-major key sort counts each token's records and ranks
     # the tokens by ascending count, ties by original id (lexsort: last key
     # primary). A record-major key sort then lays the records out by size,
@@ -344,7 +299,7 @@ def _build(tokens: np.ndarray, lengths: np.ndarray, canonical: bool, provenance:
         block[...] = block[order]
         final[start + order] = np.arange(start, end)
     index_map[kept] = final[place][index_map[kept]]
-    return Dataset(tokens, indptr, orig_ids.size, True, provenance), index_map
+    return Dataset(tokens, indptr, orig_ids.size, provenance), index_map
 
 
 def _indptr(sizes: np.ndarray) -> np.ndarray:
@@ -373,7 +328,7 @@ def load(path) -> Dataset:
             lineno += len(lines)
     ds, _ = _build(np.concatenate(tokens or [np.zeros(0, dtype=np.uint32)]),
                    np.concatenate(lengths or [np.zeros(0, dtype=np.int64)]),
-                   canonical=True, provenance={"source": str(path)})
+                   provenance={"source": str(path)})
     return ds
 
 
@@ -411,7 +366,7 @@ def gen_uniform(n: int, avg_size: float, d: int, seed: int = 0) -> Dataset:
     sizes = np.maximum(2, rng.poisson(avg_size, size=n))
     sizes = np.minimum(sizes, d)
     records = [rng.choice(d, size=int(s), replace=False) for s in sizes]
-    ds, _ = _build(*_flatten(records), canonical=True, provenance={
+    ds, _ = _build(*_flatten(records), provenance={
         "generator": "uniform", "n": n, "avg_size": avg_size, "d": d, "seed": seed,
     })
     return ds
@@ -514,7 +469,7 @@ def gen_tokens(spec: TokensSpec) -> Dataset:
         records.append(np.sort(rec))
         made += 1
 
-    ds, index_map = _build(*_flatten(records), canonical=True, provenance=None)
+    ds, index_map = _build(*_flatten(records), provenance=None)
     planted = []
     for a, b, sim, realized in planted_raw:
         na, nb = int(index_map[a]), int(index_map[b])

@@ -25,9 +25,5 @@ class TokenOverflowError(ValueError):
     """A token id does not fit in 32 bits."""
 
 
-class CanonicalOrderError(ValueError):
-    """An algorithm that needs canonical (frequency-remapped, sorted) input got raw data."""
-
-
 class ParseError(ValueError):
     """A dataset file line could not be parsed."""

@@ -1,22 +1,22 @@
 """Exact joins and exact verification.
 
-Both joins report exactly the pairs with Jaccard similarity >= threshold.
-The brute-force oracle splits its matrix columns at a cut (`_choose_cut`):
-in canonical data ascending ids are ascending frequency, so the columns
-below the cut are the rare ones. It multiplies only the columns from the cut
-on, over the upper triangle only, in row blocks of about `_BLOCK_CELLS`
-cells, charges each record's tokens below the cut to a per-record bound,
-and gives exact counts only to the pairs the bound keeps (the prefix-filter
-idea of AllPairs, Bayardo et al., WWW 2007, in dense form). Its matrix
-columns are the records' column view (`Dataset.columns`), which renumbers a
-wide universe once per dataset. Its size-filter candidates are one
-searchsorted over the sorted sizes. AllPairs probes an inverted index over
-prefix tokens as whole-array passes: one packed sort builds the postings,
-two searchsorted calls take their queries in posting order, and each block
-of records dedups its pairs on keys of 32 bits where they fit. Its
-positional filter bounds the overlap of a pair met at a prefix token by
-1 + min(rest_i, rest_j), the tokens from there on in the shorter tail, and
-keeps it only where that reaches `min_overlap`: the second searchsorted
+Both joins report exactly the pairs with Jaccard similarity >= threshold,
+and both read the order of a canonical Dataset, the only kind there is: ids
+in [0, d) by ascending frequency, records by ascending size. The
+brute-force oracle's matrix columns are the ids, split at a cut
+(`_choose_cut`) below which they are the rare ones. It multiplies only the
+columns from the cut on, over the upper triangle only, in row blocks of
+about `_BLOCK_CELLS` cells, charges each record's tokens below the cut to a
+per-record bound, and gives exact counts only to the pairs the bound keeps
+(the prefix-filter idea of AllPairs, Bayardo et al., WWW 2007, in dense
+form). Its size-filter candidates are one searchsorted over the sizes.
+AllPairs probes an inverted index over ascending-frequency prefix tokens as
+whole-array passes: one packed sort builds the postings, two searchsorted
+calls take their queries in posting order, and each block of records
+dedups its pairs on keys of 32 bits where they fit. Its positional filter
+bounds the overlap of a pair met at a prefix token by 1 + min(rest_i,
+rest_j), the tokens from there on in the shorter tail, and keeps it only
+where that reaches `min_overlap`: the second searchsorted
 ends each entry's postings at the largest partner size its own tail
 allows, and one gather and compare per built pair applies the partner's
 tail. AllPairs' `candidates` are the distinct pairs that pass it. Where a
@@ -63,7 +63,6 @@ import time
 import numpy as np
 
 from .datasets import Dataset
-from .errors import CanonicalOrderError
 from .stats import JoinStats, concatenated_ranges, decode_pairs, encode_pairs, stable_order
 
 _EPS = 1e-9
@@ -190,23 +189,22 @@ def _word_intersections(starts, cols, words, bits, a, b) -> np.ndarray:
 
 
 def _csr(data: Dataset):
-    """The records as an int32 CSR matrix of ones over their column view
-    (`Dataset.columns`), built on first use and held by the dataset, for
-    verification's CSR route and the oracle's sparse blocks alike."""
+    """The records as an (n, d) int32 CSR matrix of ones, built on first use
+    and held by the dataset, for verification's CSR route and the oracle's
+    sparse blocks alike."""
     def build():
         from scipy.sparse import csr_matrix
 
-        cols = data.columns()[1]
-        return csr_matrix((np.ones(cols.size, dtype=np.int32), cols.astype(np.int64),
-                           data.indptr), shape=(data.n, data.width))
+        return csr_matrix((np.ones(data.tokens.size, dtype=np.int32),
+                           data.tokens.astype(np.int64), data.indptr), shape=(data.n, data.d))
     return data.memo("csr", build)
 
 
-def _dense_route(data: Dataset, d: int) -> bool:
+def _dense_route(data: Dataset) -> bool:
     """Whether the oracle multiplies an (n, d) float32 matrix: n * d within
     `_DENSE_CELL_CAP`, and no record past `_DENSE_SIZE_CAP` tokens, below
     which every count and every cell of the bound is an exact float32."""
-    return data.n * d <= _DENSE_CELL_CAP and int(data.sizes.max(initial=0)) <= _DENSE_SIZE_CAP
+    return data.n * data.d <= _DENSE_CELL_CAP and int(data.sizes.max(initial=0)) <= _DENSE_SIZE_CAP
 
 
 def _intersection_blocks(data: Dataset, cut: int = 0):
@@ -218,7 +216,7 @@ def _intersection_blocks(data: Dataset, cut: int = 0):
     tile the triangle in about `_BLOCK_CELLS` cells each and grow taller as
     the triangle narrows. The counts are exact integers: float32 from a dense
     product (`_dense_route`), int32 from a sparse one. The matrix columns are
-    the records' column view's (`Dataset.columns`), so none is an unused id.
+    the token ids [0, d), every one of which some record holds.
 
     The sparse route multiplies each block's rows of the records' CSR matrix
     (`_csr`) by the columns [i0, n) of the transpose, built once as a CSR
@@ -226,24 +224,23 @@ def _intersection_blocks(data: Dataset, cut: int = 0):
     was converted and copied for every block (71 against 28-30 ns a product
     term on `gen_uniform(10^4, 30, 10^4)`; see `_choose_cut`).
 
-    The dense matrix is built with no token-long array beside the column
-    view: its cells are set a run of whole records of about `_FILL_CHUNK`
+    The dense matrix is built with no token-long array beside the tokens:
+    its cells are set a run of whole records of about `_FILL_CHUNK`
     tokens at a time, through int32 offsets into the flat matrix, which
     n * d <= `_DENSE_CELL_CAP` allows.
     """
     n = data.n
-    d = data.width
-    if _dense_route(data, d):
-        width = d - cut
+    if _dense_route(data):
+        width = data.d - cut
         x = np.zeros((n, width), dtype=np.float32)
         flat = x.reshape(-1)
-        view, indptr, sizes = data.columns()[1], data.indptr, data.sizes
+        tokens, indptr, sizes = data.tokens, data.indptr, data.sizes
         r0 = 0
         while r0 < n:
             r1 = int(np.searchsorted(indptr, indptr[r0] + _FILL_CHUNK, side="right")) - 1
             r1 = max(r1, r0 + 1)  # a record past the chunk gets one of its own
             at = np.repeat(np.arange(r0, r1, dtype=np.int32) * np.int32(width), sizes[r0:r1])
-            cols = view[indptr[r0]:indptr[r1]]
+            cols = tokens[indptr[r0]:indptr[r1]]
             if cut:
                 kept = cols >= cut
                 at, cols = at[kept], cols[kept] - cut
@@ -274,7 +271,7 @@ def _tokens_below(data: Dataset, cut: int) -> np.ndarray:
     if cut == 0:
         return np.zeros(data.n, dtype=np.int64)
     # every record holds tokens, so each segment of the sum is its own
-    return np.add.reduceat((data.columns()[1] < cut).view(np.uint8), data.indptr[:-1],
+    return np.add.reduceat((data.tokens < cut).view(np.uint8), data.indptr[:-1],
                            dtype=np.int64)
 
 
@@ -308,8 +305,7 @@ def _choose_cut(data: Dataset, coef: float) -> int:
     """
     n = data.n
     pairs = n * (n - 1) // 2
-    view = data.columns()[1]
-    d = data.width
+    d = data.d
     steps = min(d, _CUT_STEPS)
     if pairs == 0 or steps == 0:
         return 0
@@ -323,7 +319,7 @@ def _choose_cut(data: Dataset, coef: float) -> int:
 
     def side(ids):  # each pair's tokens of one side: (pair * d + column, pair * steps + step)
         k = sizes[ids]
-        cols = view[concatenated_ranges(data.indptr[ids], k)].astype(np.int64)
+        cols = data.tokens[concatenated_ranges(data.indptr[ids], k)].astype(np.int64)
         pair = np.repeat(np.arange(m, dtype=np.int64), k)
         return pair * d + cols, pair * steps + step_of[cols]
 
@@ -337,10 +333,10 @@ def _choose_cut(data: Dataset, coef: float) -> int:
     kept = c_above >= (_bound_terms(sizes[a, None], below[0], coef)
                        + _bound_terms(sizes[b, None], below[1], coef))
     cuts = -(-np.arange(steps + 1) * d // steps)  # ceil(g * d / steps)
-    if _dense_route(data, d):
+    if _dense_route(data):
         weight = np.full(d, float(pairs))
     else:
-        freq = np.bincount(view, minlength=d).astype(np.float64)
+        freq = data.token_freq.astype(np.float64)
         weight = freq * (freq - 1) / 2 * _SPARSE_COST
     product = np.concatenate((np.cumsum(weight[::-1])[::-1], [0.0]))  # columns from c on
     cost = product[cuts] + _VERIFY_COST * pairs * kept.mean(axis=0)
@@ -377,10 +373,10 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     float64.
 
     `candidates`, the pairs passing the size filter threshold * max(s_i,
-    s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted over the sorted
-    sizes. The filter needs no test at the hits: c / u >= threshold in
-    float64 gives threshold * max <= min * (1 + 2^-52), which is within the
-    slack for records under 2^21 tokens.
+    s_j) <= min(s_i, s_j) + 1e-9, is one searchsorted over the sizes, which
+    ascend in canonical order. The filter needs no test at the hits: c / u
+    >= threshold in float64 gives threshold * max <= min * (1 + 2^-52),
+    which is within the slack for records under 2^21 tokens.
 
     Returns {threshold: ((m, 2) pair array, JoinStats)}.
     """
@@ -392,10 +388,9 @@ def brute_force_join_multi(data: Dataset, thresholds) -> dict:
     n = data.n
     t0 = time.perf_counter()
     sizes = data.sizes
-    asc = np.sort(sizes)
-    # per size in ascending order, the sizes k with lam * asc[k] <= asc[i] + eps,
-    # less the i + 1 at or before it, which always pass: its partners after it
-    cand_counts = {lam: int((np.searchsorted(lam * asc, asc + _EPS, side="right")
+    # per record i, the records k with lam * sizes[k] <= sizes[i] + eps, less
+    # the i + 1 at or before it, which always pass: its partners after it
+    cand_counts = {lam: int((np.searchsorted(lam * sizes, sizes + _EPS, side="right")
                              - np.arange(1, n + 1)).sum()) for lam in thresholds}
     out_codes = {lam: [] for lam in thresholds}
     least = min(thresholds)
@@ -479,8 +474,6 @@ def allpairs_join(data: Dataset, threshold: float, prefix_filter: bool = True):
     change (used to test that the filter is lossless).
     """
     _check_threshold(threshold)
-    if not data.canonical:
-        raise CanonicalOrderError("allpairs_join needs frequency-remapped canonical data")
     n = data.n
     stats = JoinStats()
     t0 = time.perf_counter()

@@ -8,42 +8,39 @@ matrix. The signature is its first sig_len rows and the sketch packs its first
 16 * sketch_words; a family's first functions do not depend on its size, so
 signatures do not depend on the sketch's.
 
-Each function's ranks over the universe are sorted into rank tables:
-`order[f, r]` is the universe position at rank position r under function f
-and `pos[t, f]` the rank position of universe position t. The universe and
-the records' positions in it are the dataset's column view
-(`Dataset.columns`): [0, d) and the tokens themselves where d is no wider
-than the record tokens (always, for canonical data), and otherwise the
-distinct tokens that occur and each token's position among them. The sort
-runs on keys that hold a rank's high bits and the universe position in its
-low ones. Over [0, d) they come straight out of the byte-at-a-time
-expansion of the hash tables, once the tables' low bits are cleared, each
-byte's share of the position is ORed into its table, and every byte that is
-0 over the whole universe is folded into byte 0's table; only a function
-whose keys tie on their high bits is ranked again in full. A record's
-MinHash under f is `order[f, r*]`, where r* is the least rank position it
-holds. Records of equal size are taken in blocks, and one rule
-(`_first_hit_window`) picks the kernel that finds r*, for every block
-before a chunk of functions builds its tables, so that `pos` is built only
-for a chunk in which some block gathers:
+Each function's ranks over the universe [0, d) are sorted into rank tables:
+`order[f, r]` is the token at rank position r under function f and
+`pos[t, f]` the rank position of token t. A canonical dataset's ids are
+dense in [0, d), so the universe is the tokens that occur. The sort runs on
+keys that hold a rank's high bits and the token in its low ones; they come
+straight out of the byte-at-a-time expansion of the hash tables, once the
+tables' low bits are cleared, each byte's share of the token is ORed into
+its table, and every byte that is 0 over the whole universe is folded into
+byte 0's table; only a function whose keys tie on their high bits is ranked
+again in full. A record's MinHash under f is `order[f, r*]`, where r* is the
+least rank position it holds. Records of equal size, consecutive in
+canonical order, are taken in blocks, and one rule (`_first_hit_window`)
+picks the kernel that finds r*, for every block before a chunk of functions
+builds its tables, so that `pos` is built only for a chunk in which some
+block gathers:
 
 - the gather kernel reads all s positions of each record, a minimum over a
   gathered (k, s, F) block;
 - the first-hit kernel, for records dense in the universe (s * s well above
-  u), walks rank positions in order and stops at the first one a record
+  u = d), walks rank positions in order and stops at the first one a record
   holds, after about u / s: a (u, k) indicator gathered at the first W rank
   positions of each function, W about 5u / s, and the rare (function,
   record) pair with no hit in the window scanned on window by window.
 
 Both write rank positions into the chunk's rows of the (F, n) matrix, and
-both fill at most `_BLOCK_CELLS` cells at a time. Once every block is in, one
-`take` per function row turns the positions into tokens through `order` (and
-the universe). Ties in rank sit in token order in `order`, so both kernels
-give the argmin of the per-record definition, bit for bit. The tables are
-built `_UNIVERSE_CELL_CAP // universe` functions (at least one) at a time, so
-a wide universe costs more chunks rather than more memory. One step then
-cuts the signatures from the matrix, and the sketch's bit functions pack its
-rows into sketches.
+both fill at most `_BLOCK_CELLS` cells at a time. Once every block is in,
+one `take` per function row turns the positions into tokens through
+`order`. Ties in rank sit in token order in `order`, so both kernels give
+the argmin of the per-record definition, bit for bit. The tables are built
+`_UNIVERSE_CELL_CAP // d` functions (at least one) at a time, so a wide
+universe costs more chunks rather than more memory. One step then cuts the
+signatures from the matrix, and the sketch's bit functions pack its rows
+into sketches.
 
 The embedding's dimensions are chosen here and nowhere else: a `Prepared`
 reads them off its arrays, and the joins read them off the `Prepared`.
@@ -61,7 +58,7 @@ import numpy as np
 from .datasets import Dataset
 from .minhash import DEFAULT_SIG_LEN, MinHashFamily
 from .sketch import BITS_PER_MINHASH, DEFAULT_SKETCH_WORDS, SketchFamily
-from .tabulation import MASK64, derive_seed, hash_keys
+from .tabulation import MASK64, derive_seed
 
 _SIG_TAG = 0x707369  # MinHash family seed
 _SK_TAG = 0x70736B  # sketch bit function seed
@@ -110,10 +107,17 @@ def check_join_params(threshold: float, delta: float):
         raise ValueError("delta must be in (0, 1]")
 
 
-def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
-               sketch_words: int = DEFAULT_SKETCH_WORDS, seed: int = 0) -> Prepared:
+def check_dims(sig_len: int, sketch_words: int):
+    """Validate the embedding's dimensions."""
     if sig_len < 1:
         raise ValueError("sig_len must be >= 1")
+    if sketch_words < 1:
+        raise ValueError("sketch_words must be >= 1")
+
+
+def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
+               sketch_words: int = DEFAULT_SKETCH_WORDS, seed: int = 0) -> Prepared:
+    check_dims(sig_len, sketch_words)
     t0 = time.perf_counter()
     sk_fam = SketchFamily(sketch_words, derive_seed(seed, _SK_TAG))
     count = len(sk_fam.bit_tables)  # MinHashes per sketch
@@ -126,26 +130,20 @@ def preprocess(data: Dataset, sig_len: int = DEFAULT_SIG_LEN,
 
 
 def _minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
-    """MinHash values (F, n) of every record, from rank tables built a chunk of
-    functions at a time over the dataset's column view (`Dataset.columns`):
-    [0, d), or the tokens that occur, which records then index by position.
+    """MinHash values (F, n) of every record, from rank tables over [0, d)
+    built a chunk of functions at a time.
 
-    Each block of equal-size records writes, per function, the least rank
-    position it holds, from the first-hit kernel (`_first_hits`) where
-    `_first_hit_window` gives a window for its size and block, and else
-    from a gather of every position. A block of consecutive records, as in
-    canonical data, is read and written as slices. One `take` per function
-    row then turns positions into universe positions through `order`, and
-    those into tokens through the universe, if any."""
-    universe, tokens = data.columns()
-    size = data.width
-    # Group records by size, keeping index order within a size (canonical data
-    # is already stored this way), so each block is a dense (k, s) token matrix.
-    by_size = np.argsort(data.sizes, kind="stable")
-    sizes = data.sizes[by_size]
+    Canonical records ascend in size, so each size's records are one
+    consecutive block of rows of a (k, s) token matrix, read and written as
+    slices. Each block writes, per function, the least rank position it
+    holds, from the first-hit kernel (`_first_hits`) where
+    `_first_hit_window` gives a window for its size and block, and else from
+    a gather of every position. One `take` per function row then turns
+    positions into tokens through `order`."""
+    d, sizes = data.d, data.sizes
     starts = np.flatnonzero(np.diff(sizes, prepend=-1))
     values = None
-    step = max(1, _UNIVERSE_CELL_CAP // max(size, 1))
+    step = max(1, _UNIVERSE_CELL_CAP // max(d, 1))
     for f in range(0, len(tables), step):
         fns = min(step, len(tables) - f)
         # (start, end, record size, block, first-hit window) per size, chosen
@@ -153,31 +151,26 @@ def _minhashes(tables: np.ndarray, data: Dataset) -> np.ndarray:
         plan = []
         for start, end in zip(starts, np.append(starts[1:], data.n)):
             s = int(sizes[start])
-            block = min(end - start, max(1, _BLOCK_CELLS // size))
-            window = _first_hit_window(s, size, fns, block)
+            block = min(end - start, max(1, _BLOCK_CELLS // d))
+            window = _first_hit_window(s, d, fns, block)
             if not window:
                 block = max(1, _BLOCK_CELLS // (s * fns))
             plan.append((start, end, s, block, window))
-        order, pos = _rank_tables(tables[f:f + fns], size, universe,
+        order, pos = _rank_tables(tables[f:f + fns], d,
                                   inverse=not all(window for *_, window in plan))
         if values is None:  # allocated after the first tables, not under them
             values = np.empty((len(tables), data.n), dtype=np.uint32)
         out = values[f:f + fns]
         for start, end, s, block, window in plan:
             for b in range(start, end, block):
-                ids = by_size[b:min(b + block, end)]
-                if ids[-1] - ids[0] == len(ids) - 1:  # consecutive, as canonical data is
-                    cols = slice(ids[0], ids[-1] + 1)
-                    members = tokens[data.indptr[ids[0]]:data.indptr[ids[-1] + 1]].reshape(-1, s)
-                else:
-                    cols = ids
-                    members = tokens[data.indptr[ids][:, None] + np.arange(s)]
+                e = min(b + block, end)
+                members = data.tokens[data.indptr[b]:data.indptr[e]].reshape(-1, s)
                 if window:
-                    out[:, cols] = _first_hits(members, order, window)
+                    out[:, b:e] = _first_hits(members, order, window)
                 else:
-                    out[:, cols] = pos[members].min(axis=1).T
+                    out[:, b:e] = pos[members].min(axis=1).T
         for r, row in enumerate(out):
-            row[:] = order[r].take(row) if universe is None else universe.take(order[r].take(row))
+            row[:] = order[r].take(row)
         del order, pos  # freed before the next chunk's tables are built
     return values
 
@@ -219,7 +212,7 @@ def _first_hit_window(s: int, u: int, fns: int, k: int) -> int:
 
 def _first_hits(members: np.ndarray, order: np.ndarray, window: int) -> np.ndarray:
     """Each record's first rank position, per function of `order`, whose
-    token it holds: (F, k) for the (k, s) universe positions `members`.
+    token it holds: (F, k) for the (k, s) tokens `members`.
 
     A (u, k) miss indicator is 0 where a record holds a token and 0xFF where
     it does not. Its rows at the first `window` rank positions of a chunk of
@@ -251,26 +244,24 @@ def _first_hits(members: np.ndarray, order: np.ndarray, window: int) -> np.ndarr
     return first
 
 
-def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None, inverse: bool):
-    """Rank tables of the stacked functions over `size` tokens: [0, size), or
-    the sorted tokens of `universe` when one is given.
+def _rank_tables(tables: np.ndarray, size: int, inverse: bool):
+    """Rank tables of the stacked functions over the tokens [0, size).
 
-    Returns `order` (F, size), the universe positions in ascending rank
-    under each function, and, where `inverse` is set, its inverse `pos`
-    (size, F), the rank position of each universe position (else None).
-    Tokens of equal 64-bit rank sit in ascending token order, the tie-break
-    `argmin` gives on an ascending record.
+    Returns `order` (F, size), the tokens in ascending rank under each
+    function, and, where `inverse` is set, its inverse `pos` (size, F), the
+    rank position of each token (else None). Tokens of equal 64-bit rank sit
+    in ascending token order, the tie-break `argmin` gives on an ascending
+    record.
 
     Each function is sorted on keys: its 64-bit ranks with the low bits
-    (`token_mask`) replaced by the universe position, which sort by rank,
-    and by position where the high bits tie. Tabulation hashing XORs one
-    table entry per key byte, so clearing those bits in the tables clears
-    them in every rank. Over [0, size), entry c of byte j's table then also
-    holds c << 8j, that byte's share of the position, and the expansion
-    (`_universe_ranks`) gives the keys themselves; over `universe`, the
-    position is ORed into the hashes. A row where two neighbouring keys
-    share their high bits is sorted again on its full ranks, stably. `pos`
-    is scattered a row at a time.
+    (`token_mask`) replaced by the token, which sort by rank, and by token
+    where the high bits tie. Tabulation hashing XORs one table entry per key
+    byte, so clearing those bits in the tables clears them in every rank;
+    entry c of byte j's table then also holds c << 8j, that byte's share of
+    the token, and the expansion (`_universe_ranks`) gives the keys
+    themselves. A row where two neighbouring keys share their high bits is
+    sorted again on its full ranks, stably. `pos` is scattered a row at a
+    time.
     """
     dtype = np.uint16 if size <= 2 ** 16 else np.uint32
     fns = len(tables)
@@ -279,25 +270,17 @@ def _rank_tables(tables: np.ndarray, size: int, universe: np.ndarray | None, inv
     positions = np.arange(size, dtype=dtype)
     token_mask = (1 << max(size - 1, 1).bit_length()) - 1
     keyed = tables & np.uint64(~token_mask & MASK64)
-    if universe is None:
-        shares = np.arange(256, dtype=np.uint64) << np.arange(0, 32, 8, dtype=np.uint64)[:, None]
-        keyed |= shares
+    keyed |= np.arange(256, dtype=np.uint64) << np.arange(0, 32, 8, dtype=np.uint64)[:, None]
     step = max(1, min(64, _RANK_CHUNK_CELLS // max(size, 1)))
     for f in range(0, fns, step):
         chunk = slice(f, min(f + step, fns))
-        if universe is None:
-            keys = _universe_ranks(keyed[chunk], size)
-        else:
-            # C-ordered, so that the key sort below runs on contiguous rows
-            keys = np.ascontiguousarray(hash_keys(keyed[chunk], universe))
-            keys |= positions
+        keys = _universe_ranks(keyed[chunk], size)
         keys.sort(axis=1)
         near = np.flatnonzero(((keys[:, 1:] ^ keys[:, :-1]) <= token_mask).any(axis=1))
         perm = keys.astype(dtype)
         perm &= dtype(token_mask)
         if near.size:
-            full = tables[chunk][near]
-            ranks = _universe_ranks(full, size) if universe is None else hash_keys(full, universe)
+            ranks = _universe_ranks(tables[chunk][near], size)
             perm[near] = np.argsort(ranks, axis=1, kind="stable")
         order[chunk] = perm
         if pos is not None:

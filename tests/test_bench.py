@@ -297,13 +297,17 @@ def test_sweep_computes_each_oracle_once(dense, monkeypatch):
     assert len(rows) == 3 and calls == [0.5]
 
 
-def test_sweep_rejects_bad_requests(dense):
+def test_sweep_rejects_bad_requests(dense, monkeypatch):
     with pytest.raises(ValueError):
         sweep(_spec(dense, "lsh"), "limit", [100])
     with pytest.raises(ValueError):
         sweep(_spec(dense, "cpsjoin"), "threshold", [0.5])
     with pytest.raises(ValueError):
         sweep(_spec(dense, "cpsjoin"), "limit", [])
+    # a bad value is rejected before the oracle runs
+    monkeypatch.setattr(bench, "allpairs_join", lambda *args: pytest.fail("the oracle ran"))
+    with pytest.raises(ValueError, match="limit must be >= 2"):
+        sweep(_spec(dense, "cpsjoin"), "limit", [50, 1])
 
 
 def test_write_csv_paths_and_errors(tmp_path):
@@ -359,10 +363,21 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert rows[1][bench.COLUMNS.index("recall")] == ""
 
 
-@pytest.mark.parametrize("sig_len", ["0", "-1"])
-def test_cli_rejects_a_signature_shorter_than_one(sig_len, capsys):
-    assert main(["--gen", "uniform:n=300,avg=10,d=30", "--minhash-t", sig_len]) == 1
-    assert capsys.readouterr().err == "setjoin-bench: sig_len must be >= 1\n"
+@pytest.mark.parametrize("args, message", [
+    (["--minhash-t", "0"], "sig_len must be >= 1"),
+    (["--minhash-t", "-1"], "sig_len must be >= 1"),
+    (["--sketch-words", "0"], "sketch_words must be >= 1"),
+    (["--limit", "1"], "limit must be >= 2"),
+    (["--algo", "lsh", "--k", "0"], "k must be >= 1"),
+], ids=["0", "-1", "sketch-words-0", "limit-1", "lsh-k-0"])
+def test_cli_rejects_a_signature_shorter_than_one(args, message, capsys, monkeypatch):
+    # rejected as the spec is built, before the oracle's exact joins
+    def no_exact_join(*args):
+        raise AssertionError("an exact join ran")
+
+    monkeypatch.setattr(bench, "allpairs_join", no_exact_join)
+    assert main(["--gen", "uniform:n=300,avg=10,d=30", *args]) == 1
+    assert capsys.readouterr().err == f"setjoin-bench: {message}\n"
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -2,7 +2,7 @@
 similarity-preserving remap, and both synthetic generators.
 
 The array-pass build is checked against `_reference_build`, the per-record
-algorithm it replaced, on every canonical and raw field, index map included.
+algorithm it replaced, on every field, index map included.
 """
 
 from functools import partial
@@ -12,12 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setjoin import datasets, exact
-from setjoin.cpsjoin import CpsConfig, cps_join
+from setjoin import datasets
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform, load, save
 from setjoin.errors import CapacityExceededError, ParseError, TokenOverflowError
-from setjoin.exact import brute_force_join, jaccard
-from setjoin.lsh import LshConfig, lsh_join
+from setjoin.exact import jaccard
 
 
 def _reference_clean(raw, where: str) -> np.ndarray:
@@ -31,7 +29,7 @@ def _reference_clean(raw, where: str) -> np.ndarray:
     return np.unique(arr.astype(np.uint32))
 
 
-def _reference_build(records, canonical: bool):
+def _reference_build(records):
     """One record at a time: clean, dedup by content, then remap ids by
     ascending frequency and sort the records by size and content.
     Returns (tokens, indptr, d, index_map)."""
@@ -46,39 +44,33 @@ def _reference_build(records, canonical: bool):
         if slot == len(cleaned):
             cleaned.append(rec)
         index_map[i] = slot
-    if not canonical:
-        d = max((int(r[-1]) for r in cleaned), default=-1) + 1
-        out = cleaned
-    else:
-        d = 0
-        remapped = []
-        if cleaned:
-            orig_ids, counts = np.unique(np.concatenate(cleaned), return_counts=True)
-            new_id = np.empty(orig_ids.size, dtype=np.uint32)
-            new_id[np.lexsort((orig_ids, counts))] = np.arange(orig_ids.size, dtype=np.uint32)
-            remapped = [np.sort(new_id[np.searchsorted(orig_ids, rec)]) for rec in cleaned]
-            d = orig_ids.size
-        order = sorted(range(len(remapped)),
-                       key=lambda s: (remapped[s].size, remapped[s].astype(">u4").tobytes()))
-        final_of_slot = np.empty(len(order), dtype=np.int64)
-        final_of_slot[order] = np.arange(len(order))
-        keep = index_map >= 0
-        index_map[keep] = final_of_slot[index_map[keep]]
-        out = [remapped[s] for s in order]
+    d = 0
+    remapped = []
+    if cleaned:
+        orig_ids, counts = np.unique(np.concatenate(cleaned), return_counts=True)
+        new_id = np.empty(orig_ids.size, dtype=np.uint32)
+        new_id[np.lexsort((orig_ids, counts))] = np.arange(orig_ids.size, dtype=np.uint32)
+        remapped = [np.sort(new_id[np.searchsorted(orig_ids, rec)]) for rec in cleaned]
+        d = orig_ids.size
+    order = sorted(range(len(remapped)),
+                   key=lambda s: (remapped[s].size, remapped[s].astype(">u4").tobytes()))
+    final_of_slot = np.empty(len(order), dtype=np.int64)
+    final_of_slot[order] = np.arange(len(order))
+    keep = index_map >= 0
+    index_map[keep] = final_of_slot[index_map[keep]]
+    out = [remapped[s] for s in order]
     indptr = np.zeros(len(out) + 1, dtype=np.int64)
     np.cumsum([r.size for r in out], out=indptr[1:])
     tokens = np.concatenate(out).astype(np.uint32) if out else np.zeros(0, dtype=np.uint32)
     return tokens, indptr, d, index_map
 
 
-def _assert_matches_reference(records, canonical: bool):
-    ds, index_map = datasets._build(*datasets._flatten(records), canonical=canonical,
-                                    provenance=None)
-    tokens, indptr, d, want_map = _reference_build(records, canonical)
+def _assert_matches_reference(records):
+    ds, index_map = datasets._build(*datasets._flatten(records), provenance=None)
+    tokens, indptr, d, want_map = _reference_build(records)
     assert ds.tokens.dtype == np.uint32 and np.array_equal(ds.tokens, tokens)
     assert ds.indptr.dtype == np.int64 and np.array_equal(ds.indptr, indptr)
     assert ds.d == d
-    assert ds.canonical == canonical
     assert index_map.dtype == np.int64 and np.array_equal(index_map, want_map)
 
 
@@ -99,15 +91,14 @@ def _record_lists(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_record_lists(), st.booleans())
-def test_build_matches_per_record_reference(records, canonical):
-    _assert_matches_reference(records, canonical)
+@given(_record_lists())
+def test_build_matches_per_record_reference(records):
+    _assert_matches_reference(records)
 
 
 def test_build_matches_reference_on_edge_inputs():
     for records in ([], [[]], [[5], [5, 5], [7, 7, 7]], [[3, 1, 2], [2, 3, 1, 1], [9, 0xFFFFFFFF]]):
-        for canonical in (True, False):
-            _assert_matches_reference(records, canonical)
+        _assert_matches_reference(records)
 
 
 def test_from_records_names_the_bad_record():
@@ -137,8 +128,7 @@ def test_from_records_mixes_int64_and_uint64_records_exactly():
     top = 0xFFFFFFFF
     records = [np.array([top, 1, 2]), np.array([top - 1, 1, top], dtype=np.uint64),
                np.array([2, top - 1], dtype=np.int64), np.array([1, 2, top], dtype=np.uint64)]
-    for canonical in (True, False):
-        _assert_matches_reference(records, canonical)
+    _assert_matches_reference(records)
 
 
 def _ring(top):
@@ -156,7 +146,7 @@ _T30 = 2 ** 30 - 1  # 30 bits; one more is 31
 # bit lengths (the high and low maxima the build passes) add up to 32 at
 # most. The sorts are record-major over the input (input index, token),
 # token-major (token, record slot) and record-major over the output (place,
-# new id); a raw build runs the first only.
+# new id).
 @pytest.mark.parametrize("records, widths", [
     # 4 records: index 3 has 2 bits, record slot 3 has 2, ids 0..4 have 3
     ([[i, _T30] for i in range(4)], (32, 32, 5)),
@@ -168,8 +158,7 @@ _T30 = 2 ** 30 - 1  # 30 bits; one more is 31
     ([[5, 0xFFFFFFFF]], (32, 32, 1)),
     ([np.array([0xFFFFFFFF, 1], dtype=np.uint64), [2, 0xFFFFFFFF, 1]], (33, 33, 3)),
 ], ids=["small-32", "small-33", "ring-32", "ring-33", "top-id-one-record", "top-id"])
-@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
-def test_key_width_switches_at_32_bits(records, widths, canonical, monkeypatch):
+def test_key_width_switches_at_32_bits(records, widths, monkeypatch):
     dtypes, key_sort = [], datasets._key_sort
 
     def spy(*args):
@@ -178,9 +167,8 @@ def test_key_width_switches_at_32_bits(records, widths, canonical, monkeypatch):
         return keys, shift
 
     monkeypatch.setattr(datasets, "_key_sort", spy)
-    _assert_matches_reference(records, canonical)
-    want = [np.uint32 if w <= 32 else np.uint64 for w in widths]
-    assert dtypes == (want if canonical else want[:1])
+    _assert_matches_reference(records)
+    assert dtypes == [np.uint32 if w <= 32 else np.uint64 for w in widths]
 
 
 def test_load_matches_from_records_across_line_endings(tmp_path):
@@ -211,7 +199,6 @@ def test_load_parses_in_chunks_of_lines(tmp_path, monkeypatch):
 
 
 def _assert_canonical(ds: Dataset):
-    assert ds.canonical
     sizes = ds.sizes
     assert (sizes >= 2).all()
     assert np.array_equal(sizes, np.sort(sizes))
@@ -290,50 +277,6 @@ def test_duplicate_records_collapse():
     assert ds.n == 2
 
 
-def test_non_canonical_build_keeps_original_ids():
-    ds = Dataset.from_records([[7, 3], [900, 7]], canonical=False)
-    assert not ds.canonical
-    assert ds.d == 901
-    got = sorted(tuple(r.tolist()) for r in ds.records())
-    assert got == [(3, 7), (7, 900)]
-
-
-def test_raw_32_bit_ids_join_without_a_table_over_the_universe(monkeypatch):
-    # d = 2^32: no bitset, so the joins verify by CSR row products, and
-    # preprocess builds rank tables over the tokens that occur, as brute
-    # force builds its matrix columns. Nothing here may allocate per id in
-    # [0, d), so the test never reads `token_freq`.
-    rng = np.random.default_rng(21)
-    top = 0xFFFFFFFF
-    recs = [rng.choice(2 ** 20, size=20, replace=False) + (top - 2 ** 20) for _ in range(30)]
-    recs[0][0] = top
-    recs[1][0] = 0
-    planted = []
-    for k in range(10):
-        base = rng.choice(2 ** 20, size=20, replace=False) + (top - 2 ** 20)
-        twin = base.copy()
-        twin[:2] = rng.choice(2 ** 20, size=2, replace=False) + 2 ** 20
-        planted.append((len(recs), len(recs) + 1))
-        recs += [base, twin]
-    ds = Dataset.from_records(recs, canonical=False)
-    assert ds.n == 50 and ds.d == 2 ** 32
-    assert ds.bitset() is None
-    want = {(i, j) for i in range(ds.n) for j in range(i + 1, ds.n)
-            if jaccard(ds.record(i), ds.record(j)) >= 0.5}
-    assert set(planted) <= want
-    for pairs, stats in (cps_join(ds, CpsConfig(threshold=0.5, seed=1)),
-                         lsh_join(ds, LshConfig(threshold=0.5, seed=1))):
-        got = {tuple(p) for p in pairs.tolist()}
-        assert got <= want
-        assert set(planted) <= got
-        assert stats.counters_ok()
-    for dense_cap in (exact._DENSE_CELL_CAP, 0):  # dense, then sparse intersection blocks
-        monkeypatch.setattr(exact, "_DENSE_CELL_CAP", dense_cap)
-        pairs, stats = brute_force_join(ds, 0.5)
-        assert {tuple(p) for p in pairs.tolist()} == want
-        assert stats.results == len(want) and stats.counters_ok()
-
-
 def test_bitset_matches_records():
     ds = gen_uniform(50, 6, 80, seed=3)
     bits = ds.bitset()
@@ -344,12 +287,11 @@ def test_bitset_matches_records():
     assert c == np.intersect1d(ds.record(a), ds.record(b)).size
 
 
-@pytest.mark.parametrize("canonical", [True, False])
-def test_bitset_rows_hold_exactly_their_records_tokens(canonical):
+def test_bitset_rows_hold_exactly_their_records_tokens():
     rng = np.random.default_rng(5)
     # dense runs of tokens in one word, and lone tokens in sparse words
     records = [rng.choice(300, size=int(s), replace=False) for s in rng.integers(2, 90, size=80)]
-    ds = Dataset.from_records(records, canonical=canonical)
+    ds = Dataset.from_records(records)
     want = np.zeros((ds.n, (ds.d + 63) // 64), dtype=np.uint64)
     for i, rec in enumerate(ds.records()):
         for t in rec.tolist():
@@ -357,21 +299,12 @@ def test_bitset_rows_hold_exactly_their_records_tokens(canonical):
     assert np.array_equal(ds.bitset(), want)
 
 
-def test_stats_reports_shape_of_the_data():
-    ds = gen_uniform(100, 5, 60, seed=4)
-    st = ds.stats()
-    assert st["n"] == ds.n
-    assert st["total_tokens"] == int(ds.tokens.size)
-    assert st["avg_size"] == pytest.approx(ds.tokens.size / ds.n)
-    assert st["sets_per_token"] == pytest.approx(ds.tokens.size / ds.d)
-
-
 def test_gen_uniform_shape_and_determinism():
     ds = gen_uniform(2000, 10, 5000, seed=5)
     _assert_canonical(ds)
     assert ds.n >= 1990  # only rare duplicates collapse
     assert ds.d <= 5000
-    assert abs(ds.avg_size - 10) < 0.3
+    assert abs(ds.tokens.size / ds.n - 10) < 0.3  # the mean record size
     again = gen_uniform(2000, 10, 5000, seed=5)
     assert np.array_equal(ds.tokens, again.tokens)
     other = gen_uniform(2000, 10, 5000, seed=6)

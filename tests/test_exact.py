@@ -11,19 +11,17 @@ dataset and freed with it. The array-pass AllPairs is also checked against a
 per-record loop reference, pairs and counters alike, and its positional
 filter at its exact bound and against brute force on near-duplicates; its
 block pair keys round-trip every pair on both key widths. Its fold bound is
-never below the true overlap, 32-bit ids and saturated folds included; with
+never below the true overlap, saturated folds included; with
 the fold filter forced on and off it matches brute force on every verify
 route, and its rule drops candidates on clustered sets and skips saturated
 folds. The quadratic join's upper-triangle blocks are checked against a per-pair scan,
 on both product routes and at block sizes down to one row, its candidates on
-300 distinct sizes in no order, and the float fact that lets it skip a size
+300 distinct sizes given in no order, and the float fact that lets it skip a size
 test at its hits is a property test. Its bound over the columns below a cut
 is a property test against the per-pair scan at forced cuts, its cut rule is
 checked where the bound prunes and where it cannot, and its float32 route is
 checked to stop where float32 stops being exact. Every join that counts on
-the CSR route builds the records' CSR matrix once per dataset, and a raw
-dataset over a wide universe is renumbered once, by its column view, for
-preprocess and every join.
+the CSR route builds the records' CSR matrix once per dataset.
 """
 
 import gc
@@ -37,9 +35,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setjoin import CpsConfig, LshConfig, cps_join, datasets, exact, lsh_join, preprocess
+from setjoin import LshConfig, datasets, exact, lsh_join
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
-from setjoin.errors import CanonicalOrderError
 from setjoin.exact import (
     _EPS,
     allpairs_join,
@@ -148,18 +145,18 @@ def test_probe_matches_bitset_over_several_blocks(monkeypatch):
     assert verify_pairs(bare, a[:25], b[:25], 1.0).all()
 
 
-def test_verify_pairs_without_a_bitset_on_32_bit_token_ids():
-    # raw ids up to 0xFFFFFFFF: d = 2^32, so the bitset is over its cap and
-    # the CSR columns must hold token ids past int32
+def test_verify_pairs_without_a_bitset_on_32_bit_token_ids(monkeypatch):
+    # input ids up to 0xFFFFFFFF, renumbered by the canonical build, and the
+    # bitset over its cap: the CSR route
+    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
     rng = np.random.default_rng(16)
     top = 0xFFFFFFFF
     recs = [rng.choice(64, size=int(s), replace=False) + (top - 63)
             for s in rng.integers(1, 20, size=40)]
     recs[0][0] = top
     recs += [recs[0][1:], np.concatenate([recs[1], [0]])]  # near-duplicates
-    ds = Dataset.from_records(recs, canonical=False)
-    assert ds.d == 2 ** 32 and ds.tokens.max() == top
-    assert ds.bitset() is None
+    ds = Dataset.from_records(recs)
+    assert ds.d == 65 and ds.bitset() is None  # 64 ids near 2^32, and 0
     a, b = np.triu_indices(ds.n, 1)
     for lam in (0.2, 0.5, 0.9):
         want = [verify(ds.record(int(i)), ds.record(int(j)), lam) for i, j in zip(a, b)]
@@ -177,9 +174,9 @@ def _force_route(monkeypatch, route):
 
 
 def _word_boundary_records():
-    """Raw records over [0, 192), three 64-id words, that hold tokens 63, 64
-    and 127 on both sides of a word boundary. Record 0 has a token in every
-    word and record 1 in one: the lower id has more words."""
+    """Records over [0, 192), three 64-id words, and records that hold ids
+    63, 64 and 127 on both sides of a word boundary, among them one with an
+    id in every word and ones with ids in one or two."""
     rng = np.random.default_rng(21)
     recs = [np.array([0, 63, 64, 127, 128, 191]), np.array([62, 63]),
             np.array([63, 64]), np.array([63, 64, 127]), np.array([64, 127, 128])]
@@ -188,15 +185,11 @@ def _word_boundary_records():
     return recs
 
 
-@pytest.mark.parametrize("canonical", [True, False])
 @pytest.mark.parametrize("route", ["dense", "words", "csr"])
-def test_every_verify_route_gives_the_same_counts(monkeypatch, route, canonical):
+def test_every_verify_route_gives_the_same_counts(monkeypatch, route):
     _force_route(monkeypatch, route)
-    ds = Dataset.from_records(_word_boundary_records(), canonical=canonical)
-    assert (ds.bitset() is None) == (route == "csr")
-    if not canonical:
-        starts = ds.bitset_words()[0]
-        assert ds.record(0).size == 6 and starts[1] - starts[0] == 3 > starts[2] - starts[1]
+    ds = Dataset.from_records(_word_boundary_records())
+    assert (ds.bitset() is None) == (route == "csr") and (ds.d + 63) >> 6 == 3  # three words
     rng = np.random.default_rng(22)
     m = 499  # a prime, so blocks of 2 or more pairs end in a short one
     a = rng.integers(0, ds.n, size=m)
@@ -206,6 +199,9 @@ def test_every_verify_route_gives_the_same_counts(monkeypatch, route, canonical)
     c = np.array([np.intersect1d(ds.record(int(i)), ds.record(int(j))).size
                   for i, j in zip(a, b)])
     union = ds.sizes[a] + ds.sizes[b] - c
+    words = np.diff(ds.bitset_words()[0])
+    # the word route reads the lower id's words: at times the more of the two
+    assert (words[np.minimum(a, b)] > words[np.maximum(a, b)]).any()
     widest = max((ds.d + 63) >> 6, int(ds.sizes.max()))
     # no route's mean row is wider than `widest`: 4 pairs a block or more
     monkeypatch.setattr(exact, "_VERIFY_BLOCK", 4 * widest)
@@ -270,8 +266,8 @@ def test_word_lists_are_built_once_and_die_with_their_dataset():
 @pytest.mark.parametrize("join", ["allpairs", "lsh", "bruteforce"])
 def test_a_join_builds_the_csr_view_once(monkeypatch, join):
     # no bitset: every verify block reads the records' CSR matrix, which the
-    # dataset holds from the first read, and the oracle's sparse blocks on
-    # canonical data multiply that same matrix
+    # dataset holds from the first read, and the oracle's sparse blocks
+    # multiply that same matrix
     monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
     monkeypatch.setattr(exact, "_DENSE_CELL_CAP", 0)
     monkeypatch.setattr(exact, "_PAIR_BLOCK", 2 ** 10)
@@ -291,37 +287,6 @@ def test_a_join_builds_the_csr_view_once(monkeypatch, join):
     assert built.count("csr") == 1
     view = weakref.ref(exact._csr(ds))
     del ds, run
-    gc.collect()
-    assert view() is None  # it dies with its dataset
-
-
-def test_a_wide_universe_is_renumbered_once(monkeypatch):
-    # raw ids spread over a universe wider than the tokens, as in the sparse
-    # route test below, and no bitset: preprocess, both oracle routes, both
-    # approximate joins and their CSR verification all read the dataset's
-    # one column view and the one CSR matrix over its columns
-    monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
-    rng = np.random.default_rng(9)
-    recs = [rng.choice(3_000_000, size=400, replace=False) for _ in range(60)]
-    recs += [recs[0][:350], recs[1][:300]]
-    ds = Dataset.from_records(recs, canonical=False)
-    assert ds.d > ds.tokens.size and ds.bitset() is None
-    built, uniques, unique = _memo_builds(monkeypatch), [], np.unique
-    monkeypatch.setattr(np, "unique", lambda ar, *args, **kwargs:
-                        uniques.append(np.size(ar)) or unique(ar, *args, **kwargs))
-    preprocess(ds)
-    for dense_cap in (exact._DENSE_CELL_CAP, 0):  # dense, then sparse intersection blocks
-        monkeypatch.setattr(exact, "_DENSE_CELL_CAP", dense_cap)
-        assert brute_force_join(ds, 0.5)[1].results >= 2
-    cps_join(ds, CpsConfig(threshold=0.5, seed=1))
-    lsh_join(ds, LshConfig(threshold=0.5, seed=1))
-    assert uniques == [ds.tokens.size]  # the one renumbering
-    assert built.count("columns") == built.count("csr") == 1
-    universe, cols = ds.columns()
-    assert np.array_equal(universe[cols], ds.tokens)
-    assert exact._csr(ds).shape == (ds.n, universe.size)
-    view = weakref.ref(cols)
-    del ds, universe, cols
     gc.collect()
     assert view() is None  # it dies with its dataset
 
@@ -421,12 +386,6 @@ def test_threshold_one_returns_no_pairs_on_deduped_data():
     assert len(pairs) == 0
 
 
-def test_allpairs_requires_canonical_data():
-    ds = Dataset.from_records([[1, 2], [2, 3]], canonical=False)
-    with pytest.raises(CanonicalOrderError):
-        allpairs_join(ds, 0.5)
-
-
 def test_threshold_validation():
     ds = gen_uniform(10, 4, 20, seed=7)
     with pytest.raises(ValueError):
@@ -472,18 +431,17 @@ def test_multi_threshold_matches_single_runs():
 
 
 def test_brute_force_uses_sparse_route_on_large_universe(monkeypatch):
-    # records spread over a large universe; the oracle renumbers the ids that
-    # occur, so the dense matrix would be n by those, and a cap just below
-    # that sends it to the sparse route
+    # records over a large universe of mostly single-use ids; a cap just
+    # below the dense matrix's n * d cells sends the oracle to the sparse route
     rng = np.random.default_rng(9)
     recs = [rng.choice(3_000_000, size=400, replace=False) for _ in range(60)]
     recs += [recs[0][:350], recs[1][:300]]  # a few overlapping pairs
-    ds = Dataset.from_records(recs, canonical=False)  # keep sparse original ids
-    monkeypatch.setattr(exact, "_DENSE_CELL_CAP", ds.n * np.unique(ds.tokens).size - 1)
+    ds = Dataset.from_records(recs)
+    assert ds.d > 20_000
+    monkeypatch.setattr(exact, "_DENSE_CELL_CAP", ds.n * ds.d - 1)
     built = _memo_builds(monkeypatch)
     pairs, _ = brute_force_join(ds, 0.5)
-    # one CSR matrix over the ids that occur
-    assert built.count("csr") == 1 and exact._csr(ds).shape[1] == np.unique(ds.tokens).size
+    assert built.count("csr") == 1 and exact._csr(ds).shape == (ds.n, ds.d)
     want = []
     for i in range(ds.n):
         for j in range(i + 1, ds.n):
@@ -493,7 +451,7 @@ def test_brute_force_uses_sparse_route_on_large_universe(monkeypatch):
 
 
 def _tiling_records():
-    """Records of many sizes in no size order, with the 27-in-42 pair whose
+    """Records of many sizes, given in no size order, with the 27-in-42 pair whose
     Jaccard is exactly 9/14 (see the AllPairs size-filter test above)."""
     rng = np.random.default_rng(14)
     recs = [rng.choice(60, size=int(s), replace=False) for s in rng.integers(2, 46, size=45)]
@@ -516,12 +474,14 @@ def _per_pair_scan(data: Dataset, lam: float):
 
 @pytest.mark.parametrize("route", ["dense", "sparse"])
 @pytest.mark.parametrize("block_cells", [1, 130, 2 ** 19])
-@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("bitset", [True, False])
 def test_brute_force_triangle_blocks_match_per_pair_scan(monkeypatch, route, block_cells,
-                                                         canonical):
-    ds = Dataset.from_records(_tiling_records(), canonical=canonical)
-    if not canonical:
-        assert (np.diff(ds.sizes) < 0).any()  # sizes in no order
+                                                         bitset):
+    # without a bitset the kept pairs are counted on the CSR route
+    if not bitset:
+        monkeypatch.setattr(datasets, "_BITSET_BYTE_CAP", 0)
+    ds = Dataset.from_records(_tiling_records())
+    assert (ds.bitset() is not None) == bitset
     monkeypatch.setattr(exact, "_BLOCK_CELLS", block_cells)
     if route == "sparse":
         monkeypatch.setattr(exact, "_DENSE_CELL_CAP", 0)
@@ -569,9 +529,9 @@ def test_a_jaccard_hit_passes_the_size_filter(size_a, size_b, data):
 def test_brute_force_candidates_over_many_sizes_in_no_order():
     rng = np.random.default_rng(3)
     recs = [rng.choice(400, size=s, replace=False) for s in rng.permutation(np.arange(2, 302))]
-    ds = Dataset.from_records(recs, canonical=False)
+    ds = Dataset.from_records(recs)
     sizes = ds.sizes.astype(np.int64)
-    assert np.unique(sizes).size == ds.n == 300 and (np.diff(sizes) < 0).any()
+    assert np.unique(sizes).size == ds.n == 300
     i, j = np.triu_indices(ds.n, 1)
     lams = (0.2, 1 / 3, 0.5, 0.7, 0.9, 1.0)
     multi = brute_force_join_multi(ds, lams)
@@ -587,22 +547,20 @@ def test_brute_force_candidates_over_many_sizes_in_no_order():
 @st.composite
 def _oracle_records(draw):
     """Up to 18 records over 51 ids, at times with the 27-in-42 pair whose
-    Jaccard is exactly 9/14; raw records may spread their ids 1,000 apart,
-    so the oracle renumbers a universe wider than the tokens."""
+    Jaccard is exactly 9/14."""
     recs = draw(st.lists(st.sets(st.integers(0, 50), min_size=2, max_size=30),
                          min_size=2, max_size=18))
     if draw(st.booleans()):
         recs += [set(range(27)), set(range(42))]
-    spread = draw(st.sampled_from([1, 1000]))
-    return [np.array(sorted(r)) * spread for r in recs]
+    return [np.array(sorted(r)) for r in recs]
 
 
 @settings(max_examples=150, deadline=None)
-@given(_oracle_records(), st.booleans(), st.sampled_from(["dense", "sparse"]),
+@given(_oracle_records(), st.sampled_from(["dense", "sparse"]),
        st.sampled_from(["none", "mid", "all"]))
-def test_the_oracle_bound_is_lossless_at_any_cut(records, canonical, route, cut):
-    ds = Dataset.from_records(records, canonical=canonical)
-    forced = {"none": 0, "mid": ds.width // 2, "all": ds.width}[cut]
+def test_the_oracle_bound_is_lossless_at_any_cut(records, route, cut):
+    ds = Dataset.from_records(records)
+    forced = {"none": 0, "mid": ds.d // 2, "all": ds.d}[cut]
     lams = (0.2, 1 / 3, 0.5, 9 / 14, 0.8, 1.0)
     with mock.patch.object(exact, "_choose_cut", lambda *args: forced), \
             mock.patch.object(exact, "_DENSE_CELL_CAP", 0 if route == "sparse" else exact._DENSE_CELL_CAP):
@@ -672,9 +630,9 @@ def test_the_dense_oracle_route_stops_where_float32_stops_being_exact(monkeypatc
     # multiple of the step under 2^24 steps at the cap
     cap, step = exact._DENSE_SIZE_CAP, exact._BOUND_STEP
     assert (cap + cap // 2 + 1) / step <= 2 ** 24
-    big = Dataset.from_records([np.arange(s) for s in (cap, cap + 1)], canonical=False)
-    assert exact._dense_route(Dataset.from_records([np.arange(cap)]), cap)
-    assert not exact._dense_route(big, big.d)
+    big = Dataset.from_records([np.arange(s) for s in (cap, cap + 1)])
+    assert exact._dense_route(Dataset.from_records([np.arange(cap)]))
+    assert not exact._dense_route(big)
     # the same rule at a cap of 40 tokens: records past it take the int32
     # sparse blocks, and the results stand
     monkeypatch.setattr(exact, "_DENSE_SIZE_CAP", 40)
@@ -702,17 +660,13 @@ def test_brute_force_memory_stays_bounded():
     assert peak < 200 * 2 ** 20
 
 
-@pytest.mark.parametrize("wide", [False, True])
-def test_dense_oracle_matrix_is_built_in_4_bytes_per_token(wide):
+def test_dense_oracle_matrix_is_built_in_4_bytes_per_token():
     # records of sizes 2..2,501: 3.1M tokens against a matrix of n * d cells;
-    # two token-long intp index arrays would add 8 bytes per token each. With
-    # `wide`, the ids spread over a universe wider than the tokens, which the
-    # build renumbers
+    # two token-long intp index arrays would add 8 bytes per token each
     rng = np.random.default_rng(24)
-    ids = np.arange(2600) * (2 ** 12 if wide else 1)
-    data = Dataset.from_records([rng.choice(ids, size=s, replace=False)
-                                 for s in range(2, 2502)], canonical=not wide)
-    assert (data.d > data.tokens.size) == wide and data.n * 2600 <= exact._DENSE_CELL_CAP
+    data = Dataset.from_records([rng.choice(2600, size=s, replace=False)
+                                 for s in range(2, 2502)])
+    assert data.d == 2600 and data.n * 2600 <= exact._DENSE_CELL_CAP
     tracemalloc.start()
     try:
         i0, counts = next(exact._intersection_blocks(data))  # the build and the first block
@@ -866,22 +820,21 @@ def test_the_fold_bound_is_never_below_the_intersection():
     recs += [np.arange(64), np.arange(64, 128), top - np.arange(70)]  # saturated
     # near-duplicates, each with a token at the residue of the one it drops
     recs += [np.union1d(r[1:], [r[0] ^ 64, top]) for r in recs[:40]]
-    ds = Dataset.from_records(recs, canonical=False)
+    ds = Dataset.from_records(recs)
     folds = exact._folds(ds)
     want = [np.bitwise_or.reduce(np.uint64(1) << (ds.record(r).astype(np.uint64) % np.uint64(64)))
             for r in range(ds.n)]
     assert folds.dtype == np.uint64 and np.array_equal(folds, want)
-    assert ds.tokens.max() == top and (np.bitwise_count(folds) == 64).sum() > 3
-    ids, cols = np.unique(ds.tokens, return_inverse=True)
-    x = np.zeros((ds.n, ids.size))
-    x[np.repeat(np.arange(ds.n), ds.sizes), cols] = 1
+    assert (np.bitwise_count(folds) == 64).sum() > 3
+    x = np.zeros((ds.n, ds.d))
+    x[np.repeat(np.arange(ds.n), ds.sizes), ds.tokens] = 1
     a, b = np.triu_indices(ds.n, 1)
     c = (x @ x.T)[a, b].astype(np.int64)
     sizes = ds.sizes.astype(np.int64)
     bound = exact._fold_overlap_bound(folds[a], folds[b], sizes[a], sizes[b])
     assert (bound >= c).all()
     assert (bound == c).any()  # tight, and below the smaller size, on some pairs
-    assert (bound < np.minimum(sizes[a], sizes[b])).mean() > 0.5
+    assert (bound < np.minimum(sizes[a], sizes[b])).mean() > 0.45
 
 
 @pytest.mark.parametrize("route", ["dense", "words", "csr"])

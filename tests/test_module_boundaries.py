@@ -1,7 +1,8 @@
 """Module boundaries: no setjoin module reaches into another's private names,
 one function alone builds the candidate kernel, every call of that one
-repetition driver runs a join module's own generator of steps, and one
-module alone holds the sparse (scipy) view of the records."""
+repetition driver runs a join module's own generator of steps, one
+function alone (the canonical build) makes a Dataset, and one module alone
+holds the sparse (scipy) view of the records."""
 
 import ast
 import inspect
@@ -47,9 +48,9 @@ def test_no_module_touches_another_modules_private_names():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
-def kernel_constructions(path):
-    """(line, enclosing function) of every `CandidateKernel(...)` call in a
-    module, by name or as a module attribute; None outside any function."""
+def constructions(path, name):
+    """(line, enclosing function) of every `name(...)` call in a module, by
+    name or as a module attribute; None outside any function."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
 
@@ -58,8 +59,7 @@ def kernel_constructions(path):
             func = node.name
         if isinstance(node, ast.Call):
             f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "CandidateKernel":
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
                 found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -74,14 +74,21 @@ def test_kernel_constructions_finds_both_kinds(tmp_path):
                     "k = CandidateKernel(1)\n"
                     "def run(prep):\n"
                     "    return [cps.CandidateKernel(prep) for _ in range(2)]\n")
-    assert kernel_constructions(path) == [(2, None), (4, "run")]
+    assert constructions(path, "CandidateKernel") == [(2, None), (4, "run")]
 
 
 def test_only_the_repetition_loop_builds_a_candidate_kernel():
     # a second place that builds one would be a second repetition driver
     found = {(p.name, func) for p in sorted(SRC.glob("*.py"))
-             for _, func in kernel_constructions(p)}
+             for _, func in constructions(p, "CandidateKernel")}
     assert found == {("cpsjoin.py", "run_repetitions")}
+
+
+def test_only_the_canonical_build_makes_a_dataset():
+    # every other maker would be a way to a Dataset that is not canonical
+    found = {(p.name, func) for p in sorted(SRC.glob("*.py"))
+             for _, func in constructions(p, "Dataset")}
+    assert found == {("datasets.py", "_build")}
 
 
 def repetition_drives(path):

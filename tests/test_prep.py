@@ -1,5 +1,5 @@
 """The rank-table embedding must agree with the per-family reference, however
-its tables are chunked and whichever universe they rank."""
+its tables are chunked and whichever kernel a block of records takes."""
 
 import hashlib
 import tracemalloc
@@ -10,6 +10,7 @@ import pytest
 from setjoin import cpsjoin
 from setjoin import prep as prep_module
 from setjoin.datasets import Dataset, TokensSpec, gen_tokens, gen_uniform
+from setjoin.exact import allpairs_join
 from setjoin.minhash import MinHashFamily
 from setjoin.prep import _SIG_TAG, _SK_TAG, _UNIVERSE_CELL_CAP, preprocess
 from setjoin.sketch import SketchFamily, filter_threshold, max_hamming
@@ -77,15 +78,15 @@ def test_signatures_do_not_depend_on_the_sketch_size():
 
 
 def _threshold_pairs(n, seed):
-    """n pairs of 30-token sets sharing 20 tokens (Jaccard 0.5) as records 2i
-    and 2i + 1, each pair over 40 tokens of its own."""
+    """n pairs of 30-token sets sharing 20 tokens (Jaccard 0.5), each pair
+    over 40 tokens of its own, and the (n, 2) record ids of the pairs."""
     tokens = np.random.default_rng(seed).permutation(40 * n).reshape(n, 40)
-    return Dataset.from_records([rec for t in tokens for rec in (t[:30], t[10:])],
-                                canonical=False)
+    data = Dataset.from_records([rec for t in tokens for rec in (t[:30], t[10:])])
+    return data, allpairs_join(data, 0.5)[0]
 
 
 def _co_bucketed(sig, threshold, depth, trials, seed):
-    """Per pair (records 2i, 2i + 1), the buckets CPSJoin's own split at key
+    """Per pair (rows 2i, 2i + 1 of `sig`), the buckets CPSJoin's own split at key
     width 3 holds it in together after `depth` splits, summed over `trials`
     root buckets of the pair under seeds of their own."""
     n = len(sig) // 2
@@ -107,9 +108,12 @@ def test_the_shared_family_misses_no_more_co_bucketed_threshold_pairs():
     # default delta of 0.05 the filter drops too few threshold pairs to
     # compare, so the cut is set at delta 0.9, where it drops about a fifth.
     threshold = 0.5
-    data = _threshold_pairs(3000, seed=2611)
+    data, pairs = _threshold_pairs(3000, seed=2611)
+    assert pairs.shape == (3000, 2)
+    rows = pairs.ravel()  # each pair's records as rows 2i and 2i + 1
     shared = preprocess(data, seed=2612)
-    apart = preprocess(data, seed=2613).sketches
+    sig, sketches = shared.sig[rows], shared.sketches[rows]
+    apart = preprocess(data, seed=2613).sketches[rows]
     cut = max_hamming(filter_threshold(threshold, shared.sketch_minhashes, 0.9),
                       shared.sketch_bits)
 
@@ -117,9 +121,9 @@ def test_the_shared_family_misses_no_more_co_bucketed_threshold_pairs():
         return np.bitwise_count(sketches[0::2] ^ sketches[1::2]).sum(axis=1) > cut
 
     for depth in (1, 2):
-        weight = _co_bucketed(shared.sig, threshold, depth, trials=8, seed=2614)
+        weight = _co_bucketed(sig, threshold, depth, trials=8, seed=2614)
         rate_shared, rate_apart = (np.average(missed(s), weights=weight)
-                                   for s in (shared.sketches, apart))
+                                   for s in (sketches, apart))
         ess = weight.sum() ** 2 / (weight ** 2).sum()  # effective number of pairs
         se_apart = np.sqrt(rate_apart * (1 - rate_apart) / ess)
         se = np.sqrt(rate_shared * (1 - rate_shared) / ess + se_apart ** 2)
@@ -151,21 +155,18 @@ def _tokens():
 
 
 def _mixed():
-    """Non-canonical: record sizes 2..39 in no order, tokens not frequency-ranked."""
+    """Records of sizes 2..39 over 500 ids, every block of them gathering."""
     rng = np.random.default_rng(8)
     sizes = rng.integers(2, 40, size=150)
-    return Dataset.from_records([rng.choice(500, size=int(s), replace=False) for s in sizes],
-                                canonical=False)
+    return Dataset.from_records([rng.choice(500, size=int(s), replace=False) for s in sizes])
 
 
 def _wide():
-    """Token ids past 2^16 over a few records, so the tables rank only the
-    tokens that occur and map their positions back to uint32 ids."""
+    """70 records of 1,000 ids drawn from 10^6: a universe past 2^16, so the
+    rank tables hold uint32 positions."""
     rng = np.random.default_rng(6)
-    records = [rng.choice(100_000, size=int(s), replace=False)
-               for s in rng.integers(2, 12, size=120)]
-    records.append(np.array([3, 99_999]))
-    return Dataset.from_records(records, canonical=False)
+    return Dataset.from_records([rng.choice(10 ** 6, size=1000, replace=False)
+                                 for _ in range(70)])
 
 
 # Blocks of 1 to 7 records, and ranks hashed and sorted 3 functions at a time.
@@ -174,27 +175,17 @@ _SMALL_BLOCKS = {"_BLOCK_CELLS": 5000, "_RANK_CHUNK_CELLS": 3 * 500}
 _CHUNKED = {"_UNIVERSE_CELL_CAP": 2000}
 
 # (sha256 of sig.tobytes(), sha256 of sketches.tobytes()). The signature
-# digests were computed with the per-record argmin embedding before the
-# rank-table path existed; the sketch digests when sketches came to pack the
+# digest was computed with the per-record argmin embedding before the
+# rank-table path existed; the sketch digest when sketches came to pack the
 # signature family's first MinHashes rather than a family of their own.
 _TOKENS_DIGEST = ("9747ec7a754d1049e6e7ae8d20a9b88cb97e158df16cd45483ccb41d930095b8",
                   "53c131ade1b0996d02d6ac469c01d72bf2f288b6b0dec3fa52c0cb49f4bde59a")
-_MIXED_DIGEST = ("1347a7801de4945857fd2567ed622a2d757929264177c2b1204fc1449c5d93c1",
-                 "307a99ca2e9042e86303b5c1e23e478a05472d97cdca4b71ec2f0ff7a9b657be")
-_WIDE_DIGEST = ("7faaa0b781b4421260c1b22e01b4afe6e81df6cfb1281d7e087c0a1a197efdb3",
-                "d48e4dced2678b19f47137c498dbc4117154fb0892313cc3eea4a104895fd8ae")
 
 
 @pytest.mark.parametrize("dataset, dims, patch, want", [
     (_tokens, (128, 8, 7), {}, _TOKENS_DIGEST),
     (_tokens, (128, 8, 7), _CHUNKED, _TOKENS_DIGEST),
-    (_mixed, (64, 4, 2), {}, _MIXED_DIGEST),
-    (_mixed, (64, 4, 2), _SMALL_BLOCKS, _MIXED_DIGEST),
-    (_mixed, (64, 4, 2), _CHUNKED, _MIXED_DIGEST),
-    (_wide, (16, 1, 5), {}, _WIDE_DIGEST),
-    (_wide, (16, 1, 5), _CHUNKED, _WIDE_DIGEST),
-], ids=["tokens", "tokens-chunked", "mixed", "mixed-small-blocks", "mixed-chunked",
-        "wide-uint32", "wide-uint32-chunked"])
+], ids=["tokens", "tokens-chunked"])
 def test_embedding_digest(dataset, dims, patch, want, monkeypatch):
     for name, value in patch.items():
         monkeypatch.setattr(prep_module, name, value)
@@ -224,12 +215,9 @@ def _first_hit_records(monkeypatch, data, sig_len=128, sketch_words=8, seed=0):
 
 
 def test_digest_cases_cover_their_regimes(monkeypatch):
-    wide = _wide()
-    assert wide.d > 2 ** 16 and wide.d > wide.tokens.size
-    sizes = _mixed().sizes
-    assert not np.all(sizes[:-1] <= sizes[1:])
+    assert _wide().d > 2 ** 16
     # the pinned `_tokens` digest comes from the first-hit kernel alone, and
-    # `_mixed`'s from the gather kernel alone
+    # `_mixed` takes the gather kernel alone
     tokens = _tokens()
     assert len(_first_hit_records(monkeypatch, tokens, 128, 8, 7)) == tokens.n
     assert _first_hit_records(monkeypatch, _mixed(), 64, 4, 2) == []
@@ -260,18 +248,17 @@ _GATHER_ONLY = {"_FIRST_HIT_COST": float("inf")}
 
 
 def _straddling():
-    """Raw records, 30 each of sizes 2, 5, 20, 60, 150 and 300 over [0, 400)."""
+    """Records, 30 each of sizes 2, 5, 20, 60, 150 and 300 over [0, 400)."""
     rng = np.random.default_rng(12)
     return Dataset.from_records([rng.choice(400, size=s, replace=False)
-                                 for s in (2, 5, 20, 60, 150, 300) for _ in range(30)],
-                                canonical=False)
+                                 for s in (2, 5, 20, 60, 150, 300) for _ in range(30)])
 
 
 def _pairs():
-    """Raw records of two tokens each, ranked over the 150-odd that occur."""
+    """Records of two ids each drawn from 5,000: a universe of the 150-odd
+    that occur."""
     rng = np.random.default_rng(13)
-    return Dataset.from_records([rng.choice(5000, size=2, replace=False) for _ in range(80)],
-                                canonical=False)
+    return Dataset.from_records([rng.choice(5000, size=2, replace=False) for _ in range(80)])
 
 
 def _one():
@@ -330,15 +317,9 @@ def test_first_hit_blocks_keep_the_peak_of_the_gather_kernel(monkeypatch):
     assert peaks[0] <= 1.1 * peaks[1]
 
 
-def test_out_of_order_sizes_match_reference_families():
-    p = preprocess(_mixed(), sig_len=16, sketch_words=1, seed=4)
-    _check_against_families(p)
-
-
 @pytest.mark.parametrize("records", [[], [[3, 7, 9]]], ids=["empty", "one"])
-@pytest.mark.parametrize("canonical", [True, False])
-def test_empty_and_single_record(records, canonical):
-    ds = Dataset.from_records(records, canonical=canonical)
+def test_empty_and_single_record(records):
+    ds = Dataset.from_records(records)
     p = preprocess(ds, sig_len=32, sketch_words=2, seed=1)
     assert p.sig.shape == (len(records), 32) and p.sig.dtype == np.uint32
     assert p.sketches.shape == (len(records), 2) and p.sketches.dtype == np.uint64
@@ -349,59 +330,59 @@ def test_rank_ties_go_to_the_smaller_token():
     rng = np.random.default_rng(0)
     tables = np.zeros((3, 4, 256), dtype=np.uint64)
     tables[:2, 0] = rng.integers(2 ** 62, 2 ** 63, size=(2, 256), dtype=np.uint64)
-    # Function 0: tokens 3 and 5 share the least rank.
-    tables[0, 0, [3, 5]] = 7
-    # Function 1: 5 ranks below 3, and the two differ only in their lowest bits.
-    tables[1, 0, 3] = 2 ** 40 + 6
-    tables[1, 0, 5] = 2 ** 40 + 1
+    ds = Dataset.from_records([[1, 3, 5, 7], [3, 5], [3, 5, 9, 200], [2, 4]])
+    x, y = ds.d - 2, ds.d - 1  # the canonical ids of 3 and 5, the most frequent
+    # Function 0: tokens x and y share the least rank.
+    tables[0, 0, [x, y]] = 7
+    # Function 1: y ranks below x, and the two differ only in their lowest bits.
+    tables[1, 0, x] = 2 ** 40 + 6
+    tables[1, 0, y] = 2 ** 40 + 1
     # Function 2: every token has rank 0.
-    records = [[1, 3, 5, 7], [3, 5], [3, 5, 9, 200], [2, 4]]
-    ds = Dataset.from_records(records, canonical=False)
 
     values = prep_module._minhashes(tables, ds)
 
     ref = MinHashFamily(3)
     ref.tables = tables
     for i in range(ds.n):
-        assert np.array_equal(values[:, i], ref.embed(ds.record(i)))
-    assert values[:, 0].tolist() == [3, 5, 1]
-    assert values[:, 2].tolist() == [3, 5, 3]
+        rec = ds.record(i)
+        assert np.array_equal(values[:, i], ref.embed(rec))
+        assert values[2, i] == rec[0]
+        if y in rec:
+            assert values[:2, i].tolist() == [x, y]
+    assert sum(y in rec for rec in ds.records()) == 3
 
 
 def test_canonical_universe_past_2_16_matches_reference_families():
     ds = gen_uniform(150, 600, 10 ** 6, seed=5)
-    assert ds.canonical and ds.d > 2 ** 16
+    assert ds.d > 2 ** 16
     p = preprocess(ds, sig_len=16, sketch_words=1, seed=6)
     _check_against_families(p)
 
 
 def test_ranks_are_hashed_per_chunk_of_functions_not_per_record(monkeypatch):
-    calls = []
+    calls, universe_ranks = [], prep_module._universe_ranks
 
-    def counting_hash_keys(tables, keys):
+    def counting(tables, d):
         calls.append(len(tables))
-        return hash_keys(tables, keys)
+        return universe_ranks(tables, d)
 
-    monkeypatch.setattr(prep_module, "hash_keys", counting_hash_keys)
-    # canonical, and F * d past the cap: [0, d) is ranked byte table by byte table
-    dense = gen_uniform(150, 600, 200000, seed=1)
-    assert 256 * dense.d > _UNIVERSE_CELL_CAP
-    preprocess(dense, sig_len=256)
-    assert calls == []
-    # sparse ids: only the tokens that occur are hashed, a chunk of functions at a time
-    sparse = _wide()
-    preprocess(sparse)
-    assert sum(calls) == 128
-    assert 0 < len(calls) < sparse.n
+    monkeypatch.setattr(prep_module, "_universe_ranks", counting)
+    # F * d past the cap: [0, d) is ranked byte table by byte table, a chunk of
+    # functions at a time, and a function again only where its keys tie
+    data = gen_uniform(150, 600, 200000, seed=1)
+    assert 256 * data.d > _UNIVERSE_CELL_CAP
+    preprocess(data, sig_len=256)
+    assert 256 <= sum(calls) < 2 * 256
+    assert 0 < len(calls) < data.n
 
 
 def _spanning(u):
-    """Raw records over [0, u) holding at least u tokens, so that the rank
-    tables span [0, u) itself, byte table by byte table."""
+    """Records that hold every id of [0, u), so that the rank tables span
+    [0, u) itself, byte table by byte table."""
     rng = np.random.default_rng(u)
     s = min(u, 40 if u < 1000 else 1000)
-    records = [rng.choice(u, size=s, replace=False) for _ in range(-(-u // s) + 2)]
-    return Dataset.from_records(records + [[0, u - 1]], canonical=False)
+    records = np.array_split(rng.permutation(u), max(1, u // s))  # each of s ids or more
+    return Dataset.from_records(records + [rng.choice(u, size=s, replace=False)])
 
 
 # Universe sizes around each byte a rank key folds (byte 1 varies from 257
@@ -409,7 +390,7 @@ def _spanning(u):
 @pytest.mark.parametrize("u", [1, 2, 255, 256, 257, 2 ** 16, 2 ** 16 + 1])
 def test_folded_rank_keys_at_byte_boundaries(u):
     tables = table_tensor(np.arange(3, dtype=np.uint64) + np.uint64(u))
-    order, pos = prep_module._rank_tables(tables, u, None, inverse=True)
+    order, pos = prep_module._rank_tables(tables, u, inverse=True)
     ranks = hash_keys(tables, np.arange(u))
     assert order.dtype == (np.uint16 if u <= 2 ** 16 else np.uint32)
     assert np.array_equal(order, np.argsort(ranks, axis=1, kind="stable"))
