@@ -139,6 +139,16 @@ def _ring(top):
     return list(np.random.default_rng(top).permutation(records))
 
 
+def _given(records, canonical: bool) -> list:
+    """The records in canonical record form, each one's tokens sorted and
+    distinct, or raw: each one's tokens reversed with its last repeated, and
+    the records in reverse order. A build keeps the same records from both."""
+    arrays = [np.asarray(r) for r in records]
+    if canonical:
+        return [np.unique(a) for a in arrays]
+    return [np.append(a[::-1], a[-1:]) for a in reversed(arrays)]
+
+
 _T30 = 2 ** 30 - 1  # 30 bits; one more is 31
 
 
@@ -146,7 +156,8 @@ _T30 = 2 ** 30 - 1  # 30 bits; one more is 31
 # bit lengths (the high and low maxima the build passes) add up to 32 at
 # most. The sorts are record-major over the input (input index, token),
 # token-major (token, record slot) and record-major over the output (place,
-# new id).
+# new id). The widths hang on the number of records, the largest token and
+# the number of distinct records and ids, which raw input leaves unchanged.
 @pytest.mark.parametrize("records, widths", [
     # 4 records: index 3 has 2 bits, record slot 3 has 2, ids 0..4 have 3
     ([[i, _T30] for i in range(4)], (32, 32, 5)),
@@ -158,7 +169,8 @@ _T30 = 2 ** 30 - 1  # 30 bits; one more is 31
     ([[5, 0xFFFFFFFF]], (32, 32, 1)),
     ([np.array([0xFFFFFFFF, 1], dtype=np.uint64), [2, 0xFFFFFFFF, 1]], (33, 33, 3)),
 ], ids=["small-32", "small-33", "ring-32", "ring-33", "top-id-one-record", "top-id"])
-def test_key_width_switches_at_32_bits(records, widths, monkeypatch):
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+def test_key_width_switches_at_32_bits(records, widths, canonical, monkeypatch):
     dtypes, key_sort = [], datasets._key_sort
 
     def spy(*args):
@@ -167,7 +179,7 @@ def test_key_width_switches_at_32_bits(records, widths, monkeypatch):
         return keys, shift
 
     monkeypatch.setattr(datasets, "_key_sort", spy)
-    _assert_matches_reference(records)
+    _assert_matches_reference(_given(records, canonical))
     assert dtypes == [np.uint32 if w <= 32 else np.uint64 for w in widths]
 
 
@@ -287,11 +299,12 @@ def test_bitset_matches_records():
     assert c == np.intersect1d(ds.record(a), ds.record(b)).size
 
 
-def test_bitset_rows_hold_exactly_their_records_tokens():
+@pytest.mark.parametrize("canonical", [True, False])
+def test_bitset_rows_hold_exactly_their_records_tokens(canonical):
     rng = np.random.default_rng(5)
     # dense runs of tokens in one word, and lone tokens in sparse words
     records = [rng.choice(300, size=int(s), replace=False) for s in rng.integers(2, 90, size=80)]
-    ds = Dataset.from_records(records)
+    ds = Dataset.from_records(_given(records, canonical))
     want = np.zeros((ds.n, (ds.d + 63) // 64), dtype=np.uint64)
     for i, rec in enumerate(ds.records()):
         for t in rec.tolist():

@@ -185,10 +185,14 @@ def _word_boundary_records():
     return recs
 
 
+@pytest.mark.parametrize("canonical", [True, False])
 @pytest.mark.parametrize("route", ["dense", "words", "csr"])
-def test_every_verify_route_gives_the_same_counts(monkeypatch, route):
+def test_every_verify_route_gives_the_same_counts(monkeypatch, route, canonical):
     _force_route(monkeypatch, route)
-    ds = Dataset.from_records(_word_boundary_records())
+    recs = _word_boundary_records()
+    if canonical:  # given as a canonical dataset holds them, ids renumbered
+        recs = list(Dataset.from_records(recs).records())
+    ds = Dataset.from_records(recs)
     assert (ds.bitset() is None) == (route == "csr") and (ds.d + 63) >> 6 == 3  # three words
     rng = np.random.default_rng(22)
     m = 499  # a prime, so blocks of 2 or more pairs end in a short one

@@ -318,7 +318,10 @@ def test_first_hit_blocks_keep_the_peak_of_the_gather_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("records", [[], [[3, 7, 9]]], ids=["empty", "one"])
-def test_empty_and_single_record(records):
+@pytest.mark.parametrize("canonical", [True, False])
+def test_empty_and_single_record(records, canonical):
+    if canonical:  # given as a canonical dataset holds them, ids renumbered
+        records = list(Dataset.from_records(records).records())
     ds = Dataset.from_records(records)
     p = preprocess(ds, sig_len=32, sketch_words=2, seed=1)
     assert p.sig.shape == (len(records), 32) and p.sig.dtype == np.uint32
